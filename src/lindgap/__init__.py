@@ -19,7 +19,6 @@ from .operators import (
     op_norm_2to2,
     weighted_inner,
     weighted_norm,
-    traceless_part,
 )
 from .lindblad import (
     Lindbladian,

@@ -187,7 +187,8 @@ def _cmd_validate(args, bundle: ModelBundle, tols: Tolerances) -> int:
     t_max = args.t_max if args.t_max is not None else 4.0 / nu
     ts = np.linspace(0.0, t_max, args.samples)
     report = time_avg_check(bundle.lind, bundle.state, X0, T, nu, ts, C_T,
-                            slack=tols.cert_slack)
+                            slack=tols.cert_slack,
+                            quad_flag_tol=tols.quad_flag_tol)
     ok, lhs, s = singular_relaxation_check(nu, T, bundle.lind, bundle.state)
     # The rate fit needs times on the scale of the true decay, which can be
     # orders of magnitude faster than the certified rate.
@@ -236,7 +237,7 @@ def _cmd_stp(args, bundle: ModelBundle, tols: Tolerances) -> int:
     report = stp_verify(_effective_hamiltonian(bundle), bundle.lind.dissipator(),
                         bundle.state, T, args.beta, n_samples=args.samples,
                         poly_degree=args.poly_degree, seed=args.seed,
-                        slack=tols.cert_slack)
+                        slack=tols.cert_slack, quad_flag_tol=tols.quad_flag_tol)
     payload = _envelope("stp", bundle, args.seed, tols, report.as_dict())
     _write_json(os.path.join(args.out, "stp.json"), payload)
     if not report.passed:
@@ -317,12 +318,13 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"lindgap: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except np.linalg.LinAlgError as exc:
+        # LinAlgError subclasses ValueError, so it must be caught first
+        print(f"lindgap: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"lindgap: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except np.linalg.LinAlgError as exc:
-        print(f"lindgap: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

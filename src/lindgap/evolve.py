@@ -162,7 +162,8 @@ CERT_SLACK = 1e-6
 def time_avg_check(L: Lindbladian, state: QuantumState, X0, T: float,
                    nu: float, t_samples, prefactor: float,
                    frame: KmsFrame | None = None,
-                   slack: float = CERT_SLACK) -> TimeAvgReport:
+                   slack: float = CERT_SLACK,
+                   quad_flag_tol: float = QUAD_FLAG_TOL) -> TimeAvgReport:
     """Check a decay certificate (nu, T, C_T) against the exact evolution.
 
     Windowed: avg_{[t,t+T]} ||X_s - <X>||^2  <=  e^{-nu t} * (t=0 window).
@@ -213,7 +214,7 @@ def time_avg_check(L: Lindbladian, state: QuantumState, X0, T: float,
                          window_ok=window_ok, pointwise_ok=pointwise_ok,
                          worst_window_ratio=float(worst_w),
                          worst_pointwise_ratio=float(worst_p),
-                         quadrature_ok=max_defect <= QUAD_FLAG_TOL,
+                         quadrature_ok=max_defect <= quad_flag_tol,
                          max_quadrature_defect=max_defect,
                          nu=float(nu), T=float(T), prefactor=float(prefactor),
                          times=ts, window_values=windows,
@@ -303,7 +304,7 @@ def _random_mean_zero(rng: np.random.Generator, state: QuantumState) -> Matrix:
 def stp_verify(H, LD: Lindbladian, state: QuantumState, T: float, beta: float,
                n_samples: int = 100, poly_degree: int = 3, seed: int = 0,
                frame: KmsFrame | None = None,
-               slack: float = CERT_SLACK) -> StpReport:
+               slack: float = CERT_SLACK, quad_flag_tol: float = QUAD_FLAG_TOL) -> StpReport:
     """Sample the space-time variance inequality on random polynomial paths.
 
     For X_t = sum_k t^k A_k with mean-zero Hermitian A_k, checks
@@ -391,5 +392,5 @@ def stp_verify(H, LD: Lindbladian, state: QuantumState, T: float, beta: float,
                      n_samples=n_samples, poly_degree=poly_degree,
                      T=float(T), beta=float(beta), seed=seed,
                      C1=float(C1), C2=float(C2), trivial_kernel=trivial,
-                     quadrature_ok=max_defect <= QUAD_FLAG_TOL,
+                     quadrature_ok=max_defect <= quad_flag_tol,
                      max_quadrature_defect=float(max_defect))

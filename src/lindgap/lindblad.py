@@ -25,7 +25,6 @@ from .operators import (
     gns_frame,
     kms_frame,
     require_hermitian,
-    superop_matrix,
     vec,
 )
 
@@ -44,24 +43,36 @@ class Lindbladian:
     hamiltonian: Matrix
     jumps: list[tuple[float, Matrix]]
     alpha: float = 1.0
-    canonical_data: list[tuple[float, Matrix]] | None = None
 
-    def hamiltonian_part(self, X: Matrix) -> Matrix:
-        """i alpha [H, X]."""
+    def apply(self, X) -> Matrix:
+        X = as_square_matrix(X, self.dim)
         H = self.hamiltonian
-        return 1j * self.alpha * (H @ X - X @ H)
-
-    def dissipator_part(self, X: Matrix) -> Matrix:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out = 1j * self.alpha * (H @ X - X @ H)
         for w, L in self.jumps:
             Ld = dag(L)
             LdL = Ld @ L
             out += w * (Ld @ X @ L - 0.5 * (LdL @ X + X @ LdL))
         return out
 
-    def apply(self, X) -> Matrix:
-        X = as_square_matrix(X, self.dim)
-        return self.hamiltonian_part(X) + self.dissipator_part(X)
+    def unit_matrix(self, basis: Matrix | None = None) -> Matrix:
+        """Row-major G with vec(L(X)) = G vec(X) on the units of `basis` (default: standard):
+
+        G = i alpha (H x 1 - 1 x H^T) + sum_j w_j (L_j^dag x L_j^T - 1/2 L_j^dag L_j x 1
+                                                   - 1/2 1 x (L_j^dag L_j)^T),  x = kron.
+        """
+        def rot(A):
+            return A if basis is None else dag(basis) @ A @ basis
+
+        eye = np.eye(self.dim)
+        H = rot(self.hamiltonian)
+        G = 1j * self.alpha * (np.kron(H, eye) - np.kron(eye, H.T))
+        damping = np.zeros((self.dim, self.dim), dtype=complex)
+        for w, L in self.jumps:
+            L = rot(L)
+            G += w * np.kron(dag(L), L.T)
+            damping += w * (dag(L) @ L)
+        G -= 0.5 * (np.kron(damping, eye) + np.kron(eye, damping.T))
+        return G
 
     def apply_adjoint(self, rho) -> Matrix:
         """Schrodinger-picture action (trace-pairing adjoint)."""
@@ -76,16 +87,7 @@ class Lindbladian:
 
     def dissipator(self) -> "Lindbladian":
         """The jump part alone (alpha = 0)."""
-        return Lindbladian(self.dim, np.zeros((self.dim, self.dim)), self.jumps,
-                           alpha=0.0, canonical_data=self.canonical_data)
-
-    def coherent(self) -> "Lindbladian":
-        """The Hamiltonian part alone at alpha = 1."""
-        return Lindbladian(self.dim, self.hamiltonian, [], alpha=1.0)
-
-    def with_alpha(self, alpha: float) -> "Lindbladian":
-        return Lindbladian(self.dim, self.hamiltonian, self.jumps,
-                           alpha=float(alpha), canonical_data=self.canonical_data)
+        return Lindbladian(self.dim, np.zeros((self.dim, self.dim)), self.jumps, alpha=0.0)
 
     def magnitude(self) -> float:
         """Rough generator scale used to normalize residual tolerances."""
@@ -157,7 +159,7 @@ def build_gns_canonical(state: QuantumState, pairs) -> Lindbladian:
             raise ValueError(f"adjoint of jump operator {i} is missing from the list")
         matched[i] = matched[found] = True
     jumps = [(2.0 * np.exp(-om / 2.0), L) for om, L in ops]
-    return Lindbladian(N, np.zeros((N, N)), jumps, alpha=0.0, canonical_data=ops)
+    return Lindbladian(N, np.zeros((N, N)), jumps, alpha=0.0)
 
 
 def check_invariance(L: Lindbladian, state: QuantumState) -> float:
@@ -165,11 +167,19 @@ def check_invariance(L: Lindbladian, state: QuantumState) -> float:
     return float(np.linalg.norm(L.apply_adjoint(state.matrix)))
 
 
+def require_invariant(L: Lindbladian, state: QuantumState) -> float:
+    """The invariance residual of sigma; raises if sigma is far from invariant."""
+    residual = check_invariance(L, state)
+    if residual > 1e-6 * max(L.magnitude(), 1e-30):
+        raise ValueError(
+            f"sigma is not invariant for this generator (residual {residual:.3e})")
+    return residual
+
+
 def generator_matrix(L: Lindbladian, frame: KmsFrame,
                      restricted: bool = True) -> SuperOperator:
     """Matrix of the generator in the given frame."""
-    return superop_matrix(L.apply, frame, restrict_traceless=restricted,
-                          check_linearity=False)
+    return frame.superop(L.unit_matrix(frame.state.eigenvectors), restricted)
 
 
 def hermiticity_defect(M: Matrix) -> float:
@@ -213,12 +223,11 @@ def standard_dbc_solve(L: Lindbladian, frame: KmsFrame) -> tuple[Matrix, float]:
     if dnorm <= 1e-12 * scale:
         return np.zeros((L.dim, L.dim), dtype=complex), 0.0
     basis = _hermitian_traceless_basis(L.dim)
-    cols = []
-    for G in basis:
-        S = superop_matrix(lambda X, G=G: 2j * (G @ X - X @ G), frame,
-                           restrict_traceless=False, check_linearity=False)
-        cols.append(vec(S.matrix))
-    A = np.stack(cols, axis=1)
+    # column k: the frame matrix of 2i[G_k, .], the coherent generator of 2 G_k
+    A = np.empty((M.size, len(basis)), dtype=complex)
+    for k, G in enumerate(basis):
+        Gk = Lindbladian(L.dim, 2.0 * G, []).unit_matrix(frame.state.eigenvectors)
+        A[:, k] = vec(frame.superop(Gk).matrix)
     rhs = vec(D)
     A_real = np.vstack([A.real, A.imag])
     rhs_real = np.concatenate([rhs.real, rhs.imag])
@@ -239,9 +248,8 @@ def commutant_dimension(L: Lindbladian) -> int:
         gens.append(dag(Lj))
     if not gens:
         return N * N
-    eye = np.eye(N)
-    blocks = [np.kron(A, eye) - np.kron(eye, A.T) for A in gens]
-    stacked = np.vstack(blocks)
+    # block of A: the unit-basis matrix of X -> i[A, X]
+    stacked = np.vstack([Lindbladian(N, A, []).unit_matrix() for A in gens])
     sv = np.linalg.svd(stacked, compute_uv=False)
     if sv[0] < 1e-30:
         return N * N
@@ -292,12 +300,8 @@ class StructureReport:
 def structure_report(L: Lindbladian, state: QuantumState,
                      db_tol: float = DB_DEFECT_TOL) -> StructureReport:
     """Full detailed-balance / primitivity / kernel diagnostic for a generator."""
-    residual = check_invariance(L, state)
-    scale = max(L.magnitude(), 1e-30)
-    if residual > 1e-6 * scale:
-        raise ValueError(
-            f"sigma is not invariant for this generator (residual {residual:.3e})")
-    invariant_ok = residual <= INVARIANCE_FLAG_FACTOR * scale
+    residual = require_invariant(L, state)
+    invariant_ok = residual <= INVARIANCE_FLAG_FACTOR * max(L.magnitude(), 1e-30)
 
     frame = kms_frame(state)
     M = generator_matrix(L, frame, restricted=False).matrix

@@ -422,6 +422,22 @@ class GraphModel:
     kernel_dim: int
 
 
+def _check_unit_action(lind: Lindbladian, walk: Matrix, coherence: Matrix,
+                       tol: float, diagonal_msg: str, coherence_msg: str) -> None:
+    """Compare the generator on the matrix units with a closed form: e_jj maps to
+    diag(walk[:, j]); each e_jk (j != k) is an eigenvector, eigenvalue coherence[j, k].
+    """
+    N = lind.dim
+    expected = np.diag(coherence.reshape(-1)).astype(complex)
+    diag = np.arange(N) * (N + 1)
+    expected[np.ix_(diag, diag)] = walk
+    err = np.abs(lind.unit_matrix() - expected).max(axis=0).reshape(N, N)
+    if np.diag(err).max() > tol:
+        raise ValueError(diagonal_msg)
+    if err.max() > tol:
+        raise ValueError(coherence_msg)
+
+
 def _diagonal_mu(state: QuantumState) -> np.ndarray:
     sig = state.matrix
     off = sig - np.diag(np.diag(sig))
@@ -488,19 +504,9 @@ def graph_lindblad(spec: GraphSpec, state: QuantumState,
     np.fill_diagonal(kappa, 0.0)
 
     scale = max(abs(4.0 * S).max(), 1.0)
-    for j in range(N):
-        expected = np.diag(L_cl[:, j]).astype(complex)
-        got = lind.apply(matrix_unit(N, j, j))
-        if np.abs(got - expected).max() > 1e-12 * scale:
-            raise ValueError("generator action on diagonals deviates from the walk form")
-    for j in range(N):
-        for k in range(N):
-            if j == k:
-                continue
-            got = lind.apply(matrix_unit(N, j, k))
-            expected = kappa[j, k] * matrix_unit(N, j, k)
-            if np.abs(got - expected).max() > 1e-12 * scale:
-                raise ValueError("off-diagonal units are not eigenvectors as expected")
+    _check_unit_action(lind, L_cl, kappa, 1e-12 * scale,
+                       "generator action on diagonals deviates from the walk form",
+                       "off-diagonal units are not eigenvectors as expected")
 
     D_half = np.sqrt(mu)
     S_cl = (D_half[:, None] / D_half[None, :]) * L_cl
@@ -716,29 +722,17 @@ def haar_avg_gibbs(spectrum, beta: float, q=None) -> HaarModel:
         extra = [(q0_weight, matrix_unit(N, i, i)) for i in range(N)]
     model = graph_lindblad(spec, state, extra_jumps=extra)
 
-    # cross-check against the directly averaged action
-    mu = model.mu
+    # cross-check against the directly averaged action: e_ii feeds e_jj at
+    # rate f2[i, j] / N, and e_kl decays at sum_i (f2[i, k] + f2[i, l]) / (2N)
     f2 = qv**2 * np.exp(-beta * (lam[:, None] - lam[None, :]) / 2.0)
     scale = max(f2.max() / N, 1e-30)
-    for i in range(N):
-        expected = np.zeros((N, N), dtype=complex)
-        for j in range(N):
-            if j == i:
-                continue
-            expected[j, j] += f2[i, j] / N
-            expected[i, i] -= f2[j, i] / N
-        got = model.lind.apply(matrix_unit(N, i, i))
-        if np.abs(got - expected).max() > 1e-12 * scale:
-            raise ValueError("averaged generator deviates from its closed form on diagonals")
-    for k in range(N):
-        for l in range(N):
-            if k == l:
-                continue
-            coeff = -0.5 / N * float((f2[:, k] + f2[:, l]).sum())
-            got = model.lind.apply(matrix_unit(N, k, l))
-            if np.abs(got - coeff * matrix_unit(N, k, l)).max() > 1e-12 * scale:
-                raise ValueError("averaged generator deviates from its closed form "
-                                 "on coherences")
+    hop = f2.T / N
+    np.fill_diagonal(hop, 0.0)
+    out = f2.sum(axis=0) / N
+    _check_unit_action(model.lind, hop - np.diag(hop.sum(axis=1)),
+                       -0.5 * (out[:, None] + out[None, :]), 1e-12 * scale,
+                       "averaged generator deviates from its closed form on diagonals",
+                       "averaged generator deviates from its closed form on coherences")
     return HaarModel(model=model, spectrum=lam, beta=beta, q0_weight=q0_weight)
 
 

@@ -22,7 +22,6 @@ Matrix = np.ndarray
 
 TRACE_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
-FRAME_TOL = 1e-10
 RANK_TOL_FACTOR = 1e-10
 LINEARITY_RTOL = 1e-8
 
@@ -140,12 +139,6 @@ def weighted_norm(state: QuantumState, s: float, X) -> float:
     return float(np.sqrt(max(weighted_inner(state, s, X, X).real, 0.0)))
 
 
-def traceless_part(state: QuantumState, X) -> Matrix:
-    """Projection of X onto {tr(sigma .) = 0} along span{1}."""
-    X = as_square_matrix(X, state.dim)
-    return X - np.trace(state.matrix @ X) * np.eye(state.dim)
-
-
 class KmsFrame:
     """Orthonormal operator basis for <., .>_{sigma,s}.
 
@@ -164,10 +157,11 @@ class KmsFrame:
         N = state.dim
         mu = state.eigenvalues
         # Column k of B is the HS vectorization (in sigma's eigenbasis) of
-        # sigma^((1-s)/2) E_k sigma^(s/2).
+        # sigma^((1-s)/2) E_k sigma^(s/2).  Column k is unit _units[k], except
+        # that the N columns _diag_cols mix the diagonal units by the block _Q.
         B = np.zeros((N * N, N * N), dtype=complex)
-        diag_idx = [r * N + r for r in range(N)]
-        B[diag_idx, 0] = np.sqrt(mu)
+        diag_units = np.arange(N) * (N + 1)
+        B[diag_units, 0] = np.sqrt(mu)
         col = 1
         diag_cols = [0]
         dropped = None
@@ -195,6 +189,10 @@ class KmsFrame:
         if col != N * N or dropped is None:
             raise ValueError("frame construction failed to span the operator space")
         self._B = B
+        self._units = np.abs(B).argmax(axis=0)
+        self._units[diag_cols] = diag_units
+        self._diag_cols = np.array(diag_cols)
+        self._Q = B[np.ix_(diag_units, diag_cols)]
         lp = (1.0 - s) / 2.0
         self._scale = np.outer(mu**lp, mu ** (s / 2.0))
         self._basis_cache: list[Matrix] | None = None
@@ -214,9 +212,6 @@ class KmsFrame:
         Y = self._scale * (dag(U) @ X @ U)
         return dag(self._B) @ vec(Y)
 
-    def coords_traceless(self, X) -> np.ndarray:
-        return self.coords(X)[1:]
-
     def from_coords(self, c) -> Matrix:
         c = np.asarray(c, dtype=complex)
         if c.shape == (self.size - 1,):
@@ -227,6 +222,19 @@ class KmsFrame:
         U = self.state.eigenvectors
         return U @ (Y / self._scale) @ dag(U)
 
+    def superop(self, G: Matrix, restricted: bool = False) -> "SuperOperator":
+        """Frame matrix B^dag S G S^-1 B of the map with vec(map(X)) = G vec(X) on
+        the units of sigma's eigenbasis; S = diag(vec(_scale)).  Uses B's structure,
+        not the dense B."""
+        s = vec(self._scale)[self._units]
+        M = G[np.ix_(self._units, self._units)] * (s[:, None] / s[None, :])
+        d = self._diag_cols
+        M[:, d] = M[:, d] @ self._Q
+        M[d] = dag(self._Q) @ M[d]
+        if restricted:
+            return SuperOperator(self, M[1:, 1:].copy(), True)
+        return SuperOperator(self, M, False)
+
     @property
     def basis(self) -> list[Matrix]:
         """The frame operators E_k as matrices (E_0 = identity)."""
@@ -234,9 +242,6 @@ class KmsFrame:
             eye = np.eye(self.size)
             self._basis_cache = [self.from_coords(eye[:, k]) for k in range(self.size)]
         return self._basis_cache
-
-    def gram_matrix(self) -> Matrix:
-        return dag(self._B) @ self._B
 
 
 def kms_frame(state: QuantumState) -> KmsFrame:
@@ -273,24 +278,23 @@ class SuperOperator:
         return self.frame.from_coords(self.matrix @ c)
 
 
-def superop_matrix(map_fn, frame: KmsFrame, restrict_traceless: bool = False,
-                   check_linearity: bool = True) -> SuperOperator:
+def superop_matrix(map_fn, frame: KmsFrame,
+                   restrict_traceless: bool = False) -> SuperOperator:
     """Matrix [ <E_j, map(E_k)> ]_{jk} of a linear operator map.
 
     The map is probed for linearity on fixed pseudo-random operators before
     the matrix is assembled.
     """
     N = frame.dim
-    if check_linearity:
-        rng = np.random.default_rng(_PROBE_SEED)
-        X1 = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        X2 = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        a = 0.8 - 0.6j
-        lhs = map_fn(a * X1 + X2)
-        rhs = a * map_fn(X1) + map_fn(X2)
-        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-        if np.linalg.norm(lhs - rhs) > LINEARITY_RTOL * scale:
-            raise ValueError("map is not linear on random probes")
+    rng = np.random.default_rng(_PROBE_SEED)
+    X1 = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    X2 = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    a = 0.8 - 0.6j
+    lhs = map_fn(a * X1 + X2)
+    rhs = a * map_fn(X1) + map_fn(X2)
+    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
+    if np.linalg.norm(lhs - rhs) > LINEARITY_RTOL * scale:
+        raise ValueError("map is not linear on random probes")
     cols = [frame.coords(map_fn(E)) for E in frame.basis]
     M = np.stack(cols, axis=1)
     if restrict_traceless:

@@ -13,17 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lindblad import Lindbladian, check_invariance, generator_matrix, hermiticity_defect
+from .lindblad import Lindbladian, generator_matrix, hermiticity_defect, require_invariant
 from .operators import (
     KmsFrame,
     Matrix,
     QuantumState,
     SuperOperator,
-    as_square_matrix,
     dag,
     kms_frame,
     require_hermitian,
-    superop_matrix,
 )
 
 BOHR_CLUSTER_FACTOR = 1e-7
@@ -34,16 +32,8 @@ GAP_ATTAIN_RTOL = 1e-9
 def hamiltonian_superop(H, frame: KmsFrame, restricted: bool = True) -> SuperOperator:
     """Matrix of X -> i[H, X] in the given frame."""
     H = require_hermitian(H, what="H")
-    return superop_matrix(lambda X: 1j * (H @ X - X @ H), frame,
-                          restrict_traceless=restricted, check_linearity=False)
-
-
-def _require_invariant(L: Lindbladian, state: QuantumState) -> None:
-    residual = check_invariance(L, state)
-    scale = max(L.magnitude(), 1e-30)
-    if residual > 1e-6 * scale:
-        raise ValueError(
-            f"sigma is not invariant for this generator (residual {residual:.3e})")
+    G = Lindbladian(H.shape[0], H, []).unit_matrix(frame.state.eigenvectors)
+    return frame.superop(G, restricted=restricted)
 
 
 @dataclass
@@ -79,7 +69,7 @@ def gap_from_matrix(M: Matrix) -> tuple[float, list[complex], float, float]:
 def spectral_gap(L: Lindbladian, state: QuantumState,
                  frame: KmsFrame | None = None) -> GapReport:
     """Gap diagnostics of L restricted to the traceless subspace."""
-    _require_invariant(L, state)
+    require_invariant(L, state)
     if frame is None:
         frame = kms_frame(state)
     M = generator_matrix(L, frame, restricted=True).matrix

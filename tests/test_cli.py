@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from lindgap.cli import main
@@ -219,6 +220,17 @@ def test_stp_qubit(tmp_path, qubit_spec):
     assert rep["n_samples"] == 10
 
 
+def test_stp_applies_quadrature_flag_override(tmp_path, qubit_spec, monkeypatch):
+    monkeypatch.setenv("LINDGAP_QUAD_FLAG_TOL", "1e-300")
+    out = tmp_path / "stp"
+    assert main(["stp", "--spec", qubit_spec, "--out", str(out),
+                 "--samples", "10"]) == 3
+    doc = read_json(out / "stp.json")
+    assert doc["tolerances"]["quad_flag_tol"] == 1e-300
+    assert doc["report"]["passed"] is True
+    assert doc["report"]["quadrature_ok"] is False
+
+
 def test_stp_rejects_bad_beta(tmp_path, qubit_spec, capsys):
     assert main(["stp", "--spec", qubit_spec, "--out", str(tmp_path),
                  "--beta", "-1.0"]) == 2
@@ -273,6 +285,15 @@ def test_explicit_spec_validation(tmp_path, capsys):
     path = write_spec(tmp_path / "sig.json", spec)
     assert main(["structure", "--spec", path, "--out", str(tmp_path)]) == 2
     assert "maximally_mixed/eigenvalues/gibbs" in capsys.readouterr().err
+
+
+def test_linalg_failure_exits_numerical(tmp_path, qubit_spec, monkeypatch, capsys):
+    def fail(*_a, **_k):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    assert main(["gap", "--spec", qubit_spec, "--out", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_env_override_recorded(tmp_path, qubit_spec, monkeypatch):
