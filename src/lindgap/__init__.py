@@ -6,7 +6,7 @@ explicit decay-rate certificates, and verify every certificate against the
 exact semigroup evolution.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .operators import (
     QuantumState,
@@ -89,6 +89,7 @@ from .evolve import (
     decay_curve,
     DecayCurve,
     time_avg_check,
+    window_gramian,
     semigroup_norm_curve,
     stp_verify,
 )

@@ -30,7 +30,6 @@ EXIT_NUMERICAL = 3
 _ENV_HELP = """\
 environment overrides:
   LINDGAP_CERT_SLACK     multiplicative slack for certificate checks (default 1e-6)
-  LINDGAP_QUAD_FLAG_TOL  Richardson disagreement flag threshold (default 1e-8)
   LINDGAP_DB_TOL         detailed-balance defect flag threshold (default 1e-8)
 """
 
@@ -187,8 +186,7 @@ def _cmd_validate(args, bundle: ModelBundle, tols: Tolerances) -> int:
     t_max = args.t_max if args.t_max is not None else 4.0 / nu
     ts = np.linspace(0.0, t_max, args.samples)
     report = time_avg_check(bundle.lind, bundle.state, X0, T, nu, ts, C_T,
-                            slack=tols.cert_slack,
-                            quad_flag_tol=tols.quad_flag_tol)
+                            slack=tols.cert_slack)
     ok, lhs, s = singular_relaxation_check(nu, T, bundle.lind, bundle.state)
     # The rate fit needs times on the scale of the true decay, which can be
     # orders of magnitude faster than the certified rate.
@@ -215,8 +213,6 @@ def _cmd_validate(args, bundle: ModelBundle, tols: Tolerances) -> int:
                 for t, n in zip(norm_curve.times, norm_curve.norms)])
     if not (report.passed and ok and consistent):
         return EXIT_VALIDATION
-    if not report.quadrature_ok:
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -237,13 +233,11 @@ def _cmd_stp(args, bundle: ModelBundle, tols: Tolerances) -> int:
     report = stp_verify(_effective_hamiltonian(bundle), bundle.lind.dissipator(),
                         bundle.state, T, args.beta, n_samples=args.samples,
                         poly_degree=args.poly_degree, seed=args.seed,
-                        slack=tols.cert_slack, quad_flag_tol=tols.quad_flag_tol)
+                        slack=tols.cert_slack)
     payload = _envelope("stp", bundle, args.seed, tols, report.as_dict())
     _write_json(os.path.join(args.out, "stp.json"), payload)
     if not report.passed:
         return EXIT_VALIDATION
-    if not report.quadrature_ok:
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 

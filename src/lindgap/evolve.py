@@ -2,9 +2,10 @@
 
 Everything runs in weighted-frame coordinates: the semigroup is a plain
 matrix exponential there, norms are Euclidean, and the identity component
-is the invariant mean.  Window integrals use composite Simpson on 201
-nodes with one halving step; the Richardson-extrapolated value is used and
-the disagreement is reported as a resolution flag.
+is the invariant mean.  Every time average is exact up to rounding: the
+window average of ||e^{sM} x||^2 over [0, T] is x^dag G_T x with the window
+Gramian G_T (Van Loan 1978, by doubling), and the space-time integrands are
+polynomials in t, integrated by Gauss-Legendre on enough nodes to be exact.
 """
 
 from __future__ import annotations
@@ -23,30 +24,8 @@ from .operators import KmsFrame, Matrix, QuantumState, as_square_matrix, dag, \
     kms_frame
 from .spectral import hamiltonian_superop
 
-QUAD_FLAG_TOL = 1e-8
 MEAN_DRIFT_TOL = 1e-10
 CONTRACTIVITY_SLACK = 1e-10
-
-
-def _simpson(vals: np.ndarray, h: float) -> float:
-    n = len(vals) - 1
-    if n % 2 != 0:
-        raise ValueError("Simpson needs an even number of intervals")
-    return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
-                            + 2.0 * vals[2:-1:2].sum()))
-
-
-def _simpson_refined(fine_vals: np.ndarray, h: float,
-                     floor: float = 0.0) -> tuple[float, float]:
-    """Richardson-extrapolated Simpson value and its resolution defect.
-
-    fine_vals must have 4k+1 nodes; the coarse pass uses every other node.
-    """
-    S2 = _simpson(fine_vals, h)
-    S1 = _simpson(fine_vals[::2], 2.0 * h)
-    SR = (16.0 * S2 - S1) / 15.0
-    defect = abs(S2 - S1) / (15.0 * max(abs(SR), floor, 1e-300))
-    return SR, defect
 
 
 def propagate(L: Lindbladian, state: QuantumState, X0, t: float,
@@ -106,28 +85,39 @@ def decay_curve(L: Lindbladian, state: QuantumState, X0, ts,
     c0 = frame.coords(as_square_matrix(X0, state.dim))[1:]
     vals = np.empty(len(ts))
     windows = np.empty(len(ts)) if window_T else None
+    G = window_gramian(Mr, window_T) if window_T else None
     for i, t in enumerate(ts):
         x = expm(t * Mr) @ c0
         vals[i] = float(np.vdot(x, x).real)
         if window_T:
-            windows[i], _ = _window_integral(Mr, x, window_T)
+            windows[i] = float(np.vdot(x, G @ x).real)
     return DecayCurve(times=ts, values=vals, window_T=window_T,
                       window_values=windows)
 
 
-def _window_integral(Mr: Matrix, x_start: np.ndarray, T: float,
-                     floor: float = 0.0) -> tuple[float, float]:
-    """(1/T) * integral of the squared norm over a window of length T."""
-    h = T / 400.0
-    Eh = expm(h * Mr)
-    vals = np.empty(401)
-    x = x_start
-    vals[0] = np.vdot(x, x).real
-    for i in range(1, 401):
-        x = Eh @ x
-        vals[i] = np.vdot(x, x).real
-    SR, defect = _simpson_refined(vals, h, floor=floor)
-    return SR / T, defect
+def window_gramian(M: Matrix, T: float) -> Matrix:
+    """G_T = (1/T) * integral_0^T e^{sM^dag} e^{sM} ds, so that the window
+    average of ||e^{sM} x||^2 over [0, T] is x^dag G_T x.
+
+    One Van Loan block exponential on the step h = T / 2^k with h ||M||_1 <= 1
+    gives G_h = E^dag F, E = e^{hM}; each doubling G <- G + E^dag G E, E <- E^2
+    extends the window.  No block entry grows past e^{h ||M||}, and M needs
+    no gap, unlike a Lyapunov solve.
+    """
+    n = M.shape[0]
+    k = max(0, math.ceil(math.log2(max(T * np.linalg.norm(M, 1), 1.0))))
+    h = T / 2.0**k
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block[:n, :n] = -dag(M)
+    block[:n, n:] = np.eye(n)
+    block[n:, n:] = M
+    F = expm(h * block)
+    E = F[n:, n:]
+    G = dag(E) @ F[:n, n:]
+    for _ in range(k):
+        G = G + dag(E) @ G @ E
+        E = E @ E
+    return (G + dag(G)) / (2.0 * T)
 
 
 @dataclass
@@ -137,8 +127,6 @@ class TimeAvgReport:
     pointwise_ok: bool
     worst_window_ratio: float
     worst_pointwise_ratio: float
-    quadrature_ok: bool
-    max_quadrature_defect: float
     nu: float
     T: float
     prefactor: float
@@ -151,8 +139,6 @@ class TimeAvgReport:
                 "pointwise_ok": bool(self.pointwise_ok),
                 "worst_window_ratio": self.worst_window_ratio,
                 "worst_pointwise_ratio": self.worst_pointwise_ratio,
-                "quadrature_ok": bool(self.quadrature_ok),
-                "max_quadrature_defect": self.max_quadrature_defect,
                 "nu": self.nu, "T": self.T, "prefactor": self.prefactor}
 
 
@@ -162,14 +148,13 @@ CERT_SLACK = 1e-6
 def time_avg_check(L: Lindbladian, state: QuantumState, X0, T: float,
                    nu: float, t_samples, prefactor: float,
                    frame: KmsFrame | None = None,
-                   slack: float = CERT_SLACK,
-                   quad_flag_tol: float = QUAD_FLAG_TOL) -> TimeAvgReport:
+                   slack: float = CERT_SLACK) -> TimeAvgReport:
     """Check a decay certificate (nu, T, C_T) against the exact evolution.
 
     Windowed: avg_{[t,t+T]} ||X_s - <X>||^2  <=  e^{-nu t} * (t=0 window).
     Pointwise: ||X_t - <X>||^2 <= C_T e^{-nu t} ||X_0 - <X>||^2.
-    Both with multiplicative slack.  Window integrals carry a Richardson
-    resolution flag; certificate comparisons use the refined values.
+    Both with multiplicative slack; window averages come from the exact
+    window Gramian.
     """
     if T <= 0 or nu <= 0 or prefactor < 1.0:
         raise ValueError("need T > 0, nu > 0, prefactor >= 1")
@@ -179,9 +164,8 @@ def time_avg_check(L: Lindbladian, state: QuantumState, X0, T: float,
     ts = np.asarray(t_samples, dtype=float)
     if np.any(ts < 0):
         raise ValueError("sample times must be nonnegative")
-    w0, defect0 = _window_integral(Mr, c0, T)
-    floor = 1e-12 * max(w0, 1e-300)
-    defects = [defect0]
+    G = window_gramian(Mr, T)
+    w0 = float(np.vdot(c0, G @ c0).real)
     windows = np.empty(len(ts))
     points = np.empty(len(ts))
     worst_w = 0.0
@@ -189,9 +173,8 @@ def time_avg_check(L: Lindbladian, state: QuantumState, X0, T: float,
     for i, t in enumerate(ts):
         x = c0 if t == 0 else expm(t * Mr) @ c0
         points[i] = float(np.vdot(x, x).real)
-        w, d = _window_integral(Mr, x, T, floor=floor)
+        w = float(np.vdot(x, G @ x).real)
         windows[i] = w
-        defects.append(d)
         # exp(-nu*t) can underflow to 0; the bound is then vacuous unless
         # the measured value stayed positive.
         decay = math.exp(-nu * t)
@@ -199,7 +182,7 @@ def time_avg_check(L: Lindbladian, state: QuantumState, X0, T: float,
             denom = decay * w0
             if denom > 0:
                 worst_w = max(worst_w, w / denom)
-            elif w > floor:
+            elif w > 1e-12 * w0:
                 worst_w = math.inf
         if norm0 > 0:
             denom = prefactor * decay * norm0
@@ -209,13 +192,10 @@ def time_avg_check(L: Lindbladian, state: QuantumState, X0, T: float,
                 worst_p = math.inf
     window_ok = worst_w <= 1.0 + slack
     pointwise_ok = worst_p <= 1.0 + slack
-    max_defect = float(max(defects))
     return TimeAvgReport(passed=window_ok and pointwise_ok,
                          window_ok=window_ok, pointwise_ok=pointwise_ok,
                          worst_window_ratio=float(worst_w),
                          worst_pointwise_ratio=float(worst_p),
-                         quadrature_ok=max_defect <= quad_flag_tol,
-                         max_quadrature_defect=max_defect,
                          nu=float(nu), T=float(T), prefactor=float(prefactor),
                          times=ts, window_values=windows,
                          pointwise_values=points)
@@ -281,17 +261,13 @@ class StpReport:
     C1: float
     C2: float
     trivial_kernel: bool
-    quadrature_ok: bool
-    max_quadrature_defect: float
 
     def as_dict(self) -> dict:
         return {"passed": bool(self.passed), "worst_ratio": self.worst_ratio,
                 "n_samples": self.n_samples, "poly_degree": self.poly_degree,
                 "T": self.T, "beta": self.beta, "seed": self.seed,
                 "C1": self.C1, "C2": self.C2,
-                "trivial_kernel": bool(self.trivial_kernel),
-                "quadrature_ok": bool(self.quadrature_ok),
-                "max_quadrature_defect": self.max_quadrature_defect}
+                "trivial_kernel": bool(self.trivial_kernel)}
 
 
 def _random_mean_zero(rng: np.random.Generator, state: QuantumState) -> Matrix:
@@ -304,7 +280,7 @@ def _random_mean_zero(rng: np.random.Generator, state: QuantumState) -> Matrix:
 def stp_verify(H, LD: Lindbladian, state: QuantumState, T: float, beta: float,
                n_samples: int = 100, poly_degree: int = 3, seed: int = 0,
                frame: KmsFrame | None = None,
-               slack: float = CERT_SLACK, quad_flag_tol: float = QUAD_FLAG_TOL) -> StpReport:
+               slack: float = CERT_SLACK) -> StpReport:
     """Sample the space-time variance inequality on random polynomial paths.
 
     For X_t = sum_k t^k A_k with mean-zero Hermitian A_k, checks
@@ -315,7 +291,8 @@ def stp_verify(H, LD: Lindbladian, state: QuantumState, T: float, beta: float,
     where Pi0 projects onto the full dissipator kernel (constants included)
     and all norms average the weighted norm over [0, T].  The constants are
     the certificate constants at (T, beta); a trivial restricted kernel uses
-    their large-coupling limit.
+    their large-coupling limit.  The integrands have degree 2 * poly_degree
+    in t, so Gauss-Legendre on poly_degree + 1 nodes averages them exactly.
     """
     if beta <= 0:
         raise ValueError("beta must be positive so that (beta - L^D) is invertible")
@@ -355,22 +332,22 @@ def stp_verify(H, LD: Lindbladian, state: QuantumState, T: float, beta: float,
         trivial = False
 
     rng = np.random.default_rng(seed)
-    nodes = np.linspace(0.0, T, 401)
-    h = T / 400.0
+    x, wts = np.polynomial.legendre.leggauss(poly_degree + 1)
+    nodes = T * (x + 1.0) / 2.0
+    wts = wts / 2.0  # average over [0, T]: the weights sum to 1
     powers = nodes[:, None] ** np.arange(poly_degree + 1)[None, :]
     dpowers = np.zeros_like(powers)
     for k in range(1, poly_degree + 1):
         dpowers[:, k] = k * nodes ** (k - 1)
 
     worst = 0.0
-    max_defect = 0.0
     passed = True
     for _ in range(n_samples):
         coeffs = np.stack([frame.coords(_random_mean_zero(rng, state))
                            for _ in range(poly_degree + 1)])
         X = powers @ coeffs
         Xdot = dpowers @ coeffs
-        mean = _simpson(X[:, 0].real, h) / T
+        mean = wts @ X[:, 0].real
         Xc = X.copy()
         Xc[:, 0] -= mean
         lhs_vals = np.einsum("ij,ij->i", Xc.conj(), Xc).real
@@ -378,12 +355,9 @@ def stp_verify(H, LD: Lindbladian, state: QuantumState, T: float, beta: float,
         r1_vals = np.einsum("ij,ij->i", Xp.conj(), Xp).real
         Z = (-Xdot + X @ MH.T) @ W.T
         r2_vals = np.einsum("ij,ij->i", Z.conj(), Z).real
-        lhs2, d1 = _simpson_refined(lhs_vals, h)
-        r12, d2 = _simpson_refined(r1_vals, h)
-        r22, d3 = _simpson_refined(r2_vals, h)
-        max_defect = max(max_defect, d1, d2, d3)
-        lhs = math.sqrt(max(lhs2, 0.0) / T)
-        rhs = C1 * math.sqrt(max(r12, 0.0) / T) + C2 * math.sqrt(max(r22, 0.0) / T)
+        lhs = math.sqrt(max(wts @ lhs_vals, 0.0))
+        rhs = C1 * math.sqrt(max(wts @ r1_vals, 0.0)) \
+            + C2 * math.sqrt(max(wts @ r2_vals, 0.0))
         ratio = lhs / max(rhs, 1e-300)
         worst = max(worst, ratio)
         if ratio > 1.0 + slack:
@@ -391,6 +365,4 @@ def stp_verify(H, LD: Lindbladian, state: QuantumState, T: float, beta: float,
     return StpReport(passed=passed, worst_ratio=float(worst),
                      n_samples=n_samples, poly_degree=poly_degree,
                      T=float(T), beta=float(beta), seed=seed,
-                     C1=float(C1), C2=float(C2), trivial_kernel=trivial,
-                     quadrature_ok=max_defect <= quad_flag_tol,
-                     max_quadrature_defect=float(max_defect))
+                     C1=float(C1), C2=float(C2), trivial_kernel=trivial)

@@ -311,17 +311,15 @@ def build_model(spec: dict) -> ModelBundle:
 
 _ENV_VARS = {
     "cert_slack": "LINDGAP_CERT_SLACK",
-    "quad_flag_tol": "LINDGAP_QUAD_FLAG_TOL",
     "db_tol": "LINDGAP_DB_TOL",
 }
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Certificate slack, quadrature flag threshold, detailed-balance flag."""
+    """Certificate slack and detailed-balance flag threshold."""
 
     cert_slack: float = 1e-6
-    quad_flag_tol: float = 1e-8
     db_tol: float = 1e-8
 
     @classmethod
@@ -340,6 +338,4 @@ class Tolerances:
         return cls(**values)
 
     def as_dict(self) -> dict:
-        return {"cert_slack": self.cert_slack,
-                "quad_flag_tol": self.quad_flag_tol,
-                "db_tol": self.db_tol}
+        return {"cert_slack": self.cert_slack, "db_tol": self.db_tol}

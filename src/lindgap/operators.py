@@ -156,43 +156,44 @@ class KmsFrame:
         self.s = float(s)
         N = state.dim
         mu = state.eigenvalues
-        # Column k of B is the HS vectorization (in sigma's eigenbasis) of
-        # sigma^((1-s)/2) E_k sigma^(s/2).  Column k is unit _units[k], except
-        # that the N columns _diag_cols mix the diagonal units by the block _Q.
-        B = np.zeros((N * N, N * N), dtype=complex)
-        diag_units = np.arange(N) * (N + 1)
-        B[diag_units, 0] = np.sqrt(mu)
-        col = 1
+        # Column k of the unitary B (never built) is the HS vectorization, in
+        # sigma's eigenbasis, of sigma^((1-s)/2) E_k sigma^(s/2).  Column k is
+        # unit _units[k], except that column _diag_cols[j] is
+        # sum_r _Q[r, j] * unit r*(N + 1); _units[_diag_cols[j]] = j*(N + 1)
+        # lines the gathered diagonal units up with the rows of _Q.
+        # Gram-Schmidt on the diagonal entries alone builds _Q; its column 0
+        # is sqrt(mu), the identity.
+        Q = np.zeros((N, N), dtype=complex)
+        Q[:, 0] = np.sqrt(mu)
+        units = [0]
         diag_cols = [0]
         dropped = None
         for r in range(N):
             for c in range(N):
                 if r != c:
-                    B[r * N + c, col] = 1.0
-                    col += 1
-                else:
-                    v = np.zeros(N * N, dtype=complex)
-                    v[r * N + r] = 1.0
-                    for _ in range(2):  # reorthogonalize for stability
-                        for j in diag_cols:
-                            v -= B[:, j] * (B[:, j].conj() @ v)
-                    nrm = np.linalg.norm(v)
-                    if nrm < 1e-12:
-                        if dropped is not None:
-                            raise ValueError("degenerate sigma factorization: "
-                                             "two dependent diagonal candidates")
-                        dropped = r
-                        continue
-                    B[:, col] = v / nrm
-                    diag_cols.append(col)
-                    col += 1
-        if col != N * N or dropped is None:
+                    units.append(r * N + c)
+                    continue
+                v = np.zeros(N, dtype=complex)
+                v[r] = 1.0
+                for _ in range(2):  # reorthogonalize for stability
+                    for j in range(len(diag_cols)):
+                        v -= Q[:, j] * (Q[:, j].conj() @ v)
+                nrm = np.linalg.norm(v)
+                if nrm < 1e-12:
+                    if dropped is not None:
+                        raise ValueError("degenerate sigma factorization: "
+                                         "two dependent diagonal candidates")
+                    dropped = r
+                    continue
+                j = len(diag_cols)
+                Q[:, j] = v / nrm
+                diag_cols.append(len(units))
+                units.append(j * (N + 1))
+        if len(units) != N * N or dropped is None:
             raise ValueError("frame construction failed to span the operator space")
-        self._B = B
-        self._units = np.abs(B).argmax(axis=0)
-        self._units[diag_cols] = diag_units
+        self._units = np.array(units)
         self._diag_cols = np.array(diag_cols)
-        self._Q = B[np.ix_(diag_units, diag_cols)]
+        self._Q = Q
         lp = (1.0 - s) / 2.0
         self._scale = np.outer(mu**lp, mu ** (s / 2.0))
         self._basis_cache: list[Matrix] | None = None
@@ -209,8 +210,10 @@ class KmsFrame:
         """Coordinates of X in the frame (length N^2, entry 0 is the mean)."""
         X = as_square_matrix(X, self.dim)
         U = self.state.eigenvectors
-        Y = self._scale * (dag(U) @ X @ U)
-        return dag(self._B) @ vec(Y)
+        c = vec(self._scale * (dag(U) @ X @ U))[self._units]
+        d = self._diag_cols
+        c[d] = dag(self._Q) @ c[d]
+        return c
 
     def from_coords(self, c) -> Matrix:
         c = np.asarray(c, dtype=complex)
@@ -218,7 +221,12 @@ class KmsFrame:
             c = np.concatenate(([0.0], c))
         if c.shape != (self.size,):
             raise ValueError(f"expected {self.size} or {self.size - 1} coordinates")
-        Y = unvec(self._B @ c, self.dim)
+        d = self._diag_cols
+        c = c.copy()
+        c[d] = self._Q @ c[d]
+        y = np.empty(self.size, dtype=complex)
+        y[self._units] = c
+        Y = unvec(y, self.dim)
         U = self.state.eigenvectors
         return U @ (Y / self._scale) @ dag(U)
 

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from exact_reference import stp_worst_ratio
 
 from lindgap import (
     GraphSpec,
@@ -247,6 +248,14 @@ def test_criterion_05_empirical_rates():
     record(5, "fitted decay rates match spectral gaps", failures)
 
 
+def _stp_exactness(name, H, LD, state, rep) -> list[str]:
+    exact = stp_worst_ratio(H, LD, state, rep)
+    if abs(rep.worst_ratio - exact) > 1e-10 * exact:
+        return [f"{name} beta={rep.beta}: worst ratio {rep.worst_ratio} "
+                f"vs exact moments {exact}"]
+    return []
+
+
 def test_criterion_06_space_time_variance():
     failures = []
     for name, H, LD, full, state in suite_models():
@@ -258,9 +267,7 @@ def test_criterion_06_space_time_variance():
             if not rep.passed:
                 failures.append(f"{name} beta={beta}: "
                                 f"worst ratio {rep.worst_ratio}")
-            if rep.max_quadrature_defect > 1e-8:
-                failures.append(f"{name} beta={beta}: quadrature defect "
-                                f"{rep.max_quadrature_defect}")
+            failures += _stp_exactness(name, H, LD, state, rep)
     name, hm = haar_suite()[1]
     T = certify_coercive(hm.lind, hm.state).T
     for beta in (0.1, 1.0):
@@ -268,9 +275,8 @@ def test_criterion_06_space_time_variance():
                          n_samples=100, poly_degree=3, seed=109, slack=1e-6)
         if not rep.passed or not rep.trivial_kernel:
             failures.append(f"{name} beta={beta}: worst ratio {rep.worst_ratio}")
-        if rep.max_quadrature_defect > 1e-8:
-            failures.append(f"{name} beta={beta}: quadrature defect "
-                            f"{rep.max_quadrature_defect}")
+        failures += _stp_exactness(name, np.zeros((3, 3)), hm.lind, hm.state,
+                                   rep)
     record(6, "space-time variance inequality holds on random paths", failures)
 
 

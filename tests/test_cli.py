@@ -1,11 +1,16 @@
 """Command-line interface: outputs, exit codes, diagnostics, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lindgap.cli import main
+from lindgap.cli import build_parser, main
+from lindgap.modelspec import _ENV_VARS, Tolerances
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 QUBIT_EXPLICIT = {
     "schema": "lindgap-model/1",
@@ -162,6 +167,19 @@ def test_validate_accepts_emitted_certificate(tmp_path, qubit_spec):
     assert norms[0] == "t,opnorm,log_rate"
 
 
+def test_validate_passes_on_tfim_with_default_flags(tmp_path):
+    spec = write_spec(tmp_path / "tfim.json", {
+        "schema": "lindgap-model/1",
+        "model": "tfim",
+        "params": {"n": 3, "h": 0.75, "gamma": 1.25},
+    })
+    cert = emit_certificate(tmp_path, spec)
+    out = tmp_path / "val"
+    assert main(["validate", "--spec", spec, "--out", str(out),
+                 "--certificate", str(cert)]) == 0
+    assert read_json(out / "validate.json")["report"]["passed"] is True
+
+
 def test_validate_rejects_inflated_rate(tmp_path, qubit_spec):
     cert = emit_certificate(tmp_path, qubit_spec)
     doc = read_json(cert)
@@ -218,17 +236,6 @@ def test_stp_qubit(tmp_path, qubit_spec):
     assert rep["C1"] == pytest.approx(34.09621995090444, rel=1e-9)
     assert rep["T"] == pytest.approx(1.5)
     assert rep["n_samples"] == 10
-
-
-def test_stp_applies_quadrature_flag_override(tmp_path, qubit_spec, monkeypatch):
-    monkeypatch.setenv("LINDGAP_QUAD_FLAG_TOL", "1e-300")
-    out = tmp_path / "stp"
-    assert main(["stp", "--spec", qubit_spec, "--out", str(out),
-                 "--samples", "10"]) == 3
-    doc = read_json(out / "stp.json")
-    assert doc["tolerances"]["quad_flag_tol"] == 1e-300
-    assert doc["report"]["passed"] is True
-    assert doc["report"]["quadrature_ok"] is False
 
 
 def test_stp_rejects_bad_beta(tmp_path, qubit_spec, capsys):
@@ -311,6 +318,19 @@ def test_env_override_rejects_garbage(tmp_path, qubit_spec, monkeypatch, capsys)
     assert main(["structure", "--spec", qubit_spec,
                  "--out", str(tmp_path)]) == 2
     assert "LINDGAP_CERT_SLACK" in capsys.readouterr().err
+
+
+def test_env_overrides_are_one_list():
+    assert set(Tolerances().as_dict()) == set(_ENV_VARS)
+    for name, var in _ENV_VARS.items():
+        assert Tolerances.from_env({var: "0.25"}).as_dict()[name] == 0.25
+    documented = set(re.findall(r"LINDGAP_\w+", build_parser().epilog))
+    assert documented == set(_ENV_VARS.values())
+    section = README.read_text(encoding="utf-8") \
+        .split("### Environment overrides", 1)[1].split("\n#", 1)[0]
+    table = [line for line in section.splitlines() if line.startswith("|")]
+    assert set(re.findall(r"`(LINDGAP_\w+)`", "\n".join(table))) \
+        == set(_ENV_VARS.values())
 
 
 def test_version_and_help(capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from exact_reference import lyapunov_window_gramian, stp_worst_ratio
+from scipy.linalg import expm
 
 from lindgap import (
     DecayCurve,
@@ -15,15 +17,19 @@ from lindgap import (
     c_constants,
     decay_curve,
     dephasing_jumps,
+    generator_matrix,
     graph_lindblad,
     haar_avg_gibbs,
+    kms_frame,
     matrix_unit,
     op_on_qubit,
     propagate,
     semigroup_norm_curve,
     stp_verify,
     structural_constants,
+    tfim,
     time_avg_check,
+    window_gramian,
 )
 
 MIXED2 = QuantumState.maximally_mixed(2)
@@ -114,7 +120,58 @@ def test_cert_check_passes_emitted_certificate():
     assert rep.passed and rep.window_ok and rep.pointwise_ok
     assert rep.worst_window_ratio <= 1.0 + 1e-6
     assert rep.worst_pointwise_ratio <= 1.0 + 1e-6
-    assert rep.quadrature_ok and rep.max_quadrature_defect < 1e-8
+    # the window values are the exact averages
+    fr = kms_frame(MIXED2)
+    Mr = generator_matrix(QUBIT, fr, restricted=True).matrix
+    G = lyapunov_window_gramian(Mr, CERT_T)
+    xs = [expm(t * Mr) @ fr.coords(X0)[1:] for t in ts]
+    exact = np.array([np.vdot(x, G @ x).real for x in xs])
+    assert np.abs(rep.window_values - exact).max() < 1e-12 * exact[0]
+
+
+@pytest.mark.parametrize("lind, state", [
+    (haar_avg_gibbs([0.0, 1.0, 2.5], 1.0).lind,
+     haar_avg_gibbs([0.0, 1.0, 2.5], 1.0).state),
+    # pure dephasing has no gap: the Z direction never decays
+    (build_gksl(np.zeros((2, 2)), [(2.0, PAULI_Z)]), MIXED2),
+])
+def test_window_average_closed_form_for_detailed_balance(lind, state):
+    # KMS detailed balance makes M Hermitian, so each eigenmode's window
+    # average is (1 - e^{-2 lam T}) / (2 lam T), and 1 when lam = 0
+    fr = kms_frame(state)
+    Mr = generator_matrix(lind, fr, restricted=True).matrix
+    assert np.abs(Mr - Mr.conj().T).max() < 1e-12
+    lam, V = np.linalg.eigh(-Mr)
+    X0 = rand_hermitian(np.random.default_rng(93), state.dim)
+    c = V.conj().T @ fr.coords(X0)[1:]
+    for T in (0.3, 2.0, 50.0):
+        x = 2.0 * lam * T
+        f = np.ones_like(x)
+        nz = np.abs(x) > 1e-300
+        f[nz] = -np.expm1(-x[nz]) / x[nz]
+        exact = float(np.sum(np.abs(c) ** 2 * f))
+        rep = time_avg_check(lind, state, X0, T, 1e-3, [0.0], 1.0)
+        assert abs(rep.window_values[0] - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("T", [0.5, 2.0, 20.0])
+def test_window_gramian_matches_lyapunov_solve(T):
+    m = tfim(3, 0.75, 1.25)
+    Mr = generator_matrix(m.lind, kms_frame(m.state), restricted=True).matrix
+    G = window_gramian(Mr, T)
+    ref = lyapunov_window_gramian(Mr, T)
+    assert np.abs(G - ref).max() < 1e-12 * np.abs(ref).max()
+    assert np.abs(G - G.conj().T).max() == 0.0
+
+
+def test_window_gramian_survives_long_windows():
+    # lam_max * T far beyond the range of a single Van Loan block exponential
+    m = tfim(2, 1.0, 1.0)
+    Mr = generator_matrix(m.lind, kms_frame(m.state), restricted=True).matrix
+    G = window_gramian(Mr, 2000.0)
+    assert np.all(np.isfinite(G))
+    assert np.abs(G - lyapunov_window_gramian(Mr, 2000.0)).max() \
+        < 1e-12 * np.abs(G).max()
 
 
 def test_cert_check_rejects_inflated_rate():
@@ -208,7 +265,8 @@ def test_stp_qubit_random_paths():
     assert rep.passed
     assert rep.worst_ratio <= 1.0 + 1e-6
     assert not rep.trivial_kernel
-    assert rep.quadrature_ok
+    assert rep.worst_ratio == pytest.approx(
+        stp_worst_ratio(PAULI_X, LD, MIXED2, rep), rel=1e-10)
     sc = structural_constants(PAULI_X, LD, MIXED2)
     C1, C2 = c_constants(sc, 1.5, 0.5)
     assert rep.C1 == pytest.approx(C1, rel=1e-12)
