@@ -169,6 +169,11 @@ def _load_certificate(path: str) -> tuple[float, float, float, float, str | None
 
 
 def _cmd_validate(args, bundle: ModelBundle, tols: Tolerances) -> int:
+    # t = 0 alone is no test: its window ratio is exactly 1
+    if args.samples < 2:
+        raise SpecError("--samples", "need at least 2 sampled times")
+    if args.t_max is not None and not args.t_max > 0:
+        raise SpecError("--t-max", "largest sampled time must be positive")
     nu, T, C_T, beta, doc_hash = _load_certificate(args.certificate)
     if nu <= 0 or T <= 0 or C_T < 1.0:
         raise SpecError("--certificate", "need nu > 0, T > 0, C_T >= 1")

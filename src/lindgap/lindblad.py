@@ -25,7 +25,6 @@ from .operators import (
     gns_frame,
     kms_frame,
     require_hermitian,
-    vec,
 )
 
 DB_DEFECT_TOL = 1e-8
@@ -190,51 +189,42 @@ def hermiticity_defect(M: Matrix) -> float:
     return float(np.linalg.norm(M - dag(M), 2) / scale)
 
 
-def _hermitian_traceless_basis(N: int) -> list[Matrix]:
-    """A real basis of the N^2 - 1 dimensional space of Hermitian traceless matrices."""
-    basis = []
-    for j in range(N):
-        for k in range(j + 1, N):
-            S = np.zeros((N, N), dtype=complex)
-            S[j, k] = S[k, j] = 1.0
-            A = np.zeros((N, N), dtype=complex)
-            A[j, k] = 1j
-            A[k, j] = -1j
-            basis.extend([S, A])
-    for r in range(N - 1):
-        D = np.zeros((N, N), dtype=complex)
-        D[r, r] = 1.0
-        D[N - 1, N - 1] = -1.0
-        basis.append(D)
-    return basis
-
-
 def standard_dbc_solve(L: Lindbladian, frame: KmsFrame) -> tuple[Matrix, float]:
     """Best Hermitian traceless K with L - L* = 2i[K, .]; returns (K, defect).
 
     The defect is the residual norm relative to ||L - L*||; 0/0 counts as a
     perfect fit with K = 0.  The identity component of K is unobservable in a
-    commutator and is pinned to zero by the traceless parameterization.
+    commutator and is pinned to zero by the traceless constraint.
+
+    The frame change is unitary, so the fit is ||S C S^-1 - Y|| on the units of
+    sigma's eigenbasis, with S = diag(vec(_scale)), Y = S G S^-1 - (S G S^-1)^dag
+    and S C S^-1 = 2i(a_L o K' x 1 - 1 x (a_R o K')^T) for K' = U^dag K U.  For
+    traceless K the cross term of the two Kronecker factors vanishes, so the
+    squared residual is diagonal in the entries of K' (weights 4N(a_L^2 + a_R^2))
+    and reads Y only through two partial traces; the minimizer is entrywise.
     """
-    M = generator_matrix(L, frame, restricted=False).matrix
-    D = M - dag(M)
-    dnorm = np.linalg.norm(D)
-    scale = max(np.linalg.norm(M), 1.0)
-    if dnorm <= 1e-12 * scale:
-        return np.zeros((L.dim, L.dim), dtype=complex), 0.0
-    basis = _hermitian_traceless_basis(L.dim)
-    # column k: the frame matrix of 2i[G_k, .], the coherent generator of 2 G_k
-    A = np.empty((M.size, len(basis)), dtype=complex)
-    for k, G in enumerate(basis):
-        Gk = Lindbladian(L.dim, 2.0 * G, []).unit_matrix(frame.state.eigenvectors)
-        A[:, k] = vec(frame.superop(Gk).matrix)
-    rhs = vec(D)
-    A_real = np.vstack([A.real, A.imag])
-    rhs_real = np.concatenate([rhs.real, rhs.imag])
-    x, *_ = np.linalg.lstsq(A_real, rhs_real, rcond=None)
-    K = sum(c * G for c, G in zip(x, basis))
-    defect = float(np.linalg.norm(A @ x - rhs) / dnorm)
-    return K, defect
+    N = L.dim
+    U = frame.state.eigenvectors
+    scale = frame._scale
+    s = scale.ravel()
+    SGS = L.unit_matrix(U) * (s[:, None] / s[None, :])
+    Y = SGS - dag(SGS)
+    ynorm = np.linalg.norm(Y)
+    if ynorm <= 1e-12 * max(np.linalg.norm(SGS), 1.0):
+        return np.zeros((N, N), dtype=complex), 0.0
+    # _scale = outer(x, y): a_L[i, j] = x_i / x_j and a_R[i, j] = y_j / y_i
+    x, y = scale[:, 0], scale[0, :]
+    a_L = x[:, None] / x[None, :]
+    a_R = y[None, :] / y[:, None]
+    Y4 = Y.reshape(N, N, N, N)
+    b = -2j * (a_L * np.einsum("rcsc->rs", Y4) - a_R * np.einsum("rcrd->cd", Y4).T)
+    w = a_L**2 + a_R**2
+    # tr b = tr Y - tr Y = 0, so Kb already meets the traceless constraint
+    Kb = (b + dag(b)) / (4 * N * (w + w.T))
+    eye = np.eye(N)
+    fit = 2j * (np.kron(a_L * Kb, eye) - np.kron(eye, (a_R * Kb).T))
+    defect = float(np.linalg.norm(fit - Y) / ynorm)
+    return U @ Kb @ dag(U), defect
 
 
 def commutant_dimension(L: Lindbladian) -> int:

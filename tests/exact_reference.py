@@ -1,8 +1,10 @@
-"""Closed-form references for the time averages in lindgap.evolve.
+"""Independent references for lindgap's closed forms.
 
-These recompute the same quantities as the library from independent formulas:
+These recompute the same quantities as the library by other routes:
 polynomial moments for the space-time variance check, a Lyapunov solve for the
-window Gramian.  They are test helpers, not part of the package.
+window Gramian, and a least-squares fit over a Hermitian traceless basis for
+the standard detailed-balance solve.  They are test helpers, not part of the
+package.
 """
 
 import math
@@ -10,8 +12,9 @@ import math
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
-from lindgap import generator_matrix, hamiltonian_superop, kms_frame
+from lindgap import Lindbladian, generator_matrix, hamiltonian_superop, kms_frame
 from lindgap.evolve import _random_mean_zero
+from lindgap.operators import dag, vec
 
 
 def _moment_average(A: np.ndarray, moments: np.ndarray) -> float:
@@ -61,3 +64,47 @@ def lyapunov_window_gramian(M: np.ndarray, T: float) -> np.ndarray:
     E = expm(T * M)
     X = solve_continuous_lyapunov(M.conj().T, E.conj().T @ E - np.eye(len(M)))
     return X / T
+
+
+def _hermitian_traceless_basis(N: int) -> list[np.ndarray]:
+    """A real basis of the N^2 - 1 dimensional space of Hermitian traceless matrices."""
+    basis = []
+    for j in range(N):
+        for k in range(j + 1, N):
+            S = np.zeros((N, N), dtype=complex)
+            S[j, k] = S[k, j] = 1.0
+            A = np.zeros((N, N), dtype=complex)
+            A[j, k] = 1j
+            A[k, j] = -1j
+            basis.extend([S, A])
+    for r in range(N - 1):
+        D = np.zeros((N, N), dtype=complex)
+        D[r, r] = 1.0
+        D[N - 1, N - 1] = -1.0
+        basis.append(D)
+    return basis
+
+
+def lstsq_dbc_solve(L, frame):
+    """standard_dbc_solve by brute force: the frame matrices of the N^2 - 1
+    commutators 2i[G_k, .] as columns of a real least squares against
+    M - M^dag.  O(N^8) time and O(N^6) memory; returns (K, defect)."""
+    M = generator_matrix(L, frame, restricted=False).matrix
+    D = M - dag(M)
+    dnorm = np.linalg.norm(D)
+    scale = max(np.linalg.norm(M), 1.0)
+    if dnorm <= 1e-12 * scale:
+        return np.zeros((L.dim, L.dim), dtype=complex), 0.0
+    basis = _hermitian_traceless_basis(L.dim)
+    # column k: the frame matrix of 2i[G_k, .], the coherent generator of 2 G_k
+    A = np.empty((M.size, len(basis)), dtype=complex)
+    for k, G in enumerate(basis):
+        Gk = Lindbladian(L.dim, 2.0 * G, []).unit_matrix(frame.state.eigenvectors)
+        A[:, k] = vec(frame.superop(Gk).matrix)
+    rhs = vec(D)
+    A_real = np.vstack([A.real, A.imag])
+    rhs_real = np.concatenate([rhs.real, rhs.imag])
+    x, *_ = np.linalg.lstsq(A_real, rhs_real, rcond=None)
+    K = sum(c * G for c, G in zip(x, basis))
+    defect = float(np.linalg.norm(A @ x - rhs) / dnorm)
+    return K, defect

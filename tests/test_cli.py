@@ -222,6 +222,24 @@ def test_validate_rejects_malformed_certificate(tmp_path, qubit_spec, capsys):
                  "--certificate", str(neg)]) == 2
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--samples", "0"], "--samples"),
+    (["--samples", "1"], "--samples"),
+    (["--t-max", "0"], "--t-max"),
+    (["--t-max", "-1.5"], "--t-max"),
+])
+def test_validate_rejects_vacuous_sample_grid(tmp_path, qubit_spec, capsys,
+                                              flags, name):
+    # no samples, or only t = 0 (window ratio exactly 1), checks nothing
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"nu": CERT_NU, "T": 1.5, "C_T": CERT_CT}))
+    out = tmp_path / "val"
+    assert main(["validate", "--spec", qubit_spec, "--out", str(out),
+                 "--certificate", str(bare)] + flags) == 2
+    assert f"input error: {name}:" in capsys.readouterr().err
+    assert not (out / "validate.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # stp
 

@@ -1,10 +1,14 @@
 """Generator construction, detailed balance, and structure diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from exact_reference import lstsq_dbc_solve
 
 from lindgap import (
     GraphSpec,
+    KmsFrame,
     QuantumState,
     build_gksl,
     build_gns_canonical,
@@ -13,12 +17,14 @@ from lindgap import (
     dephasing_jumps,
     generator_matrix,
     graph_lindblad,
+    haar_avg_gibbs,
     kernel_dimension,
     kernel_projection,
     kms_frame,
     structure_report,
+    tfim,
 )
-from lindgap.lindblad import hermiticity_defect
+from lindgap.lindblad import hermiticity_defect, standard_dbc_solve
 from lindgap.models import PAULI_X, PAULI_Y, PAULI_Z
 
 E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -198,6 +204,94 @@ def test_structure_rejects_non_invariant_state():
     L = build_gksl(np.zeros((2, 2)), [(1.0, E01)])
     with pytest.raises(ValueError, match="invariant"):
         structure_report(L, QuantumState.maximally_mixed(2))
+
+
+# ---------------------------------------------------------------------------
+# standard_dbc_solve
+
+
+def _random_unitary(rng, N):
+    Z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    Q, R = np.linalg.qr(Z)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 0.3])
+@pytest.mark.parametrize("N", [2, 3, 6])
+def test_dbc_closed_form_matches_least_squares(N, s):
+    # a random GKSL generator is far from standard detailed balance, so both
+    # the minimizer and the nonzero residual are compared; s != 1/2 makes
+    # the entry weights of the fit asymmetric
+    rng = np.random.default_rng(100 * N + int(10 * s))
+    for _ in range(2):
+        B = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        jumps = [(float(rng.uniform(0.5, 2.0)),
+                  rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+                 for _ in range(2)]
+        L = build_gksl((B + B.conj().T) / 2, jumps, alpha=float(rng.uniform(0.5, 2)))
+        st = QuantumState.from_eigenvalues(rng.uniform(0.1, 1.0, size=N),
+                                           _random_unitary(rng, N))
+        frame = KmsFrame(st, s)
+        K, defect = standard_dbc_solve(L, frame)
+        K_ref, defect_ref = lstsq_dbc_solve(L, frame)
+        assert np.linalg.norm(K - K_ref) <= 1e-10 * np.linalg.norm(K_ref)
+        assert abs(defect - defect_ref) <= 1e-12
+        assert 0.1 < defect < 1.0
+        assert np.abs(K - K.conj().T).max() < 1e-12
+        assert abs(np.trace(K)) < 1e-12 * np.linalg.norm(K)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 0.3])
+def test_dbc_recovers_commuting_hamiltonian_for_gibbs_state(s):
+    # a detailed-balanced hopping dissipator for a Gibbs state plus alpha H
+    # with [H, sigma] = 0, all in a random basis: L - L* = 2i alpha [H, .]
+    rng = np.random.default_rng(31)
+    lam = np.array([0.0, 0.4, 1.1, 1.7, 2.6])
+    base = haar_avg_gibbs(lam, beta=1.3)
+    V = _random_unitary(rng, len(lam))
+    st = QuantumState(V @ base.state.matrix @ V.conj().T)
+    H = V @ np.diag(rng.standard_normal(len(lam))) @ V.conj().T
+    alpha = 1.7
+    jumps = [(w, V @ Lj @ V.conj().T) for w, Lj in base.lind.jumps]
+    L = build_gksl(H, jumps, alpha=alpha)
+    K, defect = standard_dbc_solve(L, KmsFrame(st, s))
+    K_true = alpha * (H - np.trace(H) / len(lam) * np.eye(len(lam)))
+    assert defect < 1e-12
+    assert np.linalg.norm(K - K_true) <= 1e-10 * np.linalg.norm(K_true)
+
+
+def test_dbc_recovers_weak_coherent_part():
+    # ||L - L*|| is 1e-9 of ||L||: still a commutator to fit, not zero
+    m = tfim(2, 0.9, 1.1)
+    L = build_gksl(m.lind.hamiltonian, m.lind.jumps, alpha=1e-9)
+    K, defect = standard_dbc_solve(L, kms_frame(m.state))
+    H = 1e-9 * m.lind.hamiltonian
+    assert defect < 1e-6
+    assert np.linalg.norm(K - H) <= 1e-6 * np.linalg.norm(H)
+
+
+def test_dbc_solve_runs_at_32_levels():
+    # uniform sigma: L - L* = 2i[H, .] and the tfim Hamiltonian is traceless.
+    # A least squares over the 1023 commutator columns would need ~17 GB here.
+    m = tfim(5, 0.9, 1.1)
+    H = m.lind.hamiltonian
+    K, defect = standard_dbc_solve(m.lind, kms_frame(m.state))
+    assert defect < 1e-12
+    assert np.linalg.norm(K - H) <= 1e-10 * np.linalg.norm(H)
+
+
+def test_dbc_solve_memory_stays_quartic():
+    # N = 16: one N^2 x N^2 complex matrix is 1 MB; the least-squares design
+    # matrix took 541 MB of traced allocations
+    m = tfim(4, 0.9, 1.1)
+    frame = kms_frame(m.state)
+    tracemalloc.start()
+    try:
+        standard_dbc_solve(m.lind, frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 # ---------------------------------------------------------------------------
