@@ -182,11 +182,13 @@ def generator_matrix(L: Lindbladian, frame: KmsFrame,
 
 
 def hermiticity_defect(M: Matrix) -> float:
-    """Relative deviation of M from its conjugate transpose."""
+    """Relative deviation of M from its conjugate transpose, in spectral norm."""
     scale = np.linalg.norm(M, 2)
     if scale < 1e-30:
         return 0.0
-    return float(np.linalg.norm(M - dag(M), 2) / scale)
+    # M - M^dag is exactly anti-Hermitian in floating point, so i(M - M^dag)
+    # is Hermitian and its largest |eigenvalue| is the norm
+    return float(np.abs(np.linalg.eigvalsh(1j * (M - dag(M)))).max() / scale)
 
 
 def standard_dbc_solve(L: Lindbladian, frame: KmsFrame) -> tuple[Matrix, float]:
@@ -227,22 +229,55 @@ def standard_dbc_solve(L: Lindbladian, frame: KmsFrame) -> tuple[Matrix, float]:
     return U @ Kb @ dag(U), defect
 
 
-def commutant_dimension(L: Lindbladian) -> int:
-    """dim of the joint commutant {H, L_j, L_j^dag}' via a stacked null space."""
+def _commutant_singular_values(L: Lindbladian) -> np.ndarray:
+    """Singular values of the stacked maps X -> i[A, X], A in {H, L_j, L_j^dag}.
+
+    With no generator every value is zero.  Three exact steps shorten the stack
+    without changing its Gram matrix, so the values are those of the
+    unit-basis stack.  Each pair (L, L^dag) becomes the Hermitian pair
+    (L + L^dag)/sqrt2, (L - L^dag)/(i sqrt2), a unitary mixing of two blocks,
+    and H becomes (H + H^dag)/2.  A Hermitian X has the real coordinates
+    Z = Re X + Im X, an orthogonal rotation of its coordinates in the basis
+    {e_ii, (e_ij + e_ji)/sqrt2, i(e_ij - e_ji)/sqrt2}; the stack's Gram matrix
+    depends on the generators only through their coordinate Gram matrix, so
+    the columns sigma_j B_j of a real SVD of the coordinates (all min(N^2, K)
+    of them) replace the K generators.  With B = P + iQ, P symmetric and Q
+    antisymmetric, X -> i[B, X] reads Z -> P Z^T - Z^T P - Q Z + Z Q: one real
+    N^2 x N^2 block per column, written in place.
+    """
     N = L.dim
     gens: list[Matrix] = []
-    if L.alpha != 0.0 and np.linalg.norm(L.hamiltonian) > 0:
-        gens.append(L.hamiltonian)
+    H = L.hamiltonian
+    if L.alpha != 0.0 and np.linalg.norm(H) > 0:
+        gens.append((H + dag(H)) / 2.0)
     for _, Lj in L.jumps:
-        gens.append(Lj)
-        gens.append(dag(Lj))
+        gens.append((Lj + dag(Lj)) / np.sqrt(2.0))
+        gens.append((Lj - dag(Lj)) / (1j * np.sqrt(2.0)))
     if not gens:
-        return N * N
-    # block of A: the unit-basis matrix of X -> i[A, X]
-    stacked = np.vstack([Lindbladian(N, A, []).unit_matrix() for A in gens])
-    sv = np.linalg.svd(stacked, compute_uv=False)
+        return np.zeros(N * N)
+    G = np.array(gens)
+    coords = (G.real + G.imag).reshape(len(gens), N * N)
+    _, sigma, Vt = np.linalg.svd(coords, full_matrices=False)
+    reduced = (sigma[:, None] * Vt).reshape(-1, N, N)
+    stack = np.zeros((len(reduced) * N * N, N * N))
+    idx = np.arange(N)
+    for j, Z in enumerate(reduced):
+        P = (Z + Z.T) / 2.0
+        Q = (Z - Z.T) / 2.0
+        # entry [p, q, r, s]: coefficient of Z[r, s] in the output's [p, q]
+        block = stack[j * N * N:(j + 1) * N * N].reshape(N, N, N, N)
+        block[:, idx, idx, :] += P[:, None, :]
+        block[idx, :, :, idx] -= P
+        block[:, idx, :, idx] -= Q
+        block[idx, :, idx, :] -= Q
+    return np.linalg.svd(stack, compute_uv=False)
+
+
+def commutant_dimension(L: Lindbladian) -> int:
+    """dim of the joint commutant {H, L_j, L_j^dag}' via a stacked null space."""
+    sv = _commutant_singular_values(L)
     if sv[0] < 1e-30:
-        return N * N
+        return L.dim * L.dim
     return int(np.sum(sv < COMMUTANT_SV_FACTOR * sv[0]))
 
 

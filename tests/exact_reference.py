@@ -2,8 +2,9 @@
 
 These recompute the same quantities as the library by other routes:
 polynomial moments for the space-time variance check, a Lyapunov solve for the
-window Gramian, and a least-squares fit over a Hermitian traceless basis for
-the standard detailed-balance solve.  They are test helpers, not part of the
+window Gramian, a least-squares fit over a Hermitian traceless basis for
+the standard detailed-balance solve, and the stacked complex commutators of
+every generator for the commutant.  They are test helpers, not part of the
 package.
 """
 
@@ -108,3 +109,20 @@ def lstsq_dbc_solve(L, frame):
     K = sum(c * G for c, G in zip(x, basis))
     defect = float(np.linalg.norm(A @ x - rhs) / dnorm)
     return K, defect
+
+
+def stacked_commutant_sv(L):
+    """Singular values of the unit-basis matrices of X -> i[A, X] for
+    A in {H, L_j, L_j^dag}, stacked; all zero when there is no generator.
+    A (2 #jumps + 1) N^2 x N^2 complex SVD."""
+    N = L.dim
+    gens = []
+    if L.alpha != 0.0 and np.linalg.norm(L.hamiltonian) > 0:
+        gens.append(L.hamiltonian)
+    for _, Lj in L.jumps:
+        gens.append(Lj)
+        gens.append(dag(Lj))
+    if not gens:
+        return np.zeros(N * N)
+    stacked = np.vstack([Lindbladian(N, A, []).unit_matrix() for A in gens])
+    return np.linalg.svd(stacked, compute_uv=False)
