@@ -14,18 +14,19 @@ from .operators import (
     SuperOperator,
     kms_frame,
     gns_frame,
-    superop_matrix,
     kms_adjoint,
     op_norm_2to2,
     weighted_inner,
     weighted_norm,
 )
 from .lindblad import (
+    Analysis,
     Lindbladian,
     build_gksl,
     build_gns_canonical,
     check_invariance,
     generator_matrix,
+    hamiltonian_superop,
     structure_report,
     StructureReport,
     kernel_projection,
@@ -37,7 +38,6 @@ from .spectral import (
     GapReport,
     spectral_gap,
     gap_from_matrix,
-    hamiltonian_superop,
     bohr_decompose,
     lambda_nu_table,
     large_alpha_limit,

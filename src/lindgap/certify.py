@@ -20,16 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import (
-    Lindbladian,
-    SpaceSplit,
-    dag,
-    generator_matrix,
-    hermiticity_defect,
-    kernel_projection,
-)
-from .operators import KmsFrame, QuantumState, kms_frame
-from .spectral import hamiltonian_superop
+from .lindblad import Analysis, dag
 
 ASSUMPTION_DEFECT_FACTOR = 1e-9
 INJECTIVITY_TOL = 1e-10
@@ -112,14 +103,14 @@ class CoerciveCertificate:
         }
 
 
-def check_assumption(H, split: SpaceSplit) -> tuple[bool, float]:
+def check_assumption(an: Analysis) -> tuple[bool, float]:
     """Nontrivial kernel and no coherent mixing inside it.
 
     defect = ||Pi0 M_H Pi0||; ok iff dim h0 >= 1 and the defect is below
     1e-9 * ||M_H||.
     """
-    MH = hamiltonian_superop(H, split.frame, restricted=True).matrix
-    V0 = split.basis0
+    MH = an.M_Hr
+    V0 = an.split.basis0
     if V0.shape[1] == 0:
         return False, 0.0
     block = dag(V0) @ MH @ V0
@@ -128,21 +119,18 @@ def check_assumption(H, split: SpaceSplit) -> tuple[bool, float]:
     return defect < ASSUMPTION_DEFECT_FACTOR * scale, defect
 
 
-def structural_constants(H, LD: Lindbladian, state: QuantumState,
-                         frame: KmsFrame | None = None,
-                         split: SpaceSplit | None = None) -> StructuralConstants:
-    """(lambda_D, s_H, ||L^D||, ||L^H Pi_+||) for the certificate formulas."""
-    if frame is None:
-        frame = kms_frame(state)
-    if split is None:
-        split = kernel_projection(LD, state, frame)
+def structural_constants(an: Analysis) -> StructuralConstants:
+    """(lambda_D, s_H, ||L^D||, ||L^H Pi_+||) for the certificate formulas.
+
+    Library code reads them once per analysis as `an.constants`.
+    """
+    split = an.split
     if split.dim0 == 0:
         raise ValueError("dissipator kernel is trivial; the model is coercive")
     if split.dim_plus == 0:
         raise ValueError("dissipator vanishes on the traceless subspace")
-    MD = generator_matrix(LD, frame, restricted=True).matrix
-    MD = (MD + dag(MD)) / 2.0
-    MH = hamiltonian_superop(H, frame, restricted=True).matrix
+    MD = an.M_D_sym[1:, 1:]
+    MH = an.M_Hr
     V0, Vp = split.basis0, split.basis_plus
     lambda_D = float(np.linalg.eigvalsh(dag(Vp) @ (-MD) @ Vp)[0])
     cross = dag(Vp) @ MH @ V0
@@ -219,27 +207,22 @@ def simplified_rate(sc: StructuralConstants) -> float:
     return num / den
 
 
-def certify(H, LD: Lindbladian, state: QuantumState, T: float | None = None,
-            frame: KmsFrame | None = None) -> RateCertificate:
-    """Emit a decay certificate (nu, T, C_T) for alpha=1 coupling.
+def certify(an: Analysis, T: float | None = None) -> RateCertificate:
+    """Emit a decay certificate (nu, T, C_T) for the generator of `an`.
 
-    For other couplings pass alpha * H.  Refuses coercive models (use
-    certify_coercive) and models whose Hamiltonian mixes the dissipator
-    kernel into itself.
+    Refuses coercive models (use certify_coercive) and models whose
+    Hamiltonian mixes the dissipator kernel into itself.
     """
-    if frame is None:
-        frame = kms_frame(state)
-    split = kernel_projection(LD, state, frame)
-    if split.dim0 == 0:
+    if an.split.dim0 == 0:
         raise ValueError(
             "dissipator kernel is trivial (coercive model); "
             "this certificate route does not apply")
-    ok, defect = check_assumption(H, split)
+    ok, defect = check_assumption(an)
     if not ok:
         raise ValueError(
             f"Hamiltonian mixes the dissipator kernel into itself "
             f"(defect {defect:.3e}); certificate refused")
-    sc = structural_constants(H, LD, state, frame=frame, split=split)
+    sc = an.constants
     if T is None:
         T = 3.0 / sc.s_H
     T = float(T)
@@ -254,23 +237,13 @@ def certify(H, LD: Lindbladian, state: QuantumState, T: float | None = None,
                            simplified_nu=simplified)
 
 
-def certify_coercive(LD: Lindbladian, state: QuantumState,
-                     T: float | None = None,
-                     frame: KmsFrame | None = None) -> CoerciveCertificate:
-    """Decay certificate for a KMS-symmetric generator with trivial kernel.
+def certify_coercive(an: Analysis, T: float | None = None) -> CoerciveCertificate:
+    """Decay certificate for a KMS-symmetric dissipator with trivial kernel.
 
-    nu equals the gap on the traceless subspace; any window length T works,
-    the default keeps nu * T = 1/2.
+    nu equals the dissipator's gap on the traceless subspace; any window
+    length T works, the default keeps nu * T = 1/2.
     """
-    if frame is None:
-        frame = kms_frame(state)
-    M = generator_matrix(LD, frame, restricted=True).matrix
-    defect = hermiticity_defect(M)
-    if defect > 1e-8:
-        raise ValueError(
-            f"generator is not Hermitian in the weighted frame (defect {defect:.3e})")
-    Hm = -(M + dag(M)) / 2.0
-    w = np.linalg.eigvalsh(Hm)
+    w = np.linalg.eigvalsh(-an.M_D_sym[1:, 1:])
     gap = float(w[0])
     scale = max(abs(w[-1]), 1e-30)
     if gap <= 1e-9 * scale:
@@ -278,7 +251,7 @@ def certify_coercive(LD: Lindbladian, state: QuantumState,
     if T is None:
         T = 1.0 / (2.0 * gap)
     T = float(T)
-    s = float(np.linalg.svd(M, compute_uv=False)[-1])
+    s = float(np.linalg.svd(an.M_Dr, compute_uv=False)[-1])
     return CoerciveCertificate(nu=gap, T=T, prefactor=float(math.exp(gap * T)),
                                lambda_gap=gap, singular_gap=s)
 

@@ -15,10 +15,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .certify import certify, certify_coercive, structural_constants
+from .certify import certify, certify_coercive
 from .evolve import _random_mean_zero, semigroup_norm_curve, stp_verify, \
     time_avg_check
-from .lindblad import kernel_projection, structure_report
+from .lindblad import Analysis, structure_report
 from .modelspec import ModelBundle, SpecError, Tolerances, build_model, load_spec
 from .spectral import gap_curve, singular_relaxation_check, spectral_gap
 
@@ -80,10 +80,6 @@ def _envelope(command: str, bundle: ModelBundle, seed: int,
             "tolerances": tols.as_dict(), "report": report}
 
 
-def _effective_hamiltonian(bundle: ModelBundle):
-    return bundle.lind.alpha * bundle.lind.hamiltonian
-
-
 def _parse_grid(text: str) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
@@ -98,7 +94,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _cmd_structure(args, bundle: ModelBundle, tols: Tolerances) -> int:
-    report = structure_report(bundle.lind, bundle.state, db_tol=tols.db_tol)
+    report = structure_report(Analysis(bundle.lind, bundle.state), db_tol=tols.db_tol)
     payload = _envelope("structure", bundle, args.seed, tols, report.as_dict())
     _write_json(os.path.join(args.out, "structure.json"), payload)
     return EXIT_OK
@@ -106,8 +102,7 @@ def _cmd_structure(args, bundle: ModelBundle, tols: Tolerances) -> int:
 
 def _cmd_gap(args, bundle: ModelBundle, tols: Tolerances) -> int:
     alphas = _parse_grid(args.alpha_grid)
-    curve = gap_curve(_effective_hamiltonian(bundle), bundle.lind.dissipator(),
-                      bundle.state, alphas)
+    curve = gap_curve(Analysis(bundle.lind, bundle.state), alphas)
     report = {"alphas": curve.alphas, "gaps": curve.gaps,
               "singular_gaps": curve.singular_gaps, "limit": curve.limit,
               "final_deviation": curve.final_deviation}
@@ -122,24 +117,19 @@ def _cmd_gap(args, bundle: ModelBundle, tols: Tolerances) -> int:
     return EXIT_OK
 
 
-def _certificate_report(bundle: ModelBundle, T: float | None) -> dict:
-    H = _effective_hamiltonian(bundle)
-    LD = bundle.lind.dissipator()
-    split = kernel_projection(LD, bundle.state)
-    if split.dim0 == 0:
+def _certificate_report(an: Analysis, T: float | None) -> dict:
+    if an.split.dim0 == 0:
         raise SpecError("model", "coercive model: ker(L^D|h) is trivial, so "
                         "the hypocoercive assumption fails; the spectral gap "
                         "itself is the rate (certify_coercive in the library)")
-    cert = certify(H, LD, bundle.state, T=T)
-    report = cert.as_dict()
-    ok, lhs, s = singular_relaxation_check(report["nu"], report["T"],
-                                           bundle.lind, bundle.state)
+    report = certify(an, T=T).as_dict()
+    ok, lhs, s = singular_relaxation_check(an, report["nu"], report["T"])
     report["singular_check"] = {"ok": ok, "lhs": lhs, "singular_gap": s}
     return report
 
 
 def _cmd_certify(args, bundle: ModelBundle, tols: Tolerances) -> int:
-    report = _certificate_report(bundle, args.T)
+    report = _certificate_report(Analysis(bundle.lind, bundle.state), args.T)
     payload = _envelope("certify", bundle, args.seed, tols, report)
     _write_json(os.path.join(args.out, "certificate.json"), payload)
     return EXIT_OK
@@ -183,22 +173,21 @@ def _cmd_validate(args, bundle: ModelBundle, tols: Tolerances) -> int:
                         f"(hash {doc_hash} != {bundle.hash})")
     # A certificate is valid only if this tool would emit it for this model:
     # recompute at the certificate's own T and compare.
-    expected = _certificate_report(bundle, T)
+    an = Analysis(bundle.lind, bundle.state)
+    expected = _certificate_report(an, T)
     consistent = (abs(expected["nu"] - nu) <= 1e-9 * expected["nu"]
                   and abs(expected["C_T"] - C_T) <= 1e-9 * expected["C_T"])
     rng = np.random.default_rng(args.seed)
     X0 = _random_mean_zero(rng, bundle.state)
     t_max = args.t_max if args.t_max is not None else 4.0 / nu
     ts = np.linspace(0.0, t_max, args.samples)
-    report = time_avg_check(bundle.lind, bundle.state, X0, T, nu, ts, C_T,
-                            slack=tols.cert_slack)
-    ok, lhs, s = singular_relaxation_check(nu, T, bundle.lind, bundle.state)
+    report = time_avg_check(an, X0, T, nu, ts, C_T, slack=tols.cert_slack)
+    ok, lhs, s = singular_relaxation_check(an, nu, T)
     # The rate fit needs times on the scale of the true decay, which can be
     # orders of magnitude faster than the certified rate.
-    gap = spectral_gap(bundle.lind, bundle.state).spectral_gap
+    gap = spectral_gap(an).spectral_gap
     t_fit = min(t_max, 12.0 / gap) if gap > 0 else t_max
-    norm_curve = semigroup_norm_curve(bundle.lind, bundle.state,
-                                      np.linspace(t_fit / 30.0, t_fit, 30))
+    norm_curve = semigroup_norm_curve(an, np.linspace(t_fit / 30.0, t_fit, 30))
     payload = _envelope("validate", bundle, args.seed, tols, {
         "time_avg": report.as_dict(),
         "singular_check": {"ok": ok, "lhs": lhs, "singular_gap": s},
@@ -221,22 +210,18 @@ def _cmd_validate(args, bundle: ModelBundle, tols: Tolerances) -> int:
     return EXIT_OK
 
 
-def _default_window(bundle: ModelBundle) -> float:
-    H = _effective_hamiltonian(bundle)
-    LD = bundle.lind.dissipator()
-    split = kernel_projection(LD, bundle.state)
-    if split.dim0 == 0:
-        return certify_coercive(LD, bundle.state).T
-    sc = structural_constants(H, LD, bundle.state, split=split)
-    return 3.0 / sc.s_H
+def _default_window(an: Analysis) -> float:
+    if an.split.dim0 == 0:
+        return certify_coercive(an).T
+    return 3.0 / an.constants.s_H
 
 
 def _cmd_stp(args, bundle: ModelBundle, tols: Tolerances) -> int:
     if args.beta <= 0:
         raise SpecError("--beta", "beta must be positive")
-    T = args.T if args.T is not None else _default_window(bundle)
-    report = stp_verify(_effective_hamiltonian(bundle), bundle.lind.dissipator(),
-                        bundle.state, T, args.beta, n_samples=args.samples,
+    an = Analysis(bundle.lind, bundle.state)
+    T = args.T if args.T is not None else _default_window(an)
+    report = stp_verify(an, T, args.beta, n_samples=args.samples,
                         poly_degree=args.poly_degree, seed=args.seed,
                         slack=tols.cert_slack)
     payload = _envelope("stp", bundle, args.seed, tols, report.as_dict())

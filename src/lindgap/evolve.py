@@ -16,29 +16,21 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .certify import c_constants, c_constants_trivial_kernel, check_assumption, \
-    structural_constants
-from .lindblad import Lindbladian, generator_matrix, hermiticity_defect, \
-    kernel_projection
-from .operators import KmsFrame, Matrix, QuantumState, as_square_matrix, dag, \
-    kms_frame
-from .spectral import hamiltonian_superop
+from .certify import c_constants, c_constants_trivial_kernel, check_assumption
+from .lindblad import Analysis
+from .operators import Matrix, QuantumState, as_square_matrix, dag
 
 MEAN_DRIFT_TOL = 1e-10
 CONTRACTIVITY_SLACK = 1e-10
 
 
-def propagate(L: Lindbladian, state: QuantumState, X0, t: float,
-              frame: KmsFrame | None = None) -> Matrix:
+def propagate(an: Analysis, X0, t: float) -> Matrix:
     """e^{tL} X0 by exponentiating the full weighted-frame matrix."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if frame is None:
-        frame = kms_frame(state)
-    X0 = as_square_matrix(X0, state.dim)
-    M = generator_matrix(L, frame, restricted=False).matrix
-    c0 = frame.coords(X0)
-    ct = expm(t * M) @ c0
+    frame = an.frame
+    c0 = frame.coords(as_square_matrix(X0, an.state.dim))
+    ct = expm(t * an.M) @ c0
     drift = abs(ct[0] - c0[0])
     if drift > MEAN_DRIFT_TOL * max(abs(c0[0]), 1.0):
         raise ValueError(f"invariant mean drifted by {drift:.3e}; "
@@ -69,20 +61,10 @@ class DecayCurve:
                                  "the generator does not contract this norm")
 
 
-def _restricted_data(L: Lindbladian, state: QuantumState,
-                     frame: KmsFrame | None):
-    if frame is None:
-        frame = kms_frame(state)
-    Mr = generator_matrix(L, frame, restricted=True).matrix
-    return frame, Mr
-
-
-def decay_curve(L: Lindbladian, state: QuantumState, X0, ts,
-                window_T: float | None = None,
-                frame: KmsFrame | None = None) -> DecayCurve:
-    frame, Mr = _restricted_data(L, state, frame)
+def decay_curve(an: Analysis, X0, ts, window_T: float | None = None) -> DecayCurve:
+    Mr = an.Mr
     ts = np.asarray(ts, dtype=float)
-    c0 = frame.coords(as_square_matrix(X0, state.dim))[1:]
+    c0 = an.frame.coords(as_square_matrix(X0, an.state.dim))[1:]
     vals = np.empty(len(ts))
     windows = np.empty(len(ts)) if window_T else None
     G = window_gramian(Mr, window_T) if window_T else None
@@ -145,10 +127,8 @@ class TimeAvgReport:
 CERT_SLACK = 1e-6
 
 
-def time_avg_check(L: Lindbladian, state: QuantumState, X0, T: float,
-                   nu: float, t_samples, prefactor: float,
-                   frame: KmsFrame | None = None,
-                   slack: float = CERT_SLACK) -> TimeAvgReport:
+def time_avg_check(an: Analysis, X0, T: float, nu: float, t_samples,
+                   prefactor: float, slack: float = CERT_SLACK) -> TimeAvgReport:
     """Check a decay certificate (nu, T, C_T) against the exact evolution.
 
     Windowed: avg_{[t,t+T]} ||X_s - <X>||^2  <=  e^{-nu t} * (t=0 window).
@@ -158,8 +138,8 @@ def time_avg_check(L: Lindbladian, state: QuantumState, X0, T: float,
     """
     if T <= 0 or nu <= 0 or prefactor < 1.0:
         raise ValueError("need T > 0, nu > 0, prefactor >= 1")
-    frame, Mr = _restricted_data(L, state, frame)
-    c0 = frame.coords(as_square_matrix(X0, state.dim))[1:]
+    Mr = an.Mr
+    c0 = an.frame.coords(as_square_matrix(X0, an.state.dim))[1:]
     norm0 = float(np.vdot(c0, c0).real)
     ts = np.asarray(t_samples, dtype=float)
     if np.any(ts < 0):
@@ -210,19 +190,17 @@ class NormCurve:
     range_warning: str | None = None
 
 
-def semigroup_norm_curve(L: Lindbladian, state: QuantumState, ts,
-                         frame: KmsFrame | None = None) -> NormCurve:
+def semigroup_norm_curve(an: Analysis, ts) -> NormCurve:
     """Operator norm of e^{tL} on the mean-zero subspace, with a rate fit.
 
     The empirical rate is minus the least-squares slope of log ||e^{tL}||
     over the last half of the samples, where the leading eigenvalue
     dominates.
     """
-    frame, Mr = _restricted_data(L, state, frame)
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("ts must be nonnegative and strictly increasing")
-    norms = np.array([np.linalg.norm(expm(t * Mr), 2) for t in ts])
+    norms = np.array([np.linalg.norm(expm(t * an.Mr), 2) for t in ts])
     start = len(ts) // 2
     if len(ts) - start < 2:
         raise ValueError("need at least two points in the fit window")
@@ -277,9 +255,8 @@ def _random_mean_zero(rng: np.random.Generator, state: QuantumState) -> Matrix:
     return A - np.trace(state.matrix @ A).real * np.eye(N)
 
 
-def stp_verify(H, LD: Lindbladian, state: QuantumState, T: float, beta: float,
-               n_samples: int = 100, poly_degree: int = 3, seed: int = 0,
-               frame: KmsFrame | None = None,
+def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
+               poly_degree: int = 3, seed: int = 0,
                slack: float = CERT_SLACK) -> StpReport:
     """Sample the space-time variance inequality on random polynomial paths.
 
@@ -300,13 +277,8 @@ def stp_verify(H, LD: Lindbladian, state: QuantumState, T: float, beta: float,
         raise ValueError("T must be positive")
     if n_samples < 1 or poly_degree < 0:
         raise ValueError("need n_samples >= 1 and poly_degree >= 0")
-    if frame is None:
-        frame = kms_frame(state)
-    MD = generator_matrix(LD, frame, restricted=False).matrix
-    if hermiticity_defect(MD) > 1e-8:
-        raise ValueError("dissipator is not symmetric in the weighted frame")
-    MD = (MD + dag(MD)) / 2.0
-    MH = hamiltonian_superop(H, frame, restricted=False).matrix
+    MD = an.M_D_sym
+    MH = an.M_H
 
     w, V = np.linalg.eigh(-MD)
     wmax = max(w[-1], 1e-30)
@@ -314,21 +286,17 @@ def stp_verify(H, LD: Lindbladian, state: QuantumState, T: float, beta: float,
     P0 = V[:, zero] @ dag(V[:, zero])
     W = V @ np.diag((beta + np.clip(w, 0.0, None)) ** -0.5) @ dag(V)
 
-    split = kernel_projection(LD, state, frame)
-    if split.dim0 == 0:
-        Mr = generator_matrix(LD, frame, restricted=True).matrix
-        MHr = hamiltonian_superop(H, frame, restricted=True).matrix
-        C1, C2 = c_constants_trivial_kernel(float(np.linalg.norm(Mr, 2)),
-                                            float(np.linalg.norm(MHr, 2)),
+    if an.split.dim0 == 0:
+        C1, C2 = c_constants_trivial_kernel(float(np.linalg.norm(an.M_Dr, 2)),
+                                            float(np.linalg.norm(an.M_Hr, 2)),
                                             T, beta)
         trivial = True
     else:
-        ok, defect = check_assumption(H, split)
+        ok, defect = check_assumption(an)
         if not ok:
             raise ValueError(f"Hamiltonian mixes the dissipator kernel into "
                              f"itself (defect {defect:.3e})")
-        sc = structural_constants(H, LD, state, frame=frame, split=split)
-        C1, C2 = c_constants(sc, T, beta)
+        C1, C2 = c_constants(an.constants, T, beta)
         trivial = False
 
     rng = np.random.default_rng(seed)
@@ -343,7 +311,7 @@ def stp_verify(H, LD: Lindbladian, state: QuantumState, T: float, beta: float,
     worst = 0.0
     passed = True
     for _ in range(n_samples):
-        coeffs = np.stack([frame.coords(_random_mean_zero(rng, state))
+        coeffs = np.stack([an.frame.coords(_random_mean_zero(rng, an.state))
                            for _ in range(poly_degree + 1)])
         X = powers @ coeffs
         Xdot = dpowers @ coeffs

@@ -12,6 +12,7 @@ eigenspaces, and primitivity is a commutant null-space computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -181,6 +182,13 @@ def generator_matrix(L: Lindbladian, frame: KmsFrame,
     return frame.superop(L.unit_matrix(frame.state.eigenvectors), restricted)
 
 
+def hamiltonian_superop(H, frame: KmsFrame, restricted: bool = True) -> SuperOperator:
+    """Matrix of X -> i[H, X] in the given frame."""
+    H = require_hermitian(H, what="H")
+    G = Lindbladian(H.shape[0], H, []).unit_matrix(frame.state.eigenvectors)
+    return frame.superop(G, restricted=restricted)
+
+
 def hermiticity_defect(M: Matrix) -> float:
     """Relative deviation of M from its conjugate transpose, in spectral norm."""
     scale = np.linalg.norm(M, 2)
@@ -191,12 +199,81 @@ def hermiticity_defect(M: Matrix) -> float:
     return float(np.abs(np.linalg.eigvalsh(1j * (M - dag(M)))).max() / scale)
 
 
-def standard_dbc_solve(L: Lindbladian, frame: KmsFrame) -> tuple[Matrix, float]:
+class Analysis:
+    """One generator at one state in the KMS frame: what every analysis takes.
+
+    Holds the frame, the effective Hamiltonian H = alpha * hamiltonian and the
+    dissipator LD = L^D.  Everything else is built on first use and kept:
+    the full-space matrices M, M_D, M_H of L, L^D and i[H, .]; their blocks
+    Mr, M_Dr, M_Hr on the traceless subspace (the [1:, 1:] slices); the
+    symmetric part M_D_sym after the one check that L^D is KMS-symmetric; the
+    kernel split; the structural constants; and the smallest singular value
+    of Mr.
+    """
+
+    def __init__(self, L: Lindbladian, state: QuantumState):
+        self.L = L
+        self.state = state
+        self.frame = kms_frame(state)
+        self.H = L.alpha * L.hamiltonian
+        self.LD = L.dissipator()
+
+    @cached_property
+    def M(self) -> Matrix:
+        return generator_matrix(self.L, self.frame, restricted=False).matrix
+
+    @cached_property
+    def M_D(self) -> Matrix:
+        return generator_matrix(self.LD, self.frame, restricted=False).matrix
+
+    @cached_property
+    def M_H(self) -> Matrix:
+        return hamiltonian_superop(self.H, self.frame, restricted=False).matrix
+
+    @cached_property
+    def Mr(self) -> Matrix:
+        return self.M[1:, 1:].copy()
+
+    @cached_property
+    def M_Dr(self) -> Matrix:
+        return self.M_D[1:, 1:].copy()
+
+    @cached_property
+    def M_Hr(self) -> Matrix:
+        return self.M_H[1:, 1:].copy()
+
+    @cached_property
+    def M_D_sym(self) -> Matrix:
+        """(M_D + M_D^dag) / 2; raises unless M_D is Hermitian (L^D KMS-symmetric)."""
+        defect = hermiticity_defect(self.M_D)
+        if defect > DB_DEFECT_TOL:
+            raise ValueError("dissipator is not KMS-symmetric: its matrix is not "
+                             f"Hermitian in the KMS frame (defect {defect:.3e})")
+        return (self.M_D + dag(self.M_D)) / 2.0
+
+    @cached_property
+    def split(self) -> SpaceSplit:
+        return kernel_projection(self)
+
+    @cached_property
+    def constants(self):
+        """certify.structural_constants of this analysis."""
+        from .certify import structural_constants  # certify imports this module
+        return structural_constants(self)
+
+    @cached_property
+    def singular_gap(self) -> float:
+        """Smallest singular value of Mr."""
+        return float(np.linalg.svd(self.Mr, compute_uv=False)[-1])
+
+
+def standard_dbc_solve(an: Analysis) -> tuple[Matrix, float]:
     """Best Hermitian traceless K with L - L* = 2i[K, .]; returns (K, defect).
 
-    The defect is the residual norm relative to ||L - L*||; 0/0 counts as a
-    perfect fit with K = 0.  The identity component of K is unobservable in a
-    commutator and is pinned to zero by the traceless constraint.
+    L* is the adjoint in the frame of `an`.  The defect is the residual norm
+    relative to ||L - L*||; 0/0 counts as a perfect fit with K = 0.  The
+    identity component of K is unobservable in a commutator and is pinned to
+    zero by the traceless constraint.
 
     The frame change is unitary, so the fit is ||S C S^-1 - Y|| on the units of
     sigma's eigenbasis, with S = diag(vec(_scale)), Y = S G S^-1 - (S G S^-1)^dag
@@ -205,6 +282,7 @@ def standard_dbc_solve(L: Lindbladian, frame: KmsFrame) -> tuple[Matrix, float]:
     squared residual is diagonal in the entries of K' (weights 4N(a_L^2 + a_R^2))
     and reads Y only through two partial traces; the minimizer is entrywise.
     """
+    L, frame = an.L, an.frame
     N = L.dim
     U = frame.state.eigenvectors
     scale = frame._scale
@@ -253,6 +331,8 @@ def _commutant_singular_values(L: Lindbladian) -> np.ndarray:
     for _, Lj in L.jumps:
         gens.append((Lj + dag(Lj)) / np.sqrt(2.0))
         gens.append((Lj - dag(Lj)) / (1j * np.sqrt(2.0)))
+    # e.g. (L - L^dag)/(i sqrt2) of a Hermitian jump: a zero block adds nothing
+    gens = [g for g in gens if g.any()]
     if not gens:
         return np.zeros(N * N)
     G = np.array(gens)
@@ -322,27 +402,22 @@ class StructureReport:
         }
 
 
-def structure_report(L: Lindbladian, state: QuantumState,
-                     db_tol: float = DB_DEFECT_TOL) -> StructureReport:
+def structure_report(an: Analysis, db_tol: float = DB_DEFECT_TOL) -> StructureReport:
     """Full detailed-balance / primitivity / kernel diagnostic for a generator."""
-    residual = require_invariant(L, state)
+    L = an.L
+    residual = require_invariant(L, an.state)
     invariant_ok = residual <= INVARIANCE_FLAG_FACTOR * max(L.magnitude(), 1e-30)
 
-    frame = kms_frame(state)
-    M = generator_matrix(L, frame, restricted=False).matrix
-    kms_defect = hermiticity_defect(M)
-
-    gframe = gns_frame(state)
-    Mg = generator_matrix(L, gframe, restricted=False).matrix
+    kms_defect = hermiticity_defect(an.M)
+    Mg = generator_matrix(L, gns_frame(an.state), restricted=False).matrix
     gns_defect = hermiticity_defect(Mg)
 
-    K, dbc_defect = standard_dbc_solve(L, frame)
+    K, dbc_defect = standard_dbc_solve(an)
 
     cdim = commutant_dimension(L)
     primitive = cdim == 1
 
-    MD = generator_matrix(L.dissipator(), frame, restricted=False).matrix
-    kdim = kernel_dimension(MD)
+    kdim = kernel_dimension(an.M_D)
 
     if not primitive:
         classification = "non-primitive"
@@ -376,7 +451,6 @@ class SpaceSplit:
     projections act on restricted coordinates.
     """
 
-    frame: KmsFrame
     basis0: Matrix
     basis_plus: Matrix
     pi0: SuperOperator
@@ -391,28 +465,17 @@ class SpaceSplit:
         return self.basis_plus.shape[1]
 
 
-def kernel_projection(LD: Lindbladian, state: QuantumState,
-                      frame: KmsFrame | None = None) -> SpaceSplit:
+def kernel_projection(an: Analysis) -> SpaceSplit:
     """Split of the traceless subspace by the zero eigenspace of a KMS-DB dissipator."""
-    if frame is None:
-        frame = kms_frame(state)
-    M = generator_matrix(LD, frame, restricted=True).matrix
-    defect = hermiticity_defect(M)
-    if defect > DB_DEFECT_TOL:
-        raise ValueError(
-            f"dissipator is not Hermitian in the KMS frame (defect {defect:.3e})")
-    Hm = -(M + dag(M)) / 2.0
-    w, V = np.linalg.eigh(Hm)
+    w, V = np.linalg.eigh(-an.M_D_sym[1:, 1:])
     scale = max(np.abs(w).max(), 1e-30)
     zero = np.abs(w) < KERNEL_TOL_FACTOR * scale
     V0 = V[:, zero]
     Vp = V[:, ~zero]
-    n = M.shape[0]
     P0 = V0 @ dag(V0)
     return SpaceSplit(
-        frame=frame,
         basis0=V0,
         basis_plus=Vp,
-        pi0=SuperOperator(frame, P0, True),
-        pi_plus=SuperOperator(frame, np.eye(n) - P0, True),
+        pi0=SuperOperator(an.frame, P0, True),
+        pi_plus=SuperOperator(an.frame, np.eye(len(w)) - P0, True),
     )

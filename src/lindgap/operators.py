@@ -23,10 +23,6 @@ Matrix = np.ndarray
 TRACE_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 RANK_TOL_FACTOR = 1e-10
-LINEARITY_RTOL = 1e-8
-
-# fixed probe generator: construction-time checks must be deterministic
-_PROBE_SEED = 7541
 
 
 def dag(X: Matrix) -> Matrix:
@@ -196,7 +192,6 @@ class KmsFrame:
         self._Q = Q
         lp = (1.0 - s) / 2.0
         self._scale = np.outer(mu**lp, mu ** (s / 2.0))
-        self._basis_cache: list[Matrix] | None = None
 
     @property
     def dim(self) -> int:
@@ -243,14 +238,6 @@ class KmsFrame:
             return SuperOperator(self, M[1:, 1:].copy(), True)
         return SuperOperator(self, M, False)
 
-    @property
-    def basis(self) -> list[Matrix]:
-        """The frame operators E_k as matrices (E_0 = identity)."""
-        if self._basis_cache is None:
-            eye = np.eye(self.size)
-            self._basis_cache = [self.from_coords(eye[:, k]) for k in range(self.size)]
-        return self._basis_cache
-
 
 def kms_frame(state: QuantumState) -> KmsFrame:
     """The s = 1/2 frame in which KMS adjoints are conjugate transposes."""
@@ -284,30 +271,6 @@ class SuperOperator:
             # a restricted map annihilates the identity component
             return self.frame.from_coords(self.matrix @ c[1:])
         return self.frame.from_coords(self.matrix @ c)
-
-
-def superop_matrix(map_fn, frame: KmsFrame,
-                   restrict_traceless: bool = False) -> SuperOperator:
-    """Matrix [ <E_j, map(E_k)> ]_{jk} of a linear operator map.
-
-    The map is probed for linearity on fixed pseudo-random operators before
-    the matrix is assembled.
-    """
-    N = frame.dim
-    rng = np.random.default_rng(_PROBE_SEED)
-    X1 = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    X2 = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    a = 0.8 - 0.6j
-    lhs = map_fn(a * X1 + X2)
-    rhs = a * map_fn(X1) + map_fn(X2)
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-    if np.linalg.norm(lhs - rhs) > LINEARITY_RTOL * scale:
-        raise ValueError("map is not linear on random probes")
-    cols = [frame.coords(map_fn(E)) for E in frame.basis]
-    M = np.stack(cols, axis=1)
-    if restrict_traceless:
-        return SuperOperator(frame, M[1:, 1:].copy(), True)
-    return SuperOperator(frame, M, False)
 
 
 def kms_adjoint(S: SuperOperator) -> SuperOperator:

@@ -9,31 +9,16 @@ yields the finite-rank commutator condition (hypocoercivity index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import Lindbladian, generator_matrix, hermiticity_defect, require_invariant
-from .operators import (
-    KmsFrame,
-    Matrix,
-    QuantumState,
-    SuperOperator,
-    dag,
-    kms_frame,
-    require_hermitian,
-)
+from .lindblad import Analysis, hermiticity_defect, require_invariant
+from .operators import Matrix, dag
 
 BOHR_CLUSTER_FACTOR = 1e-7
 INDEX_POSITIVITY_FACTOR = 1e-9
 GAP_ATTAIN_RTOL = 1e-9
-
-
-def hamiltonian_superop(H, frame: KmsFrame, restricted: bool = True) -> SuperOperator:
-    """Matrix of X -> i[H, X] in the given frame."""
-    H = require_hermitian(H, what="H")
-    G = Lindbladian(H.shape[0], H, []).unit_matrix(frame.state.eigenvectors)
-    return frame.superop(G, restricted=restricted)
 
 
 @dataclass
@@ -66,14 +51,10 @@ def gap_from_matrix(M: Matrix) -> tuple[float, list[complex], float, float]:
     return lam, attaining, s, sym
 
 
-def spectral_gap(L: Lindbladian, state: QuantumState,
-                 frame: KmsFrame | None = None) -> GapReport:
+def spectral_gap(an: Analysis) -> GapReport:
     """Gap diagnostics of L restricted to the traceless subspace."""
-    require_invariant(L, state)
-    if frame is None:
-        frame = kms_frame(state)
-    M = generator_matrix(L, frame, restricted=True).matrix
-    lam, attaining, s, sym = gap_from_matrix(M)
+    require_invariant(an.L, an.state)
+    lam, attaining, s, sym = gap_from_matrix(an.Mr)
     return GapReport(spectral_gap=lam, attaining=attaining,
                      singular_gap=s, symmetrized_gap=sym)
 
@@ -88,7 +69,6 @@ class BohrBlock:
 
     frequency: float
     basis: Matrix
-    frame: KmsFrame
     lambda_nu: float | None = None
     minimizers: Matrix | None = None
 
@@ -97,18 +77,18 @@ class BohrBlock:
         return self.basis.shape[1]
 
 
-def bohr_decompose(H, frame: KmsFrame) -> list[BohrBlock]:
+def bohr_decompose(an: Analysis) -> list[BohrBlock]:
     """Frequency blocks of X -> [H, X] on the traceless subspace.
 
     Requires [H, sigma] = 0 so that the commutator map is KMS anti-Hermitian
     after multiplication by i.  Frequencies within 1e-7 * ||H|| are merged.
     """
-    H = require_hermitian(H, what="H")
-    sigma = frame.state.matrix
+    H = an.H
+    sigma = an.state.matrix
     hnorm = np.linalg.norm(H, 2)
     if np.linalg.norm(H @ sigma - sigma @ H) > 1e-10 * max(hnorm, 1.0):
         raise ValueError("H does not commute with sigma")
-    MH = hamiltonian_superop(H, frame, restricted=True).matrix
+    MH = an.M_Hr
     S = -1j * MH
     defect = hermiticity_defect(S)
     if defect > 1e-8:
@@ -122,8 +102,7 @@ def bohr_decompose(H, frame: KmsFrame) -> list[BohrBlock]:
             freq = float(w[start:k].mean())
             if abs(freq) < tol:
                 freq = 0.0
-            blocks.append(BohrBlock(frequency=freq, basis=V[:, start:k].copy(),
-                                    frame=frame))
+            blocks.append(BohrBlock(frequency=freq, basis=V[:, start:k].copy()))
             start = k
     total = sum(b.dim for b in blocks)
     if total != MH.shape[0]:
@@ -131,16 +110,11 @@ def bohr_decompose(H, frame: KmsFrame) -> list[BohrBlock]:
     return blocks
 
 
-def lambda_nu_table(LD: Lindbladian, blocks: list[BohrBlock]) -> list[BohrBlock]:
+def lambda_nu_table(an: Analysis, blocks: list[BohrBlock]) -> list[BohrBlock]:
     """Fill each block's minimal dissipation energy and its minimizers."""
     if not blocks:
         raise ValueError("no blocks given")
-    frame = blocks[0].frame
-    M = generator_matrix(LD, frame, restricted=True).matrix
-    defect = hermiticity_defect(M)
-    if defect > 1e-8:
-        raise ValueError(f"dissipator is not Hermitian in the frame (defect {defect:.3e})")
-    MD = (M + dag(M)) / 2.0
+    MD = an.M_D_sym[1:, 1:]
     for b in blocks:
         B = b.basis
         ortho = np.linalg.norm(dag(B) @ B - np.eye(B.shape[1]))
@@ -155,12 +129,9 @@ def lambda_nu_table(LD: Lindbladian, blocks: list[BohrBlock]) -> list[BohrBlock]
     return blocks
 
 
-def large_alpha_limit(H, LD: Lindbladian, state: QuantumState,
-                      frame: KmsFrame | None = None) -> float:
+def large_alpha_limit(an: Analysis) -> float:
     """Strong-coherent-coupling limit of the gap: the smallest blockwise energy."""
-    if frame is None:
-        frame = kms_frame(state)
-    blocks = lambda_nu_table(LD, bohr_decompose(H, frame))
+    blocks = lambda_nu_table(an, bohr_decompose(an))
     return min(b.lambda_nu for b in blocks)
 
 
@@ -173,27 +144,21 @@ class GapCurve:
     final_deviation: float | None
 
 
-def gap_curve(H, LD: Lindbladian, state: QuantumState, alphas,
-              frame: KmsFrame | None = None, limit: float | None = None) -> GapCurve:
+def gap_curve(an: Analysis, alphas) -> GapCurve:
     """Gap of alpha * i[H,.] + L^D per coupling value, with the limit if available."""
-    if frame is None:
-        frame = kms_frame(state)
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("empty coupling grid")
-    H = require_hermitian(H, what="H")
-    MD = generator_matrix(LD, frame, restricted=True).matrix
-    MH = hamiltonian_superop(H, frame, restricted=True).matrix
-    if limit is None:
-        sigma = state.matrix
-        if np.linalg.norm(H @ sigma - sigma @ H) <= 1e-10 * max(np.linalg.norm(H, 2), 1.0):
-            try:
-                limit = large_alpha_limit(H, LD, state, frame)
-            except ValueError:
-                limit = None
+    H, sigma = an.H, an.state.matrix
+    limit = None
+    if np.linalg.norm(H @ sigma - sigma @ H) <= 1e-10 * max(np.linalg.norm(H, 2), 1.0):
+        try:
+            limit = large_alpha_limit(an)
+        except ValueError:
+            pass
     gaps, sgaps = [], []
     for a in alphas:
-        lam, _, s, _ = gap_from_matrix(a * MH + MD)
+        lam, _, s, _ = gap_from_matrix(a * an.M_Hr + an.M_Dr)
         gaps.append(lam)
         sgaps.append(s)
     dev = None if limit is None else float(abs(gaps[-1] - limit))
@@ -201,19 +166,15 @@ def gap_curve(H, LD: Lindbladian, state: QuantumState, alphas,
                     limit=limit, final_deviation=dev)
 
 
-def hypoco_index(H, LD: Lindbladian, state: QuantumState, J_max: int = 8,
-                 frame: KmsFrame | None = None) -> int | None:
+def hypoco_index(an: Analysis, J_max: int = 8) -> int | None:
     """Smallest J with sum_{j<=J} (iM_H)^j (-M_D) (iM_H)^j positive definite.
 
     Each term is PSD because iM_H is Hermitian for commuting H, so the sum
     only grows; returns None if no J <= J_max works.
     """
-    if frame is None:
-        frame = kms_frame(state)
-    MH = hamiltonian_superop(H, frame, restricted=True).matrix
-    MD = generator_matrix(LD, frame, restricted=True).matrix
+    MD = an.M_Dr
     negD = -(MD + dag(MD)) / 2.0
-    P = 1j * MH
+    P = 1j * an.M_Hr
     P = (P + dag(P)) / 2.0
     term = negD.copy()
     total = np.zeros_like(negD)
@@ -227,17 +188,13 @@ def hypoco_index(H, LD: Lindbladian, state: QuantumState, J_max: int = 8,
     return None
 
 
-def singular_relaxation_check(nu: float, T: float, L: Lindbladian,
-                              state: QuantumState,
-                              frame: KmsFrame | None = None) -> tuple[bool, float, float]:
+def singular_relaxation_check(an: Analysis, nu: float,
+                              T: float) -> tuple[bool, float, float]:
     """Check 1/nu + T >= 1/s - 1e-9 for a certified average-decay pair.
 
     Returns (ok, lhs, singular_gap).
     """
-    if frame is None:
-        frame = kms_frame(state)
-    M = generator_matrix(L, frame, restricted=True).matrix
-    s = float(np.linalg.svd(M, compute_uv=False)[-1])
+    s = an.singular_gap
     if nu <= 0:
         return True, float("inf"), s
     lhs = 1.0 / nu + T

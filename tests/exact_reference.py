@@ -1,10 +1,12 @@
 """Independent references for lindgap's closed forms.
 
-These recompute the same quantities as the library by other routes:
-polynomial moments for the space-time variance check, a Lyapunov solve for the
-window Gramian, a least-squares fit over a Hermitian traceless basis for
-the standard detailed-balance solve, and the stacked complex commutators of
-every generator for the commutant.  They are test helpers, not part of the
+These recompute the same quantities as the library by other routes: the
+probed frame matrix of an arbitrary linear map (from the frame's basis
+operators) for every assembled superoperator, polynomial moments for the
+space-time variance check, a Lyapunov solve for the window Gramian, a
+least-squares fit over a Hermitian traceless basis for the standard
+detailed-balance solve, and the stacked complex commutators of every
+generator for the commutant.  They are test helpers, not part of the
 package.
 """
 
@@ -13,9 +15,43 @@ import math
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
-from lindgap import Lindbladian, generator_matrix, hamiltonian_superop, kms_frame
+from lindgap import Lindbladian, SuperOperator, generator_matrix, hamiltonian_superop, \
+    kms_frame
 from lindgap.evolve import _random_mean_zero
 from lindgap.operators import dag, vec
+
+LINEARITY_RTOL = 1e-8
+# fixed probe generator: the linearity check must be deterministic
+_PROBE_SEED = 7541
+
+
+def frame_basis(frame) -> list[np.ndarray]:
+    """The frame operators E_k as matrices (E_0 = identity)."""
+    eye = np.eye(frame.size)
+    return [frame.from_coords(eye[:, k]) for k in range(frame.size)]
+
+
+def superop_matrix(map_fn, frame, restrict_traceless: bool = False) -> SuperOperator:
+    """Matrix [ <E_j, map(E_k)> ]_{jk} of a linear operator map.
+
+    The map is probed for linearity on fixed pseudo-random operators before
+    the matrix is assembled.
+    """
+    N = frame.dim
+    rng = np.random.default_rng(_PROBE_SEED)
+    X1 = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    X2 = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    a = 0.8 - 0.6j
+    lhs = map_fn(a * X1 + X2)
+    rhs = a * map_fn(X1) + map_fn(X2)
+    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
+    if np.linalg.norm(lhs - rhs) > LINEARITY_RTOL * scale:
+        raise ValueError("map is not linear on random probes")
+    cols = [frame.coords(map_fn(E)) for E in frame_basis(frame)]
+    M = np.stack(cols, axis=1)
+    if restrict_traceless:
+        return SuperOperator(frame, M[1:, 1:].copy(), True)
+    return SuperOperator(frame, M, False)
 
 
 def _moment_average(A: np.ndarray, moments: np.ndarray) -> float:

@@ -12,6 +12,7 @@ import pytest
 from exact_reference import stp_worst_ratio
 
 from lindgap import (
+    Analysis,
     GraphSpec,
     PAULI_X,
     PAULI_Z,
@@ -50,6 +51,10 @@ def record(number: int, description: str, failures: list[str]) -> None:
     status = "PASS" if not failures else "FAIL"
     RESULTS.append(f"criterion {number:2d} {status}  {description}")
     assert not failures, f"criterion {number}: " + "; ".join(failures)
+
+
+def split_form(H, LD, state):
+    return Analysis(build_gksl(H, LD.jumps), state)
 
 
 def rand_hermitian(rng, N):
@@ -99,10 +104,10 @@ def suite_certificates():
     """Certificates for every suite model, hypocoercive and coercive alike."""
     certs = []
     for name, H, LD, full, state in suite_models():
-        cert = certify(H, LD, state)
+        cert = certify(Analysis(full, state))
         certs.append((name, cert.nu, cert.T, cert.prefactor, full, state))
     for name, hm in haar_suite():
-        cert = certify_coercive(hm.lind, hm.state)
+        cert = certify_coercive(Analysis(hm.lind, hm.state))
         certs.append((name, cert.nu, cert.T, cert.prefactor, hm.lind, hm.state))
     return certs
 
@@ -132,11 +137,11 @@ def random_graph_model(rng):
 def test_criterion_01_large_coupling_limit():
     failures = []
     mixed = QuantumState.maximally_mixed(2)
-    limit = large_alpha_limit(QUBIT_H, QUBIT_LD, mixed)
+    limit = large_alpha_limit(split_form(QUBIT_H, QUBIT_LD, mixed))
     if abs(limit - 2.0) > 1e-9:
         failures.append(f"qubit limit {limit} != 2")
-    gap1000 = spectral_gap(build_gksl(QUBIT_H, QUBIT_LD.jumps, alpha=1000.0),
-                           mixed).spectral_gap
+    gap1000 = spectral_gap(Analysis(build_gksl(QUBIT_H, QUBIT_LD.jumps, alpha=1000.0),
+                                    mixed)).spectral_gap
     if abs(gap1000 - 2.0) >= 0.05:
         failures.append(f"qubit gap(1000) {gap1000} deviates from 2 by >= 0.05")
 
@@ -146,9 +151,9 @@ def test_criterion_01_large_coupling_limit():
     LD = build_gksl(np.zeros((4, 4)), jumps)
     for k in range(3):
         H = rand_hermitian(rng, 4)
-        lim = large_alpha_limit(H, LD, st4)
-        gap = spectral_gap(build_gksl(H, jumps, alpha=1000.0),
-                           st4).spectral_gap
+        lim = large_alpha_limit(split_form(H, LD, st4))
+        gap = spectral_gap(Analysis(build_gksl(H, jumps, alpha=1000.0),
+                                    st4)).spectral_gap
         if abs(gap - lim) >= 0.05 * lim:
             failures.append(f"2-qubit model {k}: gap(1e3) {gap} vs limit {lim}")
     record(1, "strong-coupling gap limit matches the blockwise minimum",
@@ -160,11 +165,11 @@ def test_criterion_02_coherent_acceleration():
     rng = np.random.default_rng(103)
     for k in range(10):
         m = random_graph_model(rng)
-        base = spectral_gap(m.lind, m.state).spectral_gap
+        base = spectral_gap(Analysis(m.lind, m.state)).spectral_gap
         H = np.diag(rng.uniform(-1.0, 1.0, size=m.state.dim)).astype(complex)
         for alpha in (0.1, 1.0, 10.0):
-            gap = spectral_gap(build_gksl(H, m.lind.jumps, alpha=alpha),
-                               m.state).spectral_gap
+            gap = spectral_gap(Analysis(build_gksl(H, m.lind.jumps, alpha=alpha),
+                                        m.state)).spectral_gap
             if gap < base - 1e-9:
                 failures.append(f"model {k} alpha={alpha}: "
                                 f"gap {gap} < dissipative gap {base}")
@@ -177,8 +182,7 @@ def test_criterion_03_closed_form_constants():
     for n in (1, 2, 3):
         for gamma in (0.7, 1.3):
             m = dephasing_walk(n, gamma, cycle_graph(2**n))
-            sc = structural_constants(m.lind.hamiltonian, m.lind.dissipator(),
-                                      m.state)
+            sc = structural_constants(split_form(m.lind.hamiltonian, m.lind, m.state))
             if abs(sc.lambda_D - 2 * gamma) > 1e-9:
                 failures.append(f"dephasing n={n}: lambda_D {sc.lambda_D}")
             if abs(sc.norm_LD - 2 * gamma * n) > 1e-9:
@@ -186,8 +190,7 @@ def test_criterion_03_closed_form_constants():
     for n in (2, 3):
         for h in (0.5, 1.0, 2.0):
             m = tfim(n, h, 1.0)
-            sc = structural_constants(m.lind.hamiltonian, m.lind.dissipator(),
-                                      m.state)
+            sc = structural_constants(split_form(m.lind.hamiltonian, m.lind, m.state))
             if abs(sc.s_H - 2 * h) > 1e-9:
                 failures.append(f"tfim n={n} h={h}: s_H {sc.s_H}")
     for sizes in ([2], [3], [4], [2, 3, 4]):
@@ -210,12 +213,13 @@ def test_criterion_04_certificates_hold_dynamically():
     failures = []
     rng = np.random.default_rng(107)
     for name, nu, T, C_T, full, state in suite_certificates():
-        lam = spectral_gap(full, state).spectral_gap
+        an = Analysis(full, state)
+        lam = spectral_gap(an).spectral_gap
         if nu > lam + 1e-9:
             failures.append(f"{name}: certified nu {nu} exceeds gap {lam}")
         X0 = rand_hermitian(rng, state.dim)
         ts = np.linspace(0.0, min(4.0 / nu, 2000.0), 20)
-        rep = time_avg_check(full, state, X0, T, nu, ts, C_T, slack=1e-6)
+        rep = time_avg_check(an, X0, T, nu, ts, C_T, slack=1e-6)
         if not rep.passed:
             failures.append(f"{name}: dynamics check failed "
                             f"(window {rep.worst_window_ratio}, "
@@ -227,10 +231,11 @@ def test_criterion_04_certificates_hold_dynamically():
 def test_criterion_05_empirical_rates():
     failures = []
     for name, _, _, full, state in suite_models():
-        lam = spectral_gap(full, state).spectral_gap
+        an = Analysis(full, state)
+        lam = spectral_gap(an).spectral_gap
         horizon = 50.0 / lam
         ts = np.linspace(horizon / 40.0, horizon, 40)
-        rate = semigroup_norm_curve(full, state, ts).empirical_rate
+        rate = semigroup_norm_curve(an, ts).empirical_rate
         if abs(rate - lam) > 0.05 * lam:
             failures.append(f"{name}: fitted rate {rate} vs gap {lam}")
     # self-adjoint members decay as a pure exponential
@@ -239,9 +244,10 @@ def test_criterion_05_empirical_rates():
     sa_members = [("chain", chain.lind, chain.state)]
     sa_members += [(name, hm.lind, hm.state) for name, hm in haar_suite()]
     for name, lind, state in sa_members:
-        lam = spectral_gap(lind, state).spectral_gap
+        an = Analysis(lind, state)
+        lam = spectral_gap(an).spectral_gap
         ts = np.linspace(0.2 / lam, 8.0 / lam, 12)
-        nc = semigroup_norm_curve(lind, state, ts)
+        nc = semigroup_norm_curve(an, ts)
         dev = np.abs(nc.norms / np.exp(-lam * ts) - 1.0).max()
         if dev > 1e-8:
             failures.append(f"{name}: exponential deviation {dev}")
@@ -259,19 +265,21 @@ def _stp_exactness(name, H, LD, state, rep) -> list[str]:
 def test_criterion_06_space_time_variance():
     failures = []
     for name, H, LD, full, state in suite_models():
-        sc = structural_constants(H, LD, state)
+        an = Analysis(full, state)
+        sc = structural_constants(an)
         T = 3.0 / sc.s_H
         for beta in (0.1, 1.0):
-            rep = stp_verify(H, LD, state, T, beta, n_samples=100,
+            rep = stp_verify(an, T, beta, n_samples=100,
                              poly_degree=3, seed=109, slack=1e-6)
             if not rep.passed:
                 failures.append(f"{name} beta={beta}: "
                                 f"worst ratio {rep.worst_ratio}")
             failures += _stp_exactness(name, H, LD, state, rep)
     name, hm = haar_suite()[1]
-    T = certify_coercive(hm.lind, hm.state).T
+    an = Analysis(hm.lind, hm.state)
+    T = certify_coercive(an).T
     for beta in (0.1, 1.0):
-        rep = stp_verify(np.zeros((3, 3)), hm.lind, hm.state, T, beta,
+        rep = stp_verify(an, T, beta,
                          n_samples=100, poly_degree=3, seed=109, slack=1e-6)
         if not rep.passed or not rep.trivial_kernel:
             failures.append(f"{name} beta={beta}: worst ratio {rep.worst_ratio}")
@@ -318,7 +326,8 @@ def test_criterion_07_canonical_path_bounds():
 
 def test_criterion_08_coupling_scaling():
     failures = []
-    sc = structural_constants(QUBIT_H, QUBIT_LD, QuantumState.maximally_mixed(2))
+    sc = structural_constants(split_form(QUBIT_H, QUBIT_LD,
+                                         QuantumState.maximally_mixed(2)))
     rep = alpha_gamma_scaling(sc)
     bounds = np.array(rep.alpha_bounds)
     if np.any(np.diff(bounds) < -1e-15):
@@ -354,7 +363,7 @@ def test_criterion_09_dms_comparison():
 def test_criterion_10_singular_value_consistency():
     failures = []
     for name, nu, T, _, full, state in suite_certificates():
-        ok, lhs, s = singular_relaxation_check(nu, T, full, state)
+        ok, lhs, s = singular_relaxation_check(Analysis(full, state), nu, T)
         if not ok:
             failures.append(f"{name}: 1/nu + T = {lhs} < 1/s = {1.0 / s}")
     record(10, "certified timescales respect the singular-value floor",

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from exact_reference import superop_matrix
 
 from lindgap import (
     GraphSpec,
@@ -19,7 +20,6 @@ from lindgap import (
     hypercube_graph,
     lift_model,
     single_jump_model,
-    superop_matrix,
     tfim,
 )
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lindgap import (
+    Analysis,
     QuantumState,
     StructuralConstants,
     alpha_gamma_scaling,
@@ -33,6 +34,10 @@ MIXED2 = QuantumState.maximally_mixed(2)
 QUBIT_LD = build_gksl(np.zeros((2, 2)), [(2.0, PAULI_Z)])
 
 
+def split_form(H, LD, state):
+    return Analysis(build_gksl(H, LD.jumps), state)
+
+
 def rand_hermitian(rng, N):
     B = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     return (B + B.conj().T) / 2
@@ -47,9 +52,8 @@ def test_assumption_holds_for_diagonal_kernel_any_h():
     st = QuantumState.maximally_mixed(4)
     LD = build_gksl(np.zeros((4, 4)), [(2.0, op_on_qubit(PAULI_Z, 0, 2)),
                                        (2.0, op_on_qubit(PAULI_Z, 1, 2))])
-    split = kernel_projection(LD, st)
     for _ in range(5):
-        ok, defect = check_assumption(rand_hermitian(rng, 4), split)
+        ok, defect = check_assumption(split_form(rand_hermitian(rng, 4), LD, st))
         assert ok and defect < 1e-10
 
 
@@ -58,17 +62,16 @@ def test_assumption_holds_for_graph_model_any_h():
     spec = GraphSpec(4, [(0, 2), (1, 3)])
     st = QuantumState(np.diag([0.3, 0.3, 0.2, 0.2]))
     m = graph_lindblad(spec, st)
-    split = kernel_projection(m.lind, st)
-    assert split.dim0 == 1
-    ok, defect = check_assumption(rand_hermitian(rng, 4), split)
+    an = split_form(rand_hermitian(rng, 4), m.lind, st)
+    assert kernel_projection(an).dim0 == 1
+    ok, defect = check_assumption(an)
     assert ok and defect < 1e-9
 
 
 def test_assumption_fails_for_trivial_kernel():
     LD = build_gksl(np.zeros((2, 2)),
                     [(1.0, PAULI_X), (1.0, PAULI_Y), (1.0, PAULI_Z)])
-    split = kernel_projection(LD, MIXED2)
-    ok, _ = check_assumption(PAULI_X, split)
+    ok, _ = check_assumption(split_form(PAULI_X, LD, MIXED2))
     assert not ok
 
 
@@ -77,8 +80,7 @@ def test_assumption_detects_mixing_inside_kernel():
     # qubit-1 Hamiltonian rotates within that kernel
     st = QuantumState.maximally_mixed(4)
     LD = build_gksl(np.zeros((4, 4)), [(2.0, op_on_qubit(PAULI_Z, 0, 2))])
-    split = kernel_projection(LD, st)
-    ok, defect = check_assumption(op_on_qubit(PAULI_Z, 1, 2), split)
+    ok, defect = check_assumption(split_form(op_on_qubit(PAULI_Z, 1, 2), LD, st))
     assert not ok
     assert defect > 0.1
 
@@ -88,7 +90,7 @@ def test_assumption_detects_mixing_inside_kernel():
 
 
 def test_constants_qubit_hand_values():
-    sc = structural_constants(PAULI_X, QUBIT_LD, MIXED2)
+    sc = structural_constants(split_form(PAULI_X, QUBIT_LD, MIXED2))
     assert sc.lambda_D == pytest.approx(4.0, abs=1e-10)
     assert sc.s_H == pytest.approx(2.0, abs=1e-10)
     assert sc.norm_LD == pytest.approx(4.0, abs=1e-10)
@@ -100,15 +102,14 @@ def test_constants_dephasing_scaling():
     for n in (1, 2, 3):
         for gamma in (0.5, 1.7):
             m = dephasing_walk(n, gamma, cycle_graph(2**n))
-            sc = structural_constants(m.lind.hamiltonian, m.lind.dissipator(),
-                                      m.state)
+            sc = structural_constants(split_form(m.lind.hamiltonian, m.lind, m.state))
             assert sc.lambda_D == pytest.approx(2 * gamma, abs=1e-9)
             assert sc.norm_LD == pytest.approx(2 * gamma * n, abs=1e-9)
 
 
 def test_constants_tfim_coupling():
     m = tfim(2, 1.0, 1.0)
-    sc = structural_constants(m.lind.hamiltonian, m.lind.dissipator(), m.state)
+    sc = structural_constants(split_form(m.lind.hamiltonian, m.lind, m.state))
     assert sc.s_H == pytest.approx(2.0, abs=1e-9)
 
 
@@ -116,12 +117,12 @@ def test_constants_reject_coercive():
     LD = build_gksl(np.zeros((2, 2)),
                     [(1.0, PAULI_X), (1.0, PAULI_Y), (1.0, PAULI_Z)])
     with pytest.raises(ValueError, match="coercive"):
-        structural_constants(PAULI_X, LD, MIXED2)
+        structural_constants(split_form(PAULI_X, LD, MIXED2))
 
 
 def test_constants_reject_unmoved_kernel():
     with pytest.raises(ValueError, match="primitive"):
-        structural_constants(PAULI_Z, QUBIT_LD, MIXED2)
+        structural_constants(split_form(PAULI_Z, QUBIT_LD, MIXED2))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +184,7 @@ def test_trivial_kernel_constants():
 
 
 def test_certify_qubit_pinned_values():
-    cert = certify(PAULI_X, QUBIT_LD, MIXED2)
+    cert = certify(split_form(PAULI_X, QUBIT_LD, MIXED2))
     assert cert.T == pytest.approx(1.5)
     assert cert.nu == pytest.approx(0.002757570502323634, rel=1e-12)
     assert cert.prefactor == pytest.approx(math.exp(cert.nu * cert.T),
@@ -200,15 +201,15 @@ def test_certify_qubit_pinned_values():
 
 
 def test_certify_respects_custom_window():
-    cert = certify(PAULI_X, QUBIT_LD, MIXED2, T=2.0)
-    sc = structural_constants(PAULI_X, QUBIT_LD, MIXED2)
+    cert = certify(split_form(PAULI_X, QUBIT_LD, MIXED2), T=2.0)
+    sc = structural_constants(split_form(PAULI_X, QUBIT_LD, MIXED2))
     assert cert.simplified_nu is None
     assert cert.nu == pytest.approx(rate_from_constants(sc, 2.0), rel=1e-12)
 
 
 def test_certify_never_exceeds_gap():
-    cert = certify(PAULI_X, QUBIT_LD, MIXED2)
-    lam = spectral_gap(build_gksl(PAULI_X, QUBIT_LD.jumps), MIXED2).spectral_gap
+    cert = certify(split_form(PAULI_X, QUBIT_LD, MIXED2))
+    lam = spectral_gap(Analysis(build_gksl(PAULI_X, QUBIT_LD.jumps), MIXED2)).spectral_gap
     assert cert.nu <= lam + 1e-9
 
 
@@ -216,30 +217,33 @@ def test_certify_rejects_coercive():
     LD = build_gksl(np.zeros((2, 2)),
                     [(1.0, PAULI_X), (1.0, PAULI_Y), (1.0, PAULI_Z)])
     with pytest.raises(ValueError, match="coercive"):
-        certify(PAULI_X, LD, MIXED2)
+        certify(split_form(PAULI_X, LD, MIXED2))
 
 
 def test_certify_rejects_kernel_mixing():
     st = QuantumState.maximally_mixed(4)
     LD = build_gksl(np.zeros((4, 4)), [(2.0, op_on_qubit(PAULI_Z, 0, 2))])
     with pytest.raises(ValueError, match="mixes"):
-        certify(op_on_qubit(PAULI_Z, 1, 2), LD, st)
+        certify(split_form(op_on_qubit(PAULI_Z, 1, 2), LD, st))
 
 
 def test_certify_coercive_route():
     LD = build_gksl(np.zeros((2, 2)),
                     [(1.0, PAULI_X), (1.0, PAULI_Y), (1.0, PAULI_Z)])
-    cert = certify_coercive(LD, MIXED2)
-    lam = spectral_gap(LD, MIXED2).spectral_gap
+    cert = certify_coercive(Analysis(LD, MIXED2))
+    lam = spectral_gap(Analysis(LD, MIXED2)).spectral_gap
     assert cert.nu == pytest.approx(lam, rel=1e-12)
     assert cert.prefactor == pytest.approx(math.exp(cert.nu * cert.T), rel=1e-12)
     assert cert.T == pytest.approx(1.0 / (2.0 * lam), rel=1e-12)
 
 
 def test_certify_coercive_rejects_coherent_generator():
-    L = build_gksl(PAULI_X, [(2.0, PAULI_Z)])
-    with pytest.raises(ValueError):
-        certify_coercive(L, MIXED2)
+    # the one-way jump E01 is not KMS-symmetric for the uniform state
+    E01_3 = np.zeros((3, 3))
+    E01_3[0, 1] = 1.0
+    LD = build_gksl(np.zeros((3, 3)), [(1.0, E01_3)])
+    with pytest.raises(ValueError, match="Hermitian"):
+        certify_coercive(Analysis(LD, QuantumState.maximally_mixed(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +251,7 @@ def test_certify_coercive_rejects_coherent_generator():
 
 
 def test_optimize_window_qubit():
-    sc = structural_constants(PAULI_X, QUBIT_LD, MIXED2)
+    sc = structural_constants(split_form(PAULI_X, QUBIT_LD, MIXED2))
     T_star, nu_star = optimize_T(sc)
     assert 0.3 / sc.s_H <= T_star <= 30.0 / sc.s_H
     assert nu_star >= simplified_rate(sc)
@@ -279,7 +283,7 @@ def test_optimize_window_rejects_empty_grid():
 
 
 def test_scaling_alpha_monotone_with_limit():
-    sc = structural_constants(PAULI_X, QUBIT_LD, MIXED2)
+    sc = structural_constants(split_form(PAULI_X, QUBIT_LD, MIXED2))
     rep = alpha_gamma_scaling(sc)
     C1, C2 = c_constants(sc, 3.0 / sc.s_H)
     assert rep.alpha_limit == pytest.approx(sc.lambda_D / C1**2, rel=1e-12)
@@ -290,7 +294,7 @@ def test_scaling_alpha_monotone_with_limit():
 
 
 def test_scaling_gamma_star_is_the_maximizer():
-    sc = structural_constants(PAULI_X, QUBIT_LD, MIXED2)
+    sc = structural_constants(split_form(PAULI_X, QUBIT_LD, MIXED2))
     rep = alpha_gamma_scaling(sc)
     C1, C2 = c_constants(sc, 3.0 / sc.s_H)
     assert rep.gamma_star == pytest.approx(C1 / (math.sqrt(sc.lambda_D) * C2),

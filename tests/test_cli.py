@@ -2,11 +2,13 @@
 
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lindgap import KmsFrame, Lindbladian
 from lindgap.cli import build_parser, main
 from lindgap.modelspec import _ENV_VARS, Tolerances
 
@@ -31,6 +33,12 @@ HAAR_COERCIVE = {
     "schema": "lindgap-model/1",
     "model": "haar_gibbs",
     "params": {"spectrum": [0.0, 1.0, 2.5], "beta": 1.0},
+}
+
+TFIM3 = {
+    "schema": "lindgap-model/1",
+    "model": "tfim",
+    "params": {"n": 3, "h": 0.75, "gamma": 1.25},
 }
 
 CERT_NU = 0.002757570502323634
@@ -122,12 +130,18 @@ def test_certify_emits_pinned_certificate(tmp_path, qubit_spec):
     assert rep["singular_check"]["ok"] is True
 
 
-def test_certify_is_deterministic(tmp_path, qubit_spec):
+@pytest.mark.parametrize("command", ["structure", "gap", "certify", "validate", "stp"])
+def test_certify_is_deterministic(tmp_path, qubit_spec, command):
+    extra = []
+    if command == "validate":
+        extra = ["--certificate", str(emit_certificate(tmp_path, qubit_spec))]
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["certify", "--spec", qubit_spec, "--out", str(out1)]) == 0
-    assert main(["certify", "--spec", qubit_spec, "--out", str(out2)]) == 0
-    assert (out1 / "certificate.json").read_bytes() \
-        == (out2 / "certificate.json").read_bytes()
+    assert main([command, "--spec", qubit_spec, "--out", str(out1)] + extra) == 0
+    assert main([command, "--spec", qubit_spec, "--out", str(out2)] + extra) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names and names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_certify_refuses_coercive_model(tmp_path, capsys):
@@ -168,11 +182,7 @@ def test_validate_accepts_emitted_certificate(tmp_path, qubit_spec):
 
 
 def test_validate_passes_on_tfim_with_default_flags(tmp_path):
-    spec = write_spec(tmp_path / "tfim.json", {
-        "schema": "lindgap-model/1",
-        "model": "tfim",
-        "params": {"n": 3, "h": 0.75, "gamma": 1.25},
-    })
+    spec = write_spec(tmp_path / "tfim.json", TFIM3)
     cert = emit_certificate(tmp_path, spec)
     out = tmp_path / "val"
     assert main(["validate", "--spec", spec, "--out", str(out),
@@ -263,6 +273,38 @@ def test_stp_rejects_bad_beta(tmp_path, qubit_spec, capsys):
 
 
 # ---------------------------------------------------------------------------
+# one analysis per command
+
+
+# (frames, unit matrices) per call: structure adds the GNS frame, its GNS
+# generator matrix and the unit matrix inside standard_dbc_solve
+BUILDS = {"structure": (2, 4), "gap": (1, 2), "certify": (1, 3), "stp": (1, 2),
+          "validate": (1, 3)}
+
+
+@pytest.mark.parametrize("command", list(BUILDS))
+def test_each_command_builds_one_analysis(tmp_path, monkeypatch, command):
+    spec = write_spec(tmp_path / "tfim.json", TFIM3)
+    argv = [command, "--spec", spec, "--out", str(tmp_path / command)]
+    if command == "validate":
+        argv += ["--certificate", str(emit_certificate(tmp_path, spec))]
+    counts = Counter()
+
+    def counted(what, fn):
+        def wrapper(*args, **kwargs):
+            counts[what] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # patching the classes sees every call site, whatever name it imported
+    monkeypatch.setattr(KmsFrame, "__init__", counted("frames", KmsFrame.__init__))
+    monkeypatch.setattr(Lindbladian, "unit_matrix",
+                        counted("units", Lindbladian.unit_matrix))
+    assert main(argv) == 0
+    assert (counts["frames"], counts["units"]) == BUILDS[command]
+
+
+# ---------------------------------------------------------------------------
 # spec and environment errors
 
 
@@ -349,6 +391,12 @@ def test_env_overrides_are_one_list():
     table = [line for line in section.splitlines() if line.startswith("|")]
     assert set(re.findall(r"`(LINDGAP_\w+)`", "\n".join(table))) \
         == set(_ENV_VARS.values())
+
+
+def test_readme_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
 
 
 def test_version_and_help(capsys):

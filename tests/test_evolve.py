@@ -8,6 +8,7 @@ from exact_reference import lyapunov_window_gramian, stp_worst_ratio
 from scipy.linalg import expm
 
 from lindgap import (
+    Analysis,
     DecayCurve,
     GraphSpec,
     PAULI_X,
@@ -34,6 +35,7 @@ from lindgap import (
 
 MIXED2 = QuantumState.maximally_mixed(2)
 QUBIT = build_gksl(PAULI_X, [(2.0, PAULI_Z)])
+QUBIT_AN = Analysis(QUBIT, MIXED2)
 
 CERT_NU = 0.002757570502323634
 CERT_T = 1.5
@@ -43,6 +45,10 @@ CERT_CT = 1.0041449222802734
 def rand_hermitian(rng, N):
     B = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     return (B + B.conj().T) / 2
+
+
+def split_form(H, LD, state):
+    return Analysis(build_gksl(H, LD.jumps), state)
 
 
 def two_vertex_model():
@@ -57,23 +63,23 @@ def two_vertex_model():
 def test_propagate_identity_at_zero_time():
     rng = np.random.default_rng(81)
     X0 = rand_hermitian(rng, 2)
-    assert np.abs(propagate(QUBIT, MIXED2, X0, 0.0) - X0).max() < 1e-12
+    assert np.abs(propagate(QUBIT_AN, X0, 0.0) - X0).max() < 1e-12
 
 
 def test_propagate_relaxes_to_the_mean():
     rng = np.random.default_rng(83)
     X0 = rand_hermitian(rng, 2)
     mean = np.trace(MIXED2.matrix @ X0).real
-    Xt = propagate(QUBIT, MIXED2, X0, 200.0)
+    Xt = propagate(QUBIT_AN, X0, 200.0)
     assert np.abs(Xt - mean * np.eye(2)).max() < 1e-10
 
 
 def test_propagate_rejects_negative_time_and_drifting_mean():
     with pytest.raises(ValueError, match="nonnegative"):
-        propagate(QUBIT, MIXED2, PAULI_Z, -1.0)
+        propagate(QUBIT_AN, PAULI_Z, -1.0)
     wrong = QuantumState(np.diag([0.7, 0.3]))
     with pytest.raises(ValueError, match="not invariant"):
-        propagate(QUBIT, wrong, PAULI_Z, 1.0)
+        propagate(Analysis(QUBIT, wrong), PAULI_Z, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +90,7 @@ def test_decay_curve_monotone_with_windows():
     rng = np.random.default_rng(85)
     X0 = rand_hermitian(rng, 2)
     ts = np.linspace(0.0, 5.0, 12)
-    dc = decay_curve(QUBIT, MIXED2, X0, ts, window_T=1.5)
+    dc = decay_curve(QUBIT_AN, X0, ts, window_T=1.5)
     assert np.all(np.diff(dc.values) <= 1e-12 * dc.values[0])
     assert np.all(np.diff(dc.window_values) <= 1e-12 * dc.window_values[0])
 
@@ -94,7 +100,7 @@ def test_decay_curve_eigenvector_is_pure_exponential():
     kappa = m.kappa[0, 1]
     X0 = matrix_unit(2, 0, 1) + matrix_unit(2, 1, 0)
     ts = np.linspace(0.0, 2.0, 9)
-    dc = decay_curve(m.lind, m.state, X0, ts)
+    dc = decay_curve(Analysis(m.lind, m.state), X0, ts)
     expected = dc.values[0] * np.exp(2.0 * kappa * ts)
     assert np.abs(dc.values - expected).max() < 1e-8 * dc.values[0]
 
@@ -116,7 +122,7 @@ def test_cert_check_passes_emitted_certificate():
     rng = np.random.default_rng(87)
     X0 = rand_hermitian(rng, 2)
     ts = np.linspace(0.0, 30.0, 8)
-    rep = time_avg_check(QUBIT, MIXED2, X0, CERT_T, CERT_NU, ts, CERT_CT)
+    rep = time_avg_check(QUBIT_AN, X0, CERT_T, CERT_NU, ts, CERT_CT)
     assert rep.passed and rep.window_ok and rep.pointwise_ok
     assert rep.worst_window_ratio <= 1.0 + 1e-6
     assert rep.worst_pointwise_ratio <= 1.0 + 1e-6
@@ -150,7 +156,7 @@ def test_window_average_closed_form_for_detailed_balance(lind, state):
         nz = np.abs(x) > 1e-300
         f[nz] = -np.expm1(-x[nz]) / x[nz]
         exact = float(np.sum(np.abs(c) ** 2 * f))
-        rep = time_avg_check(lind, state, X0, T, 1e-3, [0.0], 1.0)
+        rep = time_avg_check(Analysis(lind, state), X0, T, 1e-3, [0.0], 1.0)
         assert abs(rep.window_values[0] - exact) <= 1e-12 * exact
 
 
@@ -180,14 +186,14 @@ def test_cert_check_rejects_inflated_rate():
     rng = np.random.default_rng(89)
     X0 = rand_hermitian(rng, 2)
     ts = np.linspace(0.0, 20.0, 9)
-    rep = time_avg_check(QUBIT, MIXED2, X0, CERT_T, 4.0, ts, 1.1)
+    rep = time_avg_check(QUBIT_AN, X0, CERT_T, 4.0, ts, 1.1)
     assert not rep.passed
     assert rep.worst_window_ratio > 10.0
 
 
 def test_cert_check_constant_observable_is_trivial():
     ts = np.linspace(0.0, 10.0, 5)
-    rep = time_avg_check(QUBIT, MIXED2, np.eye(2), CERT_T, CERT_NU, ts, CERT_CT)
+    rep = time_avg_check(QUBIT_AN, np.eye(2), CERT_T, CERT_NU, ts, CERT_CT)
     # coords of a constant are rounding noise that evolves like the true
     # dynamics, so the ratios sit at or below 1 instead of at 0
     assert rep.passed
@@ -198,20 +204,20 @@ def test_cert_check_survives_underflowed_decay():
     # e^{-nu t} underflows at nu*t > 745; the bound is then vacuously true
     rng = np.random.default_rng(91)
     X0 = rand_hermitian(rng, 2)
-    rep = time_avg_check(QUBIT, MIXED2, X0, CERT_T, 4.0, [0.0, 500.0], 1.1)
+    rep = time_avg_check(QUBIT_AN, X0, CERT_T, 4.0, [0.0, 500.0], 1.1)
     assert rep.passed
     assert math.isfinite(rep.worst_window_ratio)
 
 
 def test_cert_check_validates_inputs():
     with pytest.raises(ValueError):
-        time_avg_check(QUBIT, MIXED2, PAULI_Z, 0.0, 1.0, [0.0], 1.0)
+        time_avg_check(QUBIT_AN, PAULI_Z, 0.0, 1.0, [0.0], 1.0)
     with pytest.raises(ValueError):
-        time_avg_check(QUBIT, MIXED2, PAULI_Z, 1.0, -1.0, [0.0], 1.0)
+        time_avg_check(QUBIT_AN, PAULI_Z, 1.0, -1.0, [0.0], 1.0)
     with pytest.raises(ValueError):
-        time_avg_check(QUBIT, MIXED2, PAULI_Z, 1.0, 1.0, [0.0], 0.9)
+        time_avg_check(QUBIT_AN, PAULI_Z, 1.0, 1.0, [0.0], 0.9)
     with pytest.raises(ValueError):
-        time_avg_check(QUBIT, MIXED2, PAULI_Z, 1.0, 1.0, [-1.0], 1.0)
+        time_avg_check(QUBIT_AN, PAULI_Z, 1.0, 1.0, [-1.0], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +226,7 @@ def test_cert_check_validates_inputs():
 
 def test_norm_curve_recovers_qubit_gap():
     ts = np.linspace(0.625, 25.0, 40)
-    nc = semigroup_norm_curve(QUBIT, MIXED2, ts)
+    nc = semigroup_norm_curve(QUBIT_AN, ts)
     assert abs(nc.empirical_rate - 2.0) / 2.0 < 0.05
     assert nc.range_warning is None
 
@@ -228,30 +234,30 @@ def test_norm_curve_recovers_qubit_gap():
 def test_norm_curve_exact_for_self_adjoint_generator():
     m = two_vertex_model()
     ts = np.linspace(0.1, 3.0, 15)
-    nc = semigroup_norm_curve(m.lind, m.state, ts)
+    nc = semigroup_norm_curve(Analysis(m.lind, m.state), ts)
     assert np.abs(nc.norms - np.exp(-m.lambda_D * ts)).max() < 1e-8
 
 
 def test_norm_curve_flags_short_time_range():
-    nc = semigroup_norm_curve(QUBIT, MIXED2, np.linspace(0.05, 0.5, 10))
+    nc = semigroup_norm_curve(QUBIT_AN, np.linspace(0.05, 0.5, 10))
     assert nc.range_warning is not None
     assert "five decay times" in nc.range_warning
 
 
 def test_norm_curve_flags_underflow():
-    nc = semigroup_norm_curve(QUBIT, MIXED2, np.linspace(1.0, 400.0, 10))
+    nc = semigroup_norm_curve(QUBIT_AN, np.linspace(1.0, 400.0, 10))
     assert nc.range_warning == "norms underflowed inside the fit window"
     assert math.isfinite(nc.empirical_rate)
-    late = semigroup_norm_curve(QUBIT, MIXED2, np.linspace(400.0, 800.0, 6))
+    late = semigroup_norm_curve(QUBIT_AN, np.linspace(400.0, 800.0, 6))
     assert late.range_warning == "norms underflowed before the fit window"
     assert math.isnan(late.empirical_rate)
 
 
 def test_norm_curve_validates_grid():
     with pytest.raises(ValueError, match="increasing"):
-        semigroup_norm_curve(QUBIT, MIXED2, [2.0, 1.0, 3.0])
+        semigroup_norm_curve(QUBIT_AN, [2.0, 1.0, 3.0])
     with pytest.raises(ValueError, match="two points"):
-        semigroup_norm_curve(QUBIT, MIXED2, [1.0, 2.0])
+        semigroup_norm_curve(QUBIT_AN, [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +266,14 @@ def test_norm_curve_validates_grid():
 
 def test_stp_qubit_random_paths():
     LD = build_gksl(np.zeros((2, 2)), [(2.0, PAULI_Z)])
-    rep = stp_verify(PAULI_X, LD, MIXED2, T=1.5, beta=0.5,
+    rep = stp_verify(split_form(PAULI_X, LD, MIXED2), T=1.5, beta=0.5,
                      n_samples=30, seed=1)
     assert rep.passed
     assert rep.worst_ratio <= 1.0 + 1e-6
     assert not rep.trivial_kernel
     assert rep.worst_ratio == pytest.approx(
         stp_worst_ratio(PAULI_X, LD, MIXED2, rep), rel=1e-10)
-    sc = structural_constants(PAULI_X, LD, MIXED2)
+    sc = structural_constants(split_form(PAULI_X, LD, MIXED2))
     C1, C2 = c_constants(sc, 1.5, 0.5)
     assert rep.C1 == pytest.approx(C1, rel=1e-12)
     assert rep.C2 == pytest.approx(C2, rel=1e-12)
@@ -275,14 +281,14 @@ def test_stp_qubit_random_paths():
 
 def test_stp_is_deterministic_per_seed():
     LD = build_gksl(np.zeros((2, 2)), [(2.0, PAULI_Z)])
-    a = stp_verify(PAULI_X, LD, MIXED2, T=1.0, beta=1.0, n_samples=5, seed=7)
-    b = stp_verify(PAULI_X, LD, MIXED2, T=1.0, beta=1.0, n_samples=5, seed=7)
+    a = stp_verify(split_form(PAULI_X, LD, MIXED2), T=1.0, beta=1.0, n_samples=5, seed=7)
+    b = stp_verify(split_form(PAULI_X, LD, MIXED2), T=1.0, beta=1.0, n_samples=5, seed=7)
     assert a.worst_ratio == b.worst_ratio
 
 
 def test_stp_trivial_kernel_route():
     hm = haar_avg_gibbs([0.0, 1.0, 2.5], 1.0)
-    rep = stp_verify(np.zeros((3, 3)), hm.lind, hm.state, T=0.8, beta=0.5,
+    rep = stp_verify(split_form(np.zeros((3, 3)), hm.lind, hm.state), T=0.8, beta=0.5,
                      n_samples=20, seed=3)
     assert rep.trivial_kernel
     assert rep.passed
@@ -292,24 +298,24 @@ def test_stp_rejects_kernel_mixing_hamiltonian():
     st = QuantumState.maximally_mixed(4)
     LD = build_gksl(np.zeros((4, 4)), [(2.0, op_on_qubit(PAULI_Z, 0, 2))])
     with pytest.raises(ValueError, match="mixes"):
-        stp_verify(op_on_qubit(PAULI_Z, 1, 2), LD, st, T=1.0, beta=0.5,
+        stp_verify(split_form(op_on_qubit(PAULI_Z, 1, 2), LD, st), T=1.0, beta=0.5,
                    n_samples=2)
 
 
 def test_stp_rejects_asymmetric_dissipator():
     LD = build_gksl(np.zeros((2, 2)), [(1.0, matrix_unit(2, 0, 1))])
     with pytest.raises(ValueError, match="symmetric"):
-        stp_verify(PAULI_X, LD, MIXED2, T=1.0, beta=0.5, n_samples=2)
+        stp_verify(split_form(PAULI_X, LD, MIXED2), T=1.0, beta=0.5, n_samples=2)
 
 
 def test_stp_validates_inputs():
     LD = build_gksl(np.zeros((2, 2)), [(2.0, PAULI_Z)])
     with pytest.raises(ValueError, match="beta"):
-        stp_verify(PAULI_X, LD, MIXED2, T=1.0, beta=0.0)
+        stp_verify(split_form(PAULI_X, LD, MIXED2), T=1.0, beta=0.0)
     with pytest.raises(ValueError, match="T"):
-        stp_verify(PAULI_X, LD, MIXED2, T=0.0, beta=1.0)
+        stp_verify(split_form(PAULI_X, LD, MIXED2), T=0.0, beta=1.0)
     with pytest.raises(ValueError):
-        stp_verify(PAULI_X, LD, MIXED2, T=1.0, beta=1.0, n_samples=0)
+        stp_verify(split_form(PAULI_X, LD, MIXED2), T=1.0, beta=1.0, n_samples=0)
 
 
 def test_stp_includes_dephasing_walk():
@@ -317,6 +323,6 @@ def test_stp_includes_dephasing_walk():
 
     m = dephasing_walk(1, 1.0, cycle_graph(2))
     LD = build_gksl(np.zeros((2, 2)), dephasing_jumps(1, 1.0))
-    rep = stp_verify(m.lind.hamiltonian, LD, m.state, T=1.0, beta=1.0,
+    rep = stp_verify(split_form(m.lind.hamiltonian, LD, m.state), T=1.0, beta=1.0,
                      n_samples=15, seed=11)
     assert rep.passed

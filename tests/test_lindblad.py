@@ -7,6 +7,7 @@ import pytest
 from exact_reference import lstsq_dbc_solve, stacked_commutant_sv
 
 from lindgap import (
+    Analysis,
     GraphSpec,
     KmsFrame,
     QuantumState,
@@ -152,7 +153,7 @@ def test_invariance_residual_positive_for_wrong_state():
 def test_structure_qubit_coherent_plus_dephasing():
     L = build_gksl(PAULI_X, [(1.0, PAULI_Z)])
     st = QuantumState.maximally_mixed(2)
-    rep = structure_report(L, st)
+    rep = structure_report(Analysis(L, st))
     assert rep.invariant_state_ok
     assert rep.primitive
     assert rep.commutant_dim == 1
@@ -168,7 +169,7 @@ def test_structure_qubit_coherent_plus_dephasing():
 
 def test_structure_dbc_recovery_scales_with_alpha():
     L = build_gksl(PAULI_X, [(1.0, PAULI_Z)], alpha=2.5)
-    rep = structure_report(L, QuantumState.maximally_mixed(2))
+    rep = structure_report(Analysis(L, QuantumState.maximally_mixed(2)))
     K = rep.standard_dbc_K
     K0 = K - np.trace(K) / 2 * np.eye(2)
     assert np.abs(K0 - 2.5 * PAULI_X).max() < 1e-8
@@ -176,7 +177,7 @@ def test_structure_dbc_recovery_scales_with_alpha():
 
 def test_structure_dephasing_alone_not_primitive():
     L = build_gksl(np.zeros((2, 2)), [(1.0, PAULI_Z)])
-    rep = structure_report(L, QuantumState.maximally_mixed(2))
+    rep = structure_report(Analysis(L, QuantumState.maximally_mixed(2)))
     assert not rep.primitive
     assert rep.kernel_dim_LD == 2
     assert rep.kms_db and rep.gns_db
@@ -187,7 +188,7 @@ def test_structure_dephasing_kernel_grows_as_diagonal_algebra():
     for n in (1, 2, 3):
         N = 2**n
         L = build_gksl(np.zeros((N, N)), dephasing_jumps(n, 1.0))
-        rep = structure_report(L, QuantumState.maximally_mixed(N))
+        rep = structure_report(Analysis(L, QuantumState.maximally_mixed(N)))
         assert rep.kernel_dim_LD == N
         assert rep.commutant_dim == N
 
@@ -197,7 +198,7 @@ def test_structure_coercive_classification():
     st = QuantumState.maximally_mixed(2)
     L = build_gksl(np.zeros((2, 2)),
                    [(1.0, PAULI_X), (1.0, PAULI_Y), (1.0, PAULI_Z)])
-    rep = structure_report(L, st)
+    rep = structure_report(Analysis(L, st))
     assert rep.classification == "coercive"
     assert rep.primitive
 
@@ -205,11 +206,19 @@ def test_structure_coercive_classification():
 def test_structure_rejects_non_invariant_state():
     L = build_gksl(np.zeros((2, 2)), [(1.0, E01)])
     with pytest.raises(ValueError, match="invariant"):
-        structure_report(L, QuantumState.maximally_mixed(2))
+        structure_report(Analysis(L, QuantumState.maximally_mixed(2)))
 
 
 # ---------------------------------------------------------------------------
 # standard_dbc_solve
+
+
+def _analysis_in_frame(L, frame):
+    # standard_dbc_solve reads only the generator and the frame of its
+    # analysis, so the closed form can be checked in any weighted frame
+    an = Analysis(L, frame.state)
+    an.frame = frame
+    return an
 
 
 def _random_unitary(rng, N):
@@ -234,7 +243,7 @@ def test_dbc_closed_form_matches_least_squares(N, s):
         st = QuantumState.from_eigenvalues(rng.uniform(0.1, 1.0, size=N),
                                            _random_unitary(rng, N))
         frame = KmsFrame(st, s)
-        K, defect = standard_dbc_solve(L, frame)
+        K, defect = standard_dbc_solve(_analysis_in_frame(L, frame))
         K_ref, defect_ref = lstsq_dbc_solve(L, frame)
         assert np.linalg.norm(K - K_ref) <= 1e-10 * np.linalg.norm(K_ref)
         assert abs(defect - defect_ref) <= 1e-12
@@ -256,7 +265,7 @@ def test_dbc_recovers_commuting_hamiltonian_for_gibbs_state(s):
     alpha = 1.7
     jumps = [(w, V @ Lj @ V.conj().T) for w, Lj in base.lind.jumps]
     L = build_gksl(H, jumps, alpha=alpha)
-    K, defect = standard_dbc_solve(L, KmsFrame(st, s))
+    K, defect = standard_dbc_solve(_analysis_in_frame(L, KmsFrame(st, s)))
     K_true = alpha * (H - np.trace(H) / len(lam) * np.eye(len(lam)))
     assert defect < 1e-12
     assert np.linalg.norm(K - K_true) <= 1e-10 * np.linalg.norm(K_true)
@@ -266,7 +275,7 @@ def test_dbc_recovers_weak_coherent_part():
     # ||L - L*|| is 1e-9 of ||L||: still a commutator to fit, not zero
     m = tfim(2, 0.9, 1.1)
     L = build_gksl(m.lind.hamiltonian, m.lind.jumps, alpha=1e-9)
-    K, defect = standard_dbc_solve(L, kms_frame(m.state))
+    K, defect = standard_dbc_solve(Analysis(L, m.state))
     H = 1e-9 * m.lind.hamiltonian
     assert defect < 1e-6
     assert np.linalg.norm(K - H) <= 1e-6 * np.linalg.norm(H)
@@ -277,7 +286,7 @@ def test_dbc_solve_runs_at_32_levels():
     # A least squares over the 1023 commutator columns would need ~17 GB here.
     m = tfim(5, 0.9, 1.1)
     H = m.lind.hamiltonian
-    K, defect = standard_dbc_solve(m.lind, kms_frame(m.state))
+    K, defect = standard_dbc_solve(Analysis(m.lind, m.state))
     assert defect < 1e-12
     assert np.linalg.norm(K - H) <= 1e-10 * np.linalg.norm(H)
 
@@ -286,10 +295,10 @@ def test_dbc_solve_memory_stays_quartic():
     # N = 16: one N^2 x N^2 complex matrix is 1 MB; the least-squares design
     # matrix took 541 MB of traced allocations
     m = tfim(4, 0.9, 1.1)
-    frame = kms_frame(m.state)
+    an = Analysis(m.lind, m.state)
     tracemalloc.start()
     try:
-        standard_dbc_solve(m.lind, frame)
+        standard_dbc_solve(an)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -303,12 +312,12 @@ def test_dbc_solve_memory_stays_quartic():
 def test_kernel_projection_dephasing_qubit():
     st = QuantumState.maximally_mixed(2)
     LD = build_gksl(np.zeros((2, 2)), [(1.0, PAULI_Z)])
-    split = kernel_projection(LD, st)
+    an = Analysis(LD, st)
+    split = kernel_projection(an)
     assert split.dim0 == 1
     assert split.dim_plus == 2
     # the kernel direction is Z
-    fr = split.frame
-    cz = fr.coords(PAULI_Z)[1:]
+    cz = an.frame.coords(PAULI_Z)[1:]
     assert np.linalg.norm(split.pi0.matrix @ cz - cz) < 1e-10
     P = split.pi0.matrix
     assert np.abs(P @ P - P).max() < 1e-10
@@ -323,7 +332,7 @@ def test_kernel_projection_rejects_non_db_dissipator():
     E01_3[0, 1] = 1.0
     LD = build_gksl(np.zeros((3, 3)), [(1.0, E01_3)])
     with pytest.raises(ValueError, match="Hermitian"):
-        kernel_projection(LD, st)
+        kernel_projection(Analysis(LD, st))
 
 
 # ---------------------------------------------------------------------------

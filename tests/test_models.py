@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from exact_reference import superop_matrix
 
 from lindgap import (
+    Analysis,
     GraphSpec,
     PAULI_X,
     PAULI_Z,
     QuantumState,
     bfs_paths,
     birth_death_spectrum,
+    build_gksl,
     canonical_path_bound,
     cycle_graph,
     dephasing_walk,
@@ -28,9 +31,12 @@ from lindgap import (
     spectral_gap,
     structural_constants,
     structure_report,
-    superop_matrix,
     tfim,
 )
+
+
+def split_form(H, LD, state):
+    return Analysis(build_gksl(H, LD.jumps), state)
 
 
 def dissipation_spectrum(lind, state):
@@ -51,7 +57,7 @@ def test_single_jump_qubit_constants():
     assert m.s_H == pytest.approx(2.0, abs=1e-12)
     assert m.primitive
     assert m.nu_closed == pytest.approx(0.002635081182688555, rel=1e-12)
-    sc = structural_constants(PAULI_X, m.lind.dissipator(), m.state)
+    sc = structural_constants(split_form(PAULI_X, m.lind, m.state))
     assert sc.lambda_D == pytest.approx(m.lambda_D, abs=1e-10)
     assert sc.s_H == pytest.approx(m.s_H, abs=1e-10)
 
@@ -67,7 +73,7 @@ def test_single_jump_three_level_constants():
     assert w[:3].max() < 1e-10
     assert w[3] == pytest.approx(m.lambda_D, abs=1e-10)
     assert w[-1] == pytest.approx(m.norm_LD, abs=1e-10)
-    sc = structural_constants(H, m.lind.dissipator(), m.state)
+    sc = structural_constants(split_form(H, m.lind, m.state))
     assert sc.s_H == pytest.approx(m.s_H, abs=1e-10)
 
 
@@ -163,7 +169,7 @@ def test_walk_constants_match_generic_route():
     assert m.lambda_D == pytest.approx(2.0)
     assert m.norm_LD == pytest.approx(4.0)
     assert m.s_H == pytest.approx(2.0)
-    sc = structural_constants(m.lind.hamiltonian, m.lind.dissipator(), m.state)
+    sc = structural_constants(split_form(m.lind.hamiltonian, m.lind, m.state))
     assert sc.lambda_D == pytest.approx(m.lambda_D, abs=1e-9)
     assert sc.norm_LD == pytest.approx(m.norm_LD, abs=1e-9)
     assert sc.s_H == pytest.approx(m.s_H, abs=1e-9)
@@ -201,7 +207,7 @@ def test_walk_rejects_bad_graphs():
 
 def test_tfim_coupling_strength():
     m = tfim(2, 1.0, 1.0)
-    sc = structural_constants(m.lind.hamiltonian, m.lind.dissipator(), m.state)
+    sc = structural_constants(split_form(m.lind.hamiltonian, m.lind, m.state))
     assert sc.s_H == pytest.approx(2.0, abs=1e-9)
     assert sc.lambda_D == pytest.approx(2.0, abs=1e-9)
     assert sc.norm_LD == pytest.approx(4.0, abs=1e-9)
@@ -250,10 +256,10 @@ def test_graph_model_is_detailed_balanced():
     spec = GraphSpec(3, [(0, 1), (1, 2)], weights={(0, 1): 0.5, (1, 2): 2.0})
     st = QuantumState(np.diag([0.5, 0.3, 0.2]))
     m = graph_lindblad(spec, st)
-    rep = structure_report(m.lind, st)
+    rep = structure_report(Analysis(m.lind, st))
     assert rep.kms_db
     assert rep.primitive
-    gap = spectral_gap(m.lind, st)
+    gap = spectral_gap(Analysis(m.lind, st))
     assert gap.spectral_gap == pytest.approx(m.lambda_D, rel=1e-10)
 
 
@@ -300,7 +306,7 @@ def test_graph_cert_two_components_pinned():
     assert rep.primitive
     assert rep.s_H == pytest.approx(2.0, abs=1e-12)
     assert rep.nu_closed == pytest.approx(0.0019099560875243447, rel=1e-12)
-    sc = structural_constants(H, m.lind, m.state)
+    sc = structural_constants(split_form(H, m.lind, m.state))
     assert sc.s_H == pytest.approx(rep.s_H, abs=1e-9)
 
 
@@ -374,7 +380,7 @@ def test_haar_gibbs_pinned_three_level():
     assert hm.q0_weight == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert hm.model.lambda_D == pytest.approx(0.835687213335661, rel=1e-12)
     assert hm.model.norm_LD == pytest.approx(1.9933871037856927, rel=1e-12)
-    rep = structure_report(hm.lind, hm.state)
+    rep = structure_report(Analysis(hm.lind, hm.state))
     assert rep.kms_db
     assert rep.primitive
 
