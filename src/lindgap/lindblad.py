@@ -60,18 +60,23 @@ class Lindbladian:
         G = i alpha (H x 1 - 1 x H^T) + sum_j w_j (L_j^dag x L_j^T - 1/2 L_j^dag L_j x 1
                                                    - 1/2 1 x (L_j^dag L_j)^T),  x = kron.
         """
-        def rot(A):
-            return A if basis is None else dag(basis) @ A @ basis
-
-        eye = np.eye(self.dim)
-        H = rot(self.hamiltonian)
-        G = 1j * self.alpha * (np.kron(H, eye) - np.kron(eye, H.T))
-        damping = np.zeros((self.dim, self.dim), dtype=complex)
-        for w, L in self.jumps:
-            L = rot(L)
-            G += w * np.kron(dag(L), L.T)
-            damping += w * (dag(L) @ L)
-        G -= 0.5 * (np.kron(damping, eye) + np.kron(eye, damping.T))
+        N = self.dim
+        H = self.hamiltonian
+        w = np.array([w for w, _ in self.jumps], dtype=float)
+        Ls = np.array([L for _, L in self.jumps], dtype=complex).reshape(-1, N, N)
+        if basis is not None:
+            H = dag(basis) @ H @ basis
+            Ls = dag(basis) @ Ls @ basis
+        Lc = Ls.conj()
+        # the jump sum as one product over the jump axis: entry [(i, k), (j, l)]
+        # is sum_m w_m conj(L_m[j, i]) L_m[l, k]
+        G = np.tensordot(w[:, None, None] * Lc, Ls, axes=(0, 0)) \
+            .transpose(1, 3, 0, 2).reshape(N * N, N * N)
+        damping = np.einsum("m,mji,mjk->ik", w, Lc, Ls)
+        eye = np.eye(N)
+        coherent = 1j * self.alpha * H
+        G += np.kron(coherent - 0.5 * damping, eye) \
+            - np.kron(eye, (coherent + 0.5 * damping).T)
         return G
 
     def apply_adjoint(self, rho) -> Matrix:
@@ -194,9 +199,13 @@ def hermiticity_defect(M: Matrix) -> float:
     scale = np.linalg.norm(M, 2)
     if scale < 1e-30:
         return 0.0
-    # M - M^dag is exactly anti-Hermitian in floating point, so i(M - M^dag)
-    # is Hermitian and its largest |eigenvalue| is the norm
-    return float(np.abs(np.linalg.eigvalsh(1j * (M - dag(M)))).max() / scale)
+    D = M - dag(M)
+    if np.isrealobj(D):
+        # D is antisymmetric: its squared norm is the top eigenvalue of D^T D
+        return float(np.sqrt(max(np.linalg.eigvalsh(D.T @ D)[-1], 0.0)) / scale)
+    # D is exactly anti-Hermitian in floating point, so iD is Hermitian and its
+    # largest |eigenvalue| is the norm
+    return float(np.abs(np.linalg.eigvalsh(1j * D)).max() / scale)
 
 
 class Analysis:
@@ -220,6 +229,8 @@ class Analysis:
 
     @cached_property
     def M(self) -> Matrix:
+        if not self.H.any():  # no coherent part: L is L^D
+            return self.M_D
         return generator_matrix(self.L, self.frame, restricted=False).matrix
 
     @cached_property
@@ -408,14 +419,16 @@ def structure_report(an: Analysis, db_tol: float = DB_DEFECT_TOL) -> StructureRe
     residual = require_invariant(L, an.state)
     invariant_ok = residual <= INVARIANCE_FLAG_FACTOR * max(L.magnitude(), 1e-30)
 
+    # first: its stacked SVD has the largest temporaries, and placed before
+    # the frame matrices exist they leave no gaps below them on the heap
+    cdim = commutant_dimension(L)
+    primitive = cdim == 1
+
     kms_defect = hermiticity_defect(an.M)
     Mg = generator_matrix(L, gns_frame(an.state), restricted=False).matrix
     gns_defect = hermiticity_defect(Mg)
 
     K, dbc_defect = standard_dbc_solve(an)
-
-    cdim = commutant_dimension(L)
-    primitive = cdim == 1
 
     kdim = kernel_dimension(an.M_D)
 

@@ -1,7 +1,7 @@
 """Weighted operator spaces and the KMS coordinate frame.
 
-Every superoperator in this package is represented as an ordinary complex
-matrix in an orthonormal basis for one of the sigma-weighted inner products
+Every superoperator in this package is represented as a matrix in an
+orthonormal basis for one of the sigma-weighted inner products
 
     <X, Y>_{sigma,s} = tr(sigma^s X^dag sigma^(1-s) Y),    0 <= s <= 1,
 
@@ -9,7 +9,9 @@ with s = 1/2 (KMS) the default and s = 1 (GNS) used for detailed-balance
 checks.  The frame is built through the similarity X -> sigma^((1-s)/2) X
 sigma^(s/2), which is an isometry onto the Hilbert-Schmidt space; weighted
 adjoints become literal conjugate transposes and detailed balance becomes
-Hermiticity of a matrix.
+Hermiticity of a matrix.  The KMS basis consists of Hermitian operators, so
+the matrix of a generator is real there; the GNS basis of a non-uniform sigma
+is not, and its matrices are complex.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ Matrix = np.ndarray
 TRACE_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 RANK_TOL_FACTOR = 1e-10
+SQRT2 = np.sqrt(2.0)
 
 
 def dag(X: Matrix) -> Matrix:
@@ -139,10 +142,17 @@ class KmsFrame:
     """Orthonormal operator basis for <., .>_{sigma,s}.
 
     E_0 is the identity; E_1 .. E_{N^2-1} span the traceless subspace
-    {X : tr(sigma X) = 0}.  The basis is derived from the matrix units in
-    sigma's eigenbasis (row-major order); only diagonal units need a
-    Gram-Schmidt correction against the identity, and exactly one dependent
-    diagonal candidate is dropped.
+    {X : tr(sigma X) = 0}.  The basis is derived from the matrix units e_rc in
+    sigma's eigenbasis, after the similarity: positions 0 .. N-1 hold the
+    diagonal units, Gram-Schmidt corrected against the identity (exactly one
+    dependent candidate is dropped); then, for each pair r < c in row-major
+    order, position N + p holds (e_rc + e_cr)/sqrt2 and position
+    N + N(N-1)/2 + p holds i(e_rc - e_cr)/sqrt2.
+
+    When the weights are symmetric (s = 1/2, or a uniform sigma) every basis
+    operator is Hermitian.  The inner product is then real on Hermitian
+    operators, so a Hermitian operator has real coordinates and a map that
+    preserves Hermiticity has a real matrix.
     """
 
     def __init__(self, state: QuantumState, s: float = 0.5):
@@ -152,46 +162,47 @@ class KmsFrame:
         self.s = float(s)
         N = state.dim
         mu = state.eigenvalues
-        # Column k of the unitary B (never built) is the HS vectorization, in
-        # sigma's eigenbasis, of sigma^((1-s)/2) E_k sigma^(s/2).  Column k is
-        # unit _units[k], except that column _diag_cols[j] is
-        # sum_r _Q[r, j] * unit r*(N + 1); _units[_diag_cols[j]] = j*(N + 1)
-        # lines the gathered diagonal units up with the rows of _Q.
         # Gram-Schmidt on the diagonal entries alone builds _Q; its column 0
         # is sqrt(mu), the identity.
-        Q = np.zeros((N, N), dtype=complex)
+        Q = np.zeros((N, N))
         Q[:, 0] = np.sqrt(mu)
-        units = [0]
-        diag_cols = [0]
+        j = 1
         dropped = None
         for r in range(N):
-            for c in range(N):
-                if r != c:
-                    units.append(r * N + c)
-                    continue
-                v = np.zeros(N, dtype=complex)
-                v[r] = 1.0
-                for _ in range(2):  # reorthogonalize for stability
-                    for j in range(len(diag_cols)):
-                        v -= Q[:, j] * (Q[:, j].conj() @ v)
-                nrm = np.linalg.norm(v)
-                if nrm < 1e-12:
-                    if dropped is not None:
-                        raise ValueError("degenerate sigma factorization: "
-                                         "two dependent diagonal candidates")
-                    dropped = r
-                    continue
-                j = len(diag_cols)
-                Q[:, j] = v / nrm
-                diag_cols.append(len(units))
-                units.append(j * (N + 1))
-        if len(units) != N * N or dropped is None:
+            v = np.zeros(N)
+            v[r] = 1.0
+            for _ in range(2):  # reorthogonalize for stability
+                for k in range(j):
+                    v -= Q[:, k] * (Q[:, k] @ v)
+            nrm = np.linalg.norm(v)
+            if nrm < 1e-12:
+                if dropped is not None:
+                    raise ValueError("degenerate sigma factorization: "
+                                     "two dependent diagonal candidates")
+                dropped = r
+                continue
+            v /= nrm
+            # a second division takes out the rounding of the first norm, so that
+            # the maximally mixed qubit gets exactly (fl(1/sqrt2), -fl(1/sqrt2)):
+            # at an exceptional point one ulp would split a double eigenvalue
+            # by sqrt(eps)
+            Q[:, j] = v / np.linalg.norm(v)
+            j += 1
+        if j != N or dropped is None:
             raise ValueError("frame construction failed to span the operator space")
-        self._units = np.array(units)
-        self._diag_cols = np.array(diag_cols)
         self._Q = Q
+        rows, cols = np.triu_indices(N, 1)
+        self._pairs = (rows, cols)
+        m = len(rows)
+        # positions of the diagonal, the (e_rc + e_cr) and the i(e_rc - e_cr) parts
+        self._blocks = (slice(0, N), slice(N, N + m), slice(N + m, N + 2 * m))
+        # the unit r*N + c behind each position of the basis, before the
+        # Gram-Schmidt and pair rotations mix them
+        self._units = np.concatenate([np.arange(N) * (N + 1), rows * N + cols,
+                                      cols * N + rows])
         lp = (1.0 - s) / 2.0
         self._scale = np.outer(mu**lp, mu ** (s / 2.0))
+        self._real = bool(np.array_equal(self._scale, self._scale.T))
 
     @property
     def dim(self) -> int:
@@ -202,13 +213,40 @@ class KmsFrame:
         return self.state.dim ** 2
 
     def coords(self, X) -> np.ndarray:
-        """Coordinates of X in the frame (length N^2, entry 0 is the mean)."""
-        X = as_square_matrix(X, self.dim)
+        """Coordinates of X in the frame (length N^2, entry 0 is the mean).
+
+        A stack of operators (..., N, N) gives a stack of coordinates.  With a
+        Hermitian basis and exactly Hermitian operators they are real: sqrt2
+        times the real and imaginary parts of the upper-triangle entries.
+        """
+        N = self.dim
+        X = np.asarray(X, dtype=complex)
+        if X.shape[-2:] != (N, N):
+            raise ValueError(f"expected {N}x{N} operators, got shape {X.shape}")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("matrix has non-finite entries")
+        hermitian = self._real and np.array_equal(X, np.swapaxes(X, -1, -2).conj())
         U = self.state.eigenvectors
-        c = vec(self._scale * (dag(U) @ X @ U))[self._units]
-        d = self._diag_cols
-        c[d] = dag(self._Q) @ c[d]
-        return c
+        # one product at a time: for a stack these are the largest arrays
+        Y = dag(U) @ X
+        Y = Y @ U
+        Y *= self._scale
+        D, P, I = self._blocks
+        r, c = self._pairs
+        if hermitian:
+            out = np.empty(X.shape[:-2] + (self.size,))
+            upper = Y[..., r, c]
+            out[..., P] = SQRT2 * upper.real
+            out[..., I] = SQRT2 * upper.imag
+            diag = Y.diagonal(axis1=-2, axis2=-1).real
+        else:
+            out = np.empty(X.shape[:-2] + (self.size,), dtype=complex)
+            upper, lower = Y[..., r, c], Y[..., c, r]
+            out[..., P] = (upper + lower) / SQRT2
+            out[..., I] = 1j * (lower - upper) / SQRT2
+            diag = Y.diagonal(axis1=-2, axis2=-1)
+        out[..., D] = diag @ self._Q
+        return out
 
     def from_coords(self, c) -> Matrix:
         c = np.asarray(c, dtype=complex)
@@ -216,24 +254,55 @@ class KmsFrame:
             c = np.concatenate(([0.0], c))
         if c.shape != (self.size,):
             raise ValueError(f"expected {self.size} or {self.size - 1} coordinates")
-        d = self._diag_cols
-        c = c.copy()
-        c[d] = self._Q @ c[d]
-        y = np.empty(self.size, dtype=complex)
-        y[self._units] = c
-        Y = unvec(y, self.dim)
+        D, P, I = self._blocks
+        r, cols = self._pairs
+        Y = np.diag(self._Q @ c[D])
+        Y[r, cols] = (c[P] + 1j * c[I]) / SQRT2
+        Y[cols, r] = (c[P] - 1j * c[I]) / SQRT2
         U = self.state.eigenvectors
         return U @ (Y / self._scale) @ dag(U)
 
     def superop(self, G: Matrix, restricted: bool = False) -> "SuperOperator":
         """Frame matrix B^dag S G S^-1 B of the map with vec(map(X)) = G vec(X) on
-        the units of sigma's eigenbasis; S = diag(vec(_scale)).  Uses B's structure,
-        not the dense B."""
-        s = vec(self._scale)[self._units]
-        M = G[np.ix_(self._units, self._units)] * (s[:, None] / s[None, :])
-        d = self._diag_cols
-        M[:, d] = M[:, d] @ self._Q
-        M[d] = dag(self._Q) @ M[d]
+        the units of sigma's eigenbasis; S = diag(vec(_scale)) and B (never
+        built) maps frame coordinates to units.
+
+        With a Hermitian basis the map is taken to preserve Hermiticity, as
+        every GKSL generator and every i[H, .] with Hermitian H does, and the
+        matrix is real (float64): row i(e_rc - e_cr) of S G S^-1 B is then the
+        conjugate of row e_rc, so only the diagonal and upper rows are needed.
+        """
+        D, P, I = self._blocks
+        units = self._units
+        s = vec(self._scale)[units]
+        rows = units[:P.stop] if self._real else units
+        A = G[np.ix_(rows, units)].astype(complex, copy=False)
+        A *= s[:len(rows), None] / s[None, :]
+        # B = B~ diag(1, .., 1, 1/sqrt2, ..): B~ has the unnormalized pair columns
+        # e_rc + e_cr and i(e_rc - e_cr), so that B~^dag A B~ is exact sums
+        # and the sqrt2 factors come last.  Columns first: A <- A B~.
+        A[:, D] = A[:, D] @ self._Q
+        even = A[:, P] + A[:, I]
+        A[:, I] -= A[:, P]
+        A[:, I] *= -1j
+        A[:, P] = even
+        # rows: B~^dag A
+        if self._real:
+            M = np.empty((self.size, self.size))
+            M[D] = self._Q.T @ A[D].real
+            np.multiply(A[P].real, 2.0, out=M[P])
+            np.multiply(A[P].imag, 2.0, out=M[I])
+        else:
+            M = A
+            M[D] = self._Q.T @ M[D]
+            even = M[P] + M[I]
+            M[I] -= M[P]
+            M[I] *= 1j
+            M[P] = even
+        pairs = slice(P.start, None)
+        M[D, pairs] /= SQRT2
+        M[pairs, D] /= SQRT2
+        M[pairs, pairs] *= 0.5
         if restricted:
             return SuperOperator(self, M[1:, 1:].copy(), True)
         return SuperOperator(self, M, False)

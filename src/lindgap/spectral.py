@@ -27,7 +27,6 @@ class GapReport:
     attaining: list[complex]
     singular_gap: float
     symmetrized_gap: float
-    hypoco_index: int | None = None
 
     def relax_lower(self, eps: float) -> float:
         """Lower bound log(1/eps)/gap on the eps-relaxation time."""
@@ -38,39 +37,36 @@ class GapReport:
         return float(np.log(1.0 / eps) / self.spectral_gap)
 
 
-def gap_from_matrix(M: Matrix) -> tuple[float, list[complex], float, float]:
-    """(gap, attaining eigenvalues, singular gap, symmetrized gap) of a restricted matrix."""
+def gap_from_matrix(M: Matrix) -> tuple[float, list[complex]]:
+    """(gap, attaining eigenvalues) of a restricted matrix."""
     eigs = np.linalg.eigvals(M)
     real_decay = -eigs.real
     lam = float(real_decay.min())
     scale = max(np.abs(eigs).max(), 1.0)
     attaining = [complex(z) for z in eigs[real_decay < lam + GAP_ATTAIN_RTOL * scale]]
-    sv = np.linalg.svd(M, compute_uv=False)
-    s = float(sv[-1])
-    sym = float(np.linalg.eigvalsh(-(M + dag(M)) / 2.0)[0])
-    return lam, attaining, s, sym
+    return lam, attaining
 
 
 def spectral_gap(an: Analysis) -> GapReport:
     """Gap diagnostics of L restricted to the traceless subspace."""
     require_invariant(an.L, an.state)
-    lam, attaining, s, sym = gap_from_matrix(an.Mr)
+    lam, attaining = gap_from_matrix(an.Mr)
+    sym = float(np.linalg.eigvalsh(-(an.Mr + dag(an.Mr)) / 2.0)[0])
     return GapReport(spectral_gap=lam, attaining=attaining,
-                     singular_gap=s, symmetrized_gap=sym)
+                     singular_gap=an.singular_gap, symmetrized_gap=sym)
 
 
 @dataclass
 class BohrBlock:
     """One Bohr-frequency block of the traceless subspace.
 
-    basis columns are restricted-frame coordinates; lambda_nu and the
-    minimizer basis are filled in by lambda_nu_table.
+    basis columns are restricted-frame coordinates; lambda_nu is filled in by
+    lambda_nu_table.
     """
 
     frequency: float
     basis: Matrix
     lambda_nu: float | None = None
-    minimizers: Matrix | None = None
 
     @property
     def dim(self) -> int:
@@ -111,7 +107,7 @@ def bohr_decompose(an: Analysis) -> list[BohrBlock]:
 
 
 def lambda_nu_table(an: Analysis, blocks: list[BohrBlock]) -> list[BohrBlock]:
-    """Fill each block's minimal dissipation energy and its minimizers."""
+    """Fill each block's minimal dissipation energy."""
     if not blocks:
         raise ValueError("no blocks given")
     MD = an.M_D_sym[1:, 1:]
@@ -121,11 +117,7 @@ def lambda_nu_table(an: Analysis, blocks: list[BohrBlock]) -> list[BohrBlock]:
         if ortho > 1e-10:
             raise ValueError("block basis is not orthonormal")
         comp = dag(B) @ (-MD) @ B
-        w, V = np.linalg.eigh((comp + dag(comp)) / 2.0)
-        b.lambda_nu = float(w[0])
-        scale = max(abs(w[-1]), 1.0)
-        take = w < w[0] + 1e-9 * scale
-        b.minimizers = B @ V[:, take]
+        b.lambda_nu = float(np.linalg.eigvalsh((comp + dag(comp)) / 2.0)[0])
     return blocks
 
 
@@ -158,9 +150,9 @@ def gap_curve(an: Analysis, alphas) -> GapCurve:
             pass
     gaps, sgaps = [], []
     for a in alphas:
-        lam, _, s, _ = gap_from_matrix(a * an.M_Hr + an.M_Dr)
-        gaps.append(lam)
-        sgaps.append(s)
+        Ma = a * an.M_Hr + an.M_Dr
+        gaps.append(gap_from_matrix(Ma)[0])
+        sgaps.append(float(np.linalg.svd(Ma, compute_uv=False)[-1]))
     dev = None if limit is None else float(abs(gaps[-1] - limit))
     return GapCurve(alphas=alphas, gaps=gaps, singular_gaps=sgaps,
                     limit=limit, final_deviation=dev)

@@ -2,7 +2,8 @@
 
 These recompute the same quantities as the library by other routes: the
 probed frame matrix of an arbitrary linear map (from the frame's basis
-operators) for every assembled superoperator, polynomial moments for the
+operators) for every assembled superoperator, the Kronecker form summed one
+jump at a time for the batched unit matrix, polynomial moments for the
 space-time variance check, a Lyapunov solve for the window Gramian, a
 least-squares fit over a Hermitian traceless basis for the standard
 detailed-balance solve, and the stacked complex commutators of every
@@ -52,6 +53,23 @@ def superop_matrix(map_fn, frame, restrict_traceless: bool = False) -> SuperOper
     if restrict_traceless:
         return SuperOperator(frame, M[1:, 1:].copy(), True)
     return SuperOperator(frame, M, False)
+
+
+def unit_matrix_per_jump(L, basis=None) -> np.ndarray:
+    """Lindbladian.unit_matrix with one Kronecker product per jump."""
+    def rot(A):
+        return A if basis is None else dag(basis) @ A @ basis
+
+    eye = np.eye(L.dim)
+    H = rot(L.hamiltonian)
+    G = 1j * L.alpha * (np.kron(H, eye) - np.kron(eye, H.T))
+    damping = np.zeros((L.dim, L.dim), dtype=complex)
+    for w, J in L.jumps:
+        J = rot(J)
+        G += w * np.kron(dag(J), J.T)
+        damping += w * (dag(J) @ J)
+    G -= 0.5 * (np.kron(damping, eye) + np.kron(eye, damping.T))
+    return G
 
 
 def _moment_average(A: np.ndarray, moments: np.ndarray) -> float:

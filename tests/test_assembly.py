@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
-from exact_reference import superop_matrix
+from exact_reference import superop_matrix, unit_matrix_per_jump
+from scipy.optimize import linear_sum_assignment
+from scipy.stats import unitary_group
 
 from lindgap import (
+    Analysis,
     GraphSpec,
     KmsFrame,
     QuantumState,
@@ -14,6 +17,7 @@ from lindgap import (
     build_model,
     dephasing_walk,
     generator_matrix,
+    gns_frame,
     graph_lindblad,
     haar_avg_gibbs,
     hamiltonian_superop,
@@ -128,3 +132,59 @@ def test_explicit_family_has_rotated_eigenbasis():
     _, state = _explicit_gibbs()
     U = state.eigenvectors
     assert np.abs(U - np.diag(np.diag(U))).max() > 0.1
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_unit_matrix_matches_per_jump_sum(family, rotated):
+    L, state = FAMILIES[family]()
+    basis = state.eigenvectors if rotated else None
+    ref = unit_matrix_per_jump(L, basis)
+    # one product over the jump axis sums in another order
+    assert np.abs(L.unit_matrix(basis) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _random_gksl():
+    # generic jumps and a full-rank state in a random basis: sigma need not
+    # be invariant for the frame matrices to exist
+    rng = np.random.default_rng(23)
+    N = 4
+    U = unitary_group.rvs(N, random_state=rng)
+    state = QuantumState.from_eigenvalues(rng.uniform(0.1, 1.0, N), U)
+    A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    jumps = [(float(rng.uniform(0.5, 2.0)),
+              rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+             for _ in range(3)]
+    return build_gksl((A + A.conj().T) / 2.0, jumps, alpha=0.8), state
+
+
+REAL_CASES = {"tfim": _tfim, "haar_gibbs": _haar_gibbs,
+              "graph_hamiltonian": _graph_with_hamiltonian,
+              "random_gksl": _random_gksl}
+
+
+@pytest.mark.parametrize("case", sorted(REAL_CASES))
+def test_analysis_matrices_are_real(case):
+    L, state = REAL_CASES[case]()
+    an = Analysis(L, state)
+    names = ["M", "M_D", "M_H", "Mr", "M_Dr", "M_Hr"]
+    if case != "random_gksl":  # its dissipator is not KMS-symmetric
+        names.append("M_D_sym")
+    for name in names:
+        assert getattr(an, name).dtype == np.float64, name
+    # the frame change is a similarity: same spectrum as the unit matrix
+    ref = np.linalg.eigvals(L.unit_matrix())
+    got = np.linalg.eigvals(an.M)
+    dist = np.abs(got[:, None] - ref[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert dist[rows, cols].max() <= 1e-12 * np.linalg.norm(an.M, 2)
+
+
+def test_frame_matrix_is_real_exactly_when_scale_is_symmetric():
+    L, state = _random_gksl()
+    assert generator_matrix(L, KmsFrame(state, 0.5)).matrix.dtype == np.float64
+    uniform = QuantumState.maximally_mixed(state.dim)
+    assert generator_matrix(L, gns_frame(uniform)).matrix.dtype == np.float64
+    Mg = generator_matrix(L, gns_frame(state)).matrix
+    assert Mg.dtype == np.complex128
+    assert np.abs(Mg.imag).max() > 1e-3 * np.abs(Mg).max()

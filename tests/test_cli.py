@@ -277,14 +277,21 @@ def test_stp_rejects_bad_beta(tmp_path, qubit_spec, capsys):
 
 
 # (frames, unit matrices) per call: structure adds the GNS frame, its GNS
-# generator matrix and the unit matrix inside standard_dbc_solve
-BUILDS = {"structure": (2, 4), "gap": (1, 2), "certify": (1, 3), "stp": (1, 2),
-          "validate": (1, 3)}
+# generator matrix and the unit matrix inside standard_dbc_solve.  haar_gibbs
+# has no Hamiltonian, so its generator matrix is the dissipator's, and its
+# model builder checks two unit matrices.
+BUILDS = {("tfim", "structure"): (2, 4), ("tfim", "gap"): (1, 2),
+          ("tfim", "certify"): (1, 3), ("tfim", "stp"): (1, 2),
+          ("tfim", "validate"): (1, 3), ("haar_gibbs", "structure"): (2, 5),
+          ("haar_gibbs", "gap"): (1, 4), ("haar_gibbs", "stp"): (1, 4)}
 
 
-@pytest.mark.parametrize("command", list(BUILDS))
-def test_each_command_builds_one_analysis(tmp_path, monkeypatch, command):
-    spec = write_spec(tmp_path / "tfim.json", TFIM3)
+@pytest.mark.parametrize("model,command", [
+    pytest.param(model, command, id=command if model == "tfim" else f"{model}-{command}")
+    for model, command in BUILDS])
+def test_each_command_builds_one_analysis(tmp_path, monkeypatch, model, command):
+    spec = write_spec(tmp_path / "m.json",
+                      TFIM3 if model == "tfim" else HAAR_COERCIVE)
     argv = [command, "--spec", spec, "--out", str(tmp_path / command)]
     if command == "validate":
         argv += ["--certificate", str(emit_certificate(tmp_path, spec))]
@@ -301,7 +308,24 @@ def test_each_command_builds_one_analysis(tmp_path, monkeypatch, command):
     monkeypatch.setattr(Lindbladian, "unit_matrix",
                         counted("units", Lindbladian.unit_matrix))
     assert main(argv) == 0
-    assert (counts["frames"], counts["units"]) == BUILDS[command]
+    assert (counts["frames"], counts["units"]) == BUILDS[model, command]
+
+
+def test_validate_takes_one_svd_of_the_generator_matrix(tmp_path, monkeypatch):
+    spec = write_spec(tmp_path / "tfim.json", TFIM3)
+    cert = emit_certificate(tmp_path, spec)
+    size = 8 * 8 - 1  # the traceless block on tfim n=3
+    svd = np.linalg.svd
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert main(["validate", "--spec", spec, "--out", str(tmp_path / "val"),
+                 "--certificate", str(cert)]) == 0
+    assert shapes.count((size, size)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,39 @@ def test_frame_coords_isometry():
         assert np.abs(fr.from_coords(c) - X).max() < 1e-9
 
 
+def test_kms_frame_basis_is_hermitian_and_kms_orthonormal():
+    rng = np.random.default_rng(29)
+    for N in (2, 3, 5):
+        st = random_state(rng, N)
+        basis = frame_basis(kms_frame(st))
+        for E in basis:
+            assert np.abs(E - E.conj().T).max() < 1e-12 * np.abs(E).max()
+        G = np.array([[weighted_inner(st, 0.5, Ej, Ek) for Ek in basis]
+                      for Ej in basis])
+        assert np.abs(G - np.eye(N * N)).max() < 1e-10
+
+
+def test_coords_real_for_hermitian_operators_and_round_trip():
+    rng = np.random.default_rng(31)
+    for N in (2, 3, 6):
+        fr = kms_frame(random_state(rng, N))
+        A = random_op(rng, N)
+        X = (A + A.conj().T) / 2.0  # exactly Hermitian
+        c = fr.coords(X)
+        assert c.dtype == np.float64
+        assert np.linalg.norm(c) == pytest.approx(weighted_norm(fr.state, 0.5, X),
+                                                  rel=1e-12)
+        assert np.abs(fr.from_coords(c) - X).max() < 1e-12 * np.abs(X).max()
+        # a non-Hermitian operator keeps complex coordinates
+        cA = fr.coords(A)
+        assert cA.dtype == np.complex128
+        assert np.abs(fr.from_coords(cA) - A).max() < 1e-12 * np.abs(A).max()
+        # a stack of operators gives the stack of their coordinates
+        stack = fr.coords(np.stack([X, 2.0 * X]))
+        assert stack.dtype == np.float64
+        assert np.abs(stack - np.stack([c, fr.coords(2.0 * X)])).max() <= 1e-14 * np.abs(c).max()
+
+
 def test_frame_keeps_no_superoperator_sized_array():
     fr = kms_frame(random_state(np.random.default_rng(5), 6))
     sizes = [np.size(v) for v in vars(fr).values() if isinstance(v, np.ndarray)]
