@@ -278,10 +278,12 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
                                         + C2 ||(beta - L^D)^{-1/2} (-d_t + L^H) X||
 
     where Pi0 projects onto the full dissipator kernel (constants included)
-    and all norms average the weighted norm over [0, T].  The constants are
-    the certificate constants at (T, beta); a trivial restricted kernel uses
-    their large-coupling limit.  The integrands have degree 2 * poly_degree
-    in t, so Gauss-Legendre on poly_degree + 1 nodes averages them exactly.
+    and all norms average the weighted norm over [0, T]; the right side is
+    read in the kernel split's eigenbasis V = [V0, Vp] with rates r_k.  The
+    constants are the certificate constants at (T, beta); a trivial
+    restricted kernel uses their large-coupling limit.  The integrands have
+    degree 2 * poly_degree in t, so Gauss-Legendre on poly_degree + 1 nodes
+    averages them exactly.
     """
     if beta <= 0:
         raise ValueError("beta must be positive so that (beta - L^D) is invertible")
@@ -289,17 +291,12 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
         raise ValueError("T must be positive")
     if n_samples < 1 or poly_degree < 0:
         raise ValueError("need n_samples >= 1 and poly_degree >= 0")
-    MD = an.M_D_sym
-    MH = an.M_H
+    split = an.split
+    V = np.hstack([split.basis0, split.basis_plus])
+    weights = (beta + np.clip(split.rates, 0.0, None)) ** -0.5
 
-    w, V = np.linalg.eigh(-MD)
-    wmax = max(w[-1], 1e-30)
-    zero = np.abs(w) < 1e-9 * wmax
-    P0 = V[:, zero] @ dag(V[:, zero])
-    W = (V * (beta + np.clip(w, 0.0, None)) ** -0.5) @ dag(V)
-
-    if an.split.dim0 == 0:
-        C1, C2 = c_constants_trivial_kernel(float(np.linalg.norm(an.M_Dr, 2)),
+    if split.dim0 == 0:
+        C1, C2 = c_constants_trivial_kernel(float(np.abs(split.rates).max()),
                                             float(np.linalg.norm(an.M_Hr, 2)),
                                             T, beta)
         trivial = True
@@ -334,9 +331,12 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
     Xc = X.copy()
     Xc[:, :, 0] -= (X[:, :, 0] @ wts)[:, None]
     X = X.reshape(-1, X.shape[-1])
+    Y = X @ an.M_H.T - Xdot.reshape(X.shape)
     lhs = root_avg(Xc)
-    rhs = C1 * root_avg(X @ (np.eye(len(P0)) - P0).T) \
-        + C2 * root_avg((X @ MH.T - Xdot.reshape(X.shape)) @ W.T)
+    # the constants lie in ker(L^D): ||(1 - Pi0) x|| = ||Vp^T x[1:]|| and
+    # ||(beta - L^D)^{-1/2} y||^2 = y_0^2 / beta + sum_k (V^T y[1:])_k^2 / (beta + r_k)
+    rhs = C1 * root_avg(X[:, 1:] @ split.basis_plus) + C2 * root_avg(
+        np.hstack([Y[:, :1] / math.sqrt(beta), (Y[:, 1:] @ V) * weights]))
     ratio = lhs / np.maximum(rhs, 1e-300)
     return StpReport(passed=not np.any(ratio > 1.0 + slack),
                      worst_ratio=float(ratio.max()),

@@ -194,17 +194,22 @@ def hamiltonian_superop(H, frame: KmsFrame, restricted: bool = True) -> SuperOpe
     return frame.superop(G, restricted=restricted)
 
 
+def real_norm2(A: Matrix) -> float:
+    """Spectral norm of a real matrix by an eigensolve of A^T A, not an SVD."""
+    return float(np.sqrt(max(np.linalg.eigvalsh(A.T @ A)[-1], 0.0)))
+
+
 def hermiticity_defect(M: Matrix) -> float:
     """Relative deviation of M from its conjugate transpose, in spectral norm."""
+    if np.isrealobj(M):
+        scale = real_norm2(M)
+        return real_norm2(M - M.T) / scale if scale >= 1e-30 else 0.0
     scale = np.linalg.norm(M, 2)
     if scale < 1e-30:
         return 0.0
-    D = M - dag(M)
-    if np.isrealobj(D):
-        # D is antisymmetric: its squared norm is the top eigenvalue of D^T D
-        return float(np.sqrt(max(np.linalg.eigvalsh(D.T @ D)[-1], 0.0)) / scale)
     # D is exactly anti-Hermitian in floating point, so iD is Hermitian and its
     # largest |eigenvalue| is the norm
+    D = M - dag(M)
     return float(np.abs(np.linalg.eigvalsh(1j * D)).max() / scale)
 
 
@@ -216,8 +221,9 @@ class Analysis:
     the full-space matrices M, M_D, M_H of L, L^D and i[H, .]; their blocks
     Mr, M_Dr, M_Hr on the traceless subspace (the [1:, 1:] slices); the
     symmetric part M_D_sym after the one check that L^D is KMS-symmetric; the
-    kernel split; the structural constants; and the smallest singular value
-    of Mr.
+    kernel split, the one eigendecomposition of M_D that every later use of
+    its spectrum reads; the structural constants; and the smallest singular
+    value of Mr.
     """
 
     def __init__(self, L: Lindbladian, state: QuantumState):
@@ -458,16 +464,16 @@ def structure_report(an: Analysis, db_tol: float = DB_DEFECT_TOL) -> StructureRe
 
 @dataclass
 class SpaceSplit:
-    """KMS-orthogonal split of the traceless subspace into ker(L^D) and its complement.
+    """Eigendecomposition of -L^D on the traceless subspace, split at its kernel.
 
-    Bases are stored as coordinate columns in the restricted frame; the
-    projections act on restricted coordinates.
+    Column k of [basis0, basis_plus] (restricted frame coordinates) is a unit
+    eigenvector of the KMS-symmetric -M_D with eigenvalue rates[k], ascending:
+    basis0 spans ker(L^D), basis_plus its KMS-orthogonal complement.
     """
 
+    rates: np.ndarray
     basis0: Matrix
     basis_plus: Matrix
-    pi0: SuperOperator
-    pi_plus: SuperOperator
 
     @property
     def dim0(self) -> int:
@@ -482,13 +488,6 @@ def kernel_projection(an: Analysis) -> SpaceSplit:
     """Split of the traceless subspace by the zero eigenspace of a KMS-DB dissipator."""
     w, V = np.linalg.eigh(-an.M_D_sym[1:, 1:])
     scale = max(np.abs(w).max(), 1e-30)
-    zero = np.abs(w) < KERNEL_TOL_FACTOR * scale
-    V0 = V[:, zero]
-    Vp = V[:, ~zero]
-    P0 = V0 @ dag(V0)
-    return SpaceSplit(
-        basis0=V0,
-        basis_plus=Vp,
-        pi0=SuperOperator(an.frame, P0, True),
-        pi_plus=SuperOperator(an.frame, np.eye(len(w)) - P0, True),
-    )
+    # w >= 0 up to rounding, so the kernel is the leading block of the ascending w
+    dim0 = int(np.sum(np.abs(w) < KERNEL_TOL_FACTOR * scale))
+    return SpaceSplit(rates=w, basis0=V[:, :dim0], basis_plus=V[:, dim0:])

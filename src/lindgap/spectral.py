@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import Analysis, hermiticity_defect, require_invariant
+from .lindblad import Analysis, real_norm2, require_invariant
 from .operators import Matrix, dag
 
 BOHR_CLUSTER_FACTOR = 1e-7
@@ -85,10 +85,12 @@ def bohr_decompose(an: Analysis) -> list[BohrBlock]:
     if np.linalg.norm(H @ sigma - sigma @ H) > 1e-10 * max(hnorm, 1.0):
         raise ValueError("H does not commute with sigma")
     MH = an.M_Hr
-    S = -1j * MH
-    defect = hermiticity_defect(S)
+    # MH is real: ||MH + MH^T|| / ||MH|| is the Hermiticity defect of -i MH
+    scale = real_norm2(MH)
+    defect = real_norm2(MH + MH.T) / scale if scale >= 1e-30 else 0.0
     if defect > 1e-8:
         raise ValueError(f"commutator matrix is not anti-Hermitian (defect {defect:.3e})")
+    S = -1j * MH
     w, V = np.linalg.eigh((S + dag(S)) / 2.0)
     tol = max(BOHR_CLUSTER_FACTOR * hnorm, 1e-14)
     blocks: list[BohrBlock] = []

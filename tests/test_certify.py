@@ -20,7 +20,9 @@ from lindgap import (
     dephasing_walk,
     dms_compare,
     graph_lindblad,
+    haar_avg_gibbs,
     kernel_projection,
+    lift_model,
     optimize_T,
     rate_from_constants,
     simplified_rate,
@@ -123,6 +125,55 @@ def test_constants_reject_coercive():
 def test_constants_reject_unmoved_kernel():
     with pytest.raises(ValueError, match="primitive"):
         structural_constants(split_form(PAULI_Z, QUBIT_LD, MIXED2))
+
+
+def _tfim3():
+    m = tfim(3, 0.9, 1.1)
+    return split_form(m.lind.hamiltonian, m.lind, m.state)
+
+
+def _dephasing_walk():
+    m = dephasing_walk(2, 0.7, cycle_graph(4))
+    return split_form(m.lind.hamiltonian, m.lind, m.state)
+
+
+def _graph_nonuniform_with_h():
+    # two components {0, 2} and {1, 3}; sigma is degenerate on 0, 1 and on
+    # 2, 3, so H may couple the components through those pairs
+    st = QuantumState(np.diag([0.3, 0.3, 0.2, 0.2]))
+    m = graph_lindblad(GraphSpec(4, [(0, 2), (1, 3)]), st)
+    H = np.diag([0.5, 0.5, -0.2, -0.2]).astype(complex)
+    H[0, 1], H[1, 0] = 0.7 - 0.2j, 0.7 + 0.2j
+    H[2, 3], H[3, 2] = 0.4, 0.4
+    return Analysis(build_gksl(H, m.lind.jumps, alpha=1.3), st)
+
+
+def _lift_with_h():
+    base = graph_lindblad(GraphSpec(3, [(0, 1), (1, 2)]),
+                          QuantumState(np.diag([0.5, 0.3, 0.2])))
+    m = lift_model(base, np.diag([1.0, -0.5]))
+    # the block-diagonal kron(1, X) moves the lifted kernel 1 x diag(c0, c1)
+    return split_form(np.kron(np.eye(3), PAULI_X), m.lind, m.state)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(_tfim3, id="tfim3"),
+    pytest.param(_dephasing_walk, id="dephasing_walk"),
+    pytest.param(_graph_nonuniform_with_h, id="graph-nonuniform-H"),
+    pytest.param(_lift_with_h, id="lift"),
+])
+def test_constants_match_direct_decompositions(make):
+    # lambda_D, ||L^D|| and ||L^H Pi_+|| from the kernel split's rates and
+    # basis equal the direct formulas on the KMS-frame matrices
+    an = make()
+    sc = structural_constants(an)
+    MD = an.M_D_sym[1:, 1:]
+    V0, Vp = an.split.basis0, an.split.basis_plus
+    lambda_D = np.linalg.eigvalsh(Vp.conj().T @ (-MD) @ Vp)[0]
+    Pp = np.eye(len(MD)) - V0 @ V0.conj().T
+    assert sc.lambda_D == pytest.approx(lambda_D, rel=1e-12)
+    assert sc.norm_LD == pytest.approx(np.linalg.norm(MD, 2), rel=1e-12)
+    assert sc.norm_LH_plus == pytest.approx(np.linalg.norm(an.M_Hr @ Pp, 2), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +286,16 @@ def test_certify_coercive_route():
     assert cert.nu == pytest.approx(lam, rel=1e-12)
     assert cert.prefactor == pytest.approx(math.exp(cert.nu * cert.T), rel=1e-12)
     assert cert.T == pytest.approx(1.0 / (2.0 * lam), rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [6, 12])
+def test_certify_coercive_rate_is_the_dissipator_singular_gap(N):
+    # -M_D is symmetric positive definite on the traceless block, so its
+    # smallest eigenvalue (the split's first rate) is its smallest singular value
+    m = haar_avg_gibbs(np.linspace(0.0, 2.0, N), 1.0)
+    an = Analysis(m.lind, m.state)
+    smallest = np.linalg.svd(an.M_Dr, compute_uv=False)[-1]
+    assert certify_coercive(an).nu == pytest.approx(smallest, rel=1e-12)
 
 
 def test_certify_coercive_rejects_coherent_generator():

@@ -328,6 +328,29 @@ def test_validate_takes_one_svd_of_the_generator_matrix(tmp_path, monkeypatch):
     assert shapes.count((size, size)) == 1
 
 
+@pytest.mark.parametrize("model,command,side,complement", [
+    pytest.param(TFIM3, "certify", 63, 56, id="tfim-certify"),
+    pytest.param(TFIM3, "stp", 63, 56, id="tfim-stp"),
+    pytest.param(HAAR_COERCIVE, "stp", 8, 8, id="haar_gibbs-stp"),
+])
+def test_dissipator_is_decomposed_once(tmp_path, monkeypatch, model, command,
+                                       side, complement):
+    # the kernel split's eigh of the traceless block serves lambda_D, ||L^D||,
+    # the coercive gap and the STP weights: no full-space eigh, no eigvalsh of
+    # the complement block (the whole block when the kernel is trivial)
+    spec = write_spec(tmp_path / "m.json", model)
+    shapes = {"eigh": [], "eigvalsh": []}
+    for name, seen in shapes.items():
+        def counted(a, *args, _fn=getattr(np.linalg, name), _seen=seen, **kwargs):
+            _seen.append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert main([command, "--spec", spec, "--out", str(tmp_path / command)]) == 0
+    assert shapes["eigh"].count((side, side)) == 1
+    assert shapes["eigh"].count((side + 1, side + 1)) == 0
+    assert shapes["eigvalsh"].count((complement, complement)) == 0
+
+
 # ---------------------------------------------------------------------------
 # spec and environment errors
 

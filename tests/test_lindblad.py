@@ -318,10 +318,12 @@ def test_kernel_projection_dephasing_qubit():
     assert split.dim_plus == 2
     # the kernel direction is Z
     cz = an.frame.coords(PAULI_Z)[1:]
-    assert np.linalg.norm(split.pi0.matrix @ cz - cz) < 1e-10
-    P = split.pi0.matrix
+    P = split.basis0 @ split.basis0.T
+    assert np.linalg.norm(P @ cz - cz) < 1e-10
     assert np.abs(P @ P - P).max() < 1e-10
     assert np.abs(P - P.conj().T).max() < 1e-10
+    # X and Y dephase at rate 2
+    assert np.abs(split.rates - [0.0, 2.0, 2.0]).max() < 1e-12
 
 
 def test_kernel_projection_rejects_non_db_dissipator():
