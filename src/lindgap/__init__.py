@@ -11,11 +11,8 @@ __version__ = "0.2.0"
 from .operators import (
     QuantumState,
     KmsFrame,
-    SuperOperator,
     kms_frame,
     gns_frame,
-    kms_adjoint,
-    op_norm_2to2,
     weighted_inner,
     weighted_norm,
 )

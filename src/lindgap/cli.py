@@ -80,6 +80,11 @@ def _envelope(command: str, bundle: ModelBundle, seed: int,
             "tolerances": tols.as_dict(), "report": report}
 
 
+def _require_positive(value: float | None, flag: str) -> None:
+    if value is not None and not (np.isfinite(value) and value > 0):
+        raise SpecError(flag, "must be a finite positive number")
+
+
 def _parse_grid(text: str) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
@@ -88,6 +93,8 @@ def _parse_grid(text: str) -> list[float]:
             from exc
     if not values:
         raise SpecError("--alpha-grid", "empty grid")
+    if not np.all(np.isfinite(values)):
+        raise SpecError("--alpha-grid", "entries must be finite")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise SpecError("--alpha-grid", "grid must be strictly increasing")
     return values
@@ -129,6 +136,7 @@ def _certificate_report(an: Analysis, T: float | None) -> dict:
 
 
 def _cmd_certify(args, bundle: ModelBundle, tols: Tolerances) -> int:
+    _require_positive(args.T, "--T")
     report = _certificate_report(Analysis(bundle.lind, bundle.state), args.T)
     payload = _envelope("certify", bundle, args.seed, tols, report)
     _write_json(os.path.join(args.out, "certificate.json"), payload)
@@ -162,11 +170,10 @@ def _cmd_validate(args, bundle: ModelBundle, tols: Tolerances) -> int:
     # t = 0 alone is no test: its window ratio is exactly 1
     if args.samples < 2:
         raise SpecError("--samples", "need at least 2 sampled times")
-    if args.t_max is not None and not args.t_max > 0:
-        raise SpecError("--t-max", "largest sampled time must be positive")
+    _require_positive(args.t_max, "--t-max")
     nu, T, C_T, beta, doc_hash = _load_certificate(args.certificate)
-    if nu <= 0 or T <= 0 or C_T < 1.0:
-        raise SpecError("--certificate", "need nu > 0, T > 0, C_T >= 1")
+    if not (np.all(np.isfinite([nu, T, C_T])) and nu > 0 and T > 0 and C_T >= 1.0):
+        raise SpecError("--certificate", "need finite nu > 0, T > 0, C_T >= 1")
     if doc_hash is not None and doc_hash != bundle.hash:
         raise SpecError("--certificate",
                         "certificate was issued for a different model "
@@ -217,8 +224,8 @@ def _default_window(an: Analysis) -> float:
 
 
 def _cmd_stp(args, bundle: ModelBundle, tols: Tolerances) -> int:
-    if args.beta <= 0:
-        raise SpecError("--beta", "beta must be positive")
+    _require_positive(args.beta, "--beta")
+    _require_positive(args.T, "--T")
     an = Analysis(bundle.lind, bundle.state)
     T = args.T if args.T is not None else _default_window(an)
     report = stp_verify(an, T, args.beta, n_samples=args.samples,

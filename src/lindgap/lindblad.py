@@ -20,7 +20,6 @@ from .operators import (
     KmsFrame,
     Matrix,
     QuantumState,
-    SuperOperator,
     as_square_matrix,
     dag,
     gns_frame,
@@ -181,17 +180,16 @@ def require_invariant(L: Lindbladian, state: QuantumState) -> float:
     return residual
 
 
-def generator_matrix(L: Lindbladian, frame: KmsFrame,
-                     restricted: bool = True) -> SuperOperator:
-    """Matrix of the generator in the given frame."""
-    return frame.superop(L.unit_matrix(frame.state.eigenvectors), restricted)
+def generator_matrix(L: Lindbladian, frame: KmsFrame) -> Matrix:
+    """Full-space matrix of the generator in the given frame."""
+    return frame.superop(L.unit_matrix(frame.state.eigenvectors))
 
 
-def hamiltonian_superop(H, frame: KmsFrame, restricted: bool = True) -> SuperOperator:
-    """Matrix of X -> i[H, X] in the given frame."""
+def hamiltonian_superop(H, frame: KmsFrame) -> Matrix:
+    """Full-space matrix of X -> i[H, X] in the given frame."""
     H = require_hermitian(H, what="H")
     G = Lindbladian(H.shape[0], H, []).unit_matrix(frame.state.eigenvectors)
-    return frame.superop(G, restricted=restricted)
+    return frame.superop(G)
 
 
 def real_norm2(A: Matrix) -> float:
@@ -217,9 +215,9 @@ class Analysis:
     """One generator at one state in the KMS frame: what every analysis takes.
 
     Holds the frame, the effective Hamiltonian H = alpha * hamiltonian and the
-    dissipator LD = L^D.  Everything else is built on first use and kept:
-    the full-space matrices M, M_D, M_H of L, L^D and i[H, .]; their blocks
-    Mr, M_Dr, M_Hr on the traceless subspace (the [1:, 1:] slices); the
+    dissipator LD = L^D.  Everything else is built on first use and kept: the
+    full-space real matrices M_D, M_H of L^D, i[H, .] and M = M_D + M_H of L;
+    their traceless blocks Mr, M_Dr, M_Hr (the [1:, 1:] slices); the
     symmetric part M_D_sym after the one check that L^D is KMS-symmetric; the
     kernel split, the one eigendecomposition of M_D that every later use of
     its spectrum reads; the structural constants; and the smallest singular
@@ -237,15 +235,15 @@ class Analysis:
     def M(self) -> Matrix:
         if not self.H.any():  # no coherent part: L is L^D
             return self.M_D
-        return generator_matrix(self.L, self.frame, restricted=False).matrix
+        return self.M_D + self.M_H
 
     @cached_property
     def M_D(self) -> Matrix:
-        return generator_matrix(self.LD, self.frame, restricted=False).matrix
+        return generator_matrix(self.LD, self.frame)
 
     @cached_property
     def M_H(self) -> Matrix:
-        return hamiltonian_superop(self.H, self.frame, restricted=False).matrix
+        return hamiltonian_superop(self.H, self.frame)
 
     @cached_property
     def Mr(self) -> Matrix:
@@ -284,13 +282,13 @@ class Analysis:
         return float(np.linalg.svd(self.Mr, compute_uv=False)[-1])
 
 
-def standard_dbc_solve(an: Analysis) -> tuple[Matrix, float]:
+def standard_dbc_solve(G: Matrix, frame: KmsFrame) -> tuple[Matrix, float]:
     """Best Hermitian traceless K with L - L* = 2i[K, .]; returns (K, defect).
 
-    L* is the adjoint in the frame of `an`.  The defect is the residual norm
-    relative to ||L - L*||; 0/0 counts as a perfect fit with K = 0.  The
-    identity component of K is unobservable in a commutator and is pinned to
-    zero by the traceless constraint.
+    G is L.unit_matrix(frame.state.eigenvectors) and L* the adjoint in `frame`.
+    The defect is the residual norm relative to ||L - L*||; 0/0 counts as a
+    perfect fit with K = 0.  The identity component of K is unobservable in a
+    commutator and is pinned to zero by the traceless constraint.
 
     The frame change is unitary, so the fit is ||S C S^-1 - Y|| on the units of
     sigma's eigenbasis, with S = diag(vec(_scale)), Y = S G S^-1 - (S G S^-1)^dag
@@ -299,12 +297,11 @@ def standard_dbc_solve(an: Analysis) -> tuple[Matrix, float]:
     squared residual is diagonal in the entries of K' (weights 4N(a_L^2 + a_R^2))
     and reads Y only through two partial traces; the minimizer is entrywise.
     """
-    L, frame = an.L, an.frame
-    N = L.dim
+    N = frame.dim
     U = frame.state.eigenvectors
     scale = frame._scale
     s = scale.ravel()
-    SGS = L.unit_matrix(U) * (s[:, None] / s[None, :])
+    SGS = G * (s[:, None] / s[None, :])
     Y = SGS - dag(SGS)
     ynorm = np.linalg.norm(Y)
     if ynorm <= 1e-12 * max(np.linalg.norm(SGS), 1.0):
@@ -430,11 +427,11 @@ def structure_report(an: Analysis, db_tol: float = DB_DEFECT_TOL) -> StructureRe
     cdim = commutant_dimension(L)
     primitive = cdim == 1
 
-    kms_defect = hermiticity_defect(an.M)
-    Mg = generator_matrix(L, gns_frame(an.state), restricted=False).matrix
-    gns_defect = hermiticity_defect(Mg)
-
-    K, dbc_defect = standard_dbc_solve(an)
+    # one G for both defects and the fit, not an.M: that would keep M_H too
+    G = L.unit_matrix(an.state.eigenvectors)
+    kms_defect = hermiticity_defect(an.frame.superop(G))
+    gns_defect = hermiticity_defect(gns_frame(an.state).superop(G))
+    K, dbc_defect = standard_dbc_solve(G, an.frame)
 
     kdim = kernel_dimension(an.M_D)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,8 @@ def _require(spec: dict, key: str, field: str | None = None):
 def _number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(field, f"expected a number, got {type(value).__name__}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
+        raise SpecError(field, "expected a finite number")
     return float(value)
 
 
@@ -72,11 +75,11 @@ def _integer(value, field: str) -> int:
 
 def _entry(value, field: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_number(value, field))
     if (isinstance(value, list) and len(value) == 2
             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                     for v in value)):
-        return complex(value[0], value[1])
+        return complex(_number(value[0], field), _number(value[1], field))
     raise SpecError(field, "matrix entries must be numbers or [re, im] pairs")
 
 
@@ -333,8 +336,8 @@ class Tolerances:
                 except ValueError as exc:
                     raise SpecError(var, f"expected a float, got {env[var]!r}") \
                         from exc
-                if values[name] <= 0:
-                    raise SpecError(var, "tolerance must be positive")
+                if not (np.isfinite(values[name]) and values[name] > 0):
+                    raise SpecError(var, "tolerance must be finite and positive")
         return cls(**values)
 
     def as_dict(self) -> dict:

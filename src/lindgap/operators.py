@@ -16,8 +16,6 @@ is not, and its matrices are complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 Matrix = np.ndarray
@@ -56,10 +54,6 @@ def require_hermitian(X: Matrix, tol: float = HERMITIAN_TOL, what: str = "matrix
 def vec(X: Matrix) -> np.ndarray:
     """Row-major vectorization, so vec(A X B) = (A kron B^T) vec(X)."""
     return X.reshape(-1)
-
-
-def unvec(v: np.ndarray, dim: int) -> Matrix:
-    return v.reshape(dim, dim)
 
 
 class QuantumState:
@@ -250,10 +244,8 @@ class KmsFrame:
 
     def from_coords(self, c) -> Matrix:
         c = np.asarray(c, dtype=complex)
-        if c.shape == (self.size - 1,):
-            c = np.concatenate(([0.0], c))
         if c.shape != (self.size,):
-            raise ValueError(f"expected {self.size} or {self.size - 1} coordinates")
+            raise ValueError(f"expected {self.size} coordinates")
         D, P, I = self._blocks
         r, cols = self._pairs
         Y = np.diag(self._Q @ c[D])
@@ -262,7 +254,7 @@ class KmsFrame:
         U = self.state.eigenvectors
         return U @ (Y / self._scale) @ dag(U)
 
-    def superop(self, G: Matrix, restricted: bool = False) -> "SuperOperator":
+    def superop(self, G: Matrix) -> Matrix:
         """Frame matrix B^dag S G S^-1 B of the map with vec(map(X)) = G vec(X) on
         the units of sigma's eigenbasis; S = diag(vec(_scale)) and B (never
         built) maps frame coordinates to units.
@@ -303,9 +295,7 @@ class KmsFrame:
         M[D, pairs] /= SQRT2
         M[pairs, D] /= SQRT2
         M[pairs, pairs] *= 0.5
-        if restricted:
-            return SuperOperator(self, M[1:, 1:].copy(), True)
-        return SuperOperator(self, M, False)
+        return M
 
 
 def kms_frame(state: QuantumState) -> KmsFrame:
@@ -315,38 +305,3 @@ def kms_frame(state: QuantumState) -> KmsFrame:
 
 def gns_frame(state: QuantumState) -> KmsFrame:
     return KmsFrame(state, s=1.0)
-
-
-@dataclass
-class SuperOperator:
-    """Matrix of a linear map on B(H) in a weighted orthonormal frame.
-
-    restricted = True means the domain and codomain are the traceless
-    subspace (indices 1.. of the frame).
-    """
-
-    frame: KmsFrame
-    matrix: Matrix
-    restricted: bool
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, X) -> Matrix:
-        """Apply the represented map to an operator."""
-        c = self.frame.coords(X)
-        if self.restricted:
-            # a restricted map annihilates the identity component
-            return self.frame.from_coords(self.matrix @ c[1:])
-        return self.frame.from_coords(self.matrix @ c)
-
-
-def kms_adjoint(S: SuperOperator) -> SuperOperator:
-    """Adjoint for the frame's inner product: the conjugate transpose."""
-    return SuperOperator(S.frame, dag(S.matrix), S.restricted)
-
-
-def op_norm_2to2(S: SuperOperator) -> float:
-    """Largest singular value = sup ||S X|| / ||X|| over the represented domain."""
-    return float(np.linalg.svd(S.matrix, compute_uv=False)[0])

@@ -16,8 +16,7 @@ import math
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
-from lindgap import Lindbladian, SuperOperator, generator_matrix, hamiltonian_superop, \
-    kms_frame
+from lindgap import Lindbladian, generator_matrix, hamiltonian_superop, kms_frame
 from lindgap.evolve import _random_mean_zero
 from lindgap.operators import dag, vec
 
@@ -32,7 +31,7 @@ def frame_basis(frame) -> list[np.ndarray]:
     return [frame.from_coords(eye[:, k]) for k in range(frame.size)]
 
 
-def superop_matrix(map_fn, frame, restrict_traceless: bool = False) -> SuperOperator:
+def superop_matrix(map_fn, frame, restrict_traceless: bool = False) -> np.ndarray:
     """Matrix [ <E_j, map(E_k)> ]_{jk} of a linear operator map.
 
     The map is probed for linearity on fixed pseudo-random operators before
@@ -50,9 +49,7 @@ def superop_matrix(map_fn, frame, restrict_traceless: bool = False) -> SuperOper
         raise ValueError("map is not linear on random probes")
     cols = [frame.coords(map_fn(E)) for E in frame_basis(frame)]
     M = np.stack(cols, axis=1)
-    if restrict_traceless:
-        return SuperOperator(frame, M[1:, 1:].copy(), True)
-    return SuperOperator(frame, M, False)
+    return M[1:, 1:].copy() if restrict_traceless else M
 
 
 def unit_matrix_per_jump(L, basis=None) -> np.ndarray:
@@ -84,9 +81,9 @@ def stp_worst_ratio(H, LD, state, rep) -> float:
     """stp_verify's worst ratio for report `rep`, from the exact moments
     (1/T) int_0^T t^n dt = T^n / (n + 1) and the same seeded draws."""
     frame = kms_frame(state)
-    MD = generator_matrix(LD, frame, restricted=False).matrix
+    MD = generator_matrix(LD, frame)
     MD = (MD + MD.conj().T) / 2.0
-    MH = hamiltonian_superop(H, frame, restricted=False).matrix
+    MH = hamiltonian_superop(H, frame)
     w, V = np.linalg.eigh(-MD)
     zero = np.abs(w) < 1e-9 * max(w[-1], 1e-30)
     P0 = V[:, zero] @ V[:, zero].conj().T
@@ -144,7 +141,7 @@ def lstsq_dbc_solve(L, frame):
     """standard_dbc_solve by brute force: the frame matrices of the N^2 - 1
     commutators 2i[G_k, .] as columns of a real least squares against
     M - M^dag.  O(N^8) time and O(N^6) memory; returns (K, defect)."""
-    M = generator_matrix(L, frame, restricted=False).matrix
+    M = generator_matrix(L, frame)
     D = M - dag(M)
     dnorm = np.linalg.norm(D)
     scale = max(np.linalg.norm(M), 1.0)
@@ -155,7 +152,7 @@ def lstsq_dbc_solve(L, frame):
     A = np.empty((M.size, len(basis)), dtype=complex)
     for k, G in enumerate(basis):
         Gk = Lindbladian(L.dim, 2.0 * G, []).unit_matrix(frame.state.eigenvectors)
-        A[:, k] = vec(frame.superop(Gk).matrix)
+        A[:, k] = vec(frame.superop(Gk))
     rhs = vec(D)
     A_real = np.vstack([A.real, A.imag])
     rhs_real = np.concatenate([rhs.real, rhs.imag])

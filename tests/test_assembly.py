@@ -120,12 +120,14 @@ def _rel_close(got, ref, rtol=1e-12):
 def test_kronecker_assembly_matches_probed_path(family, s, restricted):
     L, state = FAMILIES[family]()
     fr = KmsFrame(state, s)
-    _rel_close(generator_matrix(L, fr, restricted=restricted).matrix,
-               superop_matrix(L.apply, fr, restrict_traceless=restricted).matrix)
+    # the library's matrices are full-space; the traceless block is [1:, 1:]
+    b = slice(1 if restricted else 0, None)
+    _rel_close(generator_matrix(L, fr)[b, b],
+               superop_matrix(L.apply, fr, restrict_traceless=restricted))
     H = L.hamiltonian
-    _rel_close(hamiltonian_superop(H, fr, restricted=restricted).matrix,
+    _rel_close(hamiltonian_superop(H, fr)[b, b],
                superop_matrix(lambda X: 1j * (H @ X - X @ H), fr,
-                              restrict_traceless=restricted).matrix)
+                              restrict_traceless=restricted))
 
 
 def test_explicit_family_has_rotated_eigenbasis():
@@ -172,6 +174,9 @@ def test_analysis_matrices_are_real(case):
         names.append("M_D_sym")
     for name in names:
         assert getattr(an, name).dtype == np.float64, name
+    # M = M_D + M_H is the generator's own frame matrix
+    M = generator_matrix(L, an.frame)
+    assert np.abs(an.M - M).max() <= 1e-14 * np.abs(M).max()
     # the frame change is a similarity: same spectrum as the unit matrix
     ref = np.linalg.eigvals(L.unit_matrix())
     got = np.linalg.eigvals(an.M)
@@ -182,9 +187,9 @@ def test_analysis_matrices_are_real(case):
 
 def test_frame_matrix_is_real_exactly_when_scale_is_symmetric():
     L, state = _random_gksl()
-    assert generator_matrix(L, KmsFrame(state, 0.5)).matrix.dtype == np.float64
+    assert generator_matrix(L, KmsFrame(state, 0.5)).dtype == np.float64
     uniform = QuantumState.maximally_mixed(state.dim)
-    assert generator_matrix(L, gns_frame(uniform)).matrix.dtype == np.float64
-    Mg = generator_matrix(L, gns_frame(state)).matrix
+    assert generator_matrix(L, gns_frame(uniform)).dtype == np.float64
+    Mg = generator_matrix(L, gns_frame(state))
     assert Mg.dtype == np.complex128
     assert np.abs(Mg.imag).max() > 1e-3 * np.abs(Mg).max()

@@ -226,10 +226,12 @@ def test_validate_rejects_malformed_certificate(tmp_path, qubit_spec, capsys):
     assert main(["validate", "--spec", qubit_spec, "--out", str(tmp_path),
                  "--certificate", str(bad)]) == 2
     assert "nu/T/C_T" in capsys.readouterr().err
-    neg = tmp_path / "neg.json"
-    neg.write_text(json.dumps({"nu": -1.0, "T": 1.5, "C_T": 1.1}))
-    assert main(["validate", "--spec", qubit_spec, "--out", str(tmp_path),
-                 "--certificate", str(neg)]) == 2
+    for nu in (-1.0, float("nan"), float("inf")):
+        neg = tmp_path / "neg.json"
+        neg.write_text(json.dumps({"nu": nu, "T": 1.5, "C_T": 1.1}))
+        assert main(["validate", "--spec", qubit_spec, "--out", str(tmp_path),
+                     "--certificate", str(neg)]) == 2
+        assert "--certificate: need finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, name", [
@@ -237,6 +239,7 @@ def test_validate_rejects_malformed_certificate(tmp_path, qubit_spec, capsys):
     (["--samples", "1"], "--samples"),
     (["--t-max", "0"], "--t-max"),
     (["--t-max", "-1.5"], "--t-max"),
+    (["--t-max", "inf"], "--t-max"),
 ])
 def test_validate_rejects_vacuous_sample_grid(tmp_path, qubit_spec, capsys,
                                               flags, name):
@@ -276,13 +279,14 @@ def test_stp_rejects_bad_beta(tmp_path, qubit_spec, capsys):
 # one analysis per command
 
 
-# (frames, unit matrices) per call: structure adds the GNS frame, its GNS
-# generator matrix and the unit matrix inside standard_dbc_solve.  haar_gibbs
-# has no Hamiltonian, so its generator matrix is the dissipator's, and its
-# model builder checks two unit matrices.
-BUILDS = {("tfim", "structure"): (2, 4), ("tfim", "gap"): (1, 2),
-          ("tfim", "certify"): (1, 3), ("tfim", "stp"): (1, 2),
-          ("tfim", "validate"): (1, 3), ("haar_gibbs", "structure"): (2, 5),
+# (frames, unit matrices) per call.  M = M_D + M_H, so a command assembles the
+# unit matrices of L^D and i[H, .] but not that of L, except structure: it adds
+# the GNS frame and reads both defects and the standard-DBC fit from one unit
+# matrix of L, next to M_D for the kernel.  haar_gibbs has no Hamiltonian, and
+# its model builder checks two unit matrices.
+BUILDS = {("tfim", "structure"): (2, 2), ("tfim", "gap"): (1, 2),
+          ("tfim", "certify"): (1, 2), ("tfim", "stp"): (1, 2),
+          ("tfim", "validate"): (1, 2), ("haar_gibbs", "structure"): (2, 4),
           ("haar_gibbs", "gap"): (1, 4), ("haar_gibbs", "stp"): (1, 4)}
 
 
@@ -351,6 +355,21 @@ def test_dissipator_is_decomposed_once(tmp_path, monkeypatch, model, command,
     assert shapes["eigvalsh"].count((complement, complement)) == 0
 
 
+@pytest.mark.parametrize("command, flags, report", [
+    ("certify", ["--T", "nan"], "certificate.json"),
+    ("stp", ["--T", "nan"], "stp.json"),
+    ("stp", ["--beta", "nan"], "stp.json"),
+    ("stp", ["--beta", "inf"], "stp.json"),
+    ("gap", ["--alpha-grid", "1,nan,10"], "gap.json"),
+])
+def test_non_finite_flags_are_input_errors(tmp_path, qubit_spec, capsys,
+                                           command, flags, report):
+    out = tmp_path / "out"
+    assert main([command, "--spec", qubit_spec, "--out", str(out)] + flags) == 2
+    assert f"input error: {flags[0]}:" in capsys.readouterr().err
+    assert not (out / report).exists()
+
+
 # ---------------------------------------------------------------------------
 # spec and environment errors
 
@@ -363,6 +382,16 @@ def test_bad_param_type_names_the_field(tmp_path, capsys):
     })
     assert main(["structure", "--spec", spec, "--out", str(tmp_path)]) == 2
     assert "params.h: expected a number, got str" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+def test_non_finite_spec_number_names_the_field(tmp_path, capsys, gamma):
+    # json writes and reads these as the NaN and Infinity literals
+    spec = write_spec(tmp_path / "t.json", dict(TFIM3, params={"n": 2, "h": 1.0,
+                                                               "gamma": gamma}))
+    assert main(["structure", "--spec", spec, "--out", str(tmp_path)]) == 2
+    assert "params.gamma: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "structure.json").exists()
 
 
 def test_schema_and_model_errors(tmp_path, capsys):
@@ -425,6 +454,17 @@ def test_env_override_rejects_garbage(tmp_path, qubit_spec, monkeypatch, capsys)
     assert main(["structure", "--spec", qubit_spec,
                  "--out", str(tmp_path)]) == 2
     assert "LINDGAP_CERT_SLACK" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("var, value", [("LINDGAP_CERT_SLACK", "nan"),
+                                        ("LINDGAP_CERT_SLACK", "inf"),
+                                        ("LINDGAP_DB_TOL", "nan")])
+def test_env_override_rejects_non_finite(tmp_path, qubit_spec, monkeypatch, capsys,
+                                         var, value):
+    monkeypatch.setenv(var, value)
+    assert main(["stp", "--spec", qubit_spec, "--out", str(tmp_path)]) == 2
+    assert f"input error: {var}:" in capsys.readouterr().err
+    assert not (tmp_path / "stp.json").exists()
 
 
 def test_env_overrides_are_one_list():

@@ -103,7 +103,7 @@ def test_gns_qubit_pair_invariance_and_kms_db():
     # sigma e01 sigma^{-1} = (mu_1/mu_2) e01 = e^{-(-log(mu_1/mu_2))} e01
     L = build_gns_canonical(st, [(-om, E01), (om, E10)])
     assert check_invariance(L, st) < 1e-10
-    M = generator_matrix(L, kms_frame(st), restricted=False).matrix
+    M = generator_matrix(L, kms_frame(st))
     assert hermiticity_defect(M) < 1e-10
 
 
@@ -193,6 +193,38 @@ def test_structure_dephasing_kernel_grows_as_diagonal_algebra():
         assert rep.commutant_dim == N
 
 
+def _random_gksl_at_steady_state():
+    # generic jumps: no detailed balance of any kind, and a stationary state
+    # with distinct eigenvalues in a rotated basis
+    rng = np.random.default_rng(41)
+    N = 3
+    A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    jumps = [(float(rng.uniform(0.5, 2.0)),
+              rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+             for _ in range(2)]
+    L = build_gksl((A + A.conj().T) / 2, jumps, alpha=0.7)
+    units = np.eye(N * N).reshape(N * N, N, N)
+    schrodinger = np.stack([L.apply_adjoint(E).ravel() for E in units], axis=1)
+    rho = np.linalg.svd(schrodinger)[2][-1].conj().reshape(N, N)
+    rho = (rho + rho.conj().T) / 2
+    return L, QuantumState(rho / np.trace(rho).real)
+
+
+@pytest.mark.parametrize("case", ["qubit", "random_gksl"])
+def test_structure_defects_are_those_of_the_frame_matrices(case):
+    if case == "qubit":
+        L, st = build_gksl(PAULI_X, [(1.0, PAULI_Z)]), QuantumState.maximally_mixed(2)
+    else:
+        L, st = _random_gksl_at_steady_state()
+        assert np.ptp(st.eigenvalues) > 0.05
+    rep = structure_report(Analysis(L, st))
+    kms = hermiticity_defect(generator_matrix(L, KmsFrame(st, 0.5)))
+    gns = hermiticity_defect(generator_matrix(L, KmsFrame(st, 1.0)))
+    assert abs(rep.kms_defect - kms) <= 1e-12
+    assert abs(rep.gns_defect - gns) <= 1e-12
+    assert not rep.kms_db and rep.kms_defect > 0.1
+
+
 def test_structure_coercive_classification():
     # jumps spanning enough directions leave no kernel beyond the identity
     st = QuantumState.maximally_mixed(2)
@@ -211,14 +243,6 @@ def test_structure_rejects_non_invariant_state():
 
 # ---------------------------------------------------------------------------
 # standard_dbc_solve
-
-
-def _analysis_in_frame(L, frame):
-    # standard_dbc_solve reads only the generator and the frame of its
-    # analysis, so the closed form can be checked in any weighted frame
-    an = Analysis(L, frame.state)
-    an.frame = frame
-    return an
 
 
 def _random_unitary(rng, N):
@@ -243,7 +267,7 @@ def test_dbc_closed_form_matches_least_squares(N, s):
         st = QuantumState.from_eigenvalues(rng.uniform(0.1, 1.0, size=N),
                                            _random_unitary(rng, N))
         frame = KmsFrame(st, s)
-        K, defect = standard_dbc_solve(_analysis_in_frame(L, frame))
+        K, defect = standard_dbc_solve(L.unit_matrix(st.eigenvectors), frame)
         K_ref, defect_ref = lstsq_dbc_solve(L, frame)
         assert np.linalg.norm(K - K_ref) <= 1e-10 * np.linalg.norm(K_ref)
         assert abs(defect - defect_ref) <= 1e-12
@@ -265,7 +289,7 @@ def test_dbc_recovers_commuting_hamiltonian_for_gibbs_state(s):
     alpha = 1.7
     jumps = [(w, V @ Lj @ V.conj().T) for w, Lj in base.lind.jumps]
     L = build_gksl(H, jumps, alpha=alpha)
-    K, defect = standard_dbc_solve(_analysis_in_frame(L, KmsFrame(st, s)))
+    K, defect = standard_dbc_solve(L.unit_matrix(st.eigenvectors), KmsFrame(st, s))
     K_true = alpha * (H - np.trace(H) / len(lam) * np.eye(len(lam)))
     assert defect < 1e-12
     assert np.linalg.norm(K - K_true) <= 1e-10 * np.linalg.norm(K_true)
@@ -275,7 +299,7 @@ def test_dbc_recovers_weak_coherent_part():
     # ||L - L*|| is 1e-9 of ||L||: still a commutator to fit, not zero
     m = tfim(2, 0.9, 1.1)
     L = build_gksl(m.lind.hamiltonian, m.lind.jumps, alpha=1e-9)
-    K, defect = standard_dbc_solve(Analysis(L, m.state))
+    K, defect = standard_dbc_solve(L.unit_matrix(m.state.eigenvectors), kms_frame(m.state))
     H = 1e-9 * m.lind.hamiltonian
     assert defect < 1e-6
     assert np.linalg.norm(K - H) <= 1e-6 * np.linalg.norm(H)
@@ -286,7 +310,8 @@ def test_dbc_solve_runs_at_32_levels():
     # A least squares over the 1023 commutator columns would need ~17 GB here.
     m = tfim(5, 0.9, 1.1)
     H = m.lind.hamiltonian
-    K, defect = standard_dbc_solve(Analysis(m.lind, m.state))
+    K, defect = standard_dbc_solve(m.lind.unit_matrix(m.state.eigenvectors),
+                                   kms_frame(m.state))
     assert defect < 1e-12
     assert np.linalg.norm(K - H) <= 1e-10 * np.linalg.norm(H)
 
@@ -295,10 +320,10 @@ def test_dbc_solve_memory_stays_quartic():
     # N = 16: one N^2 x N^2 complex matrix is 1 MB; the least-squares design
     # matrix took 541 MB of traced allocations
     m = tfim(4, 0.9, 1.1)
-    an = Analysis(m.lind, m.state)
+    frame = kms_frame(m.state)
     tracemalloc.start()
     try:
-        standard_dbc_solve(an)
+        standard_dbc_solve(m.lind.unit_matrix(m.state.eigenvectors), frame)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -358,7 +383,7 @@ def test_commutant_matches_full_kernel_on_graph_models():
         mu = rng.uniform(0.5, 2.0, size=spec.n_vertices)
         st = QuantumState(np.diag(mu / mu.sum()))
         m = graph_lindblad(spec, st)
-        M = generator_matrix(m.lind, kms_frame(st), restricted=False).matrix
+        M = generator_matrix(m.lind, kms_frame(st))
         assert kernel_dimension(M) == len(spec.components)
         assert commutant_dimension(m.lind) == len(spec.components)
 

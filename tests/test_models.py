@@ -26,7 +26,6 @@ from lindgap import (
     kms_frame,
     lift_model,
     matrix_unit,
-    op_norm_2to2,
     single_jump_model,
     spectral_gap,
     structural_constants,
@@ -42,7 +41,7 @@ def split_form(H, LD, state):
 def dissipation_spectrum(lind, state):
     """Eigenvalues of -L^D in the KMS frame, ascending; independent route."""
     fr = kms_frame(state)
-    M = superop_matrix(lind.apply, fr).matrix
+    M = superop_matrix(lind.apply, fr)
     return np.linalg.eigvalsh(-(M + M.conj().T) / 2.0)
 
 
@@ -249,7 +248,7 @@ def test_graph_model_two_disjoint_edges():
     assert w[:2].max() < 1e-10
     assert w[2] == pytest.approx(m.lambda_D, abs=1e-10)
     assert w[-1] == pytest.approx(m.norm_LD, abs=1e-10)
-    assert kernel_dimension(superop_matrix(m.lind.apply, kms_frame(st)).matrix) == 2
+    assert kernel_dimension(superop_matrix(m.lind.apply, kms_frame(st))) == 2
 
 
 def test_graph_model_is_detailed_balanced():
@@ -398,7 +397,7 @@ def test_haar_gibbs_two_level_closed_form(beta):
 def test_haar_gibbs_norm_via_operator_norm():
     hm = haar_avg_gibbs([0.0, 1.0, 2.5], 1.0)
     M = superop_matrix(hm.lind.apply, kms_frame(hm.state))
-    assert op_norm_2to2(M) == pytest.approx(hm.model.norm_LD, rel=1e-10)
+    assert np.linalg.norm(M, 2) == pytest.approx(hm.model.norm_LD, rel=1e-10)
 
 
 def test_haar_gibbs_filter_validation():
@@ -422,7 +421,7 @@ def connected_base():
 def test_lift_kernel_dimension():
     lm = lift_model(connected_base(), np.diag([1.0, 2.0]))
     assert lm.kernel_dim == 2
-    M = superop_matrix(lm.lind.apply, kms_frame(lm.state)).matrix
+    M = superop_matrix(lm.lind.apply, kms_frame(lm.state))
     assert kernel_dimension(M) == 2
 
 

@@ -7,9 +7,7 @@ from scipy.optimize import linear_sum_assignment
 
 from lindgap import (
     QuantumState,
-    kms_adjoint,
     kms_frame,
-    op_norm_2to2,
     weighted_inner,
     weighted_norm,
 )
@@ -167,14 +165,14 @@ def test_frame_keeps_no_superoperator_sized_array():
 def test_superop_identity_map():
     fr = kms_frame(QuantumState(np.diag([0.6, 0.4])))
     S = superop_matrix(lambda X: X, fr)
-    assert np.abs(S.matrix - np.eye(4)).max() < 1e-10
+    assert np.abs(S - np.eye(4)).max() < 1e-10
 
 
 def test_superop_commutator_spectrum():
     fr = kms_frame(QuantumState(np.eye(2) / 2))
     S = superop_matrix(lambda X: 1j * (PAULI_Z @ X - X @ PAULI_Z), fr,
                        restrict_traceless=True)
-    w = np.sort_complex(np.linalg.eigvals(S.matrix))
+    w = np.sort_complex(np.linalg.eigvals(S))
     expect = np.sort_complex(np.array([0.0, 2.0j, -2.0j]))
     assert np.abs(w - expect).max() < 1e-10
 
@@ -184,8 +182,8 @@ def test_superop_double_commutator_spectrum():
     fr = kms_frame(QuantumState(np.eye(2) / 2))
     S = superop_matrix(lambda X: -(Z @ (Z @ X - X @ Z) - (Z @ X - X @ Z) @ Z),
                        fr, restrict_traceless=True)
-    assert np.abs(S.matrix - S.matrix.conj().T).max() < 1e-10
-    w = np.sort(np.linalg.eigvalsh(S.matrix))
+    assert np.abs(S - S.conj().T).max() < 1e-10
+    w = np.sort(np.linalg.eigvalsh(S))
     assert np.abs(w - np.array([-4.0, -4.0, 0.0])).max() < 1e-10
 
 
@@ -207,11 +205,11 @@ def test_superop_apply_matches_map():
     S = superop_matrix(phi, fr)
     for _ in range(5):
         X = random_op(rng, 3)
-        assert np.abs(S.apply(X) - phi(X)).max() < 1e-9
+        assert np.abs(fr.from_coords(S @ fr.coords(X)) - phi(X)).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
-# kms_adjoint
+# the KMS adjoint: the conjugate transpose
 
 
 def test_adjoint_hermitian_fixed_point():
@@ -222,7 +220,7 @@ def test_adjoint_hermitian_fixed_point():
         return -(Z @ (Z @ X - X @ Z) - (Z @ X - X @ Z) @ Z)
 
     S = superop_matrix(dbl, fr, restrict_traceless=True)
-    assert np.abs(kms_adjoint(S).matrix - S.matrix).max() < 1e-10
+    assert np.abs(S.conj().T - S).max() < 1e-10
 
 
 def test_adjoint_commutator_antihermitian():
@@ -231,7 +229,7 @@ def test_adjoint_commutator_antihermitian():
     fr = kms_frame(st)
     H = np.diag([1.0, -2.0])
     S = superop_matrix(lambda X: 1j * (H @ X - X @ H), fr)
-    assert np.abs(kms_adjoint(S).matrix + S.matrix).max() < 1e-10
+    assert np.abs(S.conj().T + S).max() < 1e-10
 
 
 def test_adjoint_probe_identity():
@@ -245,22 +243,22 @@ def test_adjoint_probe_identity():
         return A @ X @ B + B.conj().T @ X
 
     S = superop_matrix(phi, fr)
-    Sstar = kms_adjoint(S)
-    assert np.abs(kms_adjoint(Sstar).matrix - S.matrix).max() == 0.0
+    Sstar = S.conj().T
+    assert np.abs(Sstar.conj().T - S).max() == 0.0
     for _ in range(20):
         X, Y = random_op(rng, 3), random_op(rng, 3)
-        lhs = weighted_inner(st, 0.5, Sstar.apply(X), Y)
-        rhs = weighted_inner(st, 0.5, X, S.apply(Y))
+        lhs = weighted_inner(st, 0.5, fr.from_coords(Sstar @ fr.coords(X)), Y)
+        rhs = weighted_inner(st, 0.5, X, fr.from_coords(S @ fr.coords(Y)))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
-# op_norm_2to2
+# the 2 -> 2 norm: the spectral norm
 
 
 def test_norm_identity_map():
     fr = kms_frame(QuantumState(np.diag([0.6, 0.4])))
-    assert op_norm_2to2(superop_matrix(lambda X: X, fr)) == pytest.approx(1.0)
+    assert np.linalg.norm(superop_matrix(lambda X: X, fr), 2) == pytest.approx(1.0)
 
 
 def test_norm_double_commutator():
@@ -268,7 +266,7 @@ def test_norm_double_commutator():
     fr = kms_frame(QuantumState(np.eye(2) / 2))
     S = superop_matrix(lambda X: -(Z @ (Z @ X - X @ Z) - (Z @ X - X @ Z) @ Z),
                        fr, restrict_traceless=True)
-    assert op_norm_2to2(S) == pytest.approx(4.0, abs=1e-10)
+    assert np.linalg.norm(S, 2) == pytest.approx(4.0, abs=1e-10)
 
 
 def test_norm_commutator_bounded_by_spread():
@@ -285,8 +283,8 @@ def test_norm_commutator_bounded_by_spread():
         S = superop_matrix(lambda X: 1j * (H @ X - X @ H), fr,
                            restrict_traceless=True)
         spread = hdiag.max() - hdiag.min()
-        assert op_norm_2to2(S) <= spread + 1e-9
-        assert op_norm_2to2(S) == pytest.approx(spread, rel=1e-9)
+        assert np.linalg.norm(S, 2) <= spread + 1e-9
+        assert np.linalg.norm(S, 2) == pytest.approx(spread, rel=1e-9)
 
 
 def test_norm_is_supremum_on_probes():
@@ -295,11 +293,11 @@ def test_norm_is_supremum_on_probes():
     fr = kms_frame(st)
     A = random_op(rng, 3)
     S = superop_matrix(lambda X: A @ X - X @ A, fr)
-    nrm = op_norm_2to2(S)
+    nrm = np.linalg.norm(S, 2)
     best = 0.0
     for _ in range(50):
         X = random_op(rng, 3)
-        best = max(best, weighted_norm(st, 0.5, S.apply(X))
+        best = max(best, weighted_norm(st, 0.5, fr.from_coords(S @ fr.coords(X)))
                    / weighted_norm(st, 0.5, X))
     assert best <= nrm + 1e-9
     assert best > 0.5 * nrm
@@ -323,8 +321,8 @@ def test_restriction_drops_identity_eigenvalue():
 
     full = superop_matrix(phi, fr)
     restricted = superop_matrix(phi, fr, restrict_traceless=True)
-    wf = np.linalg.eigvals(full.matrix)
-    wr = np.append(np.linalg.eigvals(restricted.matrix), 0.0)
+    wf = np.linalg.eigvals(full)
+    wr = np.append(np.linalg.eigvals(restricted), 0.0)
     # pair by distance: sorting splits conjugate pairs on rounding noise
     dist = np.abs(wf[:, None] - wr[None, :])
     rows, cols = linear_sum_assignment(dist)
