@@ -11,8 +11,6 @@ __version__ = "0.2.0"
 from .operators import (
     QuantumState,
     KmsFrame,
-    kms_frame,
-    gns_frame,
     weighted_inner,
     weighted_norm,
 )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import Analysis, dag
+from .lindblad import Analysis, dag, real_norm2
 
 ASSUMPTION_DEFECT_FACTOR = 1e-9
 INJECTIVITY_TOL = 1e-10
@@ -111,7 +111,7 @@ def check_assumption(an: Analysis) -> tuple[bool, float]:
         return False, 0.0
     block = dag(V0) @ MH @ V0
     defect = float(np.linalg.norm(block, 2))
-    scale = max(np.linalg.norm(MH, 2), 1e-30)
+    scale = max(real_norm2(MH), 1e-30)
     return defect < ASSUMPTION_DEFECT_FACTOR * scale, defect
 
 
@@ -139,7 +139,7 @@ def structural_constants(an: Analysis) -> StructuralConstants:
             f"(s_H = {s_H:.3e}); the model is not primitive under this split")
     norm_LD = float(np.abs(split.rates).max())
     # Vp^dag is a co-isometry onto the complement: ||MH Vp|| = ||MH Pi_+||
-    norm_LH_plus = float(np.linalg.norm(MH @ Vp, 2))
+    norm_LH_plus = real_norm2(MH @ Vp)
     return StructuralConstants(lambda_D=lambda_D, s_H=s_H,
                                norm_LD=norm_LD, norm_LH_plus=norm_LH_plus)
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .certify import c_constants, c_constants_trivial_kernel, check_assumption
-from .lindblad import Analysis
+from .lindblad import Analysis, real_norm2
 from .operators import Matrix, QuantumState, as_square_matrix, dag
 
 MEAN_DRIFT_TOL = 1e-10
@@ -297,7 +297,7 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
 
     if split.dim0 == 0:
         C1, C2 = c_constants_trivial_kernel(float(np.abs(split.rates).max()),
-                                            float(np.linalg.norm(an.M_Hr, 2)),
+                                            real_norm2(an.M_Hr),
                                             T, beta)
         trivial = True
     else:

@@ -4,8 +4,8 @@ Generators are kept in Heisenberg form
 
     L(X) = i alpha [H, X] + sum_j w_j (L_j^dag X L_j - 1/2 {L_j^dag L_j, X})
 
-and analyzed through their matrices in a weighted frame: detailed balance
-with respect to sigma is Hermiticity of that matrix, kernels are zero
+and analyzed through their real matrices in the KMS frame: KMS detailed
+balance with respect to sigma is symmetry of that matrix, kernels are zero
 eigenspaces, and primitivity is a commutant null-space computation.
 """
 
@@ -22,9 +22,8 @@ from .operators import (
     QuantumState,
     as_square_matrix,
     dag,
-    gns_frame,
-    kms_frame,
     require_hermitian,
+    vec,
 )
 
 DB_DEFECT_TOL = 1e-8
@@ -227,7 +226,7 @@ class Analysis:
     def __init__(self, L: Lindbladian, state: QuantumState):
         self.L = L
         self.state = state
-        self.frame = kms_frame(state)
+        self.frame = KmsFrame(state)
         self.H = L.alpha * L.hamiltonian
         self.LD = L.dissipator()
 
@@ -243,6 +242,8 @@ class Analysis:
 
     @cached_property
     def M_H(self) -> Matrix:
+        if not self.H.any():
+            return np.zeros((self.frame.size, self.frame.size))
         return hamiltonian_superop(self.H, self.frame)
 
     @cached_property
@@ -285,38 +286,37 @@ class Analysis:
 def standard_dbc_solve(G: Matrix, frame: KmsFrame) -> tuple[Matrix, float]:
     """Best Hermitian traceless K with L - L* = 2i[K, .]; returns (K, defect).
 
-    G is L.unit_matrix(frame.state.eigenvectors) and L* the adjoint in `frame`.
+    G is L.unit_matrix(frame.state.eigenvectors) and L* the KMS adjoint.
     The defect is the residual norm relative to ||L - L*||; 0/0 counts as a
     perfect fit with K = 0.  The identity component of K is unobservable in a
     commutator and is pinned to zero by the traceless constraint.
 
     The frame change is unitary, so the fit is ||S C S^-1 - Y|| on the units of
     sigma's eigenbasis, with S = diag(vec(_scale)), Y = S G S^-1 - (S G S^-1)^dag
-    and S C S^-1 = 2i(a_L o K' x 1 - 1 x (a_R o K')^T) for K' = U^dag K U.  For
+    and S C S^-1 = 2i(a o K' x 1 - 1 x (a^T o K')^T) for K' = U^dag K U.  For
     traceless K the cross term of the two Kronecker factors vanishes, so the
-    squared residual is diagonal in the entries of K' (weights 4N(a_L^2 + a_R^2))
+    squared residual is diagonal in the entries of K' (weights 4N(a^2 + (a^T)^2))
     and reads Y only through two partial traces; the minimizer is entrywise.
     """
     N = frame.dim
     U = frame.state.eigenvectors
-    scale = frame._scale
-    s = scale.ravel()
+    s = vec(frame._scale)
     SGS = G * (s[:, None] / s[None, :])
     Y = SGS - dag(SGS)
     ynorm = np.linalg.norm(Y)
     if ynorm <= 1e-12 * max(np.linalg.norm(SGS), 1.0):
         return np.zeros((N, N), dtype=complex), 0.0
-    # _scale = outer(x, y): a_L[i, j] = x_i / x_j and a_R[i, j] = y_j / y_i
-    x, y = scale[:, 0], scale[0, :]
-    a_L = x[:, None] / x[None, :]
-    a_R = y[None, :] / y[:, None]
+    # _scale = outer(x, x): a[i, j] = x_i / x_j
+    x = frame._scale[:, 0]
+    a = x[:, None] / x[None, :]
     Y4 = Y.reshape(N, N, N, N)
-    b = -2j * (a_L * np.einsum("rcsc->rs", Y4) - a_R * np.einsum("rcrd->cd", Y4).T)
-    w = a_L**2 + a_R**2
-    # tr b = tr Y - tr Y = 0, so Kb already meets the traceless constraint
-    Kb = (b + dag(b)) / (4 * N * (w + w.T))
+    b = -2j * (a * np.einsum("rcsc->rs", Y4) - a.T * np.einsum("rcrd->cd", Y4).T)
+    w = a**2 + a.T**2
+    # tr b = tr Y - tr Y = 0, so Kb already meets the traceless constraint;
+    # w is exactly symmetric, so w + w^T = 2w
+    Kb = (b + dag(b)) / (8 * N * w)
     eye = np.eye(N)
-    fit = 2j * (np.kron(a_L * Kb, eye) - np.kron(eye, (a_R * Kb).T))
+    fit = 2j * (np.kron(a * Kb, eye) - np.kron(eye, (a.T * Kb).T))
     defect = float(np.linalg.norm(fit - Y) / ynorm)
     return U @ Kb @ dag(U), defect
 
@@ -430,7 +430,17 @@ def structure_report(an: Analysis, db_tol: float = DB_DEFECT_TOL) -> StructureRe
     # one G for both defects and the fit, not an.M: that would keep M_H too
     G = L.unit_matrix(an.state.eigenvectors)
     kms_defect = hermiticity_defect(an.frame.superop(G))
-    gns_defect = hermiticity_defect(gns_frame(an.state).superop(G))
+    mu = an.state.eigenvalues
+    if mu[0] == mu[-1]:  # uniform sigma: the GNS and KMS products coincide
+        gns_defect = kms_defect
+    else:
+        # the GNS frame matrix is a unitary change of S G S^-1 on the units,
+        # S = diag(vec(outer(1, sqrt(mu)))), and the defect is unitarily
+        # invariant; in the frame's unit order (diagonal units first) its SVD
+        # takes half the time on haar_gibbs
+        u = an.frame._units
+        g = vec(np.outer(np.ones_like(mu), np.sqrt(mu)))[u]
+        gns_defect = hermiticity_defect(G[np.ix_(u, u)] * (g[:, None] / g[None, :]))
     K, dbc_defect = standard_dbc_solve(G, an.frame)
 
     kdim = kernel_dimension(an.M_D)

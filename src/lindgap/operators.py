@@ -1,17 +1,15 @@
 """Weighted operator spaces and the KMS coordinate frame.
 
-Every superoperator in this package is represented as a matrix in an
-orthonormal basis for one of the sigma-weighted inner products
+`weighted_inner` evaluates the sigma-weighted inner products
 
-    <X, Y>_{sigma,s} = tr(sigma^s X^dag sigma^(1-s) Y),    0 <= s <= 1,
+    <X, Y>_{sigma,s} = tr(sigma^s X^dag sigma^(1-s) Y),    0 <= s <= 1.
 
-with s = 1/2 (KMS) the default and s = 1 (GNS) used for detailed-balance
-checks.  The frame is built through the similarity X -> sigma^((1-s)/2) X
-sigma^(s/2), which is an isometry onto the Hilbert-Schmidt space; weighted
-adjoints become literal conjugate transposes and detailed balance becomes
-Hermiticity of a matrix.  The KMS basis consists of Hermitian operators, so
-the matrix of a generator is real there; the GNS basis of a non-uniform sigma
-is not, and its matrices are complex.
+Every superoperator in this package is represented as a real matrix in one
+orthonormal basis for the KMS product (s = 1/2).  The frame is built through
+the similarity X -> sigma^(1/4) X sigma^(1/4), which is an isometry onto the
+Hilbert-Schmidt space; KMS adjoints become literal transposes and KMS detailed
+balance becomes symmetry of a matrix.  The basis consists of Hermitian
+operators, so the matrix of a map that preserves Hermiticity is real.
 """
 
 from __future__ import annotations
@@ -133,7 +131,7 @@ def weighted_norm(state: QuantumState, s: float, X) -> float:
 
 
 class KmsFrame:
-    """Orthonormal operator basis for <., .>_{sigma,s}.
+    """Orthonormal operator basis for the KMS product <., .>_{sigma,1/2}.
 
     E_0 is the identity; E_1 .. E_{N^2-1} span the traceless subspace
     {X : tr(sigma X) = 0}.  The basis is derived from the matrix units e_rc in
@@ -143,17 +141,15 @@ class KmsFrame:
     order, position N + p holds (e_rc + e_cr)/sqrt2 and position
     N + N(N-1)/2 + p holds i(e_rc - e_cr)/sqrt2.
 
-    When the weights are symmetric (s = 1/2, or a uniform sigma) every basis
-    operator is Hermitian.  The inner product is then real on Hermitian
-    operators, so a Hermitian operator has real coordinates and a map that
-    preserves Hermiticity has a real matrix.
+    Every basis operator is Hermitian.  The inner product is real on
+    Hermitian operators, so a Hermitian operator has real coordinates and a
+    map that preserves Hermiticity has a real matrix.
     """
 
-    def __init__(self, state: QuantumState, s: float = 0.5):
-        if not 0.0 < s <= 1.0:
-            raise ValueError(f"s must lie in (0, 1], got {s}")
+    s = 0.5  # the weight exponent of <., .>_{sigma,s}; perfbench keys frames by it
+
+    def __init__(self, state: QuantumState):
         self.state = state
-        self.s = float(s)
         N = state.dim
         mu = state.eigenvalues
         # Gram-Schmidt on the diagonal entries alone builds _Q; its column 0
@@ -194,9 +190,7 @@ class KmsFrame:
         # Gram-Schmidt and pair rotations mix them
         self._units = np.concatenate([np.arange(N) * (N + 1), rows * N + cols,
                                       cols * N + rows])
-        lp = (1.0 - s) / 2.0
-        self._scale = np.outer(mu**lp, mu ** (s / 2.0))
-        self._real = bool(np.array_equal(self._scale, self._scale.T))
+        self._scale = np.outer(mu**0.25, mu**0.25)
 
     @property
     def dim(self) -> int:
@@ -209,9 +203,9 @@ class KmsFrame:
     def coords(self, X) -> np.ndarray:
         """Coordinates of X in the frame (length N^2, entry 0 is the mean).
 
-        A stack of operators (..., N, N) gives a stack of coordinates.  With a
-        Hermitian basis and exactly Hermitian operators they are real: sqrt2
-        times the real and imaginary parts of the upper-triangle entries.
+        A stack of operators (..., N, N) gives a stack of coordinates.  For
+        exactly Hermitian operators they are real: sqrt2 times the real and
+        imaginary parts of the upper-triangle entries.
         """
         N = self.dim
         X = np.asarray(X, dtype=complex)
@@ -219,7 +213,7 @@ class KmsFrame:
             raise ValueError(f"expected {N}x{N} operators, got shape {X.shape}")
         if not np.all(np.isfinite(X)):
             raise ValueError("matrix has non-finite entries")
-        hermitian = self._real and np.array_equal(X, np.swapaxes(X, -1, -2).conj())
+        hermitian = np.array_equal(X, np.swapaxes(X, -1, -2).conj())
         U = self.state.eigenvectors
         # one product at a time: for a stack these are the largest arrays
         Y = dag(U) @ X
@@ -255,21 +249,20 @@ class KmsFrame:
         return U @ (Y / self._scale) @ dag(U)
 
     def superop(self, G: Matrix) -> Matrix:
-        """Frame matrix B^dag S G S^-1 B of the map with vec(map(X)) = G vec(X) on
-        the units of sigma's eigenbasis; S = diag(vec(_scale)) and B (never
+        """Real frame matrix B^dag S G S^-1 B of the map with vec(map(X)) = G vec(X)
+        on the units of sigma's eigenbasis; S = diag(vec(_scale)) and B (never
         built) maps frame coordinates to units.
 
-        With a Hermitian basis the map is taken to preserve Hermiticity, as
-        every GKSL generator and every i[H, .] with Hermitian H does, and the
-        matrix is real (float64): row i(e_rc - e_cr) of S G S^-1 B is then the
-        conjugate of row e_rc, so only the diagonal and upper rows are needed.
+        The map is taken to preserve Hermiticity, as every GKSL generator and
+        every i[H, .] with Hermitian H does: row i(e_rc - e_cr) of S G S^-1 B is
+        then the conjugate of row e_rc, so only the diagonal and upper rows are
+        needed.
         """
         D, P, I = self._blocks
         units = self._units
         s = vec(self._scale)[units]
-        rows = units[:P.stop] if self._real else units
-        A = G[np.ix_(rows, units)].astype(complex, copy=False)
-        A *= s[:len(rows), None] / s[None, :]
+        A = G[np.ix_(units[:P.stop], units)].astype(complex, copy=False)
+        A *= s[:P.stop, None] / s[None, :]
         # B = B~ diag(1, .., 1, 1/sqrt2, ..): B~ has the unnormalized pair columns
         # e_rc + e_cr and i(e_rc - e_cr), so that B~^dag A B~ is exact sums
         # and the sqrt2 factors come last.  Columns first: A <- A B~.
@@ -279,29 +272,12 @@ class KmsFrame:
         A[:, I] *= -1j
         A[:, P] = even
         # rows: B~^dag A
-        if self._real:
-            M = np.empty((self.size, self.size))
-            M[D] = self._Q.T @ A[D].real
-            np.multiply(A[P].real, 2.0, out=M[P])
-            np.multiply(A[P].imag, 2.0, out=M[I])
-        else:
-            M = A
-            M[D] = self._Q.T @ M[D]
-            even = M[P] + M[I]
-            M[I] -= M[P]
-            M[I] *= 1j
-            M[P] = even
+        M = np.empty((self.size, self.size))
+        M[D] = self._Q.T @ A[D].real
+        np.multiply(A[P].real, 2.0, out=M[P])
+        np.multiply(A[P].imag, 2.0, out=M[I])
         pairs = slice(P.start, None)
         M[D, pairs] /= SQRT2
         M[pairs, D] /= SQRT2
         M[pairs, pairs] *= 0.5
         return M
-
-
-def kms_frame(state: QuantumState) -> KmsFrame:
-    """The s = 1/2 frame in which KMS adjoints are conjugate transposes."""
-    return KmsFrame(state, s=0.5)
-
-
-def gns_frame(state: QuantumState) -> KmsFrame:
-    return KmsFrame(state, s=1.0)

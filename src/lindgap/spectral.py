@@ -164,21 +164,22 @@ def hypoco_index(an: Analysis, J_max: int = 8) -> int | None:
     """Smallest J with sum_{j<=J} (iM_H)^j (-M_D) (iM_H)^j positive definite.
 
     Each term is PSD because iM_H is Hermitian for commuting H, so the sum
-    only grows; returns None if no J <= J_max works.
+    only grows; returns None if no J <= J_max works.  M_H is real
+    antisymmetric, iM_H = iA with A = (M_H - M_H^T)/2, and each step
+    P term P = -A term A stays real.
     """
     MD = an.M_Dr
-    negD = -(MD + dag(MD)) / 2.0
-    P = 1j * an.M_Hr
-    P = (P + dag(P)) / 2.0
+    negD = -(MD + MD.T) / 2.0
+    A = (an.M_Hr - an.M_Hr.T) / 2.0
     term = negD.copy()
     total = np.zeros_like(negD)
     for J in range(J_max + 1):
         total = total + term
-        w = np.linalg.eigvalsh((total + dag(total)) / 2.0)
+        w = np.linalg.eigvalsh((total + total.T) / 2.0)
         scale = max(abs(w).max(), 1e-30)
         if w[0] > INDEX_POSITIVITY_FACTOR * scale:
             return J
-        term = P @ term @ P
+        term = -(A @ term @ A)
     return None
 
 

@@ -2,7 +2,8 @@
 
 These recompute the same quantities as the library by other routes: the
 probed frame matrix of an arbitrary linear map (from the frame's basis
-operators) for every assembled superoperator, the Kronecker form summed one
+operators) for every assembled superoperator, the GNS matrix of a generator
+probed on the GNS basis for the GNS defect, the Kronecker form summed one
 jump at a time for the batched unit matrix, polynomial moments for the
 space-time variance check, a Lyapunov solve for the window Gramian, a
 least-squares fit over a Hermitian traceless basis for the standard
@@ -16,7 +17,7 @@ import math
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
-from lindgap import Lindbladian, generator_matrix, hamiltonian_superop, kms_frame
+from lindgap import KmsFrame, Lindbladian, generator_matrix, hamiltonian_superop
 from lindgap.evolve import _random_mean_zero
 from lindgap.operators import dag, vec
 
@@ -52,6 +53,18 @@ def superop_matrix(map_fn, frame, restrict_traceless: bool = False) -> np.ndarra
     return M[1:, 1:].copy() if restrict_traceless else M
 
 
+def gns_matrix(L, state) -> np.ndarray:
+    """Matrix [ <E_j, L(E_k)> ]_{jk} for the GNS product <X, Y> = tr(sigma X^dag Y),
+    probed through L.apply on its orthonormal basis E_k = Y_k sigma^(-1/2), Y_k
+    the matrix units (Hilbert-Schmidt orthonormal)."""
+    N = state.dim
+    units = np.eye(N * N).reshape(N * N, N, N)
+    basis = units @ state.power(-0.5)
+    images = [L.apply(E) for E in basis]
+    return np.array([[np.trace(state.matrix @ dag(Ej) @ LEk) for LEk in images]
+                     for Ej in basis])
+
+
 def unit_matrix_per_jump(L, basis=None) -> np.ndarray:
     """Lindbladian.unit_matrix with one Kronecker product per jump."""
     def rot(A):
@@ -80,7 +93,7 @@ def _moment_average(A: np.ndarray, moments: np.ndarray) -> float:
 def stp_worst_ratio(H, LD, state, rep) -> float:
     """stp_verify's worst ratio for report `rep`, from the exact moments
     (1/T) int_0^T t^n dt = T^n / (n + 1) and the same seeded draws."""
-    frame = kms_frame(state)
+    frame = KmsFrame(state)
     MD = generator_matrix(LD, frame)
     MD = (MD + MD.conj().T) / 2.0
     MH = hamiltonian_superop(H, frame)

@@ -11,6 +11,7 @@ from lindgap import (
     Analysis,
     DecayCurve,
     GraphSpec,
+    KmsFrame,
     PAULI_X,
     PAULI_Z,
     QuantumState,
@@ -21,7 +22,6 @@ from lindgap import (
     generator_matrix,
     graph_lindblad,
     haar_avg_gibbs,
-    kms_frame,
     matrix_unit,
     op_on_qubit,
     propagate,
@@ -127,7 +127,7 @@ def test_cert_check_passes_emitted_certificate():
     assert rep.worst_window_ratio <= 1.0 + 1e-6
     assert rep.worst_pointwise_ratio <= 1.0 + 1e-6
     # the window values are the exact averages
-    fr = kms_frame(MIXED2)
+    fr = KmsFrame(MIXED2)
     Mr = generator_matrix(QUBIT, fr)[1:, 1:]
     G = lyapunov_window_gramian(Mr, CERT_T)
     xs = [expm(t * Mr) @ fr.coords(X0)[1:] for t in ts]
@@ -144,7 +144,7 @@ def test_cert_check_passes_emitted_certificate():
 def test_window_average_closed_form_for_detailed_balance(lind, state):
     # KMS detailed balance makes M Hermitian, so each eigenmode's window
     # average is (1 - e^{-2 lam T}) / (2 lam T), and 1 when lam = 0
-    fr = kms_frame(state)
+    fr = KmsFrame(state)
     Mr = generator_matrix(lind, fr)[1:, 1:]
     assert np.abs(Mr - Mr.conj().T).max() < 1e-12
     lam, V = np.linalg.eigh(-Mr)
@@ -163,7 +163,7 @@ def test_window_average_closed_form_for_detailed_balance(lind, state):
 @pytest.mark.parametrize("T", [0.5, 2.0, 20.0])
 def test_window_gramian_matches_lyapunov_solve(T):
     m = tfim(3, 0.75, 1.25)
-    Mr = generator_matrix(m.lind, kms_frame(m.state))[1:, 1:]
+    Mr = generator_matrix(m.lind, KmsFrame(m.state))[1:, 1:]
     G = window_gramian(Mr, T)
     ref = lyapunov_window_gramian(Mr, T)
     assert np.abs(G - ref).max() < 1e-12 * np.abs(ref).max()
@@ -173,7 +173,7 @@ def test_window_gramian_matches_lyapunov_solve(T):
 def test_window_gramian_survives_long_windows():
     # lam_max * T far beyond the range of a single Van Loan block exponential
     m = tfim(2, 1.0, 1.0)
-    Mr = generator_matrix(m.lind, kms_frame(m.state))[1:, 1:]
+    Mr = generator_matrix(m.lind, KmsFrame(m.state))[1:, 1:]
     G = window_gramian(Mr, 2000.0)
     assert np.all(np.isfinite(G))
     assert np.abs(G - lyapunov_window_gramian(Mr, 2000.0)).max() \

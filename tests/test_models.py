@@ -9,6 +9,7 @@ from exact_reference import superop_matrix
 from lindgap import (
     Analysis,
     GraphSpec,
+    KmsFrame,
     PAULI_X,
     PAULI_Z,
     QuantumState,
@@ -23,7 +24,6 @@ from lindgap import (
     haar_avg_gibbs,
     hypercube_graph,
     kernel_dimension,
-    kms_frame,
     lift_model,
     matrix_unit,
     single_jump_model,
@@ -40,7 +40,7 @@ def split_form(H, LD, state):
 
 def dissipation_spectrum(lind, state):
     """Eigenvalues of -L^D in the KMS frame, ascending; independent route."""
-    fr = kms_frame(state)
+    fr = KmsFrame(state)
     M = superop_matrix(lind.apply, fr)
     return np.linalg.eigvalsh(-(M + M.conj().T) / 2.0)
 
@@ -248,7 +248,7 @@ def test_graph_model_two_disjoint_edges():
     assert w[:2].max() < 1e-10
     assert w[2] == pytest.approx(m.lambda_D, abs=1e-10)
     assert w[-1] == pytest.approx(m.norm_LD, abs=1e-10)
-    assert kernel_dimension(superop_matrix(m.lind.apply, kms_frame(st))) == 2
+    assert kernel_dimension(superop_matrix(m.lind.apply, KmsFrame(st))) == 2
 
 
 def test_graph_model_is_detailed_balanced():
@@ -396,7 +396,7 @@ def test_haar_gibbs_two_level_closed_form(beta):
 
 def test_haar_gibbs_norm_via_operator_norm():
     hm = haar_avg_gibbs([0.0, 1.0, 2.5], 1.0)
-    M = superop_matrix(hm.lind.apply, kms_frame(hm.state))
+    M = superop_matrix(hm.lind.apply, KmsFrame(hm.state))
     assert np.linalg.norm(M, 2) == pytest.approx(hm.model.norm_LD, rel=1e-10)
 
 
@@ -421,7 +421,7 @@ def connected_base():
 def test_lift_kernel_dimension():
     lm = lift_model(connected_base(), np.diag([1.0, 2.0]))
     assert lm.kernel_dim == 2
-    M = superop_matrix(lm.lind.apply, kms_frame(lm.state))
+    M = superop_matrix(lm.lind.apply, KmsFrame(lm.state))
     assert kernel_dimension(M) == 2
 
 

@@ -6,8 +6,8 @@ from exact_reference import frame_basis, superop_matrix
 from scipy.optimize import linear_sum_assignment
 
 from lindgap import (
+    KmsFrame,
     QuantumState,
-    kms_frame,
     weighted_inner,
     weighted_norm,
 )
@@ -74,11 +74,11 @@ def test_state_rejects_rank_deficient():
 
 
 # ---------------------------------------------------------------------------
-# kms_frame
+# KmsFrame
 
 
 def test_frame_unital_qubit_gram():
-    fr = kms_frame(QuantumState(np.eye(2) / 2))
+    fr = KmsFrame(QuantumState(np.eye(2) / 2))
     basis = frame_basis(fr)
     G = np.array([[weighted_inner(fr.state, 0.5, Ej, Ek)
                    for Ek in basis] for Ej in basis])
@@ -87,7 +87,7 @@ def test_frame_unital_qubit_gram():
 
 def test_frame_identity_first_and_traceless_rest():
     st = QuantumState(np.diag([0.75, 0.25]))
-    basis = frame_basis(kms_frame(st))
+    basis = frame_basis(KmsFrame(st))
     assert np.abs(basis[0] - np.eye(2)).max() < 1e-12
     assert weighted_inner(st, 0.5, basis[0], basis[0]) == pytest.approx(1.0)
     for E in basis[1:]:
@@ -99,7 +99,7 @@ def test_frame_gram_identity_random_states():
     for case in range(50):
         N = int(rng.integers(2, 9))
         st = random_state(rng, N)
-        fr = kms_frame(st)
+        fr = KmsFrame(st)
         C = np.stack([fr.coords(E) for E in frame_basis(fr)], axis=1)
         # coords are KMS coordinates, so the Gram matrix is C^dag C
         G = C.conj().T @ C
@@ -111,7 +111,7 @@ def test_frame_coords_isometry():
     for _ in range(10):
         N = int(rng.integers(2, 7))
         st = random_state(rng, N)
-        fr = kms_frame(st)
+        fr = KmsFrame(st)
         X = random_op(rng, N)
         c = fr.coords(X)
         assert np.linalg.norm(c) == pytest.approx(weighted_norm(st, 0.5, X),
@@ -119,11 +119,11 @@ def test_frame_coords_isometry():
         assert np.abs(fr.from_coords(c) - X).max() < 1e-9
 
 
-def test_kms_frame_basis_is_hermitian_and_kms_orthonormal():
+def test_frame_basis_is_hermitian_and_kms_orthonormal():
     rng = np.random.default_rng(29)
     for N in (2, 3, 5):
         st = random_state(rng, N)
-        basis = frame_basis(kms_frame(st))
+        basis = frame_basis(KmsFrame(st))
         for E in basis:
             assert np.abs(E - E.conj().T).max() < 1e-12 * np.abs(E).max()
         G = np.array([[weighted_inner(st, 0.5, Ej, Ek) for Ek in basis]
@@ -134,7 +134,7 @@ def test_kms_frame_basis_is_hermitian_and_kms_orthonormal():
 def test_coords_real_for_hermitian_operators_and_round_trip():
     rng = np.random.default_rng(31)
     for N in (2, 3, 6):
-        fr = kms_frame(random_state(rng, N))
+        fr = KmsFrame(random_state(rng, N))
         A = random_op(rng, N)
         X = (A + A.conj().T) / 2.0  # exactly Hermitian
         c = fr.coords(X)
@@ -153,7 +153,7 @@ def test_coords_real_for_hermitian_operators_and_round_trip():
 
 
 def test_frame_keeps_no_superoperator_sized_array():
-    fr = kms_frame(random_state(np.random.default_rng(5), 6))
+    fr = KmsFrame(random_state(np.random.default_rng(5), 6))
     sizes = [np.size(v) for v in vars(fr).values() if isinstance(v, np.ndarray)]
     assert sizes and max(sizes) <= fr.size
 
@@ -163,13 +163,13 @@ def test_frame_keeps_no_superoperator_sized_array():
 
 
 def test_superop_identity_map():
-    fr = kms_frame(QuantumState(np.diag([0.6, 0.4])))
+    fr = KmsFrame(QuantumState(np.diag([0.6, 0.4])))
     S = superop_matrix(lambda X: X, fr)
     assert np.abs(S - np.eye(4)).max() < 1e-10
 
 
 def test_superop_commutator_spectrum():
-    fr = kms_frame(QuantumState(np.eye(2) / 2))
+    fr = KmsFrame(QuantumState(np.eye(2) / 2))
     S = superop_matrix(lambda X: 1j * (PAULI_Z @ X - X @ PAULI_Z), fr,
                        restrict_traceless=True)
     w = np.sort_complex(np.linalg.eigvals(S))
@@ -179,7 +179,7 @@ def test_superop_commutator_spectrum():
 
 def test_superop_double_commutator_spectrum():
     Z = PAULI_Z
-    fr = kms_frame(QuantumState(np.eye(2) / 2))
+    fr = KmsFrame(QuantumState(np.eye(2) / 2))
     S = superop_matrix(lambda X: -(Z @ (Z @ X - X @ Z) - (Z @ X - X @ Z) @ Z),
                        fr, restrict_traceless=True)
     assert np.abs(S - S.conj().T).max() < 1e-10
@@ -188,7 +188,7 @@ def test_superop_double_commutator_spectrum():
 
 
 def test_superop_rejects_nonlinear_map():
-    fr = kms_frame(QuantumState(np.eye(2) / 2))
+    fr = KmsFrame(QuantumState(np.eye(2) / 2))
     with pytest.raises(ValueError, match="linear"):
         superop_matrix(lambda X: X @ X, fr)
 
@@ -196,7 +196,7 @@ def test_superop_rejects_nonlinear_map():
 def test_superop_apply_matches_map():
     rng = np.random.default_rng(5)
     st = random_state(rng, 3)
-    fr = kms_frame(st)
+    fr = KmsFrame(st)
     A = random_op(rng, 3)
 
     def phi(X):
@@ -213,7 +213,7 @@ def test_superop_apply_matches_map():
 
 
 def test_adjoint_hermitian_fixed_point():
-    fr = kms_frame(QuantumState(np.diag([0.7, 0.3])))
+    fr = KmsFrame(QuantumState(np.diag([0.7, 0.3])))
     Z = PAULI_Z
 
     def dbl(X):
@@ -226,7 +226,7 @@ def test_adjoint_hermitian_fixed_point():
 def test_adjoint_commutator_antihermitian():
     # [H, sigma] = 0 makes i[H, .] anti-selfadjoint for the KMS product
     st = QuantumState(np.diag([0.7, 0.3]))
-    fr = kms_frame(st)
+    fr = KmsFrame(st)
     H = np.diag([1.0, -2.0])
     S = superop_matrix(lambda X: 1j * (H @ X - X @ H), fr)
     assert np.abs(S.conj().T + S).max() < 1e-10
@@ -235,7 +235,7 @@ def test_adjoint_commutator_antihermitian():
 def test_adjoint_probe_identity():
     rng = np.random.default_rng(11)
     st = random_state(rng, 3)
-    fr = kms_frame(st)
+    fr = KmsFrame(st)
     A = random_op(rng, 3)
     B = random_op(rng, 3)
 
@@ -257,13 +257,13 @@ def test_adjoint_probe_identity():
 
 
 def test_norm_identity_map():
-    fr = kms_frame(QuantumState(np.diag([0.6, 0.4])))
+    fr = KmsFrame(QuantumState(np.diag([0.6, 0.4])))
     assert np.linalg.norm(superop_matrix(lambda X: X, fr), 2) == pytest.approx(1.0)
 
 
 def test_norm_double_commutator():
     Z = PAULI_Z
-    fr = kms_frame(QuantumState(np.eye(2) / 2))
+    fr = KmsFrame(QuantumState(np.eye(2) / 2))
     S = superop_matrix(lambda X: -(Z @ (Z @ X - X @ Z) - (Z @ X - X @ Z) @ Z),
                        fr, restrict_traceless=True)
     assert np.linalg.norm(S, 2) == pytest.approx(4.0, abs=1e-10)
@@ -276,7 +276,7 @@ def test_norm_commutator_bounded_by_spread():
     for _ in range(10):
         N = int(rng.integers(2, 6))
         st = random_state(rng, N)
-        fr = kms_frame(st)
+        fr = KmsFrame(st)
         hdiag = rng.standard_normal(N)
         V = st.eigenvectors
         H = V @ np.diag(hdiag) @ V.conj().T
@@ -290,7 +290,7 @@ def test_norm_commutator_bounded_by_spread():
 def test_norm_is_supremum_on_probes():
     rng = np.random.default_rng(17)
     st = random_state(rng, 3)
-    fr = kms_frame(st)
+    fr = KmsFrame(st)
     A = random_op(rng, 3)
     S = superop_matrix(lambda X: A @ X - X @ A, fr)
     nrm = np.linalg.norm(S, 2)
@@ -312,7 +312,7 @@ def test_restriction_drops_identity_eigenvalue():
     # plus the eigenvalue on the identity direction
     rng = np.random.default_rng(19)
     st = random_state(rng, 3)
-    fr = kms_frame(st)
+    fr = KmsFrame(st)
     A = random_op(rng, 3)
 
     def phi(X):

@@ -6,13 +6,13 @@ import pytest
 from lindgap import (
     Analysis,
     GraphSpec,
+    KmsFrame,
     QuantumState,
     bohr_decompose,
     build_gksl,
     gap_curve,
     graph_lindblad,
     hypoco_index,
-    kms_frame,
     lambda_nu_table,
     large_alpha_limit,
     singular_relaxation_check,
@@ -61,7 +61,7 @@ def test_gap_qubit_model():
 
 
 def test_gap_restricted_spectrum_qubit():
-    M = generator_matrix(qubit_model(), kms_frame(MIXED2))[1:, 1:]
+    M = generator_matrix(qubit_model(), KmsFrame(MIXED2))[1:, 1:]
     w = np.sort(np.linalg.eigvals(M).real)
     assert np.abs(w - np.array([-4.0, -2.0, -2.0])).max() < 1e-10
 
@@ -97,7 +97,7 @@ def test_spectrum_conjugation_and_dissipativity():
         m = graph_lindblad(spec, st)
         H = np.diag(rng.standard_normal(n))
         L = build_gksl(H, m.lind.jumps, alpha=float(rng.uniform(0.2, 3.0)))
-        M = generator_matrix(L, kms_frame(st))[1:, 1:]
+        M = generator_matrix(L, KmsFrame(st))[1:, 1:]
         w = np.linalg.eigvals(M)
         assert w.real.max() <= 1e-10
         wl = sorted(w, key=lambda z: (round(z.real, 8), round(abs(z.imag), 8)))
@@ -107,7 +107,7 @@ def test_spectrum_conjugation_and_dissipativity():
 
 def test_singular_gap_below_every_eigenvalue():
     rep = spectral_gap(Analysis(qubit_model(), MIXED2))
-    M = generator_matrix(qubit_model(), kms_frame(MIXED2))[1:, 1:]
+    M = generator_matrix(qubit_model(), KmsFrame(MIXED2))[1:, 1:]
     for ev in np.linalg.eigvals(M):
         assert rep.singular_gap <= abs(ev) + 1e-9
 
