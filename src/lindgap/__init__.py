@@ -8,12 +8,7 @@ exact semigroup evolution.
 
 __version__ = "0.2.0"
 
-from .operators import (
-    QuantumState,
-    KmsFrame,
-    weighted_inner,
-    weighted_norm,
-)
+from .operators import QuantumState, KmsFrame
 from .lindblad import (
     Analysis,
     Lindbladian,

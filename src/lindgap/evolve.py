@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .certify import c_constants, c_constants_trivial_kernel, check_assumption
 from .lindblad import Analysis, real_norm2
@@ -24,13 +23,21 @@ MEAN_DRIFT_TOL = 1e-10
 CONTRACTIVITY_SLACK = 1e-10
 
 
+def _expm(A: Matrix) -> Matrix:
+    """scipy.linalg.expm, imported on the first call: importing scipy.linalg
+    is about half of a command's start-up, and of the commands only
+    validate exponentiates."""
+    from scipy.linalg import expm
+    return expm(A)
+
+
 def propagate(an: Analysis, X0, t: float) -> Matrix:
     """e^{tL} X0 by exponentiating the full weighted-frame matrix."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     frame = an.frame
     c0 = frame.coords(as_square_matrix(X0, an.state.dim))
-    ct = expm(t * an.M) @ c0
+    ct = _expm(t * an.M) @ c0
     drift = abs(ct[0] - c0[0])
     if drift > MEAN_DRIFT_TOL * max(abs(c0[0]), 1.0):
         raise ValueError(f"invariant mean drifted by {drift:.3e}; "
@@ -69,7 +76,7 @@ def decay_curve(an: Analysis, X0, ts, window_T: float | None = None) -> DecayCur
     windows = np.empty(len(ts)) if window_T else None
     G = window_gramian(Mr, window_T) if window_T else None
     for i, t in enumerate(ts):
-        x = expm(t * Mr) @ c0
+        x = _expm(t * Mr) @ c0
         vals[i] = float(np.vdot(x, x).real)
         if window_T:
             windows[i] = float(np.vdot(x, G @ x).real)
@@ -93,7 +100,7 @@ def window_gramian(M: Matrix, T: float) -> Matrix:
     block[:n, :n] = -dag(M)
     block[:n, n:] = np.eye(n)
     block[n:, n:] = M
-    F = expm(h * block)
+    F = _expm(h * block)
     E = F[n:, n:]
     G = dag(E) @ F[:n, n:]
     for _ in range(k):
@@ -151,7 +158,7 @@ def time_avg_check(an: Analysis, X0, T: float, nu: float, t_samples,
     worst_w = 0.0
     worst_p = 0.0
     for i, t in enumerate(ts):
-        x = c0 if t == 0 else expm(t * Mr) @ c0
+        x = c0 if t == 0 else _expm(t * Mr) @ c0
         points[i] = float(np.vdot(x, x).real)
         w = float(np.vdot(x, G @ x).real)
         windows[i] = w
@@ -200,7 +207,7 @@ def semigroup_norm_curve(an: Analysis, ts) -> NormCurve:
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("ts must be nonnegative and strictly increasing")
-    norms = np.array([np.linalg.norm(expm(t * an.Mr), 2) for t in ts])
+    norms = np.array([np.linalg.norm(_expm(t * an.Mr), 2) for t in ts])
     start = len(ts) // 2
     if len(ts) - start < 2:
         raise ValueError("need at least two points in the fit window")

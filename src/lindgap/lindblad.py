@@ -95,8 +95,9 @@ class Lindbladian:
     def magnitude(self) -> float:
         """Rough generator scale used to normalize residual tolerances."""
         m = 2.0 * abs(self.alpha) * np.linalg.norm(self.hamiltonian, 2)
-        for w, L in self.jumps:
-            m += 2.0 * w * np.linalg.norm(L, 2) ** 2
+        Ls = np.array([L for _, L in self.jumps]).reshape(-1, self.dim, self.dim)
+        for (w, _), n in zip(self.jumps, np.linalg.norm(Ls, 2, axis=(1, 2))):
+            m += 2.0 * w * n ** 2
         return float(m)
 
 

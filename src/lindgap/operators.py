@@ -1,15 +1,15 @@
 """Weighted operator spaces and the KMS coordinate frame.
 
-`weighted_inner` evaluates the sigma-weighted inner products
-
-    <X, Y>_{sigma,s} = tr(sigma^s X^dag sigma^(1-s) Y),    0 <= s <= 1.
-
 Every superoperator in this package is represented as a real matrix in one
-orthonormal basis for the KMS product (s = 1/2).  The frame is built through
-the similarity X -> sigma^(1/4) X sigma^(1/4), which is an isometry onto the
-Hilbert-Schmidt space; KMS adjoints become literal transposes and KMS detailed
-balance becomes symmetry of a matrix.  The basis consists of Hermitian
-operators, so the matrix of a map that preserves Hermiticity is real.
+orthonormal basis for the KMS product
+
+    <X, Y>_{sigma,1/2} = tr(sigma^(1/2) X^dag sigma^(1/2) Y).
+
+The frame is built through the similarity X -> sigma^(1/4) X sigma^(1/4),
+which is an isometry onto the Hilbert-Schmidt space; KMS adjoints become
+literal transposes and KMS detailed balance becomes symmetry of a matrix.
+The basis consists of Hermitian operators, so the matrix of a map that
+preserves Hermiticity is real.
 """
 
 from __future__ import annotations
@@ -115,19 +115,6 @@ class QuantumState:
             U = self.eigenvectors
             self._powers[key] = (U * self.eigenvalues**key) @ dag(U)
         return self._powers[key]
-
-
-def weighted_inner(state: QuantumState, s: float, X, Y) -> complex:
-    """<X, Y>_{sigma,s} = tr(sigma^s X^dag sigma^(1-s) Y)."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-    X = as_square_matrix(X, state.dim)
-    Y = as_square_matrix(Y, state.dim)
-    return complex(np.trace(state.power(s) @ dag(X) @ state.power(1.0 - s) @ Y))
-
-
-def weighted_norm(state: QuantumState, s: float, X) -> float:
-    return float(np.sqrt(max(weighted_inner(state, s, X, X).real, 0.0)))
 
 
 class KmsFrame:

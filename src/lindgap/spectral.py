@@ -112,13 +112,14 @@ def lambda_nu_table(an: Analysis, blocks: list[BohrBlock]) -> list[BohrBlock]:
     """Fill each block's minimal dissipation energy."""
     if not blocks:
         raise ValueError("no blocks given")
-    MD = an.M_D_sym[1:, 1:]
+    # the block bases are complex: cast -M_D once, not once per block
+    negMD = (-an.M_D_sym[1:, 1:]).astype(complex)
     for b in blocks:
         B = b.basis
         ortho = np.linalg.norm(dag(B) @ B - np.eye(B.shape[1]))
         if ortho > 1e-10:
             raise ValueError("block basis is not orthonormal")
-        comp = dag(B) @ (-MD) @ B
+        comp = dag(B) @ negMD @ B
         b.lambda_nu = float(np.linalg.eigvalsh((comp + dag(comp)) / 2.0)[0])
     return blocks
 

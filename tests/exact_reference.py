@@ -1,6 +1,8 @@
 """Independent references for lindgap's closed forms.
 
 These recompute the same quantities as the library by other routes: the
+sigma-weighted inner products tr(sigma^s X^dag sigma^(1-s) Y) by their
+trace formula, against which the KMS frame (s = 1/2) is checked, the
 probed frame matrix of an arbitrary linear map (from the frame's basis
 operators) for every assembled superoperator, the GNS matrix of a generator
 probed on the GNS basis for the GNS defect, the Kronecker form summed one
@@ -19,11 +21,24 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 from lindgap import KmsFrame, Lindbladian, generator_matrix, hamiltonian_superop
 from lindgap.evolve import _random_mean_zero
-from lindgap.operators import dag, vec
+from lindgap.operators import as_square_matrix, dag, vec
 
 LINEARITY_RTOL = 1e-8
 # fixed probe generator: the linearity check must be deterministic
 _PROBE_SEED = 7541
+
+
+def weighted_inner(state, s: float, X, Y) -> complex:
+    """<X, Y>_{sigma,s} = tr(sigma^s X^dag sigma^(1-s) Y), for any s in [0, 1]."""
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s must lie in [0, 1], got {s}")
+    X = as_square_matrix(X, state.dim)
+    Y = as_square_matrix(Y, state.dim)
+    return complex(np.trace(state.power(s) @ dag(X) @ state.power(1.0 - s) @ Y))
+
+
+def weighted_norm(state, s: float, X) -> float:
+    return float(np.sqrt(max(weighted_inner(state, s, X, X).real, 0.0)))
 
 
 def frame_basis(frame) -> list[np.ndarray]:

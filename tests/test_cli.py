@@ -1,7 +1,10 @@
 """Command-line interface: outputs, exit codes, diagnostics, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from importlib import import_module
 from pathlib import Path
@@ -13,7 +16,8 @@ from lindgap import KmsFrame, Lindbladian
 from lindgap.cli import build_parser, main
 from lindgap.modelspec import _ENV_VARS, Tolerances
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 QUBIT_EXPLICIT = {
     "schema": "lindgap-model/1",
@@ -274,6 +278,43 @@ def test_stp_rejects_bad_beta(tmp_path, qubit_spec, capsys):
     assert main(["stp", "--spec", qubit_spec, "--out", str(tmp_path),
                  "--beta", "-1.0"]) == 2
     assert "beta" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# cold start
+
+# Run in a fresh interpreter: the test session has imported scipy already.
+COLD_START = """
+import json, sys
+spec, out = sys.argv[1:]
+seen = {}
+import lindgap
+seen["import lindgap"] = "scipy.linalg" in sys.modules
+from lindgap.cli import main
+seen["import lindgap.cli"] = "scipy.linalg" in sys.modules
+for command in ("structure", "gap", "certify", "stp"):
+    seen[command] = [main([command, "--spec", spec, "--out", out]),
+                     "scipy.linalg" in sys.modules]
+seen["validate"] = [main(["validate", "--spec", spec, "--out", out,
+                          "--certificate", out + "/certificate.json"]),
+                    "scipy.linalg" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_only_validate_loads_scipy_linalg(tmp_path):
+    spec = write_spec(tmp_path / "tfim.json", {
+        "schema": "lindgap-model/1", "model": "tfim",
+        "params": {"n": 2, "h": 0.75, "gamma": 1.25}})
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", COLD_START, spec, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout.splitlines()[-1])
+    assert seen == {"import lindgap": False, "import lindgap.cli": False,
+                    "structure": [0, False], "gap": [0, False],
+                    "certify": [0, False], "stp": [0, False],
+                    "validate": [0, True]}
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,10 @@
 
 import numpy as np
 import pytest
-from exact_reference import frame_basis, superop_matrix
+from exact_reference import frame_basis, superop_matrix, weighted_inner, weighted_norm
 from scipy.optimize import linear_sum_assignment
 
-from lindgap import (
-    KmsFrame,
-    QuantumState,
-    weighted_inner,
-    weighted_norm,
-)
+from lindgap import KmsFrame, QuantumState
 from lindgap.models import PAULI_X, PAULI_Z
 
 E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
