@@ -60,17 +60,22 @@ class SingleJumpModel:
     nu_closed: float | None
 
 
-def _support_connected(W: Matrix, tol: float) -> bool:
-    m = W.shape[0]
-    seen = {0}
-    queue = deque([0])
+def _bfs(neighbors, root: int) -> dict[int, int | None]:
+    """Breadth-first parent map from root; neighbors[u] is searched in list order."""
+    parent = {root: None}
+    queue = deque([root])
     while queue:
         u = queue.popleft()
-        for v in range(m):
-            if v not in seen and abs(W[u, v]) > tol:
-                seen.add(v)
+        for v in neighbors[u]:
+            if v not in parent:
+                parent[v] = u
                 queue.append(v)
-    return len(seen) == m
+    return parent
+
+
+def _support_connected(W: Matrix, tol: float) -> bool:
+    support = np.abs(W) > tol
+    return len(_bfs([np.flatnonzero(row) for row in support], 0)) == W.shape[0]
 
 
 def single_jump_model(A, H) -> SingleJumpModel:
@@ -104,7 +109,7 @@ def single_jump_model(A, H) -> SingleJumpModel:
     gap = float(w[1])
     s_H = math.sqrt(2.0 * max(gap, 0.0))
     tol = 1e-10 * max(np.abs(Ht).max(), 1.0)
-    primitive = _support_connected(np.abs(Ht) - np.diag(np.abs(np.diag(Ht))), tol)
+    primitive = _support_connected(Ht, tol)
     nu_closed = None
     if primitive:
         eH = np.linalg.eigvalsh(H)
@@ -138,14 +143,7 @@ def bfs_paths(adjacency: dict[int, list[int]], n: int) -> CanonicalPaths:
     """Shortest paths for every ordered pair; neighbors explored in index order."""
     paths: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i in range(n):
-        parent = {i: None}
-        queue = deque([i])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if v not in parent:
-                    parent[v] = u
-                    queue.append(v)
+        parent = _bfs(adjacency, i)
         for j in range(n):
             if j == i:
                 continue
@@ -345,7 +343,7 @@ class GraphSpec:
     n_vertices: int
     edges: list[tuple[int, int]]
     weights: dict[tuple[int, int], float] = field(default_factory=dict)
-    components: list[list[int]] = field(default_factory=list)
+    components: list[list[int]] = field(init=False)
 
     def __post_init__(self):
         n = self.n_vertices
@@ -373,40 +371,19 @@ class GraphSpec:
                 raise ValueError(f"weight of edge {key} must be positive")
             weights[key] = w
         self.weights = weights
-        touched = set()
-        for (u, v) in norm_edges:
-            touched.add(u)
-            touched.add(v)
-        if touched != set(range(n)):
-            missing = sorted(set(range(n)) - touched)
-            raise ValueError(f"isolated vertices: {missing}")
-        adj = {u: [] for u in range(n)}
+        adj = [[] for _ in range(n)]
         for (u, v) in norm_edges:
             adj[u].append(v)
             adj[v].append(u)
-        comps = []
+        missing = [u for u in range(n) if not adj[u]]
+        if missing:
+            raise ValueError(f"isolated vertices: {missing}")
+        self.components = []
         unseen = set(range(n))
         while unseen:
-            root = min(unseen)
-            comp = {root}
-            queue = deque([root])
-            while queue:
-                x = queue.popleft()
-                for y in adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        queue.append(y)
-            comps.append(sorted(comp))
-            unseen -= comp
-        comps.sort(key=lambda c: c[0])
-        self.components = comps
-
-    def adjacency_lists(self) -> dict[int, list[int]]:
-        adj = {u: [] for u in range(self.n_vertices)}
-        for (u, v) in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {u: sorted(vs) for u, vs in adj.items()}
+            comp = sorted(_bfs(adj, min(unseen)))
+            self.components.append(comp)
+            unseen.difference_update(comp)
 
 
 @dataclass
@@ -422,16 +399,16 @@ class GraphModel:
     kernel_dim: int
 
 
-def _check_unit_action(lind: Lindbladian, walk: Matrix, coherence: Matrix,
+def _check_unit_action(G: Matrix, walk: Matrix, coherence: Matrix,
                        tol: float, diagonal_msg: str, coherence_msg: str) -> None:
-    """Compare the generator on the matrix units with a closed form: e_jj maps to
+    """Compare a generator's unit matrix G with a closed form: e_jj maps to
     diag(walk[:, j]); each e_jk (j != k) is an eigenvector, eigenvalue coherence[j, k].
     """
-    N = lind.dim
+    N = walk.shape[0]
     expected = np.diag(coherence.reshape(-1)).astype(complex)
     diag = np.arange(N) * (N + 1)
     expected[np.ix_(diag, diag)] = walk
-    err = np.abs(lind.unit_matrix() - expected).max(axis=0).reshape(N, N)
+    err = np.abs(G - expected).max(axis=0).reshape(N, N)
     if np.diag(err).max() > tol:
         raise ValueError(diagonal_msg)
     if err.max() > tol:
@@ -446,71 +423,64 @@ def _diagonal_mu(state: QuantumState) -> np.ndarray:
     return np.diag(sig).real.copy()
 
 
-def graph_lindblad(spec: GraphSpec, state: QuantumState,
-                   extra_jumps: list[tuple[float, Matrix]] | None = None) -> GraphModel:
+def _reversible_rates(Q: Matrix, mu: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of -Q for a walk generator Q reversible for mu, read
+    from the symmetric form D^{1/2} Q D^{-1/2} with D = diag(mu)."""
+    D_half = np.sqrt(mu)
+    S = (D_half[:, None] / D_half[None, :]) * Q
+    return np.linalg.eigvalsh(-(S + S.T) / 2.0)
+
+
+def graph_lindblad(spec: GraphSpec, state: QuantumState) -> GraphModel:
     """Detailed-balanced hopping generator on a weighted graph.
 
     Per edge {r,s} the jumps e_rs and e_sr carry weights 4 w e^{+-beta_rs/2}
     with beta_rs = log(mu_r / mu_s), making sigma invariant.  Diagonal
     observables evolve by a classical reversible walk L_cl; every
     off-diagonal unit e_jk is an eigenvector with eigenvalue
-    kappa_jk = -2 (S_j + S_k).  Both facts are re-verified on the built
-    generator.  extra_jumps (used by the averaged-unitary builder) must be
-    diagonal jumps; they shift kappa but not L_cl.
+    kappa_jk = -2 (S_j + S_k) - self_decay.  Both facts are re-verified on
+    the built generator's unit matrix.  self_decay is 0 here; the
+    averaged-unitary builder sets it to add the jump e_ii at that weight on
+    every vertex, which dampens coherences and leaves L_cl alone.
     """
+    return _graph_model(spec, state)[0]
+
+
+def _graph_model(spec: GraphSpec, state: QuantumState,
+                 self_decay: float = 0.0) -> tuple[GraphModel, Matrix]:
+    """graph_lindblad with self-decay, together with the unit matrix it checked."""
     N = spec.n_vertices
     if state.dim != N:
         raise ValueError("state dimension does not match the vertex count")
     mu = _diagonal_mu(state)
     jumps: list[tuple[float, Matrix]] = []
-    for (r, s) in spec.edges:
-        w = spec.weights[(r, s)]
-        half = math.sqrt(mu[r] / mu[s])
-        jumps.append((4.0 * w * half, matrix_unit(N, r, s)))
-        jumps.append((4.0 * w / half, matrix_unit(N, s, r)))
-    self_decay = np.zeros(N)
-    if extra_jumps:
-        for w, L in extra_jumps:
-            L = as_square_matrix(L, N)
-            if np.abs(L - np.diag(np.diag(L))).max() > 0:
-                raise ValueError("extra jumps must be diagonal")
-            jumps.append((float(w), L))
-        # diagonal jumps only dampen coherences: e_kl picks up
-        # -(w/2)(|L_kk|^2 + |L_ll|^2) + w L_kk* L_ll; the closed forms below
-        # cover the matrix-unit case L = e_ii used by the averaged builder
-        for w, L in extra_jumps:
-            d = np.diag(L)
-            if np.count_nonzero(d) != 1:
-                raise ValueError("extra jumps must be single matrix units e_ii")
-            i = int(np.flatnonzero(d)[0])
-            if abs(d[i] - 1.0) > 0:
-                raise ValueError("extra jumps must be single matrix units e_ii")
-            self_decay[i] += w
-    lind = Lindbladian(N, np.zeros((N, N)), jumps, alpha=0.0)
-
     S = np.zeros(N)
-    adj = spec.adjacency_lists()
-    for j in range(N):
-        S[j] = sum(spec.weights[_edge_key(r, j)] * math.sqrt(mu[r] / mu[j])
-                   for r in adj[j])
     L_cl = np.zeros((N, N))
     for (r, s) in spec.edges:
         w = spec.weights[(r, s)]
-        L_cl[r, s] = 4.0 * w * math.sqrt(mu[s] / mu[r])
-        L_cl[s, r] = 4.0 * w * math.sqrt(mu[r] / mu[s])
+        half = math.sqrt(mu[r] / mu[s])
+        back = math.sqrt(mu[s] / mu[r])
+        jumps.append((4.0 * w * half, matrix_unit(N, r, s)))
+        jumps.append((4.0 * w / half, matrix_unit(N, s, r)))
+        # edges are sorted, so each S[j] sums its neighbours in ascending order
+        S[r] += w * back
+        S[s] += w * half
+        L_cl[r, s] = 4.0 * w * back
+        L_cl[s, r] = 4.0 * w * half
+    if self_decay > 0:
+        jumps.extend((float(self_decay), matrix_unit(N, i, i)) for i in range(N))
+    lind = Lindbladian(N, np.zeros((N, N)), jumps, alpha=0.0)
     np.fill_diagonal(L_cl, -4.0 * S)
-    kappa = -2.0 * (S[:, None] + S[None, :]) \
-        - 0.5 * (self_decay[:, None] + self_decay[None, :])
+    kappa = -2.0 * (S[:, None] + S[None, :]) - self_decay
     np.fill_diagonal(kappa, 0.0)
 
     scale = max(abs(4.0 * S).max(), 1.0)
-    _check_unit_action(lind, L_cl, kappa, 1e-12 * scale,
+    G = lind.unit_matrix()
+    _check_unit_action(G, L_cl, kappa, 1e-12 * scale,
                        "generator action on diagonals deviates from the walk form",
                        "off-diagonal units are not eigenvectors as expected")
 
-    D_half = np.sqrt(mu)
-    S_cl = (D_half[:, None] / D_half[None, :]) * L_cl
-    w_cl = np.linalg.eigvalsh(-(S_cl + S_cl.T) / 2.0)
+    w_cl = _reversible_rates(L_cl, mu)
     m = len(spec.components)
     cl_scale = max(np.abs(w_cl).max(), 1e-30)
     if np.abs(w_cl[:m]).max() > 1e-9 * cl_scale or (len(w_cl) > m
@@ -520,9 +490,10 @@ def graph_lindblad(spec: GraphSpec, state: QuantumState,
     neg_kappa = -kappa[off_mask]
     lambda_D = float(min(w_cl[m:].min() if len(w_cl) > m else np.inf, neg_kappa.min()))
     norm_LD = float(max(w_cl[-1], neg_kappa.max()))
-    return GraphModel(lind=lind, state=state, spec=spec, mu=mu, L_cl=L_cl,
-                      kappa=kappa, lambda_D=lambda_D, norm_LD=norm_LD,
-                      kernel_dim=m)
+    model = GraphModel(lind=lind, state=state, spec=spec, mu=mu, L_cl=L_cl,
+                       kappa=kappa, lambda_D=lambda_D, norm_LD=norm_LD,
+                       kernel_dim=m)
+    return model, G
 
 
 @dataclass
@@ -576,9 +547,7 @@ def graph_hamiltonian_cert(model: GraphModel, H) -> GraphCertReport:
     off = Hhat - np.diag(np.diag(Hhat))
     sup_tol = 1e-13 * max(off.max(), 1e-30)
     irreducible = _support_connected(off, sup_tol)
-    D_half = np.sqrt(mu_hat)
-    Ssym = (D_half[:, None] / D_half[None, :]) * Hhat
-    w = np.linalg.eigvalsh(-(Ssym + Ssym.T) / 2.0)
+    w = _reversible_rates(Hhat, mu_hat)
     s_H = math.sqrt(2.0 * max(w[1], 0.0))
     eH = np.linalg.eigvalsh(H)
     spread = float(eH[-1] - eH[0])
@@ -717,10 +686,7 @@ def haar_avg_gibbs(spectrum, beta: float, q=None) -> HaarModel:
     except ValueError as exc:
         raise ValueError(f"filter disconnects part of the spectrum: {exc}") from exc
     q0_weight = qv[0, 0] ** 2 / N
-    extra = None
-    if q0_weight > 0:
-        extra = [(q0_weight, matrix_unit(N, i, i)) for i in range(N)]
-    model = graph_lindblad(spec, state, extra_jumps=extra)
+    model, G = _graph_model(spec, state, self_decay=q0_weight)
 
     # cross-check against the directly averaged action: e_ii feeds e_jj at
     # rate f2[i, j] / N, and e_kl decays at sum_i (f2[i, k] + f2[i, l]) / (2N)
@@ -729,7 +695,7 @@ def haar_avg_gibbs(spectrum, beta: float, q=None) -> HaarModel:
     hop = f2.T / N
     np.fill_diagonal(hop, 0.0)
     out = f2.sum(axis=0) / N
-    _check_unit_action(model.lind, hop - np.diag(hop.sum(axis=1)),
+    _check_unit_action(G, hop - np.diag(hop.sum(axis=1)),
                        -0.5 * (out[:, None] + out[None, :]), 1e-12 * scale,
                        "averaged generator deviates from its closed form on diagonals",
                        "averaged generator deviates from its closed form on coherences")

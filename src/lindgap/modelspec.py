@@ -197,8 +197,7 @@ def _graph_from_params(params: dict, prefix: str) -> models.GraphModel:
             raise SpecError(f"{prefix}.weights",
                             "expected one weight per edge")
         for i, w in enumerate(raw_w):
-            weights[models._edge_key(*edges[i])] = _number(
-                w, f"{prefix}.weights[{i}]")
+            weights[edges[i]] = _number(w, f"{prefix}.weights[{i}]")
     raw_sigma = _require(params, "sigma", f"{prefix}.sigma")
     if not isinstance(raw_sigma, list) or len(raw_sigma) != n:
         raise SpecError(f"{prefix}.sigma",

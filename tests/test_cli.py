@@ -325,11 +325,12 @@ def test_only_validate_loads_scipy_linalg(tmp_path):
 # unit matrices of L^D and i[H, .] but not that of L, except structure: it reads
 # the KMS and GNS defects and the standard-DBC fit from one unit matrix of L,
 # next to M_D for the kernel.  haar_gibbs has no Hamiltonian, so M_H is zeros
-# without an assembly, and its model builder checks two unit matrices.
+# without an assembly, and its model builder checks both closed forms against
+# one unit matrix.
 BUILDS = {("tfim", "structure"): (1, 2), ("tfim", "gap"): (1, 2),
           ("tfim", "certify"): (1, 2), ("tfim", "stp"): (1, 2),
-          ("tfim", "validate"): (1, 2), ("haar_gibbs", "structure"): (1, 4),
-          ("haar_gibbs", "gap"): (1, 3), ("haar_gibbs", "stp"): (1, 3)}
+          ("tfim", "validate"): (1, 2), ("haar_gibbs", "structure"): (1, 3),
+          ("haar_gibbs", "gap"): (1, 2), ("haar_gibbs", "stp"): (1, 2)}
 
 
 @pytest.mark.parametrize("model,command", [

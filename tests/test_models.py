@@ -16,6 +16,7 @@ from lindgap import (
     bfs_paths,
     birth_death_spectrum,
     build_gksl,
+    build_model,
     canonical_path_bound,
     cycle_graph,
     dephasing_walk,
@@ -32,6 +33,7 @@ from lindgap import (
     structure_report,
     tfim,
 )
+from lindgap.models import _check_unit_action
 
 
 def split_form(H, LD, state):
@@ -235,6 +237,37 @@ def test_graph_spec_validation():
         GraphSpec(4, [(0, 1)])
     with pytest.raises(ValueError, match="positive"):
         GraphSpec(2, [(0, 1)], weights={(0, 1): 0.0})
+
+
+def test_graph_spec_components_are_ordered_by_least_vertex():
+    assert GraphSpec(6, [(3, 0), (5, 1), (2, 4)]).components == [[0, 3], [1, 5], [2, 4]]
+
+
+def test_graph_spec_weight_keys_either_orientation():
+    def jump_weights(edge):
+        bundle = build_model({"schema": "lindgap-model/1", "model": "graph",
+                              "params": {"n_vertices": 3, "edges": [[0, 1], edge],
+                                         "weights": [0.5, 2.0],
+                                         "sigma": [0.5, 0.3, 0.2]}})
+        return [w for w, _ in bundle.lind.jumps]
+
+    assert jump_weights([2, 1]) == jump_weights([1, 2])
+    assert jump_weights([2, 1])[2] == pytest.approx(4.0 * 2.0 * math.sqrt(0.3 / 0.2),
+                                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("column,message", [(0, "diagonal"), (1, "coherence")])
+def test_unit_action_check_flags_each_column_kind(column, message):
+    # column 0 is e_00 and column 1 the coherence e_01 (or e_10); a deviation of
+    # 10x the tolerance on either must raise that kind's message
+    m = graph_lindblad(GraphSpec(3, [(0, 1), (1, 2)], weights={(1, 2): 2.0}),
+                       QuantumState(np.diag([0.5, 0.3, 0.2])))
+    G = m.lind.unit_matrix()
+    tol = 1e-12 * max(np.abs(np.diag(m.L_cl)).max(), 1.0)
+    _check_unit_action(G, m.L_cl, m.kappa, tol, "diagonal", "coherence")
+    G[column, column] += 10.0 * tol
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _check_unit_action(G, m.L_cl, m.kappa, tol, "diagonal", "coherence")
 
 
 def test_graph_model_two_disjoint_edges():
