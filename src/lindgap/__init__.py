@@ -21,7 +21,6 @@ from .lindblad import (
     StructureReport,
     kernel_projection,
     SpaceSplit,
-    commutant_dimension,
     kernel_dimension,
 )
 from .spectral import (

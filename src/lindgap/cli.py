@@ -27,10 +27,11 @@ EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-_ENV_HELP = """\
+_DEFAULTS = Tolerances()
+_ENV_HELP = f"""\
 environment overrides:
-  LINDGAP_CERT_SLACK     multiplicative slack for certificate checks (default 1e-6)
-  LINDGAP_DB_TOL         detailed-balance defect flag threshold (default 1e-8)
+  LINDGAP_CERT_SLACK     multiplicative slack for certificate checks (default {_DEFAULTS.cert_slack:g})
+  LINDGAP_DB_TOL         detailed-balance defect flag threshold (default {_DEFAULTS.db_tol:g})
 """
 
 

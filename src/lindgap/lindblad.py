@@ -6,7 +6,8 @@ Generators are kept in Heisenberg form
 
 and analyzed through their real matrices in the KMS frame: KMS detailed
 balance with respect to sigma is symmetry of that matrix, kernels are zero
-eigenspaces, and primitivity is a commutant null-space computation.
+eigenspaces, and the generator is primitive when its matrix has a
+one-dimensional kernel.
 """
 
 from __future__ import annotations
@@ -322,60 +323,6 @@ def standard_dbc_solve(G: Matrix, frame: KmsFrame) -> tuple[Matrix, float]:
     return U @ Kb @ dag(U), defect
 
 
-def _commutant_singular_values(L: Lindbladian) -> np.ndarray:
-    """Singular values of the stacked maps X -> i[A, X], A in {H, L_j, L_j^dag}.
-
-    With no generator every value is zero.  Three exact steps shorten the stack
-    without changing its Gram matrix, so the values are those of the
-    unit-basis stack.  Each pair (L, L^dag) becomes the Hermitian pair
-    (L + L^dag)/sqrt2, (L - L^dag)/(i sqrt2), a unitary mixing of two blocks,
-    and H becomes (H + H^dag)/2.  A Hermitian X has the real coordinates
-    Z = Re X + Im X, an orthogonal rotation of its coordinates in the basis
-    {e_ii, (e_ij + e_ji)/sqrt2, i(e_ij - e_ji)/sqrt2}; the stack's Gram matrix
-    depends on the generators only through their coordinate Gram matrix, so
-    the columns sigma_j B_j of a real SVD of the coordinates (all min(N^2, K)
-    of them) replace the K generators.  With B = P + iQ, P symmetric and Q
-    antisymmetric, X -> i[B, X] reads Z -> P Z^T - Z^T P - Q Z + Z Q: one real
-    N^2 x N^2 block per column, written in place.
-    """
-    N = L.dim
-    gens: list[Matrix] = []
-    H = L.hamiltonian
-    if L.alpha != 0.0 and np.linalg.norm(H) > 0:
-        gens.append((H + dag(H)) / 2.0)
-    for _, Lj in L.jumps:
-        gens.append((Lj + dag(Lj)) / np.sqrt(2.0))
-        gens.append((Lj - dag(Lj)) / (1j * np.sqrt(2.0)))
-    # e.g. (L - L^dag)/(i sqrt2) of a Hermitian jump: a zero block adds nothing
-    gens = [g for g in gens if g.any()]
-    if not gens:
-        return np.zeros(N * N)
-    G = np.array(gens)
-    coords = (G.real + G.imag).reshape(len(gens), N * N)
-    _, sigma, Vt = np.linalg.svd(coords, full_matrices=False)
-    reduced = (sigma[:, None] * Vt).reshape(-1, N, N)
-    stack = np.zeros((len(reduced) * N * N, N * N))
-    idx = np.arange(N)
-    for j, Z in enumerate(reduced):
-        P = (Z + Z.T) / 2.0
-        Q = (Z - Z.T) / 2.0
-        # entry [p, q, r, s]: coefficient of Z[r, s] in the output's [p, q]
-        block = stack[j * N * N:(j + 1) * N * N].reshape(N, N, N, N)
-        block[:, idx, idx, :] += P[:, None, :]
-        block[idx, :, :, idx] -= P
-        block[:, idx, :, idx] -= Q
-        block[idx, :, idx, :] -= Q
-    return np.linalg.svd(stack, compute_uv=False)
-
-
-def commutant_dimension(L: Lindbladian) -> int:
-    """dim of the joint commutant {H, L_j, L_j^dag}' via a stacked null space."""
-    sv = _commutant_singular_values(L)
-    if sv[0] < 1e-30:
-        return L.dim * L.dim
-    return int(np.sum(sv < COMMUTANT_SV_FACTOR * sv[0]))
-
-
 def kernel_dimension(M_full: Matrix) -> int:
     """Zero eigenvalues of a (Hermitian) generator matrix on the full space."""
     Hm = (M_full + dag(M_full)) / 2.0
@@ -386,6 +333,13 @@ def kernel_dimension(M_full: Matrix) -> int:
 
 @dataclass
 class StructureReport:
+    """Detailed-balance, primitivity and kernel diagnostics at one state.
+
+    commutant_dim is dim ker L, counted from the singular values of its frame
+    matrix; with a faithful invariant state, which structure_report requires,
+    it is the dimension of the commutant of {H, L_j, L_j^dag}.
+    """
+
     invariant_state_ok: bool
     invariance_residual: float
     kms_db: bool
@@ -423,14 +377,19 @@ def structure_report(an: Analysis, db_tol: float = DB_DEFECT_TOL) -> StructureRe
     residual = require_invariant(L, an.state)
     invariant_ok = residual <= INVARIANCE_FLAG_FACTOR * max(L.magnitude(), 1e-30)
 
-    # first: its stacked SVD has the largest temporaries, and placed before
-    # the frame matrices exist they leave no gaps below them on the heap
-    cdim = commutant_dimension(L)
-    primitive = cdim == 1
-
-    # one G for both defects and the fit, not an.M: that would keep M_H too
+    # one G for both defects, the kernel and the fit, not an.M: that would keep M_H too
     G = L.unit_matrix(an.state.eigenvectors)
-    kms_defect = hermiticity_defect(an.frame.superop(G))
+    M = an.frame.superop(G)
+    kms_defect = hermiticity_defect(M)
+    # sigma is faithful and invariant, so ker L is the commutant of
+    # {H, L_j, L_j^dag} (Frigerio 1978); singular values, not eigvalsh(M^T M),
+    # whose zeros sit near sqrt(eps) * sigma_max, above the cutoff
+    sv = np.linalg.svd(M, compute_uv=False)
+    if sv[0] < 1e-30:
+        cdim = M.shape[0]
+    else:
+        cdim = int(np.sum(sv < COMMUTANT_SV_FACTOR * sv[0]))
+    primitive = cdim == 1
     mu = an.state.eigenvalues
     if mu[0] == mu[-1]:  # uniform sigma: the GNS and KMS products coincide
         gns_defect = kms_defect

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .lindblad import Lindbladian, build_gksl
+from .evolve import CERT_SLACK
+from .lindblad import DB_DEFECT_TOL, Lindbladian, build_gksl
 from .operators import QuantumState
 
 SCHEMA = "lindgap-model/1"
@@ -321,8 +322,8 @@ _ENV_VARS = {
 class Tolerances:
     """Certificate slack and detailed-balance flag threshold."""
 
-    cert_slack: float = 1e-6
-    db_tol: float = 1e-8
+    cert_slack: float = CERT_SLACK
+    db_tol: float = DB_DEFECT_TOL
 
     @classmethod
     def from_env(cls, environ=None) -> "Tolerances":

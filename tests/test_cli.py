@@ -105,6 +105,28 @@ def test_gap_json_and_csv(tmp_path, qubit_spec):
     assert first[3] == pytest.approx(0.8284271247461902, abs=1e-9)
 
 
+def test_gap_without_limit_leaves_limit_empty(tmp_path):
+    # driven damped qubit at its steady state [[5, 2i], [-2i, 4]] / 9: it does
+    # not commute with H = X, so there is no strong-coupling limit
+    mu, U = np.linalg.eigh(np.array([[5.0, 2.0j], [-2.0j, 4.0]]) / 9.0)
+    spec = {"schema": "lindgap-model/1", "qubits": 1,
+            "hamiltonian": [[0.0, 1.0], [1.0, 0.0]],
+            "jumps": [{"weight": 1.0, "matrix": [[0.0, 1.0], [0.0, 0.0]]}],
+            "sigma": {"type": "eigenvalues", "values": mu.tolist(),
+                      "basis": [[[z.real, z.imag] for z in row] for row in U]}}
+    path = write_spec(tmp_path / "driven.json", spec)
+    out = tmp_path / "out"
+    assert main(["gap", "--spec", path, "--out", str(out)]) == 0
+    rep = read_json(out / "gap.json")["report"]
+    assert rep["limit"] is None
+    assert rep["final_deviation"] is None
+    rows = [line.split(",") for line in
+            (out / "gap.csv").read_text().strip().splitlines()]
+    assert rows[0] == ["alpha", "gap", "limit", "singular_gap"]
+    assert len(rows) == 5
+    assert all(row[2] == "" for row in rows[1:])
+
+
 def test_gap_csv_only(tmp_path, qubit_spec):
     out = tmp_path / "csvout"
     assert main(["gap", "--spec", qubit_spec, "--out", str(out),
@@ -535,6 +557,18 @@ def test_env_overrides_are_one_list():
     table = [line for line in section.splitlines() if line.startswith("|")]
     assert set(re.findall(r"`(LINDGAP_\w+)`", "\n".join(table))) \
         == set(_ENV_VARS.values())
+
+
+def test_epilog_shows_the_recorded_default_tolerances(tmp_path, qubit_spec, monkeypatch):
+    for var in _ENV_VARS.values():
+        monkeypatch.delenv(var, raising=False)
+    assert main(["structure", "--spec", qubit_spec, "--out", str(tmp_path)]) == 0
+    recorded = read_json(tmp_path / "structure.json")["tolerances"]
+    assert recorded == Tolerances().as_dict()
+    epilog = build_parser().epilog
+    for name, var in _ENV_VARS.items():
+        shown = re.search(rf"{var}\s.*\(default ([^)]*)\)", epilog).group(1)
+        assert float(shown) == recorded[name]
 
 
 def test_readme_library_example_runs():

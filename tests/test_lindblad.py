@@ -14,7 +14,6 @@ from lindgap import (
     build_gksl,
     build_gns_canonical,
     check_invariance,
-    commutant_dimension,
     cycle_graph,
     dephasing_jumps,
     dephasing_walk,
@@ -26,7 +25,7 @@ from lindgap import (
     structure_report,
     tfim,
 )
-from lindgap.lindblad import _commutant_singular_values, hermiticity_defect, standard_dbc_solve
+from lindgap.lindblad import hermiticity_defect, standard_dbc_solve
 from lindgap.models import PAULI_X, PAULI_Y, PAULI_Z
 
 E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -202,11 +201,17 @@ def _random_gksl_at_steady_state():
               rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
              for _ in range(2)]
     L = build_gksl((A + A.conj().T) / 2, jumps, alpha=0.7)
+    return L, _steady_state(L)
+
+
+def _steady_state(L):
+    # the null vector of the Schrodinger-picture matrix, for a unique steady state
+    N = L.dim
     units = np.eye(N * N).reshape(N * N, N, N)
     schrodinger = np.stack([L.apply_adjoint(E).ravel() for E in units], axis=1)
     rho = np.linalg.svd(schrodinger)[2][-1].conj().reshape(N, N)
     rho = (rho + rho.conj().T) / 2
-    return L, QuantumState(rho / np.trace(rho).real)
+    return QuantumState(rho / np.trace(rho).real)
 
 
 @pytest.mark.parametrize("case", ["qubit", "random_gksl", "haar_gibbs"])
@@ -395,15 +400,33 @@ def test_commutant_matches_full_kernel_on_graph_models():
         m = graph_lindblad(spec, st)
         M = generator_matrix(m.lind, KmsFrame(st))
         assert kernel_dimension(M) == len(spec.components)
-        assert commutant_dimension(m.lind) == len(spec.components)
+        rep = structure_report(Analysis(m.lind, st))
+        assert rep.commutant_dim == len(spec.components)
 
 
 def test_no_generators_means_full_commutant():
+    st = QuantumState.maximally_mixed(3)
     L = build_gksl(np.zeros((3, 3)), [])
-    assert commutant_dimension(L) == 9
+    assert structure_report(Analysis(L, st)).commutant_dim == 9
     # a zero jump is a generator whose commutators all vanish
     L = build_gksl(np.zeros((3, 3)), [(1.0, np.zeros((3, 3)))])
-    assert commutant_dimension(L) == 9
+    assert structure_report(Analysis(L, st)).commutant_dim == 9
+
+
+def test_near_singular_state_counts_the_whole_kernel():
+    # |0><2| and |1><2| empty level 2 into span{e0, e1}, so every state on
+    # that block is fixed: dim ker L = 4 although the jumps and their adjoints
+    # have a trivial commutant.  sigma's weight 1e-9 on level 2 leaves an
+    # invariance residual small enough to pass.
+    eps = 1e-9
+    L = build_gksl(np.zeros((3, 3)), [(1.0, np.eye(3)[:, [0]] @ np.eye(3)[[2]]),
+                                      (1.0, np.eye(3)[:, [1]] @ np.eye(3)[[2]])])
+    st = QuantumState(np.diag([(1 - eps) / 2, (1 - eps) / 2, eps]))
+    rep = structure_report(Analysis(L, st))
+    assert rep.invariant_state_ok
+    assert not rep.primitive
+    assert rep.commutant_dim == 4
+    assert rep.classification == "non-primitive"
 
 
 def _random_gksl(N, with_H, seed):
@@ -413,66 +436,83 @@ def _random_gksl(N, with_H, seed):
     jumps = [(float(rng.uniform(0.5, 2.0)),
               rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
              for _ in range(2)]
-    return build_gksl(H, jumps)
+    L = build_gksl(H, jumps)
+    return L, _steady_state(L)
 
 
 def _block_diagonal():
-    # H and the jump both preserve span{e0, e1} and span{e2, e3}
+    # H and the jump both preserve span{e0, e1} and span{e2, e3}; the steady
+    # states of the two blocks, mixed with equal weights, are faithful
     H = np.zeros((4, 4))
     H[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
     H[2:, 2:] = [[1.0, 2.0], [2.0, -1.0]]
     J = np.zeros((4, 4))
     J[0, 1] = 1.0
     J[3, 2] = 0.5
-    return build_gksl(H, [(1.0, J)])
+    sigma = np.zeros((4, 4), dtype=complex)
+    for b in (slice(0, 2), slice(2, 4)):
+        sigma[b, b] = _steady_state(build_gksl(H[b, b], [(1.0, J[b, b])])).matrix / 2
+    return build_gksl(H, [(1.0, J)]), QuantumState(sigma)
 
 
 def _ladder_lowering():
     # jumps that are not Hermitian and no Hamiltonian
     A = np.diag([1.0, np.sqrt(2.0)], k=1)
-    return build_gksl(np.zeros((3, 3)), [(1.0, A), (0.5, A @ A)])
+    return build_gksl(np.zeros((3, 3)), [(1.0, A), (0.5, A @ A)]), None
 
 
+def _model(m):
+    return m.lind, m.state
+
+
+# each maker returns (L, a faithful invariant state), or (L, None) when L has none
 COMMUTANT_CASES = {
-    "tfim2": (lambda: tfim(2, 0.9, 1.1).lind, 1),
-    "tfim3": (lambda: tfim(3, 0.9, 1.1).lind, 1),
-    "tfim4": (lambda: tfim(4, 0.9, 1.1).lind, 1),
-    "haar6": (lambda: haar_avg_gibbs([0.0, 0.3, 0.7, 1.1, 1.6, 2.0], 1.0).lind, 1),
-    "haar12": (lambda: haar_avg_gibbs(np.linspace(0.0, 2.0, 12), 1.0).lind, 1),
-    "walk3": (lambda: dephasing_walk(3, 1.0, cycle_graph(8)).lind, 1),
+    "tfim2": (lambda: _model(tfim(2, 0.9, 1.1)), 1),
+    "tfim3": (lambda: _model(tfim(3, 0.9, 1.1)), 1),
+    "tfim4": (lambda: _model(tfim(4, 0.9, 1.1)), 1),
+    "haar6": (lambda: _model(haar_avg_gibbs([0.0, 0.3, 0.7, 1.1, 1.6, 2.0], 1.0)), 1),
+    "haar12": (lambda: _model(haar_avg_gibbs(np.linspace(0.0, 2.0, 12), 1.0)), 1),
+    "walk3": (lambda: _model(dephasing_walk(3, 1.0, cycle_graph(8))), 1),
     **{f"random{N}{'H' if h else ''}": (lambda N=N, h=h: _random_gksl(N, h, 10 * N + h), 1)
        for N in (2, 3, 5) for h in (False, True)},
     "lowering": (_ladder_lowering, 1),
     "block_diagonal": (_block_diagonal, 2),
-    "B_kron_I3": (lambda: build_gksl(np.zeros((6, 6)),
-                                     [(1.0, np.kron(E01, np.eye(3)))]), 9),
-    "hamiltonian_only": (lambda: build_gksl(np.diag([0.0, 1.0, 2.0]), []), 3),
+    "B_kron_I3": (lambda: (build_gksl(np.zeros((6, 6)),
+                                      [(1.0, np.kron(E01, np.eye(3)))]), None), 9),
+    "hamiltonian_only": (lambda: (build_gksl(np.diag([0.0, 1.0, 2.0]), []),
+                                  QuantumState.maximally_mixed(3)), 3),
 }
 
 
 @pytest.mark.parametrize("name", list(COMMUTANT_CASES))
 def test_commutant_matches_stacked_complex_svd(name):
     make, dim = COMMUTANT_CASES[name]
-    L = make()
-    sv = _commutant_singular_values(L)
+    L, st = make()
     ref = stacked_commutant_sv(L)
-    assert sv.shape == ref.shape
-    assert np.abs(sv - ref).max() <= 1e-12 * ref[0]
     dim_ref = int(np.sum(ref < 1e-9 * ref[0]))
-    assert commutant_dimension(L) == dim_ref == dim
+    assert dim_ref == dim
+    if st is None:
+        # the jumps drain part of the space: the maximally mixed state is
+        # not invariant, and structure_report refuses it
+        with pytest.raises(ValueError, match="not invariant"):
+            structure_report(Analysis(L, QuantumState.maximally_mixed(L.dim)))
+    else:
+        assert structure_report(Analysis(L, st)).commutant_dim == dim_ref
 
 
 def test_commutant_memory_stays_below_stacked_blocks():
-    # N = 12 with 144 jumps: the complex stack of 288 N^2 x N^2 blocks alone
-    # is 95 MB, about 190 MB with its vstack copy
-    L = haar_avg_gibbs(np.linspace(0.0, 2.0, 12), 1.0).lind
+    # N = 12 with 144 jumps: a stack of the 288 complex N^2 x N^2 commutator
+    # blocks alone would be 95 MB; the kernel count reads the 144 x 144 frame
+    # matrix that the KMS defect uses anyway
+    m = haar_avg_gibbs(np.linspace(0.0, 2.0, 12), 1.0)
+    an = Analysis(m.lind, m.state)
     tracemalloc.start()
     try:
-        commutant_dimension(L)
+        structure_report(an)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48e6
+    assert peak < 4e6
 
 
 def test_hermiticity_defect_is_relative_spectral_norm():
