@@ -8,6 +8,14 @@ and analyzed through their real matrices in the KMS frame: KMS detailed
 balance with respect to sigma is symmetry of that matrix, kernels are zero
 eigenspaces, and the generator is primitive when its matrix has a
 one-dimensional kernel.
+
+When H commutes with sigma, an Analysis lays its frame on a joint
+eigenbasis of the two, so that i[H, .] is diagonal on the matrix units
+(frequency E_a - E_b on |a><b|).  The weak symmetries of the model then
+leave the matrices block-diagonal up to a permutation (Buca & Prosen,
+New J. Phys. 14, 073007, 2012); `Analysis.sectors` finds those blocks from
+the support of M_D and M_H, and the dense solves of the generator run
+sector by sector.
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ KERNEL_TOL_FACTOR = 1e-9
 COMMUTANT_SV_FACTOR = 1e-9
 MODULAR_RTOL = 1e-8
 INVARIANCE_FLAG_FACTOR = 1e-9
+COMMUTE_TOL = 1e-10
+JOINT_BASIS_TOL = 1e-12
+SECTOR_TOL = 1e-12
 
 
 @dataclass
@@ -198,6 +209,11 @@ def real_norm2(A: Matrix) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(A.T @ A)[-1], 0.0)))
 
 
+def max_column_norm(A: Matrix) -> float:
+    """Largest Euclidean column norm of a real matrix: a lower bound on ||A||_2."""
+    return float(np.sqrt(np.einsum("ij,ij->j", A, A).max()))
+
+
 def hermiticity_defect(M: Matrix) -> float:
     """Relative deviation of M from its conjugate transpose, in spectral norm."""
     if np.isrealobj(M):
@@ -212,13 +228,60 @@ def hermiticity_defect(M: Matrix) -> float:
     return float(np.abs(np.linalg.eigvalsh(1j * D)).max() / scale)
 
 
+def joint_eigenbasis(state: QuantumState, H: Matrix) -> tuple[QuantumState,
+                                                              np.ndarray | None]:
+    """(state, E): the state carrying a joint eigenbasis W of sigma and H, with
+    the energies E_a = (W^dag H W)_aa; (state, None) unless [H, sigma] = 0.
+
+    W = U V for sigma's eigenvectors U and V the eigenvectors of U^dag H U,
+    taken run by run over equal eigenvalues of sigma; V = I, and the state is
+    returned as it is, when U^dag H U is already diagonal.  W is used only if
+    it diagonalizes H to rounding.
+    """
+    sigma = state.matrix
+    hnorm = max(np.linalg.norm(H, 2), 1.0)
+    if np.linalg.norm(H @ sigma - sigma @ H) > COMMUTE_TOL * hnorm:
+        return state, None
+    U = state.eigenvectors
+    Hu = dag(U) @ H @ U
+    E = np.diag(Hu).real.copy()
+    if not np.any(Hu - np.diag(np.diag(Hu))):
+        return state, E
+    mu = state.eigenvalues
+    V = np.zeros_like(Hu)
+    # mu is descending: a run ends where it drops by more than rounding
+    cuts = np.flatnonzero(mu[:-1] - mu[1:] > JOINT_BASIS_TOL * mu[0]) + 1
+    for run in np.split(np.arange(state.dim), cuts):
+        V[np.ix_(run, run)] = np.linalg.eigh(Hu[np.ix_(run, run)])[1]
+    W = U @ V
+    Hw = dag(W) @ H @ W
+    E = np.diag(Hw).real.copy()
+    if np.linalg.norm(Hw - np.diag(E)) > JOINT_BASIS_TOL * hnorm:
+        return state, None
+    return state.in_basis(W), E
+
+
+def sector_blocks(M: Matrix, sectors: list[np.ndarray]) -> list[Matrix]:
+    """The diagonal blocks of M on each group of sectors, one stack per group."""
+    return [M[S[:, :, None], S[:, None, :]] for S in sectors]
+
+
+def sector_singular_gap(M: Matrix, sectors: list[np.ndarray]) -> float:
+    """Smallest singular value of M, block-diagonal on `sectors`."""
+    return float(min(np.linalg.svd(B, compute_uv=False).min()
+                     for B in sector_blocks(M, sectors)))
+
+
 class Analysis:
     """One generator at one state in the KMS frame: what every analysis takes.
 
-    Holds the frame, the effective Hamiltonian H = alpha * hamiltonian and the
-    dissipator LD = L^D.  Everything else is built on first use and kept: the
-    full-space real matrices M_D, M_H of L^D, i[H, .] and M = M_D + M_H of L;
-    their traceless blocks Mr, M_Dr, M_Hr (the [1:, 1:] slices); the
+    Holds the frame, the effective Hamiltonian H = alpha * hamiltonian, the
+    dissipator LD = L^D and the energies E.  When [H, sigma] = 0 the frame is
+    laid on a joint eigenbasis of sigma and H (see joint_eigenbasis) and E
+    holds the eigenvalues of H in it; otherwise E is None.  Everything else
+    is built on first use and kept: the full-space real matrices M_D, M_H of
+    L^D, i[H, .] and M = M_D + M_H of L; their traceless blocks Mr, M_Dr,
+    M_Hr (the [1:, 1:] slices); the sectors on which those blocks split; the
     symmetric part M_D_sym after the one check that L^D is KMS-symmetric; the
     kernel split, the one eigendecomposition of M_D that every later use of
     its spectrum reads; the structural constants; and the smallest singular
@@ -227,9 +290,9 @@ class Analysis:
 
     def __init__(self, L: Lindbladian, state: QuantumState):
         self.L = L
-        self.state = state
-        self.frame = KmsFrame(state)
         self.H = L.alpha * L.hamiltonian
+        self.state, self.energies = joint_eigenbasis(state, self.H)
+        self.frame = KmsFrame(self.state)
         self.LD = L.dissipator()
 
     @cached_property
@@ -261,13 +324,52 @@ class Analysis:
         return self.M_H[1:, 1:].copy()
 
     @cached_property
+    def sectors(self) -> list[np.ndarray]:
+        """Index sets of the traceless coordinates on which Mr splits exactly.
+
+        A sector is a connected component of the support of M_Dr and M_Hr
+        (entries above SECTOR_TOL times the largest of each); the sectors are
+        grouped by size, one (count, size) array per size, ascending.  A
+        matrix a M_Hr + M_Dr is block-diagonal on them for every a.
+        """
+        A = np.abs(self.M_Dr)
+        A = A > SECTOR_TOL * A.max()
+        if self.H.any():
+            B = np.abs(self.M_Hr)
+            A |= B > SECTOR_TOL * B.max()
+        rows, cols = np.nonzero(A | A.T)
+        # label propagation over the edges: every index takes the smallest
+        # label among its neighbours, then jumps to its label's label, until
+        # nothing moves
+        labels = np.arange(A.shape[0])
+        while True:
+            new = labels.copy()
+            np.minimum.at(new, rows, labels[cols])
+            new = new[new]
+            if np.array_equal(new, labels):
+                break
+            labels = new
+        counts = np.unique(labels, return_counts=True)[1]
+        comps = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
+        return [np.array([c for c in comps if len(c) == size])
+                for size in np.unique(counts)]
+
+    @cached_property
     def M_D_sym(self) -> Matrix:
-        """(M_D + M_D^dag) / 2; raises unless M_D is Hermitian (L^D KMS-symmetric)."""
-        defect = hermiticity_defect(self.M_D)
-        if defect > DB_DEFECT_TOL:
-            raise ValueError("dissipator is not KMS-symmetric: its matrix is not "
-                             f"Hermitian in the KMS frame (defect {defect:.3e})")
-        return (self.M_D + dag(self.M_D)) / 2.0
+        """(M_D + M_D^T) / 2; raises unless M_D is symmetric (L^D KMS-symmetric).
+
+        ||D||_F >= ||D||_2 and the largest column norm of M_D is at most
+        ||M_D||_2, so their ratio bounds the defect from above; the spectral
+        norms are taken only when that bound does not decide.
+        """
+        MD = self.M_D
+        D = MD - MD.T
+        if np.linalg.norm(D) > DB_DEFECT_TOL * max_column_norm(MD):
+            defect = hermiticity_defect(MD)
+            if defect > DB_DEFECT_TOL:
+                raise ValueError("dissipator is not KMS-symmetric: its matrix is not "
+                                 f"Hermitian in the KMS frame (defect {defect:.3e})")
+        return (MD + MD.T) / 2.0
 
     @cached_property
     def split(self) -> SpaceSplit:
@@ -281,8 +383,8 @@ class Analysis:
 
     @cached_property
     def singular_gap(self) -> float:
-        """Smallest singular value of Mr."""
-        return float(np.linalg.svd(self.Mr, compute_uv=False)[-1])
+        """Smallest singular value of Mr, taken sector by sector."""
+        return sector_singular_gap(self.Mr, self.sectors)
 
 
 def standard_dbc_solve(G: Matrix, frame: KmsFrame) -> tuple[Matrix, float]:

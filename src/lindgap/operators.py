@@ -10,9 +10,16 @@ which is an isometry onto the Hilbert-Schmidt space; KMS adjoints become
 literal transposes and KMS detailed balance becomes symmetry of a matrix.
 The basis consists of Hermitian operators, so the matrix of a map that
 preserves Hermiticity is real.
+
+The frame is laid on the eigenvectors a QuantumState carries.  Where sigma
+is degenerate any eigenbasis will do: `QuantumState.in_basis` hands over
+another one, such as a joint eigenbasis of sigma and a commuting
+Hamiltonian, in which i[H, .] is diagonal on the matrix units.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -107,6 +114,14 @@ class QuantumState:
         e, V = np.linalg.eigh(H)
         w = np.exp(-beta * (e - e.min()))
         return cls.from_eigenvalues(w / w.sum(), V)
+
+    def in_basis(self, W: Matrix) -> "QuantumState":
+        """The same state carrying W, another eigenbasis of sigma for the same
+        (descending) eigenvalues, as its eigenvectors."""
+        out = copy.copy(self)
+        out.eigenvectors = W
+        out._powers = {}
+        return out
 
     def power(self, p: float) -> Matrix:
         """sigma^p through the cached eigendecomposition."""

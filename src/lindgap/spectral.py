@@ -1,10 +1,13 @@
 """Mixing diagnostics: gaps, Bohr decomposition, large-coupling limits.
 
 The spectral gap of a generator is read off the restricted matrix in the
-weighted frame.  For a commuting Hamiltonian the traceless subspace splits
-into Bohr-frequency blocks; the minimal dissipation energy per block gives
-the exact strong-coupling limit of the gap, and the blockwise data also
-yields the finite-rank commutator condition (hypocoercivity index).
+weighted frame, solved on each of the analysis's sectors (the diagonal
+blocks on which the matrix splits exactly) and combined.  For a commuting
+Hamiltonian the frame is a joint eigenbasis of sigma and H, so the
+traceless subspace splits into Bohr-frequency blocks read off the frame's
+coordinates with no eigensolve; the minimal dissipation energy per block
+gives the exact strong-coupling limit of the gap, and the blockwise data
+also yields the finite-rank commutator condition (hypocoercivity index).
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import Analysis, real_norm2, require_invariant
-from .operators import Matrix, dag
+from .lindblad import Analysis, require_invariant, sector_blocks, sector_singular_gap
+from .operators import SQRT2, Matrix, dag
 
 BOHR_CLUSTER_FACTOR = 1e-7
 INDEX_POSITIVITY_FACTOR = 1e-9
@@ -37,9 +40,14 @@ class GapReport:
         return float(np.log(1.0 / eps) / self.spectral_gap)
 
 
-def gap_from_matrix(M: Matrix) -> tuple[float, list[complex]]:
-    """(gap, attaining eigenvalues) of a restricted matrix."""
-    eigs = np.linalg.eigvals(M)
+def gap_from_matrix(M: Matrix, sectors: list[np.ndarray]) -> tuple[float, list[complex]]:
+    """(gap, attaining eigenvalues) of a restricted matrix, solved on its sectors.
+
+    `sectors` groups index sets on which M is block-diagonal, as
+    Analysis.sectors does; [np.arange(n)[None]] is the whole n x n matrix.
+    """
+    eigs = np.concatenate([np.linalg.eigvals(B).ravel()
+                           for B in sector_blocks(M, sectors)])
     real_decay = -eigs.real
     lam = float(real_decay.min())
     scale = max(np.abs(eigs).max(), 1.0)
@@ -50,8 +58,9 @@ def gap_from_matrix(M: Matrix) -> tuple[float, list[complex]]:
 def spectral_gap(an: Analysis) -> GapReport:
     """Gap diagnostics of L restricted to the traceless subspace."""
     require_invariant(an.L, an.state)
-    lam, attaining = gap_from_matrix(an.Mr)
-    sym = float(np.linalg.eigvalsh(-(an.Mr + dag(an.Mr)) / 2.0)[0])
+    lam, attaining = gap_from_matrix(an.Mr, an.sectors)
+    sym = float(min(np.linalg.eigvalsh(-(B + np.swapaxes(B, -1, -2)) / 2.0).min()
+                    for B in sector_blocks(an.Mr, an.sectors)))
     return GapReport(spectral_gap=lam, attaining=attaining,
                      singular_gap=an.singular_gap, symmetrized_gap=sym)
 
@@ -74,52 +83,76 @@ class BohrBlock:
 
 
 def bohr_decompose(an: Analysis) -> list[BohrBlock]:
-    """Frequency blocks of X -> [H, X] on the traceless subspace.
+    """Frequency blocks of X -> [H, X] on the traceless subspace, by formula.
 
-    Requires [H, sigma] = 0 so that the commutator map is KMS anti-Hermitian
-    after multiplication by i.  Frequencies within 1e-7 * ||H|| are merged.
+    Requires [H, sigma] = 0, so that the analysis's frame sits on a joint
+    eigenbasis with energies E: the diagonal coordinates have frequency 0,
+    and frame pair (a, b), a < b, with coordinates s and t gives
+    (s - i t)/sqrt2 (the unit |a><b|) at E_a - E_b and (s + i t)/sqrt2 at
+    E_b - E_a.  Frequencies within 1e-7 * ||H|| are merged; a pair with both
+    signs in one block contributes the real s and t instead.  Blocks are
+    returned in ascending frequency.
     """
-    H = an.H
-    sigma = an.state.matrix
-    hnorm = np.linalg.norm(H, 2)
-    if np.linalg.norm(H @ sigma - sigma @ H) > 1e-10 * max(hnorm, 1.0):
+    E = an.energies
+    if E is None:
         raise ValueError("H does not commute with sigma")
-    MH = an.M_Hr
-    # MH is real: ||MH + MH^T|| / ||MH|| is the Hermiticity defect of -i MH
-    scale = real_norm2(MH)
-    defect = real_norm2(MH + MH.T) / scale if scale >= 1e-30 else 0.0
-    if defect > 1e-8:
-        raise ValueError(f"commutator matrix is not anti-Hermitian (defect {defect:.3e})")
-    S = -1j * MH
-    w, V = np.linalg.eigh((S + dag(S)) / 2.0)
-    tol = max(BOHR_CLUSTER_FACTOR * hnorm, 1e-14)
+    N = an.frame.dim
+    r, c = an.frame._pairs
+    m = len(r)
+    # entries: the N - 1 diagonal coordinates (entry k is restricted
+    # position k), then pair p at +om[p] (entry N - 1 + p) and at -om[p]
+    # (entry N - 1 + m + p)
+    om = E[r] - E[c]
+    freqs = np.concatenate([np.zeros(N - 1), om, -om])
+    order = np.argsort(freqs, kind="stable")
+    tol = max(BOHR_CLUSTER_FACTOR * np.abs(E).max(), 1e-14)
+    cuts = np.flatnonzero(np.diff(freqs[order]) > tol) + 1
+    cluster = np.empty(len(freqs), dtype=int)
+    cluster[order] = np.searchsorted(cuts, np.arange(len(freqs)), side="right")
+    both = cluster[N - 1:N - 1 + m] == cluster[N - 1 + m:]
+    # restricted positions of the s and t coordinates of each pair
+    s_pos, t_pos = N - 1 + np.arange(m), N - 1 + m + np.arange(m)
     blocks: list[BohrBlock] = []
-    start = 0
-    for k in range(1, len(w) + 1):
-        if k == len(w) or w[k] - w[k - 1] > tol:
-            freq = float(w[start:k].mean())
-            if abs(freq) < tol:
-                freq = 0.0
-            blocks.append(BohrBlock(frequency=freq, basis=V[:, start:k].copy()))
-            start = k
-    total = sum(b.dim for b in blocks)
-    if total != MH.shape[0]:
-        raise ValueError("Bohr blocks do not partition the traceless subspace")
+    for idx in np.split(order, cuts):
+        freq = float(freqs[idx].mean())
+        if abs(freq) < tol:
+            freq = 0.0
+        diag = idx[idx < N - 1]
+        plus = idx[(idx >= N - 1) & (idx < N - 1 + m)] - (N - 1)
+        minus = idx[idx >= N - 1 + m] - (N - 1 + m)
+        real = plus[both[plus]]  # each such pair is also in `minus`
+        plus, minus = plus[~both[plus]], minus[~both[minus]]
+        single = np.concatenate([plus, minus])
+        sign = np.concatenate([np.ones(len(plus)), -np.ones(len(minus))])
+        rows = np.concatenate([diag, s_pos[real], t_pos[real]])
+        k0 = len(rows)
+        basis = np.zeros((N * N - 1, k0 + len(single)),
+                         dtype=complex if len(single) else float)
+        basis[rows, np.arange(k0)] = 1.0
+        if len(single):
+            cols = k0 + np.arange(len(single))
+            basis[s_pos[single], cols] = 1.0 / SQRT2
+            basis[t_pos[single], cols] = -1j * sign / SQRT2
+        blocks.append(BohrBlock(frequency=freq, basis=basis))
     return blocks
 
 
 def lambda_nu_table(an: Analysis, blocks: list[BohrBlock]) -> list[BohrBlock]:
-    """Fill each block's minimal dissipation energy."""
+    """Fill each block's minimal dissipation energy.
+
+    Each block compresses -M_D on the rows where its basis is nonzero, so a
+    block read off the frame costs a solve of its own size.
+    """
     if not blocks:
         raise ValueError("no blocks given")
-    # the block bases are complex: cast -M_D once, not once per block
-    negMD = (-an.M_D_sym[1:, 1:]).astype(complex)
+    negMD = -an.M_D_sym[1:, 1:]
     for b in blocks:
-        B = b.basis
+        rows = np.flatnonzero(np.any(b.basis != 0, axis=1))
+        B = b.basis[rows]
         ortho = np.linalg.norm(dag(B) @ B - np.eye(B.shape[1]))
         if ortho > 1e-10:
             raise ValueError("block basis is not orthonormal")
-        comp = dag(B) @ negMD @ B
+        comp = dag(B) @ negMD[np.ix_(rows, rows)] @ B
         b.lambda_nu = float(np.linalg.eigvalsh((comp + dag(comp)) / 2.0)[0])
     return blocks
 
@@ -151,8 +184,8 @@ def gap_curve(an: Analysis, alphas) -> GapCurve:
     gaps, sgaps = [], []
     for a in alphas:
         Ma = a * an.M_Hr + an.M_Dr
-        gaps.append(gap_from_matrix(Ma)[0])
-        sgaps.append(float(np.linalg.svd(Ma, compute_uv=False)[-1]))
+        gaps.append(gap_from_matrix(Ma, an.sectors)[0])
+        sgaps.append(sector_singular_gap(Ma, an.sectors))
     dev = None if limit is None else float(abs(gaps[-1] - limit))
     return GapCurve(alphas=alphas, gaps=gaps, singular_gaps=sgaps,
                     limit=limit, final_deviation=dev)

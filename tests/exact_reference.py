@@ -9,9 +9,10 @@ probed on the GNS basis for the GNS defect, the Kronecker form summed one
 jump at a time for the batched unit matrix, polynomial moments for the
 space-time variance check, a Lyapunov solve for the window Gramian, a
 least-squares fit over a Hermitian traceless basis for the standard
-detailed-balance solve, and the stacked complex commutators of every
-generator for the commutant.  They are test helpers, not part of the
-package.
+detailed-balance solve, the stacked complex commutators of every
+generator for the commutant, and the complex eigensolve of -i M_H in the
+frame on sigma's own eigenvectors for the Bohr blocks.  They are test
+helpers, not part of the package.
 """
 
 import math
@@ -205,3 +206,32 @@ def stacked_commutant_sv(L):
         return np.zeros(N * N)
     stacked = np.vstack([Lindbladian(N, A, []).unit_matrix() for A in gens])
     return np.linalg.svd(stacked, compute_uv=False)
+
+
+def bohr_table_by_eigh(L, state) -> list[tuple[float, int, float]]:
+    """(frequency, dimension, lambda_nu) per Bohr block of L = alpha i[H, .] + L^D,
+    from the complex eigensolve of the Hermitian -i M_H on the traceless block
+    of the KMS frame on sigma's own eigenvectors.
+
+    Eigenvalues within 1e-7 ||H|| are merged into one block; lambda_nu is the
+    smallest eigenvalue of -M_D compressed to the block's eigenvectors.
+    """
+    H = L.alpha * L.hamiltonian
+    frame = KmsFrame(state)
+    MH = hamiltonian_superop(H, frame)[1:, 1:]
+    MD = generator_matrix(L.dissipator(), frame)[1:, 1:]
+    S = -1j * MH
+    w, V = np.linalg.eigh((S + dag(S)) / 2.0)
+    negMD = -(MD + MD.T) / 2.0
+    tol = max(1e-7 * np.linalg.norm(H, 2), 1e-14)
+    table = []
+    start = 0
+    for k in range(1, len(w) + 1):
+        if k == len(w) or w[k] - w[k - 1] > tol:
+            freq = float(w[start:k].mean())
+            B = V[:, start:k]
+            comp = dag(B) @ negMD @ B
+            lam = float(np.linalg.eigvalsh((comp + dag(comp)) / 2.0)[0])
+            table.append((0.0 if abs(freq) < tol else freq, k - start, lam))
+            start = k
+    return table

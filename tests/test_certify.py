@@ -1,6 +1,7 @@
 """Certificate constants, rates, window optimization, scaling, DMS comparison."""
 
 import math
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from lindgap import (
     structural_constants,
     tfim,
 )
+from lindgap.lindblad import SpaceSplit, real_norm2
 from lindgap.models import GraphSpec, PAULI_X, PAULI_Y, PAULI_Z, op_on_qubit
 
 MIXED2 = QuantumState.maximally_mixed(2)
@@ -85,6 +87,46 @@ def test_assumption_detects_mixing_inside_kernel():
     ok, defect = check_assumption(split_form(op_on_qubit(PAULI_Z, 1, 2), LD, st))
     assert not ok
     assert defect > 0.1
+
+
+def _assumption_case(delta, monkeypatch):
+    """check_assumption on M_H = ones + 2 delta e_0 e_0^T and kernel (e_0 - e_1)/sqrt2:
+    the defect is delta, every column norm of M_H about 10 and ||M_H|| about
+    100; returns (ok, defect, real_norm2 calls)."""
+    n = 100
+    MH = np.ones((n, n))
+    MH[0, 0] += 2.0 * delta
+    V0 = np.zeros((n, 1))
+    V0[:2, 0] = [1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)]
+    an = split_form(PAULI_X, QUBIT_LD, MIXED2)
+    an.__dict__["M_Hr"] = MH
+    an.__dict__["split"] = SpaceSplit(rates=np.zeros(n), basis0=V0,
+                                      basis_plus=np.zeros((n, 0)))
+    calls = []
+    monkeypatch.setattr(import_module("lindgap.certify"), "real_norm2",
+                        lambda A: calls.append(A.shape) or real_norm2(A))
+    ok, defect = check_assumption(an)
+    assert defect == pytest.approx(abs(delta), rel=1e-6)
+    return ok, defect, calls
+
+
+def test_assumption_passes_by_the_column_bound(monkeypatch):
+    ok, _, calls = _assumption_case(5e-9, monkeypatch)
+    assert ok and calls == []
+
+
+def test_assumption_inconclusive_bound_then_passes(monkeypatch):
+    ok, _, calls = _assumption_case(5e-8, monkeypatch)
+    assert ok and calls == [(100, 100)]
+
+
+def test_assumption_fails_with_the_exact_defect(monkeypatch):
+    ok, defect, calls = _assumption_case(5e-7, monkeypatch)
+    assert not ok and calls == [(100, 100)]
+    MH = np.ones((100, 100))
+    MH[0, 0] += 1e-6
+    V0 = np.array([[1.0], [-1.0]] + [[0.0]] * 98) / math.sqrt(2.0)
+    assert defect == np.linalg.norm(V0.T @ MH @ V0, 2)
 
 
 # ---------------------------------------------------------------------------

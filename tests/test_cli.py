@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lindgap import KmsFrame, Lindbladian
+from lindgap import Analysis, KmsFrame, Lindbladian
 from lindgap.cli import build_parser, main
-from lindgap.modelspec import _ENV_VARS, Tolerances
+from lindgap.modelspec import _ENV_VARS, Tolerances, build_model, load_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -381,9 +381,15 @@ def test_each_command_builds_one_analysis(tmp_path, monkeypatch, model, command)
 
 
 def test_validate_takes_one_svd_of_the_generator_matrix(tmp_path, monkeypatch):
+    # the singular gap is solved sector by sector, each sector block once:
+    # one stacked SVD per sector size, and together they cover the traceless
+    # block (63 x 63 on tfim n=3) exactly once
     spec = write_spec(tmp_path / "tfim.json", TFIM3)
     cert = emit_certificate(tmp_path, spec)
-    size = 8 * 8 - 1  # the traceless block on tfim n=3
+    bundle = build_model(load_spec(spec))
+    sectors = Analysis(bundle.lind, bundle.state).sectors
+    sizes = sorted(S.shape[1] for S in sectors for _ in S)
+    assert sum(sizes) == 8 * 8 - 1 and len(sizes) > 1
     svd = np.linalg.svd
     shapes = []
 
@@ -394,7 +400,9 @@ def test_validate_takes_one_svd_of_the_generator_matrix(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert main(["validate", "--spec", spec, "--out", str(tmp_path / "val"),
                  "--certificate", str(cert)]) == 0
-    assert shapes.count((size, size)) == 1
+    stacks = [shape for shape in shapes if len(shape) == 3]
+    assert len(stacks) == len(sectors)
+    assert sorted(s for k, s, _ in stacks for _ in range(k)) == sizes
 
 
 @pytest.mark.parametrize("model,command,side,complement", [
@@ -419,7 +427,7 @@ def test_dissipator_is_decomposed_once(tmp_path, monkeypatch, model, command,
         finally:
             in_norm.pop()
 
-    for name in ("lindblad", "certify", "evolve", "spectral"):
+    for name in ("lindblad", "certify", "evolve"):
         monkeypatch.setattr(import_module(f"lindgap.{name}"), "real_norm2", flagged)
     shapes = {"eigh": [], "eigvalsh": []}
     for name, seen in shapes.items():

@@ -1,5 +1,6 @@
 """Generator construction, detailed balance, and structure diagnostics."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,8 @@ from lindgap import (
     structure_report,
     tfim,
 )
-from lindgap.lindblad import hermiticity_defect, standard_dbc_solve
+from lindgap import lindblad
+from lindgap.lindblad import DB_DEFECT_TOL, hermiticity_defect, standard_dbc_solve
 from lindgap.models import PAULI_X, PAULI_Y, PAULI_Z
 
 E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -523,3 +525,58 @@ def test_hermiticity_defect_is_relative_spectral_norm():
         assert abs(hermiticity_defect(M) - ref) <= 1e-13 * ref
         assert hermiticity_defect(M + M.conj().T) == 0.0
     assert hermiticity_defect(np.zeros((3, 3))) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the KMS-symmetry gate of M_D_sym
+
+
+def _with_dissipator_matrix(M, monkeypatch):
+    """An Analysis whose M_D is M, counting the spectral-norm defect calls."""
+    an = Analysis(build_gksl(np.zeros((2, 2)), [(1.0, PAULI_Z)]),
+                  QuantumState.maximally_mixed(2))
+    an.__dict__["M_D"] = M
+    calls = []
+
+    def counted(A):
+        calls.append(A.shape)
+        return hermiticity_defect(A)
+
+    monkeypatch.setattr(lindblad, "hermiticity_defect", counted)
+    return an, calls
+
+
+def _skewed_ones(eps):
+    # ||M||_2 = 100 but every column norm is about 10, and M - M^T is
+    # eps (e_0 e_1^T - e_1 e_0^T): ||.||_2 = eps, ||.||_F = sqrt2 eps
+    M = np.ones((100, 100))
+    M[0, 1] += eps
+    return M
+
+
+def test_db_gate_decides_by_the_norm_bound(monkeypatch):
+    m = tfim(3, 0.8, 1.1)
+    an = Analysis(m.lind, m.state)
+    calls = []
+    monkeypatch.setattr(lindblad, "hermiticity_defect",
+                        lambda A: calls.append(A.shape) or hermiticity_defect(A))
+    assert np.array_equal(an.M_D_sym, (an.M_D + an.M_D.T) / 2.0)
+    assert calls == []
+
+
+def test_db_gate_inconclusive_bound_then_passes(monkeypatch):
+    an, calls = _with_dissipator_matrix(_skewed_ones(5e-7), monkeypatch)
+    M = an.M_D
+    assert np.linalg.norm(M - M.T) > DB_DEFECT_TOL * np.sqrt((M * M).sum(0)).max()
+    assert hermiticity_defect(M) < DB_DEFECT_TOL
+    assert np.array_equal(an.M_D_sym, (M + M.T) / 2.0)
+    assert calls == [M.shape]
+
+
+def test_db_gate_fails_with_the_spectral_defect(monkeypatch):
+    an, calls = _with_dissipator_matrix(_skewed_ones(5e-6), monkeypatch)
+    defect = hermiticity_defect(an.M_D)
+    assert defect > DB_DEFECT_TOL
+    with pytest.raises(ValueError, match=re.escape(f"(defect {defect:.3e})")):
+        an.M_D_sym
+    assert calls == [an.M_D.shape]

@@ -2,24 +2,31 @@
 
 import numpy as np
 import pytest
+from exact_reference import bohr_table_by_eigh
 
 from lindgap import (
     Analysis,
     GraphSpec,
     KmsFrame,
     QuantumState,
+    birth_death_spectrum,
     bohr_decompose,
     build_gksl,
+    cycle_graph,
+    dephasing_walk,
     gap_curve,
     graph_lindblad,
+    haar_avg_gibbs,
+    hypercube_graph,
     hypoco_index,
     lambda_nu_table,
     large_alpha_limit,
     singular_relaxation_check,
     spectral_gap,
     structure_report,
+    tfim,
 )
-from lindgap.lindblad import generator_matrix
+from lindgap.lindblad import SECTOR_TOL, generator_matrix
 from lindgap.models import PAULI_X, PAULI_Y, PAULI_Z
 
 MIXED2 = QuantumState.maximally_mixed(2)
@@ -291,3 +298,203 @@ def test_singular_check_hermitian_gap_pair():
 def test_singular_check_tiny_rate_trivially_true():
     ok, _, _ = singular_relaxation_check(Analysis(qubit_model(), MIXED2), 1e-9, 0.1)
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# joint eigenbasis of sigma and H, Bohr blocks by formula, sectors
+
+
+def _graph_with_h(mu, H):
+    st = QuantumState(np.diag(np.asarray(mu) / np.sum(mu)))
+    m = graph_lindblad(GraphSpec(len(mu), [(0, 1), (1, 2), (2, 3), (0, 3)]), st)
+    return build_gksl(H, m.lind.jumps), st
+
+
+def _random_hermitian(N, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    return (B + B.conj().T) / 2
+
+
+def _degenerate_mixing_h():
+    # sigma is threefold degenerate on levels 1..3, and H mixes that eigenspace
+    H = np.zeros((4, 4), dtype=complex)
+    H[0, 0] = 0.7
+    H[1:, 1:] = _random_hermitian(3, 5)
+    return H
+
+
+def _commuting_family(name):
+    if name.startswith("tfim"):
+        m = tfim(int(name[-1]), 0.9, 1.1)
+        return m.lind, m.state
+    if name == "walk-cycle":
+        m = dephasing_walk(2, 0.8, cycle_graph(4))
+        return m.lind, m.state
+    if name == "walk-hypercube":
+        m = dephasing_walk(3, 0.6, hypercube_graph(3))
+        return m.lind, m.state
+    if name == "birth_death":
+        m = birth_death_spectrum([2, 3], 0.7).model
+        return build_gksl(np.diag([0.3, -0.2, 0.9, 0.1, -0.6]), m.lind.jumps), m.state
+    if name == "haar_gibbs":
+        m = haar_avg_gibbs([0.0, 0.4, 1.0, 2.5], 1.0)
+        return m.lind, m.state
+    if name == "graph+H-uniform":
+        return _graph_with_h([1.0, 1.0, 1.0, 1.0], _random_hermitian(4, 3))
+    if name == "graph+H-nonuniform":
+        return _graph_with_h([0.4, 0.3, 0.2, 0.1], np.diag([0.5, -1.0, 0.25, 2.0]))
+    if name == "graph+H-degenerate":
+        return _graph_with_h([0.4, 0.2, 0.2, 0.2], _degenerate_mixing_h())
+    raise KeyError(name)
+
+
+COMMUTING = ["tfim2", "tfim3", "walk-cycle", "walk-hypercube", "birth_death",
+             "haar_gibbs", "graph+H-uniform", "graph+H-nonuniform",
+             "graph+H-degenerate"]
+
+
+@pytest.mark.parametrize("name", COMMUTING)
+def test_bohr_blocks_match_the_complex_eigensolve(name):
+    L, st = _commuting_family(name)
+    an = Analysis(L, st)
+    assert an.energies is not None
+    blocks = lambda_nu_table(an, bohr_decompose(an))
+    ours = sorted((b.frequency, b.dim, b.lambda_nu) for b in blocks)
+    ref = sorted(bohr_table_by_eigh(L, st))
+    assert [d for _, d, _ in ours] == [d for _, d, _ in ref]
+    hnorm = max(np.linalg.norm(an.H, 2), 1.0)
+    for (f, _, lam), (f_ref, _, lam_ref) in zip(ours, ref):
+        assert abs(f - f_ref) <= 1e-12 * hnorm
+        assert lam == pytest.approx(lam_ref, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", COMMUTING)
+def test_joint_frame_diagonalizes_sigma_and_h(name):
+    L, st = _commuting_family(name)
+    an = Analysis(L, st)
+    W = an.state.eigenvectors
+    assert an.state.matrix is st.matrix
+    assert np.array_equal(an.state.eigenvalues, st.eigenvalues)
+    assert np.abs(W.conj().T @ W - np.eye(st.dim)).max() < 1e-13
+    assert np.abs(W.conj().T @ st.matrix @ W - np.diag(st.eigenvalues)).max() < 1e-14
+    assert np.abs(W.conj().T @ an.H @ W - np.diag(an.energies)).max() \
+        < 1e-12 * max(np.linalg.norm(an.H, 2), 1.0)
+
+
+def test_degenerate_sigma_mixed_by_h_gets_a_joint_basis():
+    L, st = _commuting_family("graph+H-degenerate")
+    H = L.hamiltonian
+    U = st.eigenvectors
+    assert np.abs(U.conj().T @ H @ U - np.diag(np.diag(U.conj().T @ H @ U))).max() > 0.1
+    an = Analysis(L, st)
+    W = an.state.eigenvectors
+    assert not np.allclose(np.abs(W), np.abs(U))
+    assert np.abs(W.conj().T @ H @ W - np.diag(an.energies)).max() < 1e-13
+    assert np.abs(W.conj().T @ st.matrix @ W - np.diag(st.eigenvalues)).max() < 1e-15
+    assert sorted(an.energies) == pytest.approx(sorted(np.linalg.eigvalsh(H)), abs=1e-13)
+
+
+@pytest.mark.parametrize("name", ["haar_gibbs", "graph+H-nonuniform"])
+def test_diagonal_h_keeps_the_frame_of_sigma(name):
+    L, st = _commuting_family(name)
+    an = Analysis(L, st)
+    assert an.state is st
+    assert np.array_equal(an.M, generator_matrix(L, KmsFrame(st)))
+
+
+SECTORED = COMMUTING + ["driven-qubit"]
+
+
+def _sectored(name):
+    if name == "driven-qubit":
+        # the damped qubit driven by H = X, at its steady state: [H, sigma] != 0
+        st = QuantumState(np.array([[5.0, 2.0j], [-2.0j, 4.0]]) / 9.0)
+        return build_gksl(PAULI_X, [(1.0, np.array([[0.0, 1.0], [0.0, 0.0]]))]), st
+    return _commuting_family(name)
+
+
+def test_driven_qubit_keeps_its_sigma_and_has_no_limit():
+    L, st = _sectored("driven-qubit")
+    an = Analysis(L, st)
+    assert an.state is st and an.energies is None
+    with pytest.raises(ValueError, match="commute"):
+        bohr_decompose(an)
+    curve = gap_curve(an, [1.0, 10.0])
+    assert curve.limit is None and curve.final_deviation is None
+
+
+def _dense_attaining(M, lam):
+    eigs = np.linalg.eigvals(M)
+    scale = max(np.abs(eigs).max(), 1.0)
+    return eigs[-eigs.real < lam + 1e-9 * scale]
+
+
+@pytest.mark.parametrize("name", SECTORED + ["tfim4"])
+def test_sector_solves_match_the_dense_solves(name):
+    L, st = _sectored(name)
+    an = Analysis(L, st)
+    Mr = an.Mr
+    rep = spectral_gap(an)
+    eigs = np.linalg.eigvals(Mr)
+    lam = float((-eigs.real).min())
+    close = dict(rel=1e-12, abs=1e-13)
+    assert rep.spectral_gap == pytest.approx(lam, **close)
+    assert rep.singular_gap == pytest.approx(np.linalg.svd(Mr, compute_uv=False)[-1],
+                                             **close)
+    assert rep.symmetrized_gap == pytest.approx(
+        np.linalg.eigvalsh(-(Mr + Mr.T) / 2.0)[0], **close)
+    dense = sorted(_dense_attaining(Mr, lam), key=lambda z: (z.imag, z.real))
+    ours = sorted(rep.attaining, key=lambda z: (z.imag, z.real))
+    assert len(ours) == len(dense)
+    assert np.abs(np.array(ours) - np.array(dense)).max() < 1e-12 * max(abs(lam), 1.0)
+    alphas = [0.5, 3.0]
+    curve = gap_curve(an, alphas)
+    for a, g, sg in zip(alphas, curve.gaps, curve.singular_gaps):
+        Ma = a * an.M_Hr + an.M_Dr
+        assert g == pytest.approx((-np.linalg.eigvals(Ma).real).min(), **close)
+        assert sg == pytest.approx(np.linalg.svd(Ma, compute_uv=False)[-1], **close)
+
+
+@pytest.mark.parametrize("name", SECTORED + ["tfim4"])
+def test_sectors_split_with_a_wide_threshold_margin(name):
+    L, st = _sectored(name)
+    an = Analysis(L, st)
+    n = an.M_Dr.shape[0]
+    covered = np.sort(np.concatenate([S.ravel() for S in an.sectors]))
+    assert np.array_equal(covered, np.arange(n))
+    label = np.empty(n, dtype=int)
+    for k, S in enumerate(S for group in an.sectors for S in group):
+        label[S] = k
+    outside = label[:, None] != label[None, :]
+    for M in (an.M_Dr, an.M_Hr):
+        scale = np.abs(M).max()
+        if scale == 0:
+            continue
+        rel = np.abs(M) / scale
+        dropped = rel[rel <= SECTOR_TOL]
+        kept = rel[rel > SECTOR_TOL]
+        assert dropped.max(initial=0.0) <= 1e-13
+        assert kept.min() >= 1e-10
+        assert rel[outside].max(initial=0.0) <= 1e-13
+
+
+def test_sectors_follow_one_way_couplings():
+    # a coupling present in one direction only still joins two coordinates:
+    # the matrix is block-triangular there, and the split must not cut it
+    an = Analysis(build_gksl(np.zeros((2, 2)), [(1.0, PAULI_Z)]), MIXED2)
+    an.__dict__["M_Dr"] = np.array([[-1.0, 0.0, 0.0],
+                                    [0.0, -2.0, 5.0],
+                                    [0.0, 0.0, -3.0]])
+    an.__dict__["Mr"] = an.M_Dr
+    assert [S.tolist() for S in an.sectors] == [[[0]], [[1, 2]]]
+    assert an.singular_gap == pytest.approx(
+        np.linalg.svd(an.Mr, compute_uv=False)[-1], rel=1e-14)
+
+
+def test_tfim4_splits_into_small_sectors():
+    m = tfim(4, 0.9, 1.1)
+    sizes = [S.shape[1] for S in Analysis(m.lind, m.state).sectors for _ in S]
+    assert len(sizes) >= 4
+    assert max(sizes) <= 69
+    assert sum(sizes) == 255
