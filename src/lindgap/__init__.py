@@ -13,7 +13,6 @@ from .lindblad import (
     Analysis,
     Lindbladian,
     build_gksl,
-    build_gns_canonical,
     check_invariance,
     generator_matrix,
     hamiltonian_superop,
@@ -21,7 +20,6 @@ from .lindblad import (
     StructureReport,
     kernel_projection,
     SpaceSplit,
-    kernel_dimension,
 )
 from .spectral import (
     GapReport,
@@ -59,7 +57,6 @@ from .models import (
     matrix_unit,
     single_jump_model,
     canonical_path_bound,
-    bfs_paths,
     CanonicalPaths,
     dephasing_jumps,
     cycle_graph,
@@ -68,7 +65,6 @@ from .models import (
     tfim,
     GraphSpec,
     graph_lindblad,
-    graph_hamiltonian_cert,
     birth_death_spectrum,
     haar_avg_gibbs,
     lift_model,

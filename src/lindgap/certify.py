@@ -33,10 +33,6 @@ class StructuralConstants:
     norm_LD: float
     norm_LH_plus: float
 
-    @property
-    def norm_sqrt_LD(self) -> float:
-        return math.sqrt(self.norm_LD)
-
     def as_dict(self) -> dict:
         return {
             "lambda_D": self.lambda_D,

@@ -158,7 +158,7 @@ def _load_certificate(path: str) -> tuple[float, float, float, float, str | None
     try:
         nu = float(report["nu"])
         T = float(report["T"])
-        C_T = float(report.get("C_T", report.get("prefactor")))
+        C_T = float(report["C_T"])
         beta = float(report.get("beta", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError("--certificate",

@@ -38,7 +38,6 @@ from .operators import (
 DB_DEFECT_TOL = 1e-8
 KERNEL_TOL_FACTOR = 1e-9
 COMMUTANT_SV_FACTOR = 1e-9
-MODULAR_RTOL = 1e-8
 INVARIANCE_FLAG_FACTOR = 1e-9
 COMMUTE_TOL = 1e-10
 JOINT_BASIS_TOL = 1e-12
@@ -124,58 +123,6 @@ def build_gksl(H, jumps, alpha: float = 1.0) -> Lindbladian:
             raise ValueError(f"jump weights must be positive, got {w}")
         clean.append((w, as_square_matrix(L, N)))
     return Lindbladian(N, H, clean, alpha=float(alpha))
-
-
-def build_gns_canonical(state: QuantumState, pairs) -> Lindbladian:
-    """Generator sum_j (e^{-w_j/2} L_j^dag [X, L_j] + e^{w_j/2} [L_j, X] L_j^dag).
-
-    Each L_j must be a traceless eigenvector of the modular map
-    X -> sigma X sigma^{-1} with eigenvalue e^{-omega_j}, the family must be
-    pairwise orthogonal, and the adjoint of each member must appear in the
-    list with the opposite frequency.  Under those conditions the action
-    equals the GKSL form with jump list [(2 e^{-omega_j/2}, L_j)], which is
-    what gets stored.
-    """
-    N = state.dim
-    sig = state.matrix
-    sig_inv = state.power(-1.0)
-    ops = [(float(om), as_square_matrix(L, N)) for om, L in pairs]
-    if not ops:
-        raise ValueError("need at least one (omega, L) pair")
-    for om, L in ops:
-        nrm = np.linalg.norm(L)
-        if nrm == 0:
-            raise ValueError("zero jump operator")
-        if abs(np.trace(L)) > 1e-10 * nrm:
-            raise ValueError(f"jump operator has nonzero trace {np.trace(L):.3e}")
-        defect = np.linalg.norm(sig @ L @ sig_inv - np.exp(-om) * L) / nrm
-        if defect > MODULAR_RTOL:
-            raise ValueError(
-                f"L is not a modular eigenvector for omega={om:.6g} "
-                f"(relative defect {defect:.3e})")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            Li, Lj = ops[i][1], ops[j][1]
-            ov = abs(np.trace(dag(Li) @ Lj))
-            if ov > 1e-10 * np.linalg.norm(Li) * np.linalg.norm(Lj):
-                raise ValueError(f"jump operators {i} and {j} are not orthogonal")
-    matched = [False] * len(ops)
-    for i, (om, L) in enumerate(ops):
-        if matched[i]:
-            continue
-        found = None
-        for j, (om2, L2) in enumerate(ops):
-            if matched[j] and j != i:
-                continue
-            if (np.linalg.norm(dag(L) - L2) <= 1e-8 * np.linalg.norm(L)
-                    and abs(om + om2) <= 1e-8 * max(1.0, abs(om))):
-                found = j
-                break
-        if found is None:
-            raise ValueError(f"adjoint of jump operator {i} is missing from the list")
-        matched[i] = matched[found] = True
-    jumps = [(2.0 * np.exp(-om / 2.0), L) for om, L in ops]
-    return Lindbladian(N, np.zeros((N, N)), jumps, alpha=0.0)
 
 
 def check_invariance(L: Lindbladian, state: QuantumState) -> float:

@@ -496,72 +496,6 @@ def _graph_model(spec: GraphSpec, state: QuantumState,
     return model, G
 
 
-@dataclass
-class GraphCertReport:
-    primitive: bool
-    reason: str
-    mu_hat: np.ndarray | None = None
-    Hhat: Matrix | None = None
-    s_H: float | None = None
-    spread_H: float | None = None
-    nu_closed: float | None = None
-
-
-def graph_hamiltonian_cert(model: GraphModel, H) -> GraphCertReport:
-    """Primitivity and coupling strength of a commuting Hamiltonian on a graph model.
-
-    A nondegenerate sigma forces H diagonal, which commutes with the
-    block-diagonal kernel, so the model stays non-primitive.  With
-    degeneracies, the component-averaged matrix Hhat decides everything:
-    irreducibility gives primitivity and its weighted gap gives s_H.
-    """
-    H = require_hermitian(H, what="H")
-    N = model.state.dim
-    if H.shape[0] != N:
-        raise ValueError("H dimension does not match the model")
-    sig = model.state.matrix
-    hnorm = max(np.linalg.norm(H, 2), 1e-30)
-    if np.linalg.norm(H @ sig - sig @ H) > 1e-10 * hnorm:
-        raise ValueError("H does not commute with sigma")
-    mu = model.mu
-    comps = model.spec.components
-    m = len(comps)
-    if m == 1:
-        return GraphCertReport(primitive=True,
-                               reason="connected graph: the dissipator alone is primitive")
-    gaps = np.abs(mu[:, None] - mu[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if gaps.min() > 1e-10 * mu.max():
-        return GraphCertReport(primitive=False,
-                               reason="sigma has simple spectrum; every commuting "
-                                      "Hamiltonian preserves the kernel")
-    mu_hat = np.array([mu[c].sum() for c in comps])
-    Hhat = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            block = H[np.ix_(comps[i], comps[j])]
-            Hhat[i, j] = (mu[comps[i]] @ (np.abs(block) ** 2).sum(axis=1)) / mu_hat[i]
-    Hhat = Hhat - np.diag(Hhat.sum(axis=1))
-    off = Hhat - np.diag(np.diag(Hhat))
-    sup_tol = 1e-13 * max(off.max(), 1e-30)
-    irreducible = _support_connected(off, sup_tol)
-    w = _reversible_rates(Hhat, mu_hat)
-    s_H = math.sqrt(2.0 * max(w[1], 0.0))
-    eH = np.linalg.eigvalsh(H)
-    spread = float(eH[-1] - eH[0])
-    nu = None
-    if irreducible:
-        nu = model.lambda_D * s_H**2 / (
-            (28.0 * s_H + 5.0 * math.sqrt(2.0) * spread) ** 2
-            + 72.0 * model.lambda_D * model.norm_LD)
-    reason = ("component-averaged Hamiltonian is irreducible" if irreducible
-              else "component-averaged Hamiltonian is reducible")
-    return GraphCertReport(primitive=irreducible, reason=reason, mu_hat=mu_hat,
-                           Hhat=Hhat, s_H=s_H, spread_H=spread, nu_closed=nu)
-
-
 # ---------------------------------------------------------------------------
 # birth-death chains
 
@@ -714,26 +648,6 @@ class LiftModel:
     a: float
     b: float
     kernel_dim: int
-
-    def primitive_with(self, H) -> bool:
-        """Primitivity criterion for a block-diagonal commuting Hamiltonian.
-
-        The lifted kernel is spanned by 1 x e_00 and 1 x e_11; a Hamiltonian
-        H = diag(H^1, ..., H^N) moves it iff some off-diagonal block entry
-        H^i_01 is nonzero.
-        """
-        H = require_hermitian(H, what="H")
-        N2 = 2 * self.base.state.dim
-        if H.shape[0] != N2:
-            raise ValueError("H dimension does not match the lifted space")
-        hnorm = max(np.linalg.norm(H, 2), 1e-30)
-        off_block = H.copy()
-        for i in range(self.base.state.dim):
-            off_block[2 * i:2 * i + 2, 2 * i:2 * i + 2] = 0.0
-        if np.abs(off_block).max() > 1e-12 * hnorm:
-            raise ValueError("criterion applies to block-diagonal Hamiltonians")
-        return any(abs(H[2 * i, 2 * i + 1]) > 1e-12 * hnorm
-                   for i in range(self.base.state.dim))
 
 
 def lift_model(base: GraphModel, A) -> LiftModel:

@@ -175,9 +175,9 @@ class KmsFrame:
                 continue
             v /= nrm
             # a second division takes out the rounding of the first norm, so that
-            # the maximally mixed qubit gets exactly (fl(1/sqrt2), -fl(1/sqrt2)):
-            # at an exceptional point one ulp would split a double eigenvalue
-            # by sqrt(eps)
+            # the maximally mixed qubit gets exactly (fl(sqrt(1/2)), -fl(sqrt(1/2))),
+            # 0x1.6a09e667f3bcdp-1, one ulp above fl(1/fl(sqrt2)): at an
+            # exceptional point one ulp would split a double eigenvalue by sqrt(eps)
             Q[:, j] = v / np.linalg.norm(v)
             j += 1
         if j != N or dropped is None:

@@ -31,14 +31,6 @@ class GapReport:
     singular_gap: float
     symmetrized_gap: float
 
-    def relax_lower(self, eps: float) -> float:
-        """Lower bound log(1/eps)/gap on the eps-relaxation time."""
-        if not 0 < eps < 1:
-            raise ValueError("eps must lie in (0, 1)")
-        if self.spectral_gap <= 0:
-            return float("inf")
-        return float(np.log(1.0 / eps) / self.spectral_gap)
-
 
 def gap_from_matrix(M: Matrix, sectors: list[np.ndarray]) -> tuple[float, list[complex]]:
     """(gap, attaining eigenvalues) of a restricted matrix, solved on its sectors.
@@ -158,9 +150,16 @@ def lambda_nu_table(an: Analysis, blocks: list[BohrBlock]) -> list[BohrBlock]:
 
 
 def large_alpha_limit(an: Analysis) -> float:
-    """Strong-coherent-coupling limit of the gap: the smallest blockwise energy."""
-    blocks = lambda_nu_table(an, bohr_decompose(an))
-    return min(b.lambda_nu for b in blocks)
+    """Strong-coherent-coupling limit of the gap: the smallest blockwise energy.
+
+    The frequencies are symmetric about 0 and cut at mirrored gaps, so block
+    k and block -1-k hold the same pairs at opposite frequencies; their
+    compressions of the real -M_D are complex conjugates with equal energy,
+    and the blocks up to frequency 0 suffice.
+    """
+    blocks = bohr_decompose(an)
+    half = blocks[:(len(blocks) + 1) // 2]
+    return min(b.lambda_nu for b in lambda_nu_table(an, half))
 
 
 @dataclass

@@ -10,10 +10,10 @@ from lindgap import (
     Analysis,
     GraphSpec,
     KmsFrame,
+    Lindbladian,
     QuantumState,
     birth_death_spectrum,
     build_gksl,
-    build_gns_canonical,
     build_model,
     dephasing_walk,
     generator_matrix,
@@ -74,8 +74,10 @@ def _lift():
 def _gns_pair():
     state = QuantumState(np.diag([0.75, 0.25]))
     om = np.log(0.75 / 0.25)
-    e01 = np.array([[0.0, 1.0], [0.0, 0.0]])
-    return build_gns_canonical(state, [(-om, e01), (om, e01.T)]), state
+    # the GNS-detailed-balanced pair: weights 2 e^{+-om/2} on e01 and e10
+    e01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    jumps = [(2.0 * np.exp(om / 2.0), e01), (2.0 * np.exp(-om / 2.0), e01.T)]
+    return Lindbladian(2, np.zeros((2, 2)), jumps, alpha=0.0), state
 
 
 def _explicit_gibbs():

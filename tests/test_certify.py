@@ -139,7 +139,6 @@ def test_constants_qubit_hand_values():
     assert sc.s_H == pytest.approx(2.0, abs=1e-10)
     assert sc.norm_LD == pytest.approx(4.0, abs=1e-10)
     assert sc.norm_LH_plus == pytest.approx(2.0, abs=1e-10)
-    assert sc.norm_sqrt_LD == pytest.approx(2.0, abs=1e-10)
 
 
 def test_constants_dephasing_scaling():

@@ -261,6 +261,18 @@ def test_validate_rejects_malformed_certificate(tmp_path, qubit_spec, capsys):
         assert "--certificate: need finite" in capsys.readouterr().err
 
 
+def test_validate_rejects_prefactor_in_place_of_C_T(tmp_path, qubit_spec, capsys):
+    # certify writes C_T; a certificate that names it `prefactor` is malformed
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"nu": CERT_NU, "T": 1.5, "prefactor": CERT_CT}))
+    out = tmp_path / "val"
+    assert main(["validate", "--spec", qubit_spec, "--out", str(out),
+                 "--certificate", str(old)]) == 2
+    err = capsys.readouterr().err
+    assert "--certificate: missing or malformed nu/T/C_T fields" in err
+    assert not (out / "validate.json").exists()
+
+
 @pytest.mark.parametrize("flags, name", [
     (["--samples", "0"], "--samples"),
     (["--samples", "1"], "--samples"),

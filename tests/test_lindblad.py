@@ -11,9 +11,9 @@ from lindgap import (
     Analysis,
     GraphSpec,
     KmsFrame,
+    Lindbladian,
     QuantumState,
     build_gksl,
-    build_gns_canonical,
     check_invariance,
     cycle_graph,
     dephasing_jumps,
@@ -21,13 +21,17 @@ from lindgap import (
     generator_matrix,
     graph_lindblad,
     haar_avg_gibbs,
-    kernel_dimension,
     kernel_projection,
     structure_report,
     tfim,
 )
 from lindgap import lindblad
-from lindgap.lindblad import DB_DEFECT_TOL, hermiticity_defect, standard_dbc_solve
+from lindgap.lindblad import (
+    DB_DEFECT_TOL,
+    hermiticity_defect,
+    kernel_dimension,
+    standard_dbc_solve,
+)
 from lindgap.models import PAULI_X, PAULI_Y, PAULI_Z
 
 E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -77,54 +81,19 @@ def test_gksl_rejects_nonpositive_weight():
 
 
 # ---------------------------------------------------------------------------
-# build_gns_canonical
-
-
-def test_gns_uniform_state_forces_zero_frequency():
-    st = QuantumState.maximally_mixed(2)
-    with pytest.raises(ValueError, match="modular eigenvector"):
-        build_gns_canonical(st, [(0.3, PAULI_X)])
-
-
-def test_gns_uniform_state_zero_frequency_is_double_commutator():
-    st = QuantumState.maximally_mixed(2)
-    L = build_gns_canonical(st, [(0.0, PAULI_X)])
-    rng = np.random.default_rng(2)
-    X = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    # for Hermitian L_j and omega = 0 the action is -[L_j, [L_j, X]]
-    dbl = -(PAULI_X @ (PAULI_X @ X - X @ PAULI_X)
-            - (PAULI_X @ X - X @ PAULI_X) @ PAULI_X)
-    assert np.abs(L.apply(X) - dbl).max() < 1e-12
+# a GNS-detailed-balanced pair
 
 
 def test_gns_qubit_pair_invariance_and_kms_db():
     st = QuantumState(np.diag([0.75, 0.25]))
     om = np.log(0.75 / 0.25)
-    # sigma e01 sigma^{-1} = (mu_1/mu_2) e01 = e^{-(-log(mu_1/mu_2))} e01
-    L = build_gns_canonical(st, [(-om, E01), (om, E10)])
+    # sigma e01 sigma^{-1} = e^{om} e01: the pair (e01, e10) with weights
+    # 2 e^{+-om/2} is GNS-detailed-balanced
+    jumps = [(2.0 * np.exp(om / 2.0), E01), (2.0 * np.exp(-om / 2.0), E10)]
+    L = Lindbladian(2, np.zeros((2, 2)), jumps, alpha=0.0)
     assert check_invariance(L, st) < 1e-10
     M = generator_matrix(L, KmsFrame(st))
     assert hermiticity_defect(M) < 1e-10
-
-
-def test_gns_rejects_wrong_frequency_sign():
-    st = QuantumState(np.diag([0.75, 0.25]))
-    om = np.log(0.75 / 0.25)
-    with pytest.raises(ValueError, match="modular eigenvector"):
-        build_gns_canonical(st, [(om, E01), (-om, E10)])
-
-
-def test_gns_rejects_missing_adjoint():
-    st = QuantumState(np.diag([0.75, 0.25]))
-    om = np.log(0.75 / 0.25)
-    with pytest.raises(ValueError, match="adjoint"):
-        build_gns_canonical(st, [(-om, E01)])
-
-
-def test_gns_rejects_traceful_jump():
-    st = QuantumState.maximally_mixed(2)
-    with pytest.raises(ValueError, match="trace"):
-        build_gns_canonical(st, [(0.0, np.eye(2))])
 
 
 # ---------------------------------------------------------------------------

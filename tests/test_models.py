@@ -13,18 +13,15 @@ from lindgap import (
     PAULI_X,
     PAULI_Z,
     QuantumState,
-    bfs_paths,
     birth_death_spectrum,
     build_gksl,
     build_model,
     canonical_path_bound,
     cycle_graph,
     dephasing_walk,
-    graph_hamiltonian_cert,
     graph_lindblad,
     haar_avg_gibbs,
     hypercube_graph,
-    kernel_dimension,
     lift_model,
     matrix_unit,
     single_jump_model,
@@ -33,7 +30,8 @@ from lindgap import (
     structure_report,
     tfim,
 )
-from lindgap.models import _check_unit_action
+from lindgap.lindblad import kernel_dimension
+from lindgap.models import _check_unit_action, bfs_paths
 
 
 def split_form(H, LD, state):
@@ -303,7 +301,7 @@ def test_graph_model_rejects_offdiagonal_state():
 
 
 # ---------------------------------------------------------------------------
-# commuting-Hamiltonian certificates on graph models
+# commuting Hamiltonians on graph models
 
 
 def two_component_model():
@@ -313,47 +311,35 @@ def two_component_model():
 
 
 def test_graph_cert_simple_sigma_short_circuits():
+    # a simple sigma forces a commuting H diagonal, which keeps the kernel
     spec = GraphSpec(4, [(0, 2), (1, 3)])
     st = QuantumState(np.diag([0.4, 0.3, 0.2, 0.1]))
     m = graph_lindblad(spec, st)
-    rep = graph_hamiltonian_cert(m, np.diag([1.0, 2.0, 3.0, 4.0]))
+    rep = structure_report(split_form(np.diag([1.0, 2.0, 3.0, 4.0]), m.lind, st))
     assert not rep.primitive
-    assert "simple spectrum" in rep.reason
 
 
 def test_graph_cert_connected_graph_is_already_primitive():
     spec = GraphSpec(3, [(0, 1), (1, 2)])
     st = QuantumState(np.diag([0.5, 0.3, 0.2]))
     m = graph_lindblad(spec, st)
-    rep = graph_hamiltonian_cert(m, np.zeros((3, 3)))
-    assert rep.primitive
-    assert "connected" in rep.reason
+    rep = structure_report(split_form(np.zeros((3, 3)), m.lind, st))
+    assert rep.classification == "coercive"
 
 
 def test_graph_cert_two_components_pinned():
     m = two_component_model()
     H = (matrix_unit(4, 0, 1) + matrix_unit(4, 1, 0)
          + matrix_unit(4, 2, 3) + matrix_unit(4, 3, 2))
-    rep = graph_hamiltonian_cert(m, H)
-    assert rep.primitive
-    assert rep.s_H == pytest.approx(2.0, abs=1e-12)
-    assert rep.nu_closed == pytest.approx(0.0019099560875243447, rel=1e-12)
-    sc = structural_constants(split_form(H, m.lind, m.state))
-    assert sc.s_H == pytest.approx(rep.s_H, abs=1e-9)
+    an = split_form(H, m.lind, m.state)
+    assert structure_report(an).classification == "hypocoercive"
+    assert structural_constants(an).s_H == pytest.approx(2.0, abs=1e-9)
 
 
 def test_graph_cert_reducible_hamiltonian():
     m = two_component_model()
-    rep = graph_hamiltonian_cert(m, np.diag([1.0, 1.0, 2.0, 2.0]))
+    rep = structure_report(split_form(np.diag([1.0, 1.0, 2.0, 2.0]), m.lind, m.state))
     assert not rep.primitive
-    assert "reducible" in rep.reason
-
-
-def test_graph_cert_rejects_noncommuting():
-    m = two_component_model()
-    H = matrix_unit(4, 0, 3) + matrix_unit(4, 3, 0)
-    with pytest.raises(ValueError, match="commute"):
-        graph_hamiltonian_cert(m, H)
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +445,13 @@ def test_lift_kernel_dimension():
 
 
 def test_lift_primitivity_criterion():
+    # H moves the lifted kernel {1 x diag(c0, c1)} iff an entry H^i_01 is nonzero
     lm = lift_model(connected_base(), np.diag([1.0, 2.0]))
     H_move = np.zeros((4, 4), dtype=complex)
     H_move[0, 1] = H_move[1, 0] = 1.0
-    assert lm.primitive_with(H_move)
-    assert not lm.primitive_with(np.diag([1.0, 2.0, 3.0, 4.0]))
-    H_bad = np.zeros((4, 4), dtype=complex)
-    H_bad[0, 2] = H_bad[2, 0] = 1.0
-    with pytest.raises(ValueError, match="block-diagonal"):
-        lm.primitive_with(H_bad)
+    assert structure_report(split_form(H_move, lm.lind, lm.state)).primitive
+    H_diag = np.diag([1.0, 2.0, 3.0, 4.0])
+    assert not structure_report(split_form(H_diag, lm.lind, lm.state)).primitive
 
 
 def test_lift_validation():

@@ -80,6 +80,19 @@ def test_frame_unital_qubit_gram():
     assert np.abs(G - np.eye(4)).max() < 1e-10
 
 
+def test_frame_maximally_mixed_qubit_is_exactly_sqrt_half():
+    # the qubit with sigma_z dephasing and a sigma_x Hamiltonian at alpha = 1
+    # has a defective double eigenvalue -2, and one ulp in _Q splits it by
+    # sqrt(eps); these entries are fl(sqrt(1/2)), one ulp above fl(1/fl(sqrt2))
+    Q = KmsFrame(QuantumState.maximally_mixed(2))._Q
+    expected = np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])
+    assert np.array_equal(Q, expected), (
+        f"frame rounding moved: _Q = {[float(x).hex() for x in Q.ravel()]}; the "
+        "gap tests at the exceptional point depend on it: "
+        "test_cli.py::test_gap_json_and_csv, test_spectral.py::test_gap_qubit_model "
+        "and test_spectral.py::test_gap_restricted_spectrum_qubit")
+
+
 def test_frame_identity_first_and_traceless_rest():
     st = QuantumState(np.diag([0.75, 0.25]))
     basis = frame_basis(KmsFrame(st))

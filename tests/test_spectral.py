@@ -21,6 +21,7 @@ from lindgap import (
     hypoco_index,
     lambda_nu_table,
     large_alpha_limit,
+    single_jump_model,
     singular_relaxation_check,
     spectral_gap,
     structure_report,
@@ -80,13 +81,6 @@ def test_gap_equals_symmetrized_for_db_generator():
     rep = spectral_gap(Analysis(m.lind, st))
     assert rep.spectral_gap > 0
     assert rep.spectral_gap == pytest.approx(rep.symmetrized_gap, rel=1e-10)
-
-
-def test_gap_relax_lower():
-    rep = spectral_gap(Analysis(qubit_model(), MIXED2))
-    assert rep.relax_lower(1e-3) == pytest.approx(np.log(1e3) / 2.0)
-    with pytest.raises(ValueError):
-        rep.relax_lower(2.0)
 
 
 def test_gap_rejects_non_invariant_state():
@@ -219,6 +213,50 @@ def test_large_alpha_limit_qubit():
     assert abs(curve.gaps[-1] - 2.0) < 0.05
     assert curve.limit == pytest.approx(2.0, abs=1e-10)
     assert curve.final_deviation == pytest.approx(abs(curve.gaps[-1] - 2.0))
+
+
+def _tfim_analysis(n):
+    m = tfim(n, 0.9, 1.1)
+    return Analysis(m.lind, m.state)
+
+
+def _single_jump_analysis():
+    m = single_jump_model(np.diag([1.0, -0.3, 0.8]), np.array(
+        [[0.2, 1.0, 0.5j], [1.0, -0.4, 0.3], [-0.5j, 0.3, 0.1]]))
+    return Analysis(m.lind, m.state)
+
+
+def _graph_analysis():
+    # sigma is degenerate on vertices 0 and 1; H mixes them, so it commutes
+    # with sigma and is not diagonal
+    st = QuantumState(np.diag([0.3, 0.3, 0.25, 0.15]))
+    m = graph_lindblad(GraphSpec(4, [(0, 2), (1, 3), (2, 3)]), st)
+    H = np.diag([0.5, 0.5, -0.2, 1.0]).astype(complex)
+    H[0, 1], H[1, 0] = 0.7 - 0.2j, 0.7 + 0.2j
+    return Analysis(build_gksl(H, m.lind.jumps, alpha=1.3), st)
+
+
+MIRRORED = {
+    "tfim3": lambda: _tfim_analysis(3),
+    "tfim4": lambda: _tfim_analysis(4),
+    "single_jump": _single_jump_analysis,
+    "graph": _graph_analysis,
+}
+
+
+@pytest.mark.parametrize("model", sorted(MIRRORED))
+def test_large_alpha_limit_needs_half_the_blocks(model):
+    # bohr_decompose mirrors its blocks: block k and block -1-k hold the same
+    # pairs at opposite frequencies and have the same energy, so the limit
+    # solves the blocks up to frequency 0 only
+    an = MIRRORED[model]()
+    blocks = lambda_nu_table(an, bohr_decompose(an))
+    freqs = np.array([b.frequency for b in blocks])
+    lams = np.array([b.lambda_nu for b in blocks])
+    assert len(blocks) % 2 == 1 and freqs[len(blocks) // 2] == 0.0
+    assert np.allclose(freqs, -freqs[::-1], rtol=0.0, atol=1e-12)
+    assert np.allclose(lams, lams[::-1], rtol=1e-12, atol=0.0)
+    assert large_alpha_limit(an) == pytest.approx(lams.min(), rel=1e-14, abs=0.0)
 
 
 def test_acceleration_never_below_dissipative_gap():
