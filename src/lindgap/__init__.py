@@ -70,9 +70,6 @@ from .models import (
     lift_model,
 )
 from .evolve import (
-    propagate,
-    decay_curve,
-    DecayCurve,
     time_avg_check,
     window_gramian,
     semigroup_norm_curve,

@@ -429,14 +429,15 @@ def structure_report(an: Analysis, db_tol: float = DB_DEFECT_TOL) -> StructureRe
     # one G for both defects, the kernel and the fit, not an.M: that would keep M_H too
     G = L.unit_matrix(an.state.eigenvectors)
     M = an.frame.superop(G)
-    kms_defect = hermiticity_defect(M)
     # sigma is faithful and invariant, so ker L is the commutant of
     # {H, L_j, L_j^dag} (Frigerio 1978); singular values, not eigvalsh(M^T M),
     # whose zeros sit near sqrt(eps) * sigma_max, above the cutoff
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[0] < 1e-30:
-        cdim = M.shape[0]
+        kms_defect, cdim = 0.0, M.shape[0]
     else:
+        # hermiticity_defect(M), with sv[0] = ||M||_2 for its scale
+        kms_defect = real_norm2(M - M.T) / sv[0]
         cdim = int(np.sum(sv < COMMUTANT_SV_FACTOR * sv[0]))
     primitive = cdim == 1
     mu = an.state.eigenvalues

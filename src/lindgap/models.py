@@ -644,9 +644,6 @@ def haar_avg_gibbs(spectrum, beta: float, q=None) -> HaarModel:
 class LiftModel:
     lind: Lindbladian
     state: QuantumState
-    base: GraphModel
-    a: float
-    b: float
     kernel_dim: int
 
 
@@ -676,4 +673,4 @@ def lift_model(base: GraphModel, A) -> LiftModel:
     jumps = [(w, np.kron(L, np.diag([a, b]).astype(complex)))
              for w, L in base.lind.jumps]
     lind = Lindbladian(2 * N, np.zeros((2 * N, 2 * N)), jumps, alpha=0.0)
-    return LiftModel(lind=lind, state=state, base=base, a=a, b=b, kernel_dim=2)
+    return LiftModel(lind=lind, state=state, kernel_dim=2)

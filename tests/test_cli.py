@@ -217,6 +217,26 @@ def test_validate_passes_on_tfim_with_default_flags(tmp_path):
     assert read_json(out / "validate.json")["report"]["passed"] is True
 
 
+def test_validate_takes_one_exponential_per_distinct_step(tmp_path, monkeypatch):
+    # e^{(s+t)M} = e^{tM} e^{sM}: the decay and norm curves each step one
+    # propagator along their grid, and the window Gramian takes one more
+    spec = write_spec(tmp_path / "tfim.json", TFIM3)
+    cert = emit_certificate(tmp_path, spec)
+    evolve = import_module("lindgap.evolve")
+    expm = evolve._expm
+    calls = []
+    monkeypatch.setattr(evolve, "_expm", lambda A: calls.append(A.shape) or expm(A))
+    out = tmp_path / "val"
+    assert main(["validate", "--spec", spec, "--out", str(out),
+                 "--certificate", str(cert)]) == 0
+    steps = 0
+    for name in ("decay.csv", "norms.csv"):
+        rows = (out / name).read_text().splitlines()[1:]
+        ts = np.array([float(row.split(",")[0]) for row in rows])
+        steps += len(set(np.diff(ts, prepend=0.0).tolist()) - {0.0})
+    assert len(calls) <= steps + 1 < 20
+
+
 def test_validate_rejects_inflated_rate(tmp_path, qubit_spec):
     cert = emit_certificate(tmp_path, qubit_spec)
     doc = read_json(cert)

@@ -9,7 +9,6 @@ from scipy.linalg import expm
 
 from lindgap import (
     Analysis,
-    DecayCurve,
     GraphSpec,
     KmsFrame,
     PAULI_X,
@@ -17,14 +16,12 @@ from lindgap import (
     QuantumState,
     build_gksl,
     c_constants,
-    decay_curve,
     dephasing_jumps,
     generator_matrix,
     graph_lindblad,
     haar_avg_gibbs,
     matrix_unit,
     op_on_qubit,
-    propagate,
     semigroup_norm_curve,
     stp_verify,
     structural_constants,
@@ -32,6 +29,8 @@ from lindgap import (
     time_avg_check,
     window_gramian,
 )
+from lindgap import evolve
+from lindgap.evolve import _flow
 
 MIXED2 = QuantumState.maximally_mixed(2)
 QUBIT = build_gksl(PAULI_X, [(2.0, PAULI_Z)])
@@ -57,29 +56,37 @@ def two_vertex_model():
 
 
 # ---------------------------------------------------------------------------
-# propagate
+# the stepping propagator
 
 
-def test_propagate_identity_at_zero_time():
-    rng = np.random.default_rng(81)
-    X0 = rand_hermitian(rng, 2)
-    assert np.abs(propagate(QUBIT_AN, X0, 0.0) - X0).max() < 1e-12
+def tfim3_Mr():
+    m = tfim(3, 0.75, 1.25)
+    return Analysis(m.lind, m.state).Mr
 
 
-def test_propagate_relaxes_to_the_mean():
-    rng = np.random.default_rng(83)
-    X0 = rand_hermitian(rng, 2)
-    mean = np.trace(MIXED2.matrix @ X0).real
-    Xt = propagate(QUBIT_AN, X0, 200.0)
-    assert np.abs(Xt - mean * np.eye(2)).max() < 1e-10
+@pytest.mark.parametrize("M", [
+    # a 2x2 Jordan block: the qubit's slowest mode is defective
+    pytest.param(QUBIT_AN.Mr, id="defective-qubit"),
+    pytest.param(tfim3_Mr(), id="tfim3"),
+])
+@pytest.mark.parametrize("ts", [
+    pytest.param([0.0, 0.1, 0.35, 1.2, 4.0], id="uneven"),
+    pytest.param([0.0, 0.5, 0.5, 1.5, 1.5, 2.5], id="repeated"),
+    pytest.param([0.7, 0.9, 3.0, 3.2], id="above-zero"),
+])
+def test_flow_matches_direct_exponentials(M, ts):
+    X = np.random.default_rng(95).standard_normal((M.shape[0], 3))
+    for t, Y in zip(ts, _flow(M, ts, X), strict=True):
+        ref = expm(t * M) @ X
+        assert np.linalg.norm(Y - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_propagate_rejects_negative_time_and_drifting_mean():
-    with pytest.raises(ValueError, match="nonnegative"):
-        propagate(QUBIT_AN, PAULI_Z, -1.0)
-    wrong = QuantumState(np.diag([0.7, 0.3]))
-    with pytest.raises(ValueError, match="not invariant"):
-        propagate(Analysis(QUBIT, wrong), PAULI_Z, 1.0)
+def test_flow_takes_one_exponential_per_distinct_step(monkeypatch):
+    seen = []
+    monkeypatch.setattr(evolve, "_expm", lambda A: seen.append(A) or expm(A))
+    ts = [0.0, 0.5, 0.5, 1.0, 1.5, 1.75]
+    list(_flow(QUBIT_AN.Mr, ts, np.eye(3)))
+    assert len(seen) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +97,9 @@ def test_decay_curve_monotone_with_windows():
     rng = np.random.default_rng(85)
     X0 = rand_hermitian(rng, 2)
     ts = np.linspace(0.0, 5.0, 12)
-    dc = decay_curve(QUBIT_AN, X0, ts, window_T=1.5)
-    assert np.all(np.diff(dc.values) <= 1e-12 * dc.values[0])
-    assert np.all(np.diff(dc.window_values) <= 1e-12 * dc.window_values[0])
+    rep = time_avg_check(QUBIT_AN, X0, 1.5, CERT_NU, ts, CERT_CT)
+    assert np.all(np.diff(rep.pointwise_values) <= 1e-12 * rep.pointwise_values[0])
+    assert np.all(np.diff(rep.window_values) <= 1e-12 * rep.window_values[0])
 
 
 def test_decay_curve_eigenvector_is_pure_exponential():
@@ -100,18 +107,13 @@ def test_decay_curve_eigenvector_is_pure_exponential():
     kappa = m.kappa[0, 1]
     X0 = matrix_unit(2, 0, 1) + matrix_unit(2, 1, 0)
     ts = np.linspace(0.0, 2.0, 9)
-    dc = decay_curve(Analysis(m.lind, m.state), X0, ts)
-    expected = dc.values[0] * np.exp(2.0 * kappa * ts)
-    assert np.abs(dc.values - expected).max() < 1e-8 * dc.values[0]
-
-
-def test_decay_curve_dataclass_validation():
-    with pytest.raises(ValueError, match="increasing"):
-        DecayCurve(times=np.array([0.0, 0.0, 1.0]),
-                   values=np.array([1.0, 0.5, 0.2]))
-    with pytest.raises(ValueError, match="nonincreasing"):
-        DecayCurve(times=np.array([0.0, 1.0, 2.0]),
-                   values=np.array([1.0, 0.5, 0.8]))
+    rep = time_avg_check(Analysis(m.lind, m.state), X0, 1.0, 1e-3, ts, 1.0)
+    expected = rep.pointwise_values[0] * np.exp(2.0 * kappa * ts)
+    assert np.abs(rep.pointwise_values - expected).max() \
+        < 1e-8 * rep.pointwise_values[0]
+    # an eigenvector's window average decays at the same rate
+    windows = rep.window_values[0] * np.exp(2.0 * kappa * ts)
+    assert np.abs(rep.window_values - windows).max() < 1e-8 * rep.window_values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +220,9 @@ def test_cert_check_validates_inputs():
         time_avg_check(QUBIT_AN, PAULI_Z, 1.0, 1.0, [0.0], 0.9)
     with pytest.raises(ValueError):
         time_avg_check(QUBIT_AN, PAULI_Z, 1.0, 1.0, [-1.0], 1.0)
+    # the propagator steps forward along the grid
+    with pytest.raises(ValueError, match="nondecreasing"):
+        time_avg_check(QUBIT_AN, PAULI_Z, 1.0, 1.0, [0.0, 2.0, 1.0], 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,17 @@ def test_structure_defects_are_those_of_the_frame_matrices(case):
         assert not rep.kms_db and rep.kms_defect > 0.1
 
 
+def test_structure_takes_one_norm_of_the_generator(monkeypatch):
+    # the SVD of the kernel count gives ||M||_2, the scale of the KMS defect
+    m = tfim(3, 0.75, 1.25)
+    real_norm2 = lindblad.real_norm2
+    calls = []
+    monkeypatch.setattr(lindblad, "real_norm2",
+                        lambda A: calls.append(A.shape) or real_norm2(A))
+    structure_report(Analysis(m.lind, m.state))
+    assert calls == [(64, 64)]
+
+
 def test_structure_coercive_classification():
     # jumps spanning enough directions leave no kernel beyond the identity
     st = QuantumState.maximally_mixed(2)
