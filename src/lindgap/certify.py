@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import Analysis, dag, max_column_norm, real_norm2
+from .lindblad import Analysis, dag, max_column_norm, real_norm2, sector_blocks
 
 ASSUMPTION_DEFECT_FACTOR = 1e-9
 INJECTIVITY_TOL = 1e-10
@@ -95,50 +95,69 @@ class CoerciveCertificate:
         }
 
 
+def _kernel_blocks(an: Analysis):
+    """(V0, Vp, B) for each stack of sectors with k >= 1 kernel vectors: the
+    kernel split's eigenvectors on those sectors, kernel (count, size, k) and
+    complement (count, size, size - k), and the blocks of M_H there.
+
+    M_H is block-diagonal on the sectors, so V0^T M_H V0 and Vp^T M_H V0 on
+    the whole space are block-diagonal with the blocks of these stacks.
+    """
+    split = an.split
+    for S, V, ker in zip(split.sectors, split.vectors, split.kernel()):
+        ks = ker.sum(axis=1)
+        for k in np.unique(ks[ks > 0]):
+            sel = ks == k
+            yield V[sel][:, :, :k], V[sel][:, :, k:], sector_blocks(an.M_Hr, [S[sel]])[0]
+
+
 def check_assumption(an: Analysis) -> tuple[bool, float]:
     """Nontrivial kernel and no coherent mixing inside it.
 
-    defect = ||Pi0 M_H Pi0||; ok iff dim h0 >= 1 and the defect is below
-    1e-9 * ||M_H||.  The largest column norm of M_H is at most ||M_H||, so a
-    defect below 1e-9 times it passes without the spectral norm.
+    defect = ||Pi0 M_H Pi0||, the largest over the sectors; ok iff dim h0 >= 1
+    and the defect is below 1e-9 * ||M_H||.  The largest column norm of M_H
+    is at most ||M_H||, so a defect below 1e-9 times it passes without the
+    spectral norm.
     """
     MH = an.M_Hr
-    V0 = an.split.basis0
-    if V0.shape[1] == 0:
+    if an.split.dim0 == 0:
         return False, 0.0
-    block = dag(V0) @ MH @ V0
-    defect = float(np.linalg.norm(block, 2))
+    defect = max(float(np.linalg.norm(dag(V0) @ B @ V0, 2, axis=(1, 2)).max())
+                 for V0, _, B in _kernel_blocks(an))
     if defect < ASSUMPTION_DEFECT_FACTOR * max_column_norm(MH):
         return True, defect
-    scale = max(real_norm2(MH), 1e-30)
+    scale = max(max(real_norm2(B) for B in sector_blocks(MH, an.sectors)), 1e-30)
     return defect < ASSUMPTION_DEFECT_FACTOR * scale, defect
 
 
 def structural_constants(an: Analysis) -> StructuralConstants:
     """(lambda_D, s_H, ||L^D||, ||L^H Pi_+||) for the certificate formulas.
 
-    Library code reads them once per analysis as `an.constants`.
+    Library code reads them once per analysis as `an.constants`.  Each is
+    taken per sector of the kernel split: s_H is the smallest singular value
+    over the blocks of Vp^T M_H V0 (0 from a sector with more kernel than
+    complement, whose block cannot be injective) and ||L^H Pi_+|| the largest
+    block norm of M_H Vp.
     """
     split = an.split
     if split.dim0 == 0:
         raise ValueError("dissipator kernel is trivial; the model is coercive")
     if split.dim_plus == 0:
         raise ValueError("dissipator vanishes on the traceless subspace")
-    MH = an.M_Hr
-    V0, Vp = split.basis0, split.basis_plus
     lambda_D = float(split.rates[split.dim0])
-    cross = dag(Vp) @ MH @ V0
-    if split.dim0 > split.dim_plus:
-        s_H = 0.0
-    else:
-        s_H = float(np.linalg.svd(cross, compute_uv=False)[-1])
+    s_H = min(0.0 if V0.shape[-1] > Vp.shape[-1] else
+              float(np.linalg.svd(dag(Vp) @ (B @ V0), compute_uv=False)[:, -1].min())
+              for V0, Vp, B in _kernel_blocks(an))
     if s_H < INJECTIVITY_TOL:
         raise ValueError(
             "coherent coupling does not move the dissipator kernel "
             f"(s_H = {s_H:.3e}); the model is not primitive under this split")
     norm_LD = float(np.abs(split.rates).max())
-    # Vp^dag is a co-isometry onto the complement: ||MH Vp|| = ||MH Pi_+||
-    norm_LH_plus = real_norm2(MH @ Vp)
+    # Vp^dag is a co-isometry onto the complement: ||MH Vp|| = ||MH Pi_+||;
+    # zeroing the kernel columns of MH V leaves the norm of MH Vp
+    norm_LH_plus = max(real_norm2((B @ V) * ~ker[:, None, :]) for B, V, ker in
+                       zip(sector_blocks(an.M_Hr, split.sectors), split.vectors,
+                           split.kernel()))
     return StructuralConstants(lambda_D=lambda_D, s_H=s_H,
                                norm_LD=norm_LD, norm_LH_plus=norm_LH_plus)
 

@@ -2,9 +2,12 @@
 
 Everything runs in weighted-frame coordinates: the semigroup is a plain
 matrix exponential there, norms are Euclidean, and the identity component
-is the invariant mean.  The certificate check and the operator-norm curve
-step one propagator along their time grid, with one exponential per distinct
-step length.  Every time average is exact up to rounding: the
+is the invariant mean.  The generator is block-diagonal on the analysis's
+sectors, and so are its propagators and window Gramian: each is computed
+per sector, same-size sectors stacked.  The certificate check and the
+operator-norm curve step one propagator along their time grid, with one
+exponential per distinct step length.  Every time average is exact up to
+rounding: the
 window average of ||e^{sM} x||^2 over [0, T] is x^dag G_T x with the window
 Gramian G_T (Van Loan 1978, by doubling), and the space-time integrands are
 polynomials in t, integrated by Gauss-Legendre on enough nodes to be exact.
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import c_constants, c_constants_trivial_kernel, check_assumption
-from .lindblad import Analysis, real_norm2
+from .lindblad import Analysis, real_norm2, sector_blocks
 from .operators import Matrix, QuantumState, as_square_matrix, dag
 
 
@@ -31,7 +34,8 @@ def _expm(A: Matrix) -> Matrix:
 
 
 def _flow(M: Matrix, ts, X: Matrix):
-    """Yield e^{t M} X for each t of a nondecreasing grid ts >= 0.
+    """Yield e^{t M} X for each t of a nondecreasing grid ts >= 0; M and X may
+    be stacks (..., n, n) and (..., n, k).
 
     Steps by the increments, e^{t_k M} = e^{(t_k - t_{k-1}) M} e^{t_{k-1} M},
     with one exponential per distinct increment (keyed by the exact float, so
@@ -52,23 +56,24 @@ def _flow(M: Matrix, ts, X: Matrix):
 
 def window_gramian(M: Matrix, T: float) -> Matrix:
     """G_T = (1/T) * integral_0^T e^{sM^dag} e^{sM} ds, so that the window
-    average of ||e^{sM} x||^2 over [0, T] is x^dag G_T x.
+    average of ||e^{sM} x||^2 over [0, T] is x^dag G_T x; for a stack
+    (..., n, n) of matrices, the stack of their Gramians.
 
     One Van Loan block exponential on the step h = T / 2^k with h ||M||_1 <= 1
     gives G_h = E^dag F, E = e^{hM}; each doubling G <- G + E^dag G E, E <- E^2
     extends the window.  No block entry grows past e^{h ||M||}, and M needs
     no gap, unlike a Lyapunov solve.
     """
-    n = M.shape[0]
-    k = max(0, math.ceil(math.log2(max(T * np.linalg.norm(M, 1), 1.0))))
+    n = M.shape[-1]
+    k = max(0, math.ceil(math.log2(max(T * np.abs(M).sum(axis=-2).max(), 1.0))))
     h = T / 2.0**k
-    block = np.zeros((2 * n, 2 * n), dtype=M.dtype)
-    block[:n, :n] = -dag(M)
-    block[:n, n:] = np.eye(n)
-    block[n:, n:] = M
+    block = np.zeros(M.shape[:-2] + (2 * n, 2 * n), dtype=M.dtype)
+    block[..., :n, :n] = -dag(M)
+    block[..., :n, n:] = np.eye(n)
+    block[..., n:, n:] = M
     F = _expm(h * block)
-    E = F[n:, n:]
-    G = dag(E) @ F[:n, n:]
+    E = F[..., n:, n:]
+    G = dag(E) @ F[..., :n, n:]
     for _ in range(k):
         G = G + dag(E) @ G @ E
         E = E @ E
@@ -107,11 +112,11 @@ def time_avg_check(an: Analysis, X0, T: float, nu: float, t_samples,
     Windowed: avg_{[t,t+T]} ||X_s - <X>||^2  <=  e^{-nu t} * (t=0 window).
     Pointwise: ||X_t - <X>||^2 <= C_T e^{-nu t} ||X_0 - <X>||^2.
     Both with multiplicative slack; window averages come from the exact
-    window Gramian.
+    window Gramian.  The evolution, the Gramian and both norms are taken per
+    sector and summed.
     """
     if T <= 0 or nu <= 0 or prefactor < 1.0:
         raise ValueError("need T > 0, nu > 0, prefactor >= 1")
-    Mr = an.Mr
     c0 = an.frame.coords(as_square_matrix(X0, an.state.dim))[1:]
     norm0 = float(np.vdot(c0, c0).real)
     ts = np.asarray(t_samples, dtype=float)
@@ -119,15 +124,19 @@ def time_avg_check(an: Analysis, X0, T: float, nu: float, t_samples,
         raise ValueError("sample times must be nonnegative")
     if np.any(np.diff(ts) < 0):
         raise ValueError("sample times must be nondecreasing")
-    G = window_gramian(Mr, T)
-    w0 = float(np.vdot(c0, G @ c0).real)
+    blocks = sector_blocks(an.Mr, an.sectors)
+    Gs = [window_gramian(B, T) for B in blocks]
+    # per stack of sectors, the coordinates as (count, size, 1) columns
+    xs = [c0[S][..., None] for S in an.sectors]
+    w0 = sum(float(np.vdot(x, G @ x).real) for x, G in zip(xs, Gs))
     windows = np.empty(len(ts))
     points = np.empty(len(ts))
     worst_w = 0.0
     worst_p = 0.0
-    for i, (t, x) in enumerate(zip(ts, _flow(Mr, ts, c0))):
-        points[i] = float(np.vdot(x, x).real)
-        w = float(np.vdot(x, G @ x).real)
+    flows = zip(*(_flow(B, ts, x) for B, x in zip(blocks, xs)))
+    for i, (t, x) in enumerate(zip(ts, flows)):
+        points[i] = sum(float(np.vdot(y, y).real) for y in x)
+        w = sum(float(np.vdot(y, G @ y).real) for y, G in zip(x, Gs))
         windows[i] = w
         # exp(-nu*t) can underflow to 0; the bound is then vacuous unless
         # the measured value stayed positive.
@@ -169,13 +178,16 @@ def semigroup_norm_curve(an: Analysis, ts) -> NormCurve:
 
     The empirical rate is minus the least-squares slope of log ||e^{tL}||
     over the last half of the samples, where the leading eigenvalue
-    dominates.
+    dominates.  e^{tL} is block-diagonal on the sectors, so its norm is the
+    largest over the stacks of sector propagators.
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("ts must be nonnegative and strictly increasing")
-    norms = np.array([np.linalg.norm(E, 2)
-                      for E in _flow(an.Mr, ts, np.eye(an.Mr.shape[0]))])
+    blocks = sector_blocks(an.Mr, an.sectors)
+    flows = [_flow(B, ts, np.broadcast_to(np.eye(B.shape[-1]), B.shape))
+             for B in blocks]
+    norms = np.array([max(real_norm2(E) for E in Es) for Es in zip(*flows)])
     start = len(ts) // 2
     if len(ts) - start < 2:
         raise ValueError("need at least two points in the fit window")
@@ -256,7 +268,8 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
     and all norms average the weighted norm over [0, T]; the right side is
     read in the kernel split's eigenbasis V = [V0, Vp] with rates r_k.  The
     constants are the certificate constants at (T, beta); a trivial
-    restricted kernel uses their large-coupling limit.  The integrands have
+    restricted kernel uses their large-coupling limit.  The products with
+    M_H and V run per sector of the split.  The integrands have
     degree 2 * poly_degree in t, so Gauss-Legendre on poly_degree + 1 nodes
     averages them exactly.
     """
@@ -267,13 +280,10 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
     if n_samples < 1 or poly_degree < 0:
         raise ValueError("need n_samples >= 1 and poly_degree >= 0")
     split = an.split
-    V = np.hstack([split.basis0, split.basis_plus])
-    weights = (beta + np.clip(split.rates, 0.0, None)) ** -0.5
-
     if split.dim0 == 0:
+        norm_LH = max(real_norm2(B) for B in sector_blocks(an.M_Hr, an.sectors))
         C1, C2 = c_constants_trivial_kernel(float(np.abs(split.rates).max()),
-                                            real_norm2(an.M_Hr),
-                                            T, beta)
+                                            norm_LH, T, beta)
         trivial = True
     else:
         ok, defect = check_assumption(an)
@@ -291,10 +301,9 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
     for k in range(1, poly_degree + 1):
         dpowers[:, k] = k * nodes ** (k - 1)
 
-    def root_avg(Y):
-        """Per sample: sqrt of the node average of ||Y||^2."""
-        Y = Y.reshape(n_samples, len(wts), -1)
-        return np.sqrt(np.maximum(np.einsum("sqi,sqi->sq", Y, Y) @ wts, 0.0))
+    def root_avg(sq):
+        """Per sample: sqrt of the node average of the squared norms `sq`."""
+        return np.sqrt(np.maximum(sq.reshape(n_samples, len(wts)) @ wts, 0.0))
 
     # all samples at once: the draws are Hermitian, so their coordinates are
     # real; axes (sample, node, coordinate)
@@ -306,12 +315,23 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
     Xc = X.copy()
     Xc[:, :, 0] -= (X[:, :, 0] @ wts)[:, None]
     X = X.reshape(-1, X.shape[-1])
-    Y = X @ an.M_H.T - Xdot.reshape(X.shape)
-    lhs = root_avg(Xc)
+    Xdot = Xdot.reshape(X.shape)
+    lhs = root_avg(np.einsum("sqi,sqi->sq", Xc, Xc))
     # the constants lie in ker(L^D): ||(1 - Pi0) x|| = ||Vp^T x[1:]|| and
     # ||(beta - L^D)^{-1/2} y||^2 = y_0^2 / beta + sum_k (V^T y[1:])_k^2 / (beta + r_k)
-    rhs = C1 * root_avg(X[:, 1:] @ split.basis_plus) + C2 * root_avg(
-        np.hstack([Y[:, :1] / math.sqrt(beta), (Y[:, 1:] @ V) * weights]))
+    # for y = L^H x - dx/dt; the traceless sums run sector by sector
+    y0 = X @ an.M_H[0] - Xdot[:, 0]
+    plus = np.zeros(len(X))
+    dual = y0 * y0 / beta
+    for S, V, w, ker, B in zip(split.sectors, split.vectors, split.values,
+                               split.kernel(), sector_blocks(an.M_Hr, split.sectors)):
+        # axes (sector, sample x node, coordinate)
+        xs = X[:, 1 + S].transpose(1, 0, 2)
+        ys = xs @ np.swapaxes(B, -1, -2) - Xdot[:, 1 + S].transpose(1, 0, 2)
+        px, py = xs @ V, ys @ V
+        plus += np.einsum("srk,sk->r", px * px, (~ker).astype(float))
+        dual += np.einsum("srk,sk->r", py * py, 1.0 / (beta + np.clip(w, 0.0, None)))
+    rhs = C1 * root_avg(plus) + C2 * root_avg(dual)
     ratio = lhs / np.maximum(rhs, 1e-300)
     return StpReport(passed=not np.any(ratio > 1.0 + slack),
                      worst_ratio=float(ratio.max()),

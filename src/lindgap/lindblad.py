@@ -11,11 +11,13 @@ one-dimensional kernel.
 
 When H commutes with sigma, an Analysis lays its frame on a joint
 eigenbasis of the two, so that i[H, .] is diagonal on the matrix units
-(frequency E_a - E_b on |a><b|).  The weak symmetries of the model then
-leave the matrices block-diagonal up to a permutation (Buca & Prosen,
-New J. Phys. 14, 073007, 2012); `Analysis.sectors` finds those blocks from
-the support of M_D and M_H, and the dense solves of the generator run
-sector by sector.
+(frequency E_a - E_b on |a><b|) and its frame matrix is a formula: a 2 x 2
+rotation on the coordinates of each pair.  The weak symmetries of the model
+then leave the matrices block-diagonal up to a permutation (Buca & Prosen,
+New J. Phys. 14, 073007, 2012); `sector_partition` finds those blocks from
+the support of the matrices, and every dense eigen- and singular-value
+solve of the generator, its dissipator and the kernel split runs sector by
+sector, same-size sectors stacked into one call.
 """
 
 from __future__ import annotations
@@ -152,8 +154,19 @@ def hamiltonian_superop(H, frame: KmsFrame) -> Matrix:
 
 
 def real_norm2(A: Matrix) -> float:
-    """Spectral norm of a real matrix by an eigensolve of A^T A, not an SVD."""
-    return float(np.sqrt(max(np.linalg.eigvalsh(A.T @ A)[-1], 0.0)))
+    """Spectral norm of a real matrix, the largest over a stack (..., m, n), by
+    an eigensolve of A^T A, not an SVD.
+
+    A is first scaled by a power of two, which is exact, so that A^T A
+    neither underflows nor overflows.
+    """
+    top = np.abs(A).max(initial=0.0)
+    if top == 0.0:
+        return 0.0
+    e = int(np.frexp(top)[1])
+    A = np.ldexp(A, -e)
+    w = np.linalg.eigvalsh(np.swapaxes(A, -1, -2) @ A)[..., -1].max()
+    return float(np.ldexp(np.sqrt(max(w, 0.0)), e))
 
 
 def max_column_norm(A: Matrix) -> float:
@@ -208,6 +221,34 @@ def joint_eigenbasis(state: QuantumState, H: Matrix) -> tuple[QuantumState,
     return state.in_basis(W), E
 
 
+def sector_partition(mats: list[Matrix]) -> list[np.ndarray]:
+    """Index sets on which every matrix of `mats` (same square shape) splits.
+
+    A sector is a connected component of the union of their supports, each
+    matrix's entries above SECTOR_TOL times its largest; the sectors are
+    grouped by size, one (count, size) array per size, ascending.
+    """
+    A = np.zeros(mats[0].shape, dtype=bool)
+    for M in mats:
+        B = np.abs(M)
+        A |= B > SECTOR_TOL * B.max()
+    rows, cols = np.nonzero(A | A.T)
+    # label propagation over the edges: every index takes the smallest label
+    # among its neighbours, then jumps to its label's label, until nothing moves
+    labels = np.arange(A.shape[0])
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    counts = np.unique(labels, return_counts=True)[1]
+    comps = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
+    return [np.array([c for c in comps if len(c) == size])
+            for size in np.unique(counts)]
+
+
 def sector_blocks(M: Matrix, sectors: list[np.ndarray]) -> list[Matrix]:
     """The diagonal blocks of M on each group of sectors, one stack per group."""
     return [M[S[:, :, None], S[:, None, :]] for S in sectors]
@@ -227,12 +268,12 @@ class Analysis:
     laid on a joint eigenbasis of sigma and H (see joint_eigenbasis) and E
     holds the eigenvalues of H in it; otherwise E is None.  Everything else
     is built on first use and kept: the full-space real matrices M_D, M_H of
-    L^D, i[H, .] and M = M_D + M_H of L; their traceless blocks Mr, M_Dr,
-    M_Hr (the [1:, 1:] slices); the sectors on which those blocks split; the
-    symmetric part M_D_sym after the one check that L^D is KMS-symmetric; the
-    kernel split, the one eigendecomposition of M_D that every later use of
-    its spectrum reads; the structural constants; and the smallest singular
-    value of Mr.
+    L^D, i[H, .] and M = M_D + M_H of L (M_H by formula when E is set); the
+    views Mr, M_Dr, M_Hr of their traceless blocks [1:, 1:]; the sectors on
+    which those blocks split; the symmetric part M_D_sym after the one check
+    that L^D is KMS-symmetric; the kernel split, the one eigendecomposition of
+    M_D per sector that every later use of its spectrum reads; the
+    structural constants; and the smallest singular value of Mr.
     """
 
     def __init__(self, L: Lindbladian, state: QuantumState):
@@ -254,52 +295,58 @@ class Analysis:
 
     @cached_property
     def M_H(self) -> Matrix:
-        if not self.H.any():
-            return np.zeros((self.frame.size, self.frame.size))
-        return hamiltonian_superop(self.H, self.frame)
+        """Frame matrix of i[H, .].  In the joint frame i[H, (e_ab + e_ba)/sqrt2]
+        = w i(e_ab - e_ba)/sqrt2 and i[H, i(e_ab - e_ba)/sqrt2] = -w (e_ab +
+        e_ba)/sqrt2 with w = E_a - E_b, so on each pair's coordinates (s, t)
+        the matrix is the rotation [[0, -w], [w, 0]] and zero elsewhere."""
+        if self.energies is None:
+            return hamiltonian_superop(self.H, self.frame)
+        N = self.frame.dim
+        r, c = self.frame._pairs
+        m = len(r)
+        s = N + np.arange(m)
+        om = self.energies[r] - self.energies[c]
+        MH = np.zeros((self.frame.size, self.frame.size))
+        MH[s + m, s] = om
+        MH[s, s + m] = -om
+        return MH
 
     @cached_property
     def Mr(self) -> Matrix:
-        return self.M[1:, 1:].copy()
+        return self.M[1:, 1:]
 
     @cached_property
     def M_Dr(self) -> Matrix:
-        return self.M_D[1:, 1:].copy()
+        return self.M_D[1:, 1:]
 
     @cached_property
     def M_Hr(self) -> Matrix:
-        return self.M_H[1:, 1:].copy()
+        return self.M_H[1:, 1:]
+
+    def unit_matrix(self) -> Matrix:
+        """L.unit_matrix on the frame's units, from one assembly: that of L^D,
+        whose frame matrix is kept as M_D, plus the coherent term, which is
+        diagonal in the joint frame (i(E_a - E_b) on |a><b|)."""
+        U = self.state.eigenvectors
+        G = self.LD.unit_matrix(U)
+        if "M_D" not in self.__dict__:
+            self.M_D = self.frame.superop(G)
+        if not self.H.any():
+            return G
+        if self.energies is None:
+            G += Lindbladian(self.L.dim, self.H, []).unit_matrix(U)
+        else:
+            E = self.energies
+            G.flat[::G.shape[0] + 1] += 1j * (E[:, None] - E[None, :]).ravel()
+        return G
 
     @cached_property
     def sectors(self) -> list[np.ndarray]:
-        """Index sets of the traceless coordinates on which Mr splits exactly.
-
-        A sector is a connected component of the support of M_Dr and M_Hr
-        (entries above SECTOR_TOL times the largest of each); the sectors are
-        grouped by size, one (count, size) array per size, ascending.  A
-        matrix a M_Hr + M_Dr is block-diagonal on them for every a.
-        """
-        A = np.abs(self.M_Dr)
-        A = A > SECTOR_TOL * A.max()
-        if self.H.any():
-            B = np.abs(self.M_Hr)
-            A |= B > SECTOR_TOL * B.max()
-        rows, cols = np.nonzero(A | A.T)
-        # label propagation over the edges: every index takes the smallest
-        # label among its neighbours, then jumps to its label's label, until
-        # nothing moves
-        labels = np.arange(A.shape[0])
-        while True:
-            new = labels.copy()
-            np.minimum.at(new, rows, labels[cols])
-            new = new[new]
-            if np.array_equal(new, labels):
-                break
-            labels = new
-        counts = np.unique(labels, return_counts=True)[1]
-        comps = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
-        return [np.array([c for c in comps if len(c) == size])
-                for size in np.unique(counts)]
+        """Index sets of the traceless coordinates on which Mr splits exactly:
+        sector_partition of M_Dr and M_Hr.  A matrix a M_Hr + M_Dr is
+        block-diagonal on them for every a."""
+        return sector_partition([self.M_Dr, self.M_Hr] if self.H.any()
+                                else [self.M_Dr])
 
     @cached_property
     def M_D_sym(self) -> Matrix:
@@ -352,10 +399,11 @@ def standard_dbc_solve(G: Matrix, frame: KmsFrame) -> tuple[Matrix, float]:
     N = frame.dim
     U = frame.state.eigenvectors
     s = vec(frame._scale)
-    SGS = G * (s[:, None] / s[None, :])
-    Y = SGS - dag(SGS)
+    Y = G * (s[:, None] / s[None, :])  # S G S^-1, then in place Y
+    sgs_norm = np.linalg.norm(Y)
+    Y -= dag(Y)
     ynorm = np.linalg.norm(Y)
-    if ynorm <= 1e-12 * max(np.linalg.norm(SGS), 1.0):
+    if ynorm <= 1e-12 * max(sgs_norm, 1.0):
         return np.zeros((N, N), dtype=complex), 0.0
     # _scale = outer(x, x): a[i, j] = x_i / x_j
     x = frame._scale[:, 0]
@@ -367,17 +415,13 @@ def standard_dbc_solve(G: Matrix, frame: KmsFrame) -> tuple[Matrix, float]:
     # w is exactly symmetric, so w + w^T = 2w
     Kb = (b + dag(b)) / (8 * N * w)
     eye = np.eye(N)
-    fit = 2j * (np.kron(a * Kb, eye) - np.kron(eye, (a.T * Kb).T))
-    defect = float(np.linalg.norm(fit - Y) / ynorm)
+    # in place: one N^2 x N^2 temporary besides the fit
+    fit = np.kron(a * Kb, eye)
+    fit -= np.kron(eye, (a.T * Kb).T)
+    fit *= 2j
+    fit -= Y
+    defect = float(np.linalg.norm(fit) / ynorm)
     return U @ Kb @ dag(U), defect
-
-
-def kernel_dimension(M_full: Matrix) -> int:
-    """Zero eigenvalues of a (Hermitian) generator matrix on the full space."""
-    Hm = (M_full + dag(M_full)) / 2.0
-    w = np.linalg.eigvalsh(Hm)
-    scale = max(np.abs(w).max(), 1e-30)
-    return int(np.sum(np.abs(w) < KERNEL_TOL_FACTOR * scale))
 
 
 @dataclass
@@ -420,6 +464,32 @@ class StructureReport:
         }
 
 
+def _kernel_counts(an: Analysis, G: Matrix) -> tuple[int, float, int]:
+    """(dim ker L, KMS defect, dim ker L^D) from the full-space M, the frame
+    matrix of the unit matrix G of L, and M_D, solved per sector of the two
+    (sector_partition, index 0 included): the identity is a sector of its own
+    unless sigma's invariance residual puts its row above SECTOR_TOL."""
+    M = an.frame.superop(G) if an.H.any() else an.M_D
+    sectors = sector_partition([M, an.M_D])
+    blocks = sector_blocks(M, sectors)
+    # sigma is faithful and invariant, so ker L is the commutant of
+    # {H, L_j, L_j^dag} (Frigerio 1978); singular values, not eigvalsh(M^T M),
+    # whose zeros sit near sqrt(eps) * sigma_max, above the cutoff
+    sv = np.concatenate([np.linalg.svd(B, compute_uv=False).ravel() for B in blocks])
+    top = sv.max()
+    if top < 1e-30:
+        kms_defect, cdim = 0.0, M.shape[0]
+    else:
+        # hermiticity_defect(M) with ||M||_2 = top; M - M^T splits as M does
+        kms_defect = max(real_norm2(B - np.swapaxes(B, -1, -2)) for B in blocks) / top
+        cdim = int(np.sum(sv < COMMUTANT_SV_FACTOR * top))
+    # zero eigenvalues of the Hermitian part of M_D
+    w = np.concatenate([np.linalg.eigvalsh((B + np.swapaxes(B, -1, -2)) / 2.0).ravel()
+                        for B in sector_blocks(an.M_D, sectors)])
+    kdim = int(np.sum(np.abs(w) < KERNEL_TOL_FACTOR * max(np.abs(w).max(), 1e-30)))
+    return cdim, kms_defect, kdim
+
+
 def structure_report(an: Analysis, db_tol: float = DB_DEFECT_TOL) -> StructureReport:
     """Full detailed-balance / primitivity / kernel diagnostic for a generator."""
     L = an.L
@@ -427,18 +497,8 @@ def structure_report(an: Analysis, db_tol: float = DB_DEFECT_TOL) -> StructureRe
     invariant_ok = residual <= INVARIANCE_FLAG_FACTOR * max(L.magnitude(), 1e-30)
 
     # one G for both defects, the kernel and the fit, not an.M: that would keep M_H too
-    G = L.unit_matrix(an.state.eigenvectors)
-    M = an.frame.superop(G)
-    # sigma is faithful and invariant, so ker L is the commutant of
-    # {H, L_j, L_j^dag} (Frigerio 1978); singular values, not eigvalsh(M^T M),
-    # whose zeros sit near sqrt(eps) * sigma_max, above the cutoff
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[0] < 1e-30:
-        kms_defect, cdim = 0.0, M.shape[0]
-    else:
-        # hermiticity_defect(M), with sv[0] = ||M||_2 for its scale
-        kms_defect = real_norm2(M - M.T) / sv[0]
-        cdim = int(np.sum(sv < COMMUTANT_SV_FACTOR * sv[0]))
+    G = an.unit_matrix()
+    cdim, kms_defect, kdim = _kernel_counts(an, G)
     primitive = cdim == 1
     mu = an.state.eigenvalues
     if mu[0] == mu[-1]:  # uniform sigma: the GNS and KMS products coincide
@@ -452,8 +512,6 @@ def structure_report(an: Analysis, db_tol: float = DB_DEFECT_TOL) -> StructureRe
         g = vec(np.outer(np.ones_like(mu), np.sqrt(mu)))[u]
         gns_defect = hermiticity_defect(G[np.ix_(u, u)] * (g[:, None] / g[None, :]))
     K, dbc_defect = standard_dbc_solve(G, an.frame)
-
-    kdim = kernel_dimension(an.M_D)
 
     if not primitive:
         classification = "non-primitive"
@@ -481,30 +539,45 @@ def structure_report(an: Analysis, db_tol: float = DB_DEFECT_TOL) -> StructureRe
 
 @dataclass
 class SpaceSplit:
-    """Eigendecomposition of -L^D on the traceless subspace, split at its kernel.
+    """Eigendecomposition of -L^D on the traceless subspace, one per sector,
+    split at its kernel.
 
-    Column k of [basis0, basis_plus] (restricted frame coordinates) is a unit
-    eigenvector of the KMS-symmetric -M_D with eigenvalue rates[k], ascending:
-    basis0 spans ker(L^D), basis_plus its KMS-orthogonal complement.
+    For each group of sectors (`sectors`, as Analysis.sectors), values[g]
+    (count, size) holds the ascending eigenvalues of the KMS-symmetric -M_D
+    on each sector and vectors[g] (count, size, size) their unit
+    eigenvectors in the sector's coordinates.  Eigenvalues below `cutoff` in
+    absolute value span ker(L^D) and lead their sector; the rest span its
+    KMS-orthogonal complement.  `rates` holds every eigenvalue, ascending.
     """
 
     rates: np.ndarray
-    basis0: Matrix
-    basis_plus: Matrix
+    sectors: list[np.ndarray]
+    values: list[np.ndarray]
+    vectors: list[np.ndarray]
+    cutoff: float
 
     @property
     def dim0(self) -> int:
-        return self.basis0.shape[1]
+        return int(np.sum(np.abs(self.rates) < self.cutoff))
 
     @property
     def dim_plus(self) -> int:
-        return self.basis_plus.shape[1]
+        return len(self.rates) - self.dim0
+
+    def kernel(self) -> list[np.ndarray]:
+        """Per group, the (count, size) mask of the kernel eigenvalues."""
+        return [np.abs(w) < self.cutoff for w in self.values]
 
 
 def kernel_projection(an: Analysis) -> SpaceSplit:
     """Split of the traceless subspace by the zero eigenspace of a KMS-DB dissipator."""
-    w, V = np.linalg.eigh(-an.M_D_sym[1:, 1:])
-    scale = max(np.abs(w).max(), 1e-30)
-    # w >= 0 up to rounding, so the kernel is the leading block of the ascending w
-    dim0 = int(np.sum(np.abs(w) < KERNEL_TOL_FACTOR * scale))
-    return SpaceSplit(rates=w, basis0=V[:, :dim0], basis_plus=V[:, dim0:])
+    values, vectors = [], []
+    for B in sector_blocks(an.M_D_sym[1:, 1:], an.sectors):
+        w, V = np.linalg.eigh(-B)
+        values.append(w)
+        vectors.append(V)
+    rates = np.sort(np.concatenate([w.ravel() for w in values]))
+    # w >= 0 up to rounding, so each sector's kernel leads its ascending w
+    cutoff = KERNEL_TOL_FACTOR * max(np.abs(rates).max(), 1e-30)
+    return SpaceSplit(rates=rates, sectors=an.sectors, values=values,
+                      vectors=vectors, cutoff=cutoff)

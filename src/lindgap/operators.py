@@ -32,7 +32,8 @@ SQRT2 = np.sqrt(2.0)
 
 
 def dag(X: Matrix) -> Matrix:
-    return X.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(X, -1, -2).conj()
 
 
 def as_square_matrix(X, dim: int | None = None) -> Matrix:

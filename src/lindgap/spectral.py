@@ -196,20 +196,24 @@ def hypoco_index(an: Analysis, J_max: int = 8) -> int | None:
     Each term is PSD because iM_H is Hermitian for commuting H, so the sum
     only grows; returns None if no J <= J_max works.  M_H is real
     antisymmetric, iM_H = iA with A = (M_H - M_H^T)/2, and each step
-    P term P = -A term A stays real.
+    P term P = -A term A stays real.  -M_D and A are block-diagonal on the
+    sectors, and so is every term: the least eigenvalue is the least over
+    the sector blocks, against the largest |eigenvalue| of them all.
     """
-    MD = an.M_Dr
-    negD = -(MD + MD.T) / 2.0
-    A = (an.M_Hr - an.M_Hr.T) / 2.0
-    term = negD.copy()
-    total = np.zeros_like(negD)
+    def sym(B):
+        return (B + np.swapaxes(B, -1, -2)) / 2.0
+
+    negD = [-sym(B) for B in sector_blocks(an.M_Dr, an.sectors)]
+    A = [(B - np.swapaxes(B, -1, -2)) / 2.0 for B in sector_blocks(an.M_Hr, an.sectors)]
+    terms = negD
+    totals = [np.zeros_like(B) for B in negD]
     for J in range(J_max + 1):
-        total = total + term
-        w = np.linalg.eigvalsh((total + total.T) / 2.0)
+        totals = [t + x for t, x in zip(totals, terms)]
+        w = np.concatenate([np.linalg.eigvalsh(sym(t)).ravel() for t in totals])
         scale = max(abs(w).max(), 1e-30)
-        if w[0] > INDEX_POSITIVITY_FACTOR * scale:
+        if w.min() > INDEX_POSITIVITY_FACTOR * scale:
             return J
-        term = -(A @ term @ A)
+        terms = [-(a @ x @ a) for a, x in zip(A, terms)]
     return None
 
 

@@ -10,9 +10,12 @@ jump at a time for the batched unit matrix, polynomial moments for the
 space-time variance check, a Lyapunov solve for the window Gramian, a
 least-squares fit over a Hermitian traceless basis for the standard
 detailed-balance solve, the stacked complex commutators of every
-generator for the commutant, and the complex eigensolve of -i M_H in the
-frame on sigma's own eigenvectors for the Bohr blocks.  They are test
-helpers, not part of the package.
+generator for the commutant, the complex eigensolve of -i M_H in the
+frame on sigma's own eigenvectors for the Bohr blocks, and whole-space
+solves (one SVD, eigh or exponential of the whole matrix) for the
+structure counts, the kernel split and the validate curves that the
+library takes sector by sector.  They are test helpers, not part of the
+package.
 """
 
 import math
@@ -22,6 +25,7 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 from lindgap import KmsFrame, Lindbladian, generator_matrix, hamiltonian_superop
 from lindgap.evolve import _random_mean_zero
+from lindgap.lindblad import COMMUTANT_SV_FACTOR, KERNEL_TOL_FACTOR
 from lindgap.operators import as_square_matrix, dag, vec
 
 LINEARITY_RTOL = 1e-8
@@ -96,6 +100,69 @@ def unit_matrix_per_jump(L, basis=None) -> np.ndarray:
         damping += w * (dag(J) @ J)
     G -= 0.5 * (np.kron(damping, eye) + np.kron(eye, damping.T))
     return G
+
+
+def kernel_dimension(M_full: np.ndarray) -> int:
+    """Zero eigenvalues of the Hermitian part of a generator matrix, from one
+    eigvalsh of the whole full-space matrix: structure_report counts them per
+    sector."""
+    Hm = (M_full + dag(M_full)) / 2.0
+    w = np.linalg.eigvalsh(Hm)
+    scale = max(np.abs(w).max(), 1e-30)
+    return int(np.sum(np.abs(w) < KERNEL_TOL_FACTOR * scale))
+
+
+def split_bases(split) -> tuple[np.ndarray, np.ndarray]:
+    """(basis0, basis_plus): the kernel split's eigenvectors as dense columns
+    on the traceless coordinates, kernel and complement, sector by sector."""
+    n = len(split.rates)
+    cols0, cols_plus = [], []
+    for S, V, ker in zip(split.sectors, split.vectors, split.kernel()):
+        for s, v, k in zip(S, V, ker):
+            D = np.zeros((n, len(s)))
+            D[s] = v
+            cols0.append(D[:, k])
+            cols_plus.append(D[:, ~k])
+    return np.hstack(cols0), np.hstack(cols_plus)
+
+
+def whole_structure(an) -> tuple[int, float, int]:
+    """(commutant_dim, kms_defect, kernel_dim_LD) of structure_report, from
+    whole-space solves of the full frame matrices of L and L^D."""
+    M = generator_matrix(an.L, an.frame)
+    sv = np.linalg.svd(M, compute_uv=False)
+    cdim = int(np.sum(sv < COMMUTANT_SV_FACTOR * sv[0]))
+    kms = float(np.linalg.norm(M - M.T, 2) / sv[0])
+    return cdim, kms, kernel_dimension(generator_matrix(an.LD, an.frame))
+
+
+def whole_split(an) -> tuple[np.ndarray, float | None, float]:
+    """(rates, s_H, ||L^H Pi_+||) from one eigh of the whole traceless -M_D;
+    s_H is None for a trivial kernel and 0 when the kernel outnumbers its
+    complement."""
+    w, V = np.linalg.eigh(-an.M_D_sym[1:, 1:])
+    zero = np.abs(w) < KERNEL_TOL_FACTOR * max(np.abs(w).max(), 1e-30)
+    V0, Vp = V[:, zero], V[:, ~zero]
+    MH = np.array(an.M_Hr)
+    s_H = None
+    if V0.shape[1]:
+        s_H = 0.0 if V0.shape[1] > Vp.shape[1] else \
+            float(np.linalg.svd(Vp.T @ MH @ V0, compute_uv=False)[-1])
+    return w, s_H, float(np.linalg.norm(MH @ Vp, 2))
+
+
+def whole_curves(an, X0, T: float, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(||x_t||^2, x_t^dag G_T x_t, ||e^{t Mr}||_2) for x_t = e^{t Mr} x_0 at
+    each t, from one exponential of the whole traceless matrix per time and
+    the Lyapunov window Gramian."""
+    Mr = np.array(an.Mr)
+    x0 = an.frame.coords(X0)[1:]
+    G = lyapunov_window_gramian(Mr, T)
+    Es = [expm(t * Mr) for t in ts]
+    xs = [E @ x0 for E in Es]
+    return (np.array([np.vdot(x, x).real for x in xs]),
+            np.array([np.vdot(x, G @ x).real for x in xs]),
+            np.array([np.linalg.norm(E, 2) for E in Es]))
 
 
 def _moment_average(A: np.ndarray, moments: np.ndarray) -> float:

@@ -90,18 +90,23 @@ def test_assumption_detects_mixing_inside_kernel():
 
 
 def _assumption_case(delta, monkeypatch):
-    """check_assumption on M_H = ones + 2 delta e_0 e_0^T and kernel (e_0 - e_1)/sqrt2:
-    the defect is delta, every column norm of M_H about 10 and ||M_H|| about
-    100; returns (ok, defect, real_norm2 calls)."""
+    """check_assumption on M_H = ones + 2 delta e_0 e_0^T and kernel (e_0 - e_1)/sqrt2,
+    one sector: the defect is delta, every column norm of M_H about 10 and
+    ||M_H|| about 100; returns (ok, defect, real_norm2 calls)."""
     n = 100
     MH = np.ones((n, n))
     MH[0, 0] += 2.0 * delta
-    V0 = np.zeros((n, 1))
-    V0[:2, 0] = [1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)]
+    # eigenvectors of the one sector: the kernel vector first
+    V = np.eye(n)
+    V[:2, :2] = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
+    rates = np.ones(n)
+    rates[0] = 0.0
+    sectors = [np.arange(n)[None]]
     an = split_form(PAULI_X, QUBIT_LD, MIXED2)
     an.__dict__["M_Hr"] = MH
-    an.__dict__["split"] = SpaceSplit(rates=np.zeros(n), basis0=V0,
-                                      basis_plus=np.zeros((n, 0)))
+    an.__dict__["sectors"] = sectors
+    an.__dict__["split"] = SpaceSplit(rates=rates, sectors=sectors, values=[rates[None]],
+                                      vectors=[V[None]], cutoff=1e-9)
     calls = []
     monkeypatch.setattr(import_module("lindgap.certify"), "real_norm2",
                         lambda A: calls.append(A.shape) or real_norm2(A))
@@ -117,12 +122,12 @@ def test_assumption_passes_by_the_column_bound(monkeypatch):
 
 def test_assumption_inconclusive_bound_then_passes(monkeypatch):
     ok, _, calls = _assumption_case(5e-8, monkeypatch)
-    assert ok and calls == [(100, 100)]
+    assert ok and calls == [(1, 100, 100)]
 
 
 def test_assumption_fails_with_the_exact_defect(monkeypatch):
     ok, defect, calls = _assumption_case(5e-7, monkeypatch)
-    assert not ok and calls == [(100, 100)]
+    assert not ok and calls == [(1, 100, 100)]
     MH = np.ones((100, 100))
     MH[0, 0] += 1e-6
     V0 = np.array([[1.0], [-1.0]] + [[0.0]] * 98) / math.sqrt(2.0)
@@ -204,15 +209,20 @@ def _lift_with_h():
     pytest.param(_lift_with_h, id="lift"),
 ])
 def test_constants_match_direct_decompositions(make):
-    # lambda_D, ||L^D|| and ||L^H Pi_+|| from the kernel split's rates and
-    # basis equal the direct formulas on the KMS-frame matrices
+    # lambda_D, s_H, ||L^D|| and ||L^H Pi_+|| from the per-sector kernel split
+    # equal the direct formulas on one eigendecomposition of the whole
+    # KMS-frame matrix
     an = make()
     sc = structural_constants(an)
     MD = an.M_D_sym[1:, 1:]
-    V0, Vp = an.split.basis0, an.split.basis_plus
+    w, V = np.linalg.eigh(-MD)
+    zero = np.abs(w) < 1e-9 * np.abs(w).max()
+    V0, Vp = V[:, zero], V[:, ~zero]
     lambda_D = np.linalg.eigvalsh(Vp.conj().T @ (-MD) @ Vp)[0]
     Pp = np.eye(len(MD)) - V0 @ V0.conj().T
     assert sc.lambda_D == pytest.approx(lambda_D, rel=1e-12)
+    assert sc.s_H == pytest.approx(
+        np.linalg.svd(Vp.T @ an.M_Hr @ V0, compute_uv=False)[-1], rel=1e-12)
     assert sc.norm_LD == pytest.approx(np.linalg.norm(MD, 2), rel=1e-12)
     assert sc.norm_LH_plus == pytest.approx(np.linalg.norm(an.M_Hr @ Pp, 2), rel=1e-12)
 

@@ -219,9 +219,13 @@ def test_validate_passes_on_tfim_with_default_flags(tmp_path):
 
 def test_validate_takes_one_exponential_per_distinct_step(tmp_path, monkeypatch):
     # e^{(s+t)M} = e^{tM} e^{sM}: the decay and norm curves each step one
-    # propagator along their grid, and the window Gramian takes one more
+    # propagator along their grid, and the window Gramian takes one more of
+    # the doubled Van Loan block; each is one stacked exponential per sector
+    # size, together covering the 63 traceless coordinates exactly once
     spec = write_spec(tmp_path / "tfim.json", TFIM3)
     cert = emit_certificate(tmp_path, spec)
+    bundle = build_model(load_spec(spec))
+    sectors = Analysis(bundle.lind, bundle.state).sectors
     evolve = import_module("lindgap.evolve")
     expm = evolve._expm
     calls = []
@@ -234,7 +238,11 @@ def test_validate_takes_one_exponential_per_distinct_step(tmp_path, monkeypatch)
         rows = (out / name).read_text().splitlines()[1:]
         ts = np.array([float(row.split(",")[0]) for row in rows])
         steps += len(set(np.diff(ts, prepend=0.0).tolist()) - {0.0})
-    assert len(calls) <= steps + 1 < 20
+    assert steps + 1 < 20
+    assert all(len(shape) == 3 for shape in calls)
+    assert len(calls) <= (steps + 1) * len(sectors)
+    assert max(side for _, side, _ in calls) <= 2 * max(S.shape[1] for S in sectors)
+    assert sum(k * side for k, side, _ in calls) == 63 * (steps + 2)
 
 
 def test_validate_rejects_inflated_rate(tmp_path, qubit_spec):
@@ -375,15 +383,15 @@ def test_only_validate_loads_scipy_linalg(tmp_path):
 # one analysis per command
 
 
-# (frames, unit matrices) per call.  M = M_D + M_H, so a command assembles the
-# unit matrices of L^D and i[H, .] but not that of L, except structure: it reads
-# the KMS and GNS defects and the standard-DBC fit from one unit matrix of L,
-# next to M_D for the kernel.  haar_gibbs has no Hamiltonian, so M_H is zeros
-# without an assembly, and its model builder checks both closed forms against
-# one unit matrix.
-BUILDS = {("tfim", "structure"): (1, 2), ("tfim", "gap"): (1, 2),
-          ("tfim", "certify"): (1, 2), ("tfim", "stp"): (1, 2),
-          ("tfim", "validate"): (1, 2), ("haar_gibbs", "structure"): (1, 3),
+# (frames, unit matrices) per call.  Each command assembles the unit matrix of
+# L^D once, for M_D.  In the joint frame M_H is a formula, with no assembly,
+# and so is the coherent term that structure adds to that unit matrix to get
+# the one of L, from which it reads the KMS and GNS defects and the
+# standard-DBC fit.  The haar_gibbs model builder checks both closed forms
+# against one unit matrix of its own.
+BUILDS = {("tfim", "structure"): (1, 1), ("tfim", "gap"): (1, 1),
+          ("tfim", "certify"): (1, 1), ("tfim", "stp"): (1, 1),
+          ("tfim", "validate"): (1, 1), ("haar_gibbs", "structure"): (1, 2),
           ("haar_gibbs", "gap"): (1, 2), ("haar_gibbs", "stp"): (1, 2)}
 
 
@@ -415,40 +423,67 @@ def test_each_command_builds_one_analysis(tmp_path, monkeypatch, model, command)
 def test_validate_takes_one_svd_of_the_generator_matrix(tmp_path, monkeypatch):
     # the singular gap is solved sector by sector, each sector block once:
     # one stacked SVD per sector size, and together they cover the traceless
-    # block (63 x 63 on tfim n=3) exactly once
+    # block (63 x 63 on tfim n=3) exactly once.  The other SVDs are those of
+    # the kernel couplings Vp^T M_H V0, rectangular and per sector too, and
+    # no solve of any kind is whole-space
     spec = write_spec(tmp_path / "tfim.json", TFIM3)
     cert = emit_certificate(tmp_path, spec)
     bundle = build_model(load_spec(spec))
     sectors = Analysis(bundle.lind, bundle.state).sectors
     sizes = sorted(S.shape[1] for S in sectors for _ in S)
     assert sum(sizes) == 8 * 8 - 1 and len(sizes) > 1
-    svd = np.linalg.svd
-    shapes = []
-
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    shapes = {"svd": [], "eigvalsh": [], "eigh": [], "eigvals": []}
+    for name, seen in shapes.items():
+        def counted(a, *args, _fn=getattr(np.linalg, name), _seen=seen, **kwargs):
+            _seen.append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
     assert main(["validate", "--spec", spec, "--out", str(tmp_path / "val"),
                  "--certificate", str(cert)]) == 0
-    stacks = [shape for shape in shapes if len(shape) == 3]
-    assert len(stacks) == len(sectors)
-    assert sorted(s for k, s, _ in stacks for _ in range(k)) == sizes
+    square = [shape for shape in shapes["svd"] if shape[-1] == shape[-2]]
+    assert len(square) == len(sectors)
+    assert sorted(s for k, s, _ in square for _ in range(k)) == sizes
+    assert all(len(shape) == 3 for shape in shapes["svd"])
+    assert max(max(shape[-2:]) for seen in shapes.values() for shape in seen) < 63
 
 
-@pytest.mark.parametrize("model,command,side,complement", [
-    pytest.param(TFIM3, "certify", 63, 56, id="tfim-certify"),
-    pytest.param(TFIM3, "stp", 63, 56, id="tfim-stp"),
-    pytest.param(HAAR_COERCIVE, "stp", 8, 8, id="haar_gibbs-stp"),
+@pytest.mark.parametrize("command", ["structure", "certify", "stp", "validate"])
+def test_no_solve_is_whole_space(tmp_path, monkeypatch, command):
+    # tfim n=3 splits into several sectors: no eigensolve, SVD or matrix
+    # exponential of a command takes the 63 traceless or 64 full coordinates
+    # (or the doubled Van Loan block) at once
+    spec = write_spec(tmp_path / "tfim.json", TFIM3)
+    argv = [command, "--spec", spec, "--out", str(tmp_path / command)]
+    if command == "validate":
+        argv += ["--certificate", str(emit_certificate(tmp_path, spec))]
+    sides = []
+    for name in ("eigh", "eigvalsh", "eigvals", "svd"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            sides.append(max(np.shape(a)[-2:]))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    evolve = import_module("lindgap.evolve")
+    expm = evolve._expm
+    monkeypatch.setattr(evolve, "_expm", lambda A: sides.append(A.shape[-1]) or expm(A))
+    assert main(argv) == 0
+    assert sides and max(sides) < 63
+
+
+@pytest.mark.parametrize("model,command", [
+    pytest.param(TFIM3, "certify", id="tfim-certify"),
+    pytest.param(TFIM3, "stp", id="tfim-stp"),
+    pytest.param(HAAR_COERCIVE, "stp", id="haar_gibbs-stp"),
 ])
-def test_dissipator_is_decomposed_once(tmp_path, monkeypatch, model, command,
-                                       side, complement):
-    # the kernel split's eigh of the traceless block serves lambda_D, ||L^D||,
-    # the coercive gap and the STP weights: no full-space eigh, no eigvalsh of
-    # the complement block (the whole block when the kernel is trivial).  The
-    # Gram eigensolve of real_norm2, a 2-norm such as ||M_H Pi_+||, is not one.
+def test_dissipator_is_decomposed_once(tmp_path, monkeypatch, model, command):
+    # the kernel split's eigh serves lambda_D, ||L^D||, the coercive gap and
+    # the STP weights: one stacked eigh per sector size, covering the
+    # traceless coordinates exactly once, no whole-space eigh and no eigvalsh
+    # beyond those of the model builder.  The Gram eigensolve of real_norm2,
+    # a 2-norm such as ||M_H Pi_+||, is not one.
     spec = write_spec(tmp_path / "m.json", model)
+    bundle = build_model(load_spec(spec))
+    sectors = Analysis(bundle.lind, bundle.state).sectors
+    sizes = sorted(S.shape[1] for S in sectors for _ in S)
     in_norm = []
     real_norm2 = import_module("lindgap.lindblad").real_norm2
 
@@ -468,10 +503,22 @@ def test_dissipator_is_decomposed_once(tmp_path, monkeypatch, model, command,
                 _seen.append(np.shape(a))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+    build_model(load_spec(spec))
+    builder = {name: list(seen) for name, seen in shapes.items()}
+    for seen in shapes.values():
+        seen.clear()
     assert main([command, "--spec", spec, "--out", str(tmp_path / command)]) == 0
-    assert shapes["eigh"].count((side, side)) == 1
-    assert shapes["eigh"].count((side + 1, side + 1)) == 0
-    assert shapes["eigvalsh"].count((complement, complement)) == 0
+    # stp's Gauss-Legendre nodes (degree 3) are the eigenvalues of a 4 x 4
+    # Jacobi matrix
+    assert shapes["eigvalsh"] == builder["eigvalsh"] + [(4, 4)] * (command == "stp")
+    eigh = shapes["eigh"][len(builder["eigh"]):]
+    assert shapes["eigh"][:len(builder["eigh"])] == builder["eigh"]
+    # besides the split, the joint eigenbasis of sigma and H: N x N at most
+    split = [shape for shape in eigh if len(shape) == 3]
+    N = bundle.state.dim
+    assert all(max(shape) <= N for shape in eigh if len(shape) == 2)
+    assert len(split) == len(sectors)
+    assert sorted(s for k, s, _ in split for _ in range(k)) == sizes
 
 
 @pytest.mark.parametrize("command, flags, report", [

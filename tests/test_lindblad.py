@@ -5,7 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from exact_reference import gns_matrix, lstsq_dbc_solve, stacked_commutant_sv
+from exact_reference import (
+    gns_matrix,
+    kernel_dimension,
+    lstsq_dbc_solve,
+    split_bases,
+    stacked_commutant_sv,
+)
 
 from lindgap import (
     Analysis,
@@ -29,7 +35,6 @@ from lindgap import lindblad
 from lindgap.lindblad import (
     DB_DEFECT_TOL,
     hermiticity_defect,
-    kernel_dimension,
     standard_dbc_solve,
 )
 from lindgap.models import PAULI_X, PAULI_Y, PAULI_Z
@@ -210,14 +215,36 @@ def test_structure_defects_are_those_of_the_frame_matrices(case):
 
 
 def test_structure_takes_one_norm_of_the_generator(monkeypatch):
-    # the SVD of the kernel count gives ||M||_2, the scale of the KMS defect
+    # the SVDs of the kernel count give ||M||_2, the scale of the KMS defect;
+    # its numerator is one stacked norm per sector size, and the norms, the
+    # SVDs and the eigensolves of the kernel of L^D each cover the 64
+    # full-space coordinates exactly once, with no whole-space solve
     m = tfim(3, 0.75, 1.25)
     real_norm2 = lindblad.real_norm2
     calls = []
     monkeypatch.setattr(lindblad, "real_norm2",
                         lambda A: calls.append(A.shape) or real_norm2(A))
+    solves = {"svd": [], "eigvalsh": [], "eigh": [], "eigvals": []}
+    for name, seen in solves.items():
+        def counted(a, *args, _fn=getattr(np.linalg, name), _seen=seen, **kwargs):
+            _seen.append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
     structure_report(Analysis(m.lind, m.state))
-    assert calls == [(64, 64)]
+
+    def covered(shapes):
+        return sorted(s for k, s, _ in shapes for _ in range(k))
+
+    sizes = covered(calls)
+    assert sum(sizes) == 64 and len(sizes) > 1
+    assert all(len(shape) == 3 for shape in calls)
+    assert len({shape[1] for shape in calls}) == len(calls)
+    assert covered(solves["svd"]) == sizes
+    # real_norm2's Gram eigensolves (none for an exactly zero block), then
+    # the kernel count of M_D
+    kernel = solves["eigvalsh"][-len(calls):]
+    assert covered(kernel) == sizes and len(kernel) == len(calls)
+    assert max(shape[-1] for shapes in solves.values() for shape in shapes) < 63
 
 
 def test_structure_coercive_classification():
@@ -340,7 +367,8 @@ def test_kernel_projection_dephasing_qubit():
     assert split.dim_plus == 2
     # the kernel direction is Z
     cz = an.frame.coords(PAULI_Z)[1:]
-    P = split.basis0 @ split.basis0.T
+    basis0, _ = split_bases(split)
+    P = basis0 @ basis0.T
     assert np.linalg.norm(P @ cz - cz) < 1e-10
     assert np.abs(P @ P - P).max() < 1e-10
     assert np.abs(P - P.conj().T).max() < 1e-10

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from exact_reference import superop_matrix
+from exact_reference import kernel_dimension, superop_matrix
 
 from lindgap import (
     Analysis,
@@ -30,7 +30,6 @@ from lindgap import (
     structure_report,
     tfim,
 )
-from lindgap.lindblad import kernel_dimension
 from lindgap.models import _check_unit_action, bfs_paths
 
 
