@@ -26,7 +26,6 @@ from .spectral import (
     spectral_gap,
     gap_from_matrix,
     bohr_decompose,
-    lambda_nu_table,
     large_alpha_limit,
     gap_curve,
     GapCurve,

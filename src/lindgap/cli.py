@@ -264,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap", help="spectral gap over a coupling grid")
     common(p)
     p.add_argument("--alpha-grid", default="1,10,100,1000",
-                   help="comma-separated increasing coupling values")
+                   help="comma-separated increasing coupling values, each a "
+                        "multiple of the model's own alpha")
     p.add_argument("--format", choices=("json", "csv", "both"), default="both")
     p.set_defaults(handler=_cmd_gap)
 

@@ -22,7 +22,7 @@ sector, same-size sectors stacked into one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -146,10 +146,12 @@ def generator_matrix(L: Lindbladian, frame: KmsFrame) -> Matrix:
     return frame.superop(L.unit_matrix(frame.state.eigenvectors))
 
 
-def hamiltonian_superop(H, frame: KmsFrame) -> Matrix:
-    """Full-space matrix of X -> i[H, X] in the given frame."""
-    H = require_hermitian(H, what="H")
-    G = Lindbladian(H.shape[0], H, []).unit_matrix(frame.state.eigenvectors)
+def hamiltonian_superop(H, frame: KmsFrame, G: Matrix | None = None) -> Matrix:
+    """Full-space matrix of X -> i[H, X] in the given frame, from its unit
+    matrix G on the frame's units, assembled here unless given."""
+    if G is None:
+        H = require_hermitian(H, what="H")
+        G = Lindbladian(H.shape[0], H, []).unit_matrix(frame.state.eigenvectors)
     return frame.superop(G)
 
 
@@ -268,12 +270,13 @@ class Analysis:
     laid on a joint eigenbasis of sigma and H (see joint_eigenbasis) and E
     holds the eigenvalues of H in it; otherwise E is None.  Everything else
     is built on first use and kept: the full-space real matrices M_D, M_H of
-    L^D, i[H, .] and M = M_D + M_H of L (M_H by formula when E is set); the
-    views Mr, M_Dr, M_Hr of their traceless blocks [1:, 1:]; the sectors on
-    which those blocks split; the symmetric part M_D_sym after the one check
-    that L^D is KMS-symmetric; the kernel split, the one eigendecomposition of
-    M_D per sector that every later use of its spectrum reads; the
-    structural constants; and the smallest singular value of Mr.
+    L^D, i[H, .] and M = M_D + M_H of L (when E is set, M_H by formula and M
+    as M_D plus its entries, with no dense M_H); the views Mr, M_Dr, M_Hr of
+    their traceless blocks [1:, 1:]; the sectors on which those blocks split;
+    the symmetric part M_D_sym after the one check that L^D is KMS-symmetric;
+    the kernel split, the one eigendecomposition of M_D per sector that every
+    later use of its spectrum reads; the structural constants; and the
+    smallest singular value of Mr.
     """
 
     def __init__(self, L: Lindbladian, state: QuantumState):
@@ -287,7 +290,9 @@ class Analysis:
     def M(self) -> Matrix:
         if not self.H.any():  # no coherent part: L is L^D
             return self.M_D
-        return self.M_D + self.M_H
+        if self.energies is None:
+            return self.M_D + self.M_H
+        return self._add_rotation(self.M_D.copy())  # no dense M_H
 
     @cached_property
     def M_D(self) -> Matrix:
@@ -295,21 +300,22 @@ class Analysis:
 
     @cached_property
     def M_H(self) -> Matrix:
-        """Frame matrix of i[H, .].  In the joint frame i[H, (e_ab + e_ba)/sqrt2]
-        = w i(e_ab - e_ba)/sqrt2 and i[H, i(e_ab - e_ba)/sqrt2] = -w (e_ab +
-        e_ba)/sqrt2 with w = E_a - E_b, so on each pair's coordinates (s, t)
-        the matrix is the rotation [[0, -w], [w, 0]] and zero elsewhere."""
+        """Frame matrix of i[H, .], by formula in the joint frame."""
         if self.energies is None:
             return hamiltonian_superop(self.H, self.frame)
-        N = self.frame.dim
+        return self._add_rotation(np.zeros((self.frame.size, self.frame.size)))
+
+    def _add_rotation(self, M: Matrix) -> Matrix:
+        """Adds M_H to M in place, E set.  In the joint frame i[H, (e_ab +
+        e_ba)/sqrt2] = w i(e_ab - e_ba)/sqrt2 and i[H, i(e_ab - e_ba)/sqrt2] =
+        -w (e_ab + e_ba)/sqrt2 with w = E_a - E_b, so on each pair's
+        coordinates (s, t) M_H is the rotation [[0, -w], [w, 0]], else zero."""
         r, c = self.frame._pairs
-        m = len(r)
-        s = N + np.arange(m)
+        s = self.frame.dim + np.arange(len(r))
         om = self.energies[r] - self.energies[c]
-        MH = np.zeros((self.frame.size, self.frame.size))
-        MH[s + m, s] = om
-        MH[s, s + m] = -om
-        return MH
+        M[s + len(r), s] += om
+        M[s, s + len(r)] -= om
+        return M
 
     @cached_property
     def Mr(self) -> Matrix:
@@ -334,7 +340,10 @@ class Analysis:
         if not self.H.any():
             return G
         if self.energies is None:
-            G += Lindbladian(self.L.dim, self.H, []).unit_matrix(U)
+            GH = Lindbladian(self.L.dim, self.H, []).unit_matrix(U)
+            if "M_H" not in self.__dict__:
+                self.M_H = hamiltonian_superop(self.H, self.frame, GH)
+            G += GH
         else:
             E = self.energies
             G.flat[::G.shape[0] + 1] += 1j * (E[:, None] - E[None, :]).ravel()
@@ -448,28 +457,17 @@ class StructureReport:
     classification: str
 
     def as_dict(self) -> dict:
-        return {
-            "invariant_state_ok": self.invariant_state_ok,
-            "invariance_residual": self.invariance_residual,
-            "kms_db": self.kms_db,
-            "kms_defect": self.kms_defect,
-            "gns_db": self.gns_db,
-            "gns_defect": self.gns_defect,
-            "standard_dbc": self.standard_dbc,
-            "standard_dbc_defect": self.standard_dbc_defect,
-            "primitive": self.primitive,
-            "commutant_dim": self.commutant_dim,
-            "kernel_dim_LD": self.kernel_dim_LD,
-            "classification": self.classification,
-        }
+        """Every field but standard_dbc_K, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "standard_dbc_K"}
 
 
-def _kernel_counts(an: Analysis, G: Matrix) -> tuple[int, float, int]:
-    """(dim ker L, KMS defect, dim ker L^D) from the full-space M, the frame
-    matrix of the unit matrix G of L, and M_D, solved per sector of the two
-    (sector_partition, index 0 included): the identity is a sector of its own
-    unless sigma's invariance residual puts its row above SECTOR_TOL."""
-    M = an.frame.superop(G) if an.H.any() else an.M_D
+def _kernel_counts(an: Analysis) -> tuple[int, float, int]:
+    """(dim ker L, KMS defect, dim ker L^D) from the full-space M and M_D,
+    solved per sector of the two (sector_partition, index 0 included): the
+    identity is a sector of its own unless sigma's invariance residual puts
+    its row above SECTOR_TOL."""
+    M = an.M
     sectors = sector_partition([M, an.M_D])
     blocks = sector_blocks(M, sectors)
     # sigma is faithful and invariant, so ker L is the commutant of
@@ -496,14 +494,11 @@ def structure_report(an: Analysis, db_tol: float = DB_DEFECT_TOL) -> StructureRe
     residual = require_invariant(L, an.state)
     invariant_ok = residual <= INVARIANCE_FLAG_FACTOR * max(L.magnitude(), 1e-30)
 
-    # one G for both defects, the kernel and the fit, not an.M: that would keep M_H too
+    # one G for the GNS defect and the fit; its assembly also gives M_D
     G = an.unit_matrix()
-    cdim, kms_defect, kdim = _kernel_counts(an, G)
-    primitive = cdim == 1
     mu = an.state.eigenvalues
-    if mu[0] == mu[-1]:  # uniform sigma: the GNS and KMS products coincide
-        gns_defect = kms_defect
-    else:
+    uniform = mu[0] == mu[-1]  # then the GNS and KMS products coincide
+    if not uniform:
         # the GNS frame matrix is a unitary change of S G S^-1 on the units,
         # S = diag(vec(outer(1, sqrt(mu)))), and the defect is unitarily
         # invariant; in the frame's unit order (diagonal units first) its SVD
@@ -512,6 +507,11 @@ def structure_report(an: Analysis, db_tol: float = DB_DEFECT_TOL) -> StructureRe
         g = vec(np.outer(np.ones_like(mu), np.sqrt(mu)))[u]
         gns_defect = hermiticity_defect(G[np.ix_(u, u)] * (g[:, None] / g[None, :]))
     K, dbc_defect = standard_dbc_solve(G, an.frame)
+    del G  # before the kernel counts build M, so the two are never held together
+    cdim, kms_defect, kdim = _kernel_counts(an)
+    primitive = cdim == 1
+    if uniform:
+        gns_defect = kms_defect
 
     if not primitive:
         classification = "non-primitive"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import Analysis, require_invariant, sector_blocks, sector_singular_gap
-from .operators import SQRT2, Matrix, dag
+from .operators import Matrix
 
 BOHR_CLUSTER_FACTOR = 1e-7
 INDEX_POSITIVITY_FACTOR = 1e-9
@@ -59,31 +59,30 @@ def spectral_gap(an: Analysis) -> GapReport:
 
 @dataclass
 class BohrBlock:
-    """One Bohr-frequency block of the traceless subspace.
-
-    basis columns are restricted-frame coordinates; lambda_nu is filled in by
-    lambda_nu_table.
-    """
+    """One Bohr-frequency block of the traceless subspace: its frequency, its
+    dimension and lambda_nu, the least energy of -L^D compressed to it."""
 
     frequency: float
-    basis: Matrix
-    lambda_nu: float | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
+    dim: int
+    lambda_nu: float
 
 
 def bohr_decompose(an: Analysis) -> list[BohrBlock]:
-    """Frequency blocks of X -> [H, X] on the traceless subspace, by formula.
+    """Frequency blocks of X -> [H, X] on the traceless subspace, by formula,
+    in ascending frequency, each with its lambda_nu.
 
     Requires [H, sigma] = 0, so that the analysis's frame sits on a joint
     eigenbasis with energies E: the diagonal coordinates have frequency 0,
-    and frame pair (a, b), a < b, with coordinates s and t gives
-    (s - i t)/sqrt2 (the unit |a><b|) at E_a - E_b and (s + i t)/sqrt2 at
-    E_b - E_a.  Frequencies within 1e-7 * ||H|| are merged; a pair with both
-    signs in one block contributes the real s and t instead.  Blocks are
-    returned in ascending frequency.
+    and frame pair (a, b), a < b, with coordinates s and t gives the unit
+    (s - i t)/sqrt2 = |a><b| at E_a - E_b and (s + i t)/sqrt2 at E_b - E_a.
+    Frequencies merge within 1e-7 (E.max() - E.min()), and within
+    1e-12 max|E|, the rounding of a difference of energies.
+
+    lambda_nu compresses A = -M_D_sym[1:, 1:].  The frequencies and the cuts
+    are mirrored about 0, so only the zero block holds both units of a pair:
+    it compresses to A on its diagonal, s and t coordinates.  A block at
+    w != 0 holds one unit (s - i g t)/sqrt2 per pair, g = +-1, and
+    compresses to (A_ss + g g^T o A_tt + i (g o A_ts - g^T o A_st)) / 2.
     """
     E = an.energies
     if E is None:
@@ -91,75 +90,36 @@ def bohr_decompose(an: Analysis) -> list[BohrBlock]:
     N = an.frame.dim
     r, c = an.frame._pairs
     m = len(r)
-    # entries: the N - 1 diagonal coordinates (entry k is restricted
-    # position k), then pair p at +om[p] (entry N - 1 + p) and at -om[p]
-    # (entry N - 1 + m + p)
+    # entries: the N - 1 diagonal coordinates, then pair p at +om[p] (entry
+    # N - 1 + p) and at -om[p] (entry N - 1 + m + p); entry k is also the
+    # restricted position of the coordinate it reads: diagonal k, s_p, t_p
     om = E[r] - E[c]
     freqs = np.concatenate([np.zeros(N - 1), om, -om])
     order = np.argsort(freqs, kind="stable")
-    tol = max(BOHR_CLUSTER_FACTOR * np.abs(E).max(), 1e-14)
+    tol = max(BOHR_CLUSTER_FACTOR * np.ptp(E), 1e-12 * np.abs(E).max(), 1e-14)
     cuts = np.flatnonzero(np.diff(freqs[order]) > tol) + 1
-    cluster = np.empty(len(freqs), dtype=int)
-    cluster[order] = np.searchsorted(cuts, np.arange(len(freqs)), side="right")
-    both = cluster[N - 1:N - 1 + m] == cluster[N - 1 + m:]
-    # restricted positions of the s and t coordinates of each pair
-    s_pos, t_pos = N - 1 + np.arange(m), N - 1 + m + np.arange(m)
+    A = -an.M_D_sym[1:, 1:]
     blocks: list[BohrBlock] = []
     for idx in np.split(order, cuts):
         freq = float(freqs[idx].mean())
         if abs(freq) < tol:
             freq = 0.0
-        diag = idx[idx < N - 1]
-        plus = idx[(idx >= N - 1) & (idx < N - 1 + m)] - (N - 1)
-        minus = idx[idx >= N - 1 + m] - (N - 1 + m)
-        real = plus[both[plus]]  # each such pair is also in `minus`
-        plus, minus = plus[~both[plus]], minus[~both[minus]]
-        single = np.concatenate([plus, minus])
-        sign = np.concatenate([np.ones(len(plus)), -np.ones(len(minus))])
-        rows = np.concatenate([diag, s_pos[real], t_pos[real]])
-        k0 = len(rows)
-        basis = np.zeros((N * N - 1, k0 + len(single)),
-                         dtype=complex if len(single) else float)
-        basis[rows, np.arange(k0)] = 1.0
-        if len(single):
-            cols = k0 + np.arange(len(single))
-            basis[s_pos[single], cols] = 1.0 / SQRT2
-            basis[t_pos[single], cols] = -1j * sign / SQRT2
-        blocks.append(BohrBlock(frequency=freq, basis=basis))
-    return blocks
-
-
-def lambda_nu_table(an: Analysis, blocks: list[BohrBlock]) -> list[BohrBlock]:
-    """Fill each block's minimal dissipation energy.
-
-    Each block compresses -M_D on the rows where its basis is nonzero, so a
-    block read off the frame costs a solve of its own size.
-    """
-    if not blocks:
-        raise ValueError("no blocks given")
-    negMD = -an.M_D_sym[1:, 1:]
-    for b in blocks:
-        rows = np.flatnonzero(np.any(b.basis != 0, axis=1))
-        B = b.basis[rows]
-        ortho = np.linalg.norm(dag(B) @ B - np.eye(B.shape[1]))
-        if ortho > 1e-10:
-            raise ValueError("block basis is not orthonormal")
-        comp = dag(B) @ negMD[np.ix_(rows, rows)] @ B
-        b.lambda_nu = float(np.linalg.eigvalsh((comp + dag(comp)) / 2.0)[0])
+            C = A[np.ix_(idx, idx)]
+        else:
+            s = N - 1 + (idx - (N - 1)) % m
+            t = s + m
+            g = np.where(idx < N - 1 + m, 1.0, -1.0)
+            C = 0.5 * (A[np.ix_(s, s)] + np.outer(g, g) * A[np.ix_(t, t)]
+                       + 1j * (g[:, None] * A[np.ix_(t, s)]
+                               - g[None, :] * A[np.ix_(s, t)]))
+        blocks.append(BohrBlock(frequency=freq, dim=len(idx),
+                                lambda_nu=float(np.linalg.eigvalsh(C)[0])))
     return blocks
 
 
 def large_alpha_limit(an: Analysis) -> float:
-    """Strong-coherent-coupling limit of the gap: the smallest blockwise energy.
-
-    The frequencies are symmetric about 0 and cut at mirrored gaps, so block
-    k and block -1-k hold the same pairs at opposite frequencies; their
-    compressions of the real -M_D are complex conjugates with equal energy,
-    and the blocks up to frequency 0 suffice.
-    """
-    blocks = bohr_decompose(an)
-    half = blocks[:(len(blocks) + 1) // 2]
-    return min(b.lambda_nu for b in lambda_nu_table(an, half))
+    """Strong-coherent-coupling limit of the gap: the smallest blockwise energy."""
+    return min(b.lambda_nu for b in bohr_decompose(an))
 
 
 @dataclass
@@ -172,7 +132,9 @@ class GapCurve:
 
 
 def gap_curve(an: Analysis, alphas) -> GapCurve:
-    """Gap of alpha * i[H,.] + L^D per coupling value, with the limit if available."""
+    """Gap of alpha * i[H,.] + L^D per coupling value, with the limit if available.
+
+    H is an.H, so each value multiplies the generator's own alpha."""
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("empty coupling grid")

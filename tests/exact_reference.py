@@ -280,8 +280,10 @@ def bohr_table_by_eigh(L, state) -> list[tuple[float, int, float]]:
     from the complex eigensolve of the Hermitian -i M_H on the traceless block
     of the KMS frame on sigma's own eigenvectors.
 
-    Eigenvalues within 1e-7 ||H|| are merged into one block; lambda_nu is the
-    smallest eigenvalue of -M_D compressed to the block's eigenvectors.
+    Eigenvalues within 1e-7 of the largest Bohr frequency E_max - E_min (and
+    within 1e-12 max|E|, the rounding of a difference of energies) are merged
+    into one block; lambda_nu is the smallest eigenvalue of -M_D compressed
+    to the block's eigenvectors.
     """
     H = L.alpha * L.hamiltonian
     frame = KmsFrame(state)
@@ -290,7 +292,8 @@ def bohr_table_by_eigh(L, state) -> list[tuple[float, int, float]]:
     S = -1j * MH
     w, V = np.linalg.eigh((S + dag(S)) / 2.0)
     negMD = -(MD + MD.T) / 2.0
-    tol = max(1e-7 * np.linalg.norm(H, 2), 1e-14)
+    E = np.linalg.eigvalsh(H)
+    tol = max(1e-7 * (E[-1] - E[0]), 1e-12 * np.abs(E).max(), 1e-14)
     table = []
     start = 0
     for k in range(1, len(w) + 1):

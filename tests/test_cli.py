@@ -135,6 +135,26 @@ def test_gap_csv_only(tmp_path, qubit_spec):
     assert not (out / "gap.json").exists()
 
 
+def test_gap_grid_multiplies_the_spec_alpha(tmp_path):
+    # the grid scales alpha * hamiltonian: grid value 1 at alpha 2 is grid
+    # value 2 at alpha 1, and the report lists the grid as given
+    reports = {}
+    for alpha, grid in ((2.0, "1,10"), (1.0, "2,20"), (1.0, "1,10")):
+        spec = {"schema": "lindgap-model/1", "model": "graph",
+                "params": {"n_vertices": 3, "edges": [[0, 1], [1, 2]],
+                           "sigma": [0.5, 0.3, 0.2], "alpha": alpha,
+                           "hamiltonian": [[0, 1, 0], [1, 0, 1], [0, 1, 0]]}}
+        path = write_spec(tmp_path / f"graph-{alpha}-{grid}.json", spec)
+        out = tmp_path / f"out-{alpha}-{grid}"
+        assert main(["gap", "--spec", path, "--out", str(out), "--alpha-grid", grid]) == 0
+        reports[alpha, grid] = read_json(out / "gap.json")["report"]
+    doubled, ref, plain = reports[2.0, "1,10"], reports[1.0, "2,20"], reports[1.0, "1,10"]
+    assert doubled["alphas"] == [1.0, 10.0]
+    assert doubled["gaps"] == pytest.approx(ref["gaps"], rel=1e-12)
+    assert doubled["gaps"][0] == pytest.approx(5.078181463183094, rel=1e-12)
+    assert plain["gaps"][0] == pytest.approx(4.8373344408816, rel=1e-12)
+
+
 def test_gap_rejects_bad_grid(tmp_path, qubit_spec, capsys):
     assert main(["gap", "--spec", qubit_spec, "--out", str(tmp_path),
                  "--alpha-grid", "3,2"]) == 2

@@ -247,6 +247,43 @@ def test_structure_takes_one_norm_of_the_generator(monkeypatch):
     assert max(shape[-1] for shapes in solves.values() for shape in shapes) < 63
 
 
+def _driven_qubit():
+    # H = X does not commute with the steady state of the damped qubit
+    st = QuantumState(np.array([[5.0, 2.0j], [-2.0j, 4.0]]) / 9.0)
+    return build_gksl(PAULI_X, [(1.0, np.array([[0.0, 1.0], [0.0, 0.0]]))]), st
+
+
+@pytest.mark.parametrize("model,builds", [
+    # (jumps, N^2) per unit-matrix assembly, each changed to the frame once:
+    # that of L^D gives M_D, and in the joint frame M = M_D + M_H needs no
+    # frame change of its own
+    ("tfim3", [(3, 64)]),
+    # otherwise the coherent term is assembled once, for M_H and for G
+    ("driven-qubit", [(1, 4), (0, 4)]),
+], ids=["tfim3", "driven-qubit"])
+def test_structure_takes_one_frame_change_per_part(monkeypatch, model, builds):
+    if model == "tfim3":
+        m = tfim(3, 0.75, 1.25)
+        L, st = m.lind, m.state
+    else:
+        L, st = _driven_qubit()
+    superop, unit_matrix = KmsFrame.superop, Lindbladian.unit_matrix
+    frames, units = [], []
+    monkeypatch.setattr(KmsFrame, "superop",
+                        lambda self, G: frames.append(G.shape[0]) or superop(self, G))
+    monkeypatch.setattr(Lindbladian, "unit_matrix",
+                        lambda self, *a: units.append((len(self.jumps), self.dim ** 2))
+                        or unit_matrix(self, *a))
+    an = Analysis(L, st)
+    rep = structure_report(an)
+    assert units == builds
+    assert frames == [size for _, size in builds]
+    assert rep.primitive
+    # in the joint frame M takes the rotation entries on a copy of M_D, and
+    # structure builds no dense M_H
+    assert ("M_H" in an.__dict__) == (an.energies is None)
+
+
 def test_structure_coercive_classification():
     # jumps spanning enough directions leave no kernel beyond the identity
     st = QuantumState.maximally_mixed(2)

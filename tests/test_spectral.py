@@ -19,7 +19,6 @@ from lindgap import (
     haar_avg_gibbs,
     hypercube_graph,
     hypoco_index,
-    lambda_nu_table,
     large_alpha_limit,
     single_jump_model,
     singular_relaxation_check,
@@ -132,34 +131,37 @@ def test_bohr_zero_hamiltonian_single_block():
     assert blocks[0].dim == 8
 
 
-def test_bohr_qubit_x_zero_block_is_span_x():
-    an = Analysis(build_gksl(PAULI_X, []), MIXED2)
+def _assert_matches_reference(an, L, st):
     blocks = bohr_decompose(an)
-    zero = [b for b in blocks if b.frequency == 0.0]
-    assert len(zero) == 1 and zero[0].dim == 1
-    cx = an.frame.coords(PAULI_X)[1:]
-    cx = cx / np.linalg.norm(cx)
-    overlap = np.abs(zero[0].basis.conj().T @ cx)[0]
-    assert overlap == pytest.approx(1.0, abs=1e-10)
+    ours = [(b.frequency, b.dim, b.lambda_nu) for b in blocks]
+    assert ours == sorted(ours)
+    ref = sorted(bohr_table_by_eigh(L, st))
+    assert [d for _, d, _ in ours] == [d for _, d, _ in ref]
+    hnorm = max(np.linalg.norm(an.H, 2), 1.0)
+    for (f, _, lam), (f_ref, _, lam_ref) in zip(ours, ref):
+        assert abs(f - f_ref) <= 1e-12 * hnorm
+        assert lam == pytest.approx(lam_ref, rel=1e-10, abs=1e-12)
+    return blocks
+
+
+def test_bohr_qubit_x_zero_block_is_span_x():
+    # sigma is uniform, so the frame turns to the eigenbasis of X: its zero
+    # block is the span of X alone, its +-2 blocks those of the other units
+    L = build_gksl(PAULI_X, [])
+    blocks = _assert_matches_reference(Analysis(L, MIXED2), L, MIXED2)
+    assert [b.frequency for b in blocks] == pytest.approx([-2.0, 0.0, 2.0], abs=1e-12)
+    assert [b.dim for b in blocks] == [1, 1, 1]
 
 
 def test_bohr_blocks_partition_and_commute():
     rng = np.random.default_rng(37)
     st = QuantumState(np.diag([0.4, 0.3, 0.2, 0.1]))
     H = np.diag(rng.standard_normal(4))
-    an = Analysis(build_gksl(H, []), st)
-    fr = an.frame
-    blocks = bohr_decompose(an)
-    assert sum(b.dim for b in blocks) == 15
-    for b in blocks:
-        for k in range(b.dim):
-            X = fr.from_coords(np.concatenate([[0.0], b.basis[:, k]]))
-            resid = H @ X - X @ H - b.frequency * X
-            assert np.abs(resid).max() < 1e-8
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            ov = blocks[i].basis.conj().T @ blocks[j].basis
-            assert np.abs(ov).max() < 1e-10
+    L = build_gksl(H, [])
+    blocks = _assert_matches_reference(Analysis(L, st), L, st)
+    # distinct random energies: the 3 traceless diagonals at 0, each of the
+    # 12 units |a><b| alone at E_a - E_b
+    assert [b.dim for b in blocks] == [1] * 6 + [3] + [1] * 6
 
 
 def test_bohr_rejects_noncommuting_hamiltonian():
@@ -169,12 +171,12 @@ def test_bohr_rejects_noncommuting_hamiltonian():
 
 
 # ---------------------------------------------------------------------------
-# lambda_nu_table and the strong-coupling limit
+# lambda_nu per block and the strong-coupling limit
 
 
 def test_lambda_table_qubit():
     an = split_form(PAULI_X, pauli_dissipator(0, 0, 2.0), MIXED2)
-    blocks = lambda_nu_table(an, bohr_decompose(an))
+    blocks = bohr_decompose(an)
     table = {round(b.frequency, 6): b.lambda_nu for b in blocks}
     assert table[0.0] == pytest.approx(4.0, abs=1e-10)
     assert table[2.0] == pytest.approx(2.0, abs=1e-10)
@@ -187,7 +189,7 @@ def test_lambda_table_single_block_is_gap():
     m = graph_lindblad(spec, st)
     an = Analysis(m.lind, st)
     g = spectral_gap(an).spectral_gap
-    blocks = lambda_nu_table(an, bohr_decompose(an))
+    blocks = bohr_decompose(an)
     assert len(blocks) == 1
     assert blocks[0].lambda_nu == pytest.approx(g, rel=1e-10)
 
@@ -195,11 +197,11 @@ def test_lambda_table_single_block_is_gap():
 def test_lambda_positive_iff_primitive():
     LD = pauli_dissipator(0, 0, 1.0)
     an = split_form(PAULI_X, LD, MIXED2)
-    primitive_blocks = lambda_nu_table(an, bohr_decompose(an))
+    primitive_blocks = bohr_decompose(an)
     assert min(b.lambda_nu for b in primitive_blocks) > 0
     assert structure_report(an).primitive
     an = split_form(PAULI_Z, LD, MIXED2)
-    degenerate_blocks = lambda_nu_table(an, bohr_decompose(an))
+    degenerate_blocks = bohr_decompose(an)
     assert min(b.lambda_nu for b in degenerate_blocks) == pytest.approx(0.0,
                                                                         abs=1e-12)
     assert not structure_report(an).primitive
@@ -213,6 +215,50 @@ def test_large_alpha_limit_qubit():
     assert abs(curve.gaps[-1] - 2.0) < 0.05
     assert curve.limit == pytest.approx(2.0, abs=1e-10)
     assert curve.final_deviation == pytest.approx(abs(curve.gaps[-1] - 2.0))
+
+
+def _shifted_analysis(c):
+    # sigma = 1/4 and two random Hermitian jumps; the Bohr frequencies of H
+    # are +-0.97, +-1, +-1.03, +-2, +-2.03, +-3 and 0
+    rng = np.random.default_rng(0)
+    jumps = []
+    for _ in range(2):
+        B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        jumps.append((1.0, (B + B.conj().T) / 2))
+    H = np.diag([0.0, 1.0, 2.03, 3.0]) + c * np.eye(4)
+    return Analysis(build_gksl(H, jumps), QuantumState.maximally_mixed(4))
+
+
+def test_bohr_blocks_ignore_a_shift_of_h():
+    # i[H + c, .] = i[H, .]: frequencies merge on the scale of the largest
+    # Bohr frequency; one of max|E| = 1e6 would merge 0.97, 1 and 1.03
+    an = _shifted_analysis(1e6)
+    base, shifted = bohr_decompose(_shifted_analysis(0.0)), bohr_decompose(an)
+    assert len(base) == 13
+    assert [b.dim for b in shifted] == [b.dim for b in base]
+    assert [b.frequency for b in shifted] == pytest.approx(
+        [b.frequency for b in base], abs=1e-8)
+    limit = large_alpha_limit(an)
+    assert limit == pytest.approx(min(b.lambda_nu for b in base), rel=1e-12)
+    assert limit == pytest.approx(3.3570133752, rel=1e-10)
+    assert gap_curve(an, [1e4]).gaps[0] == pytest.approx(limit, abs=1e-6)
+
+
+def test_bohr_blocks_of_a_multiple_of_the_identity():
+    # H = c I commutes with every sigma; in a joint basis off sigma's own axes
+    # its energies differ from c by rounding of order eps * c, and every
+    # frequency is 0: one block
+    m = haar_avg_gibbs([0.0, 1.0, 2.0, 3.5], 1.0)
+    rng = np.random.default_rng(3)
+    Q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    st = QuantumState(Q @ m.state.matrix @ Q.conj().T)
+    jumps = [(w, Q @ J @ Q.conj().T) for w, J in m.lind.jumps]
+    ref = large_alpha_limit(Analysis(build_gksl(np.zeros((4, 4)), jumps), st))
+    an = Analysis(build_gksl(1e6 * np.eye(4), jumps), st)
+    assert np.ptp(an.energies) > 0
+    blocks = bohr_decompose(an)
+    assert [(b.frequency, b.dim) for b in blocks] == [(0.0, 15)]
+    assert blocks[0].lambda_nu == pytest.approx(ref, rel=1e-12)
 
 
 def _tfim_analysis(n):
@@ -245,12 +291,11 @@ MIRRORED = {
 
 
 @pytest.mark.parametrize("model", sorted(MIRRORED))
-def test_large_alpha_limit_needs_half_the_blocks(model):
-    # bohr_decompose mirrors its blocks: block k and block -1-k hold the same
-    # pairs at opposite frequencies and have the same energy, so the limit
-    # solves the blocks up to frequency 0 only
+def test_bohr_blocks_are_mirror_symmetric(model):
+    # block k and block -1-k hold the same pairs at opposite frequencies, and
+    # their compressions of the real -M_D are complex conjugates: same energy
     an = MIRRORED[model]()
-    blocks = lambda_nu_table(an, bohr_decompose(an))
+    blocks = bohr_decompose(an)
     freqs = np.array([b.frequency for b in blocks])
     lams = np.array([b.lambda_nu for b in blocks])
     assert len(blocks) % 2 == 1 and freqs[len(blocks) // 2] == 0.0
@@ -384,12 +429,17 @@ def _commuting_family(name):
         return _graph_with_h([0.4, 0.3, 0.2, 0.1], np.diag([0.5, -1.0, 0.25, 2.0]))
     if name == "graph+H-degenerate":
         return _graph_with_h([0.4, 0.2, 0.2, 0.2], _degenerate_mixing_h())
+    if name == "ladder+complex-jumps":
+        # equally spaced levels put several units in each block, and complex
+        # jumps couple their s and t coordinates
+        jumps = [(1.0, _random_hermitian(4, seed)) for seed in (11, 12)]
+        return build_gksl(np.diag([0.0, 1.0, 2.0, 3.0]), jumps), QuantumState.maximally_mixed(4)
     raise KeyError(name)
 
 
-COMMUTING = ["tfim2", "tfim3", "walk-cycle", "walk-hypercube", "birth_death",
+COMMUTING = ["tfim2", "tfim3", "tfim4", "walk-cycle", "walk-hypercube", "birth_death",
              "haar_gibbs", "graph+H-uniform", "graph+H-nonuniform",
-             "graph+H-degenerate"]
+             "graph+H-degenerate", "ladder+complex-jumps"]
 
 
 @pytest.mark.parametrize("name", COMMUTING)
@@ -397,14 +447,7 @@ def test_bohr_blocks_match_the_complex_eigensolve(name):
     L, st = _commuting_family(name)
     an = Analysis(L, st)
     assert an.energies is not None
-    blocks = lambda_nu_table(an, bohr_decompose(an))
-    ours = sorted((b.frequency, b.dim, b.lambda_nu) for b in blocks)
-    ref = sorted(bohr_table_by_eigh(L, st))
-    assert [d for _, d, _ in ours] == [d for _, d, _ in ref]
-    hnorm = max(np.linalg.norm(an.H, 2), 1.0)
-    for (f, _, lam), (f_ref, _, lam_ref) in zip(ours, ref):
-        assert abs(f - f_ref) <= 1e-12 * hnorm
-        assert lam == pytest.approx(lam_ref, rel=1e-10, abs=1e-12)
+    _assert_matches_reference(an, L, st)
 
 
 @pytest.mark.parametrize("name", COMMUTING)
@@ -468,7 +511,7 @@ def _dense_attaining(M, lam):
     return eigs[-eigs.real < lam + 1e-9 * scale]
 
 
-@pytest.mark.parametrize("name", SECTORED + ["tfim4"])
+@pytest.mark.parametrize("name", SECTORED)
 def test_sector_solves_match_the_dense_solves(name):
     L, st = _sectored(name)
     an = Analysis(L, st)
@@ -494,7 +537,7 @@ def test_sector_solves_match_the_dense_solves(name):
         assert sg == pytest.approx(np.linalg.svd(Ma, compute_uv=False)[-1], **close)
 
 
-@pytest.mark.parametrize("name", SECTORED + ["tfim4"])
+@pytest.mark.parametrize("name", SECTORED)
 def test_sectors_split_with_a_wide_threshold_margin(name):
     L, st = _sectored(name)
     an = Analysis(L, st)
