@@ -39,7 +39,6 @@ from .certify import (
     structural_constants,
     check_assumption,
     c_constants,
-    c_constants_trivial_kernel,
     certify,
     certify_coercive,
     rate_from_constants,
@@ -74,6 +73,6 @@ from .evolve import (
     semigroup_norm_curve,
     stp_verify,
 )
-from .modelspec import ModelBundle, SpecError, Tolerances, build_model, load_spec
+from .modelspec import ModelBundle, SpecError, build_model, load_spec
 
 __all__ = [name for name in dir() if not name.startswith("_")]

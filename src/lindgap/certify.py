@@ -16,7 +16,7 @@ locates the best T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,14 +32,6 @@ class StructuralConstants:
     s_H: float
     norm_LD: float
     norm_LH_plus: float
-
-    def as_dict(self) -> dict:
-        return {
-            "lambda_D": self.lambda_D,
-            "s_H": self.s_H,
-            "norm_LD": self.norm_LD,
-            "norm_LH_plus": self.norm_LH_plus,
-        }
 
 
 @dataclass
@@ -64,7 +56,7 @@ class RateCertificate:
             "C2": self.C2,
             "nu": self.nu,
             "C_T": self.prefactor,
-            "constants": self.constants.as_dict(),
+            "constants": asdict(self.constants),
             "assumption_ok": self.assumption_ok,
             "assumption_defect": self.assumption_defect,
         }
@@ -170,6 +162,11 @@ def c_constants(sc: StructuralConstants, T: float,
          + sqrt2 * max{6/(s_H^2 T) + 3/s_H, T/pi} * ||L^H Pi_+||
     C2 = sqrt2 * sqrt(beta + ||L^D||)
          * (max{6/(s_H^2 T) + 3/s_H, T/pi} + max{1/s_H, T/pi})
+
+    s_H = inf gives the constants for a trivial dissipator kernel: with
+    nothing to couple out of, every 1/s_H term drops and only the
+    time-Poincare branch T/pi survives.  C1 >= 1 still covers the state
+    variance and C2 >= sqrt(beta) T/pi the time variance of the mean.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -181,29 +178,6 @@ def c_constants(sc: StructuralConstants, T: float,
     C1 = (math.sqrt(2.0) + 14.0 + 12.0 * math.sqrt(5.0) / (sH * T)
           + 24.0 / (sH * T) ** 2 + math.sqrt(2.0) * m1 * sc.norm_LH_plus)
     C2 = math.sqrt(2.0) * math.sqrt(beta + sc.norm_LD) * (m1 + m2)
-    return float(C1), float(C2)
-
-
-def c_constants_trivial_kernel(norm_LD: float, norm_LH: float, T: float,
-                               beta: float = 0.0) -> tuple[float, float]:
-    """Certificate constants when the dissipator kernel is trivial.
-
-    With nothing to couple out of, every 1/s_H term drops (the coupling is
-    vacuously infinite) and only the time-Poincare branch T/pi survives:
-
-        C1 = sqrt2 + 14 + sqrt2 * (T/pi) * ||L^H||
-        C2 = 2 sqrt2 * sqrt(beta + ||L^D||) * T/pi
-
-    C1 >= 1 covers the state variance directly and C2 >= sqrt(beta) T/pi
-    covers the time variance of the mean, so the bound stays valid.
-    """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    g = T / math.pi
-    C1 = math.sqrt(2.0) + 14.0 + math.sqrt(2.0) * g * norm_LH
-    C2 = 2.0 * math.sqrt(2.0) * math.sqrt(beta + norm_LD) * g
     return float(C1), float(C2)
 
 
@@ -228,8 +202,8 @@ def certify(an: Analysis, T: float | None = None) -> RateCertificate:
     """
     if an.split.dim0 == 0:
         raise ValueError(
-            "dissipator kernel is trivial (coercive model); "
-            "this certificate route does not apply")
+            "dissipator kernel is trivial (coercive model): the spectral gap "
+            "itself is the rate; use certify_coercive")
     ok, defect = check_assumption(an)
     if not ok:
         raise ValueError(

@@ -16,23 +16,16 @@ import numpy as np
 
 from . import __version__
 from .certify import certify, certify_coercive
-from .evolve import _random_mean_zero, semigroup_norm_curve, stp_verify, \
-    time_avg_check
-from .lindblad import Analysis, structure_report
-from .modelspec import ModelBundle, SpecError, Tolerances, build_model, load_spec
+from .evolve import CERT_SLACK, _random_mean_zero, semigroup_norm_curve, \
+    stp_verify, time_avg_check
+from .lindblad import DB_DEFECT_TOL, Analysis, structure_report
+from .modelspec import ModelBundle, SpecError, build_model, load_spec
 from .spectral import gap_curve, singular_relaxation_check, spectral_gap
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-_DEFAULTS = Tolerances()
-_ENV_HELP = f"""\
-environment overrides:
-  LINDGAP_CERT_SLACK     multiplicative slack for certificate checks (default {_DEFAULTS.cert_slack:g})
-  LINDGAP_DB_TOL         detailed-balance defect flag threshold (default {_DEFAULTS.db_tol:g})
-"""
 
 
 def _sanitize(obj):
@@ -74,11 +67,11 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _envelope(command: str, bundle: ModelBundle, seed: int,
-              tols: Tolerances, report: dict) -> dict:
+def _envelope(command: str, bundle: ModelBundle, seed: int, report: dict) -> dict:
     return {"tool": "lindgap", "version": __version__, "command": command,
             "model": bundle.name, "model_hash": bundle.hash, "seed": seed,
-            "tolerances": tols.as_dict(), "report": report}
+            "tolerances": {"cert_slack": CERT_SLACK, "db_tol": DB_DEFECT_TOL},
+            "report": report}
 
 
 def _require_positive(value: float | None, flag: str) -> None:
@@ -101,45 +94,39 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
-def _cmd_structure(args, bundle: ModelBundle, tols: Tolerances) -> int:
-    report = structure_report(Analysis(bundle.lind, bundle.state), db_tol=tols.db_tol)
-    payload = _envelope("structure", bundle, args.seed, tols, report.as_dict())
+def _cmd_structure(args, bundle: ModelBundle) -> int:
+    report = structure_report(Analysis(bundle.lind, bundle.state))
+    payload = _envelope("structure", bundle, args.seed, report.as_dict())
     _write_json(os.path.join(args.out, "structure.json"), payload)
     return EXIT_OK
 
 
-def _cmd_gap(args, bundle: ModelBundle, tols: Tolerances) -> int:
+def _cmd_gap(args, bundle: ModelBundle) -> int:
     alphas = _parse_grid(args.alpha_grid)
     curve = gap_curve(Analysis(bundle.lind, bundle.state), alphas)
     report = {"alphas": curve.alphas, "gaps": curve.gaps,
               "singular_gaps": curve.singular_gaps, "limit": curve.limit,
               "final_deviation": curve.final_deviation}
-    if args.format in ("json", "both"):
-        _write_json(os.path.join(args.out, "gap.json"),
-                    _envelope("gap", bundle, args.seed, tols, report))
-    if args.format in ("csv", "both"):
-        rows = [(a, g, curve.limit, s) for a, g, s in
-                zip(curve.alphas, curve.gaps, curve.singular_gaps)]
-        _write_csv(os.path.join(args.out, "gap.csv"),
-                   ["alpha", "gap", "limit", "singular_gap"], rows)
+    _write_json(os.path.join(args.out, "gap.json"),
+                _envelope("gap", bundle, args.seed, report))
+    rows = [(a, g, curve.limit, s) for a, g, s in
+            zip(curve.alphas, curve.gaps, curve.singular_gaps)]
+    _write_csv(os.path.join(args.out, "gap.csv"),
+               ["alpha", "gap", "limit", "singular_gap"], rows)
     return EXIT_OK
 
 
 def _certificate_report(an: Analysis, T: float | None) -> dict:
-    if an.split.dim0 == 0:
-        raise SpecError("model", "coercive model: ker(L^D|h) is trivial, so "
-                        "the hypocoercive assumption fails; the spectral gap "
-                        "itself is the rate (certify_coercive in the library)")
     report = certify(an, T=T).as_dict()
     ok, lhs, s = singular_relaxation_check(an, report["nu"], report["T"])
     report["singular_check"] = {"ok": ok, "lhs": lhs, "singular_gap": s}
     return report
 
 
-def _cmd_certify(args, bundle: ModelBundle, tols: Tolerances) -> int:
+def _cmd_certify(args, bundle: ModelBundle) -> int:
     _require_positive(args.T, "--T")
     report = _certificate_report(Analysis(bundle.lind, bundle.state), args.T)
-    payload = _envelope("certify", bundle, args.seed, tols, report)
+    payload = _envelope("certify", bundle, args.seed, report)
     _write_json(os.path.join(args.out, "certificate.json"), payload)
     return EXIT_OK
 
@@ -167,7 +154,7 @@ def _load_certificate(path: str) -> tuple[float, float, float, float, str | None
     return nu, T, C_T, beta, model_hash
 
 
-def _cmd_validate(args, bundle: ModelBundle, tols: Tolerances) -> int:
+def _cmd_validate(args, bundle: ModelBundle) -> int:
     # t = 0 alone is no test: its window ratio is exactly 1
     if args.samples < 2:
         raise SpecError("--samples", "need at least 2 sampled times")
@@ -189,14 +176,14 @@ def _cmd_validate(args, bundle: ModelBundle, tols: Tolerances) -> int:
     X0 = _random_mean_zero(rng, bundle.state)
     t_max = args.t_max if args.t_max is not None else 4.0 / nu
     ts = np.linspace(0.0, t_max, args.samples)
-    report = time_avg_check(an, X0, T, nu, ts, C_T, slack=tols.cert_slack)
+    report = time_avg_check(an, X0, T, nu, ts, C_T)
     ok, lhs, s = singular_relaxation_check(an, nu, T)
     # The rate fit needs times on the scale of the true decay, which can be
     # orders of magnitude faster than the certified rate.
     gap = spectral_gap(an).spectral_gap
     t_fit = min(t_max, 12.0 / gap) if gap > 0 else t_max
     norm_curve = semigroup_norm_curve(an, np.linspace(t_fit / 30.0, t_fit, 30))
-    payload = _envelope("validate", bundle, args.seed, tols, {
+    payload = _envelope("validate", bundle, args.seed, {
         "time_avg": report.as_dict(),
         "singular_check": {"ok": ok, "lhs": lhs, "singular_gap": s},
         "consistency": {"ok": consistent, "nu_expected": expected["nu"],
@@ -224,15 +211,14 @@ def _default_window(an: Analysis) -> float:
     return 3.0 / an.constants.s_H
 
 
-def _cmd_stp(args, bundle: ModelBundle, tols: Tolerances) -> int:
+def _cmd_stp(args, bundle: ModelBundle) -> int:
     _require_positive(args.beta, "--beta")
     _require_positive(args.T, "--T")
     an = Analysis(bundle.lind, bundle.state)
     T = args.T if args.T is not None else _default_window(an)
     report = stp_verify(an, T, args.beta, n_samples=args.samples,
-                        poly_degree=args.poly_degree, seed=args.seed,
-                        slack=tols.cert_slack)
-    payload = _envelope("stp", bundle, args.seed, tols, report.as_dict())
+                        poly_degree=args.poly_degree, seed=args.seed)
+    payload = _envelope("stp", bundle, args.seed, report.as_dict())
     _write_json(os.path.join(args.out, "stp.json"), payload)
     if not report.passed:
         return EXIT_VALIDATION
@@ -243,9 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lindgap",
         description="Mixing diagnostics and convergence certificates for "
-                    "Lindblad generators.",
-        epilog=_ENV_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
+                    "Lindblad generators.")
     parser.add_argument("--version", action="version",
                         version=f"lindgap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -266,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-grid", default="1,10,100,1000",
                    help="comma-separated increasing coupling values, each a "
                         "multiple of the model's own alpha")
-    p.add_argument("--format", choices=("json", "csv", "both"), default="both")
     p.set_defaults(handler=_cmd_gap)
 
     p = sub.add_parser("certify", help="emit a decay-rate certificate")
@@ -303,11 +286,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        tols = Tolerances.from_env()
         spec = load_spec(args.spec)
         bundle = build_model(spec)
         os.makedirs(args.out, exist_ok=True)
-        return args.handler(args, bundle, tols)
+        return args.handler(args, bundle)
     except SpecError as exc:
         print(f"lindgap: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

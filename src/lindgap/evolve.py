@@ -16,11 +16,11 @@ polynomials in t, integrated by Gauss-Legendre on enough nodes to be exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .certify import c_constants, c_constants_trivial_kernel, check_assumption
+from .certify import StructuralConstants, c_constants, check_assumption
 from .lindblad import Analysis, real_norm2, sector_blocks
 from .operators import Matrix, QuantumState, as_square_matrix, dag
 
@@ -95,11 +95,9 @@ class TimeAvgReport:
     pointwise_values: np.ndarray = field(repr=False, default=None)
 
     def as_dict(self) -> dict:
-        return {"passed": bool(self.passed), "window_ok": bool(self.window_ok),
-                "pointwise_ok": bool(self.pointwise_ok),
-                "worst_window_ratio": self.worst_window_ratio,
-                "worst_pointwise_ratio": self.worst_pointwise_ratio,
-                "nu": self.nu, "T": self.T, "prefactor": self.prefactor}
+        """Every field but the three curves."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("times", "window_values", "pointwise_values")}
 
 
 CERT_SLACK = 1e-6
@@ -153,8 +151,8 @@ def time_avg_check(an: Analysis, X0, T: float, nu: float, t_samples,
                 worst_p = max(worst_p, points[i] / denom)
             elif points[i] > 1e-12 * norm0:
                 worst_p = math.inf
-    window_ok = worst_w <= 1.0 + slack
-    pointwise_ok = worst_p <= 1.0 + slack
+    window_ok = bool(worst_w <= 1.0 + slack)
+    pointwise_ok = bool(worst_p <= 1.0 + slack)
     return TimeAvgReport(passed=window_ok and pointwise_ok,
                          window_ok=window_ok, pointwise_ok=pointwise_ok,
                          worst_window_ratio=float(worst_w),
@@ -228,11 +226,7 @@ class StpReport:
     trivial_kernel: bool
 
     def as_dict(self) -> dict:
-        return {"passed": bool(self.passed), "worst_ratio": self.worst_ratio,
-                "n_samples": self.n_samples, "poly_degree": self.poly_degree,
-                "T": self.T, "beta": self.beta, "seed": self.seed,
-                "C1": self.C1, "C2": self.C2,
-                "trivial_kernel": bool(self.trivial_kernel)}
+        return asdict(self)
 
 
 def _random_mean_zero(rng: np.random.Generator, state: QuantumState,
@@ -281,9 +275,13 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
         raise ValueError("need n_samples >= 1 and poly_degree >= 0")
     split = an.split
     if split.dim0 == 0:
+        # nothing to couple out of: the coupling is vacuously infinite, and
+        # Pi_+ is the identity on the traceless subspace
         norm_LH = max(real_norm2(B) for B in sector_blocks(an.M_Hr, an.sectors))
-        C1, C2 = c_constants_trivial_kernel(float(np.abs(split.rates).max()),
-                                            norm_LH, T, beta)
+        sc = StructuralConstants(lambda_D=float(split.rates[0]), s_H=math.inf,
+                                 norm_LD=float(np.abs(split.rates).max()),
+                                 norm_LH_plus=norm_LH)
+        C1, C2 = c_constants(sc, T, beta)
         trivial = True
     else:
         ok, defect = check_assumption(an)

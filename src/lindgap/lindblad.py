@@ -488,7 +488,7 @@ def _kernel_counts(an: Analysis) -> tuple[int, float, int]:
     return cdim, kms_defect, kdim
 
 
-def structure_report(an: Analysis, db_tol: float = DB_DEFECT_TOL) -> StructureReport:
+def structure_report(an: Analysis) -> StructureReport:
     """Full detailed-balance / primitivity / kernel diagnostic for a generator."""
     L = an.L
     residual = require_invariant(L, an.state)
@@ -523,11 +523,11 @@ def structure_report(an: Analysis, db_tol: float = DB_DEFECT_TOL) -> StructureRe
     return StructureReport(
         invariant_state_ok=invariant_ok,
         invariance_residual=residual,
-        kms_db=kms_defect < db_tol,
+        kms_db=kms_defect < DB_DEFECT_TOL,
         kms_defect=kms_defect,
-        gns_db=gns_defect < db_tol,
+        gns_db=gns_defect < DB_DEFECT_TOL,
         gns_defect=gns_defect,
-        standard_dbc=dbc_defect < db_tol,
+        standard_dbc=dbc_defect < DB_DEFECT_TOL,
         standard_dbc_defect=dbc_defect,
         standard_dbc_K=K,
         primitive=primitive,

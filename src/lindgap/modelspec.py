@@ -3,22 +3,21 @@
 A spec file is a JSON object with "schema": "lindgap-model/1" and either an
 explicit generator (dim/qubits, hamiltonian, jumps, sigma) or a named model
 with parameters.  Matrix entries are numbers or [re, im] pairs.  Parse
-failures raise SpecError naming the offending field.
+failures raise SpecError naming the offending field; a failed eigensolve
+while a model is built stays a LinAlgError.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import models
-from .evolve import CERT_SLACK
-from .lindblad import DB_DEFECT_TOL, Lindbladian, build_gksl
+from .lindblad import Lindbladian, build_gksl
 from .operators import QuantumState
 
 SCHEMA = "lindgap-model/1"
@@ -116,6 +115,8 @@ def _parse_sigma(obj, field: str, dim: int, H: np.ndarray | None) -> QuantumStat
             basis = parse_matrix(obj["basis"], f"{field}.basis")
         try:
             return QuantumState.from_eigenvalues(vals, basis=basis)
+        except np.linalg.LinAlgError:
+            raise
         except ValueError as exc:
             raise SpecError(field, str(exc)) from exc
     if kind == "gibbs":
@@ -211,6 +212,8 @@ def _graph_from_params(params: dict, prefix: str) -> models.GraphModel:
         spec_obj = models.GraphSpec(n_vertices=n, edges=edges, weights=weights)
         state = QuantumState(np.diag(mu / mu.sum()))
         return models.graph_lindblad(spec_obj, state)
+    except np.linalg.LinAlgError:
+        raise
     except ValueError as exc:
         raise SpecError(prefix, str(exc)) from exc
 
@@ -289,7 +292,7 @@ def _build_named(spec: dict) -> tuple[str, Lindbladian, QuantumState, object]:
             A = parse_matrix(_require(params, "A", "params.A"), "params.A")
             m = models.lift_model(base, A)
             return name, m.lind, m.state, m
-    except SpecError:
+    except (SpecError, np.linalg.LinAlgError):
         raise
     except ValueError as exc:
         raise SpecError("params", str(exc)) from exc
@@ -306,39 +309,3 @@ def build_model(spec: dict) -> ModelBundle:
         name, lind, state, detail = _build_explicit(spec)
     return ModelBundle(name=name, lind=lind, state=state,
                        hash=model_hash(spec), detail=detail)
-
-
-# ---------------------------------------------------------------------------
-# tolerance knobs
-
-
-_ENV_VARS = {
-    "cert_slack": "LINDGAP_CERT_SLACK",
-    "db_tol": "LINDGAP_DB_TOL",
-}
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Certificate slack and detailed-balance flag threshold."""
-
-    cert_slack: float = CERT_SLACK
-    db_tol: float = DB_DEFECT_TOL
-
-    @classmethod
-    def from_env(cls, environ=None) -> "Tolerances":
-        env = os.environ if environ is None else environ
-        values = {}
-        for name, var in _ENV_VARS.items():
-            if var in env:
-                try:
-                    values[name] = float(env[var])
-                except ValueError as exc:
-                    raise SpecError(var, f"expected a float, got {env[var]!r}") \
-                        from exc
-                if not (np.isfinite(values[name]) and values[name] > 0):
-                    raise SpecError(var, "tolerance must be finite and positive")
-        return cls(**values)
-
-    def as_dict(self) -> dict:
-        return {"cert_slack": self.cert_slack, "db_tol": self.db_tol}

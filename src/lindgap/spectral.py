@@ -138,8 +138,12 @@ def gap_curve(an: Analysis, alphas) -> GapCurve:
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("empty coupling grid")
-    try:  # no limit unless [H, sigma] = 0: bohr_decompose raises
+    # no limit unless [H, sigma] = 0 and L^D is KMS-symmetric: each raises a
+    # ValueError; a failed eigensolve is a numerical failure, not a missing limit
+    try:
         limit = large_alpha_limit(an)
+    except np.linalg.LinAlgError:
+        raise
     except ValueError:
         limit = None
     gaps, sgaps = [], []

@@ -13,7 +13,6 @@ from lindgap import (
     alpha_gamma_scaling,
     build_gksl,
     c_constants,
-    c_constants_trivial_kernel,
     certify,
     certify_coercive,
     check_assumption,
@@ -276,7 +275,9 @@ def test_c_constants_reject_bad_window():
 
 
 def test_trivial_kernel_constants():
-    C1, C2 = c_constants_trivial_kernel(2.0, 3.0, math.pi, beta=2.0)
+    # the trivial-kernel constants are the s_H -> inf limit
+    sc = StructuralConstants(lambda_D=1.0, s_H=math.inf, norm_LD=2.0, norm_LH_plus=3.0)
+    C1, C2 = c_constants(sc, math.pi, beta=2.0)
     assert C1 == pytest.approx(math.sqrt(2) + 14 + 3 * math.sqrt(2), abs=1e-12)
     assert C2 == pytest.approx(2 * math.sqrt(2) * 2.0, abs=1e-12)
 

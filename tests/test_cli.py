@@ -2,7 +2,6 @@
 
 import json
 import os
-import re
 import subprocess
 import sys
 from collections import Counter
@@ -13,8 +12,10 @@ import numpy as np
 import pytest
 
 from lindgap import Analysis, KmsFrame, Lindbladian
-from lindgap.cli import build_parser, main
-from lindgap.modelspec import _ENV_VARS, Tolerances, build_model, load_spec
+from lindgap.cli import main
+from lindgap.evolve import CERT_SLACK
+from lindgap.lindblad import DB_DEFECT_TOL
+from lindgap.modelspec import build_model, load_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -125,14 +126,6 @@ def test_gap_without_limit_leaves_limit_empty(tmp_path):
     assert rows[0] == ["alpha", "gap", "limit", "singular_gap"]
     assert len(rows) == 5
     assert all(row[2] == "" for row in rows[1:])
-
-
-def test_gap_csv_only(tmp_path, qubit_spec):
-    out = tmp_path / "csvout"
-    assert main(["gap", "--spec", qubit_spec, "--out", str(out),
-                 "--format", "csv", "--alpha-grid", "1,10"]) == 0
-    assert (out / "gap.csv").exists()
-    assert not (out / "gap.json").exists()
 
 
 def test_gap_grid_multiplies_the_spec_alpha(tmp_path):
@@ -616,66 +609,39 @@ def test_explicit_spec_validation(tmp_path, capsys):
     assert "maximally_mixed/eigenvalues/gibbs" in capsys.readouterr().err
 
 
-def test_linalg_failure_exits_numerical(tmp_path, qubit_spec, monkeypatch, capsys):
+def test_linalg_failure_exits_numerical(tmp_path, monkeypatch, capsys):
+    # a failed eigensolve exits 3 wherever it happens: in the gap's eigvals,
+    # inside the strong-coupling limit (eigvalsh on tfim), or while the
+    # model is built (eigvalsh of the single-jump model)
     def fail(*_a, **_k):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvals", fail)
-    assert main(["gap", "--spec", qubit_spec, "--out", str(tmp_path)]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    qubit = write_spec(tmp_path / "qubit.json", QUBIT_NAMED)
+    tfim3 = write_spec(tmp_path / "tfim3.json", TFIM3)
+    for spec, routine in ((qubit, "eigvals"), (tfim3, "eigvalsh"), (qubit, "eigvalsh")):
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, routine, fail)
+            assert main(["gap", "--spec", spec, "--out", str(tmp_path)]) == 3, \
+                (spec, routine)
+        assert "numerical failure" in capsys.readouterr().err
 
 
-def test_env_override_recorded(tmp_path, qubit_spec, monkeypatch):
-    monkeypatch.setenv("LINDGAP_CERT_SLACK", "1e-3")
-    out = tmp_path / "env"
+def test_reports_record_the_applied_tolerances(tmp_path, qubit_spec, monkeypatch):
+    # the gates read the module constants, so a tolerance variable left in
+    # the environment changes no byte of a report
     cert = emit_certificate(tmp_path, qubit_spec)
-    assert main(["validate", "--spec", qubit_spec, "--out", str(out),
-                 "--certificate", str(cert)]) == 0
-    doc = read_json(out / "validate.json")
-    assert doc["tolerances"]["cert_slack"] == 1e-3
-
-
-def test_env_override_rejects_garbage(tmp_path, qubit_spec, monkeypatch, capsys):
-    monkeypatch.setenv("LINDGAP_CERT_SLACK", "abc")
-    assert main(["structure", "--spec", qubit_spec,
-                 "--out", str(tmp_path)]) == 2
-    assert "LINDGAP_CERT_SLACK" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("var, value", [("LINDGAP_CERT_SLACK", "nan"),
-                                        ("LINDGAP_CERT_SLACK", "inf"),
-                                        ("LINDGAP_DB_TOL", "nan")])
-def test_env_override_rejects_non_finite(tmp_path, qubit_spec, monkeypatch, capsys,
-                                         var, value):
-    monkeypatch.setenv(var, value)
-    assert main(["stp", "--spec", qubit_spec, "--out", str(tmp_path)]) == 2
-    assert f"input error: {var}:" in capsys.readouterr().err
-    assert not (tmp_path / "stp.json").exists()
-
-
-def test_env_overrides_are_one_list():
-    assert set(Tolerances().as_dict()) == set(_ENV_VARS)
-    for name, var in _ENV_VARS.items():
-        assert Tolerances.from_env({var: "0.25"}).as_dict()[name] == 0.25
-    documented = set(re.findall(r"LINDGAP_\w+", build_parser().epilog))
-    assert documented == set(_ENV_VARS.values())
-    section = README.read_text(encoding="utf-8") \
-        .split("### Environment overrides", 1)[1].split("\n#", 1)[0]
-    table = [line for line in section.splitlines() if line.startswith("|")]
-    assert set(re.findall(r"`(LINDGAP_\w+)`", "\n".join(table))) \
-        == set(_ENV_VARS.values())
-
-
-def test_epilog_shows_the_recorded_default_tolerances(tmp_path, qubit_spec, monkeypatch):
-    for var in _ENV_VARS.values():
-        monkeypatch.delenv(var, raising=False)
-    assert main(["structure", "--spec", qubit_spec, "--out", str(tmp_path)]) == 0
-    recorded = read_json(tmp_path / "structure.json")["tolerances"]
-    assert recorded == Tolerances().as_dict()
-    epilog = build_parser().epilog
-    for name, var in _ENV_VARS.items():
-        shown = re.search(rf"{var}\s.*\(default ([^)]*)\)", epilog).group(1)
-        assert float(shown) == recorded[name]
+    applied = {"cert_slack": CERT_SLACK, "db_tol": DB_DEFECT_TOL}
+    for command in ("structure", "gap", "certify", "validate", "stp"):
+        out = tmp_path / command
+        extra = ["--certificate", str(cert)] if command == "validate" else []
+        assert main([command, "--spec", qubit_spec, "--out", str(out)] + extra) == 0
+        (report,) = out.glob("*.json")
+        assert read_json(report)["tolerances"] == applied
+    monkeypatch.setenv("LINDGAP_DB_TOL", "1e-30")
+    monkeypatch.setenv("LINDGAP_CERT_SLACK", "1e-3")
+    env = tmp_path / "env"
+    assert main(["certify", "--spec", qubit_spec, "--out", str(env)]) == 0
+    assert (env / "certificate.json").read_bytes() == cert.read_bytes()
 
 
 def test_readme_library_example_runs():
@@ -692,4 +658,5 @@ def test_version_and_help(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert "LINDGAP_CERT_SLACK" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert all(c in out for c in ("structure", "gap", "certify", "validate", "stp"))

@@ -293,10 +293,15 @@ def test_stp_is_deterministic_per_seed():
 
 def test_stp_trivial_kernel_route():
     hm = haar_avg_gibbs([0.0, 1.0, 2.5], 1.0)
-    rep = stp_verify(split_form(np.zeros((3, 3)), hm.lind, hm.state), T=0.8, beta=0.5,
-                     n_samples=20, seed=3)
+    an = split_form(np.zeros((3, 3)), hm.lind, hm.state)
+    rep = stp_verify(an, T=0.8, beta=0.5, n_samples=20, seed=3)
     assert rep.trivial_kernel
     assert rep.passed
+    # the s_H -> inf constants; H = 0 drops the ||L^H|| term of C1
+    assert rep.C1 == pytest.approx(math.sqrt(2) + 14, rel=1e-15)
+    norm_LD = np.abs(an.split.rates).max()
+    assert rep.C2 == pytest.approx(2 * math.sqrt(2) * math.sqrt(0.5 + norm_LD) * 0.8 / math.pi,
+                                   rel=1e-12)
 
 
 def test_stp_rejects_kernel_mixing_hamiltonian():

@@ -9,7 +9,6 @@ from lindgap import (
     GraphSpec,
     StructuralConstants,
     c_constants,
-    c_constants_trivial_kernel,
     rate_from_constants,
     simplified_rate,
 )
@@ -60,8 +59,9 @@ def test_regularization_only_weakens_c2(lam, s, nLD, nLH, T, beta):
 @settings(deadline=None, max_examples=200)
 @given(pos, pos, pos, pos)
 def test_trivial_kernel_constants_positive_and_monotone_in_T(lam, nLH, T, beta):
-    C1_a, C2_a = c_constants_trivial_kernel(lam, nLH, T, beta)
-    C1_b, C2_b = c_constants_trivial_kernel(lam, nLH, 2.0 * T, beta)
+    sc = make_sc(lam, math.inf, lam, nLH)
+    C1_a, C2_a = c_constants(sc, T, beta)
+    C1_b, C2_b = c_constants(sc, 2.0 * T, beta)
     assert C1_a > 0 and C2_a > 0
     assert C1_b >= C1_a
     assert C2_b >= C2_a
