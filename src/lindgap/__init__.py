@@ -22,14 +22,12 @@ from .lindblad import (
     SpaceSplit,
 )
 from .spectral import (
-    GapReport,
     spectral_gap,
     gap_from_matrix,
     bohr_decompose,
     large_alpha_limit,
     gap_curve,
     GapCurve,
-    hypoco_index,
     singular_relaxation_check,
 )
 from .certify import (

@@ -26,6 +26,13 @@ ASSUMPTION_DEFECT_FACTOR = 1e-9
 INJECTIVITY_TOL = 1e-10
 
 
+def _require_finite_positive(**values: float) -> None:
+    """Raise a ValueError naming the first value that is not finite and positive."""
+    for name, v in values.items():
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
+
 @dataclass
 class StructuralConstants:
     lambda_D: float
@@ -168,10 +175,9 @@ def c_constants(sc: StructuralConstants, T: float,
     time-Poincare branch T/pi survives.  C1 >= 1 still covers the state
     variance and C2 >= sqrt(beta) T/pi the time variance of the mean.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    _require_finite_positive(T=T)
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
     sH = sc.s_H
     m1 = max(6.0 / (sH**2 * T) + 3.0 / sH, T / math.pi)
     m2 = max(1.0 / sH, T / math.pi)
@@ -210,9 +216,7 @@ def certify(an: Analysis, T: float | None = None) -> RateCertificate:
             f"Hamiltonian mixes the dissipator kernel into itself "
             f"(defect {defect:.3e}); certificate refused")
     sc = an.constants
-    if T is None:
-        T = 3.0 / sc.s_H
-    T = float(T)
+    T = 3.0 / sc.s_H if T is None else float(T)
     C1, C2 = c_constants(sc, T, 0.0)
     nu = sc.lambda_D / (C1**2 + sc.lambda_D * C2**2)
     simplified = None
@@ -224,25 +228,22 @@ def certify(an: Analysis, T: float | None = None) -> RateCertificate:
                            simplified_nu=simplified)
 
 
-def certify_coercive(an: Analysis, T: float | None = None) -> CoerciveCertificate:
+def certify_coercive(an: Analysis) -> CoerciveCertificate:
     """Decay certificate for a KMS-symmetric dissipator with trivial kernel.
 
     nu equals the dissipator's gap on the traceless subspace (its smallest
-    rate); any window length T works, the default keeps nu * T = 1/2.
+    rate); any window length T works, and T = 1/(2 nu) keeps nu * T = 1/2.
     """
     split = an.split
     if split.dim0 > 0:
         raise ValueError("generator has a nontrivial kernel; it is not coercive")
     gap = float(split.rates[0])
-    if T is None:
-        T = 1.0 / (2.0 * gap)
-    T = float(T)
+    T = 1.0 / (2.0 * gap)
     return CoerciveCertificate(nu=gap, T=T, prefactor=float(math.exp(gap * T)))
 
 
-def optimize_T(sc: StructuralConstants, grid=None,
-               golden_iters: int = 40) -> tuple[float, float]:
-    """Best window length: log-grid scan plus golden-section refinement.
+def optimize_T(sc: StructuralConstants, grid=None) -> tuple[float, float]:
+    """Best window length: log-grid scan plus 40 golden-section steps.
 
     The returned rate is never below the T = 3/s_H value.
     """
@@ -261,7 +262,7 @@ def optimize_T(sc: StructuralConstants, grid=None,
     x2 = a + phi * (b - a)
     f1 = rate_from_constants(sc, x1)
     f2 = rate_from_constants(sc, x2)
-    for _ in range(golden_iters):
+    for _ in range(40):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + phi * (b - a)
@@ -289,18 +290,17 @@ class ScalingReport:
     gamma_bounds: list[float]
 
 
-def alpha_gamma_scaling(sc: StructuralConstants, T: float | None = None,
-                        alphas=None, gammas=None) -> ScalingReport:
-    """Rate bounds under coupling rescaling.
+def alpha_gamma_scaling(sc: StructuralConstants) -> ScalingReport:
+    """Rate bounds under coupling rescaling, with the constants at T = 3/s_H.
 
     Scaling the dissipator by gamma gives nu >= gamma lambda_D /
     (C1^2 + gamma^2 lambda_D C2^2), maximized at gamma* = C1/(sqrt(lambda_D) C2).
     Scaling the Hamiltonian by alpha gives nu >= lambda_D /
-    (C1^2 + lambda_D C2^2 / alpha^2), increasing to lambda_D/C1^2.
+    (C1^2 + lambda_D C2^2 / alpha^2), increasing to lambda_D/C1^2.  Both
+    are tabulated on 20 log-spaced points: alpha from 0.1 to 1e4, gamma over
+    two decades either side of gamma*.
     """
-    if T is None:
-        T = 3.0 / sc.s_H
-    C1, C2 = c_constants(sc, T, 0.0)
+    C1, C2 = c_constants(sc, 3.0 / sc.s_H, 0.0)
     lam = sc.lambda_D
     gamma_star = C1 / (math.sqrt(lam) * C2)
 
@@ -310,13 +310,9 @@ def alpha_gamma_scaling(sc: StructuralConstants, T: float | None = None,
     def nu_alpha(a: float) -> float:
         return lam / (C1**2 + lam * C2**2 / a**2)
 
-    if alphas is None:
-        alphas = np.logspace(-1, 4, 20)
-    if gammas is None:
-        gammas = np.logspace(math.log10(gamma_star) - 2,
-                             math.log10(gamma_star) + 2, 20)
-    alphas = [float(a) for a in alphas]
-    gammas = [float(g) for g in gammas]
+    alphas = np.logspace(-1, 4, 20).tolist()
+    gammas = np.logspace(math.log10(gamma_star) - 2,
+                         math.log10(gamma_star) + 2, 20).tolist()
     return ScalingReport(
         gamma_star=float(gamma_star),
         nu_gamma_star=float(nu_gamma(gamma_star)),

@@ -131,7 +131,7 @@ def _cmd_certify(args, bundle: ModelBundle) -> int:
     return EXIT_OK
 
 
-def _load_certificate(path: str) -> tuple[float, float, float, float, str | None]:
+def _load_certificate(path: str) -> tuple[float, float, float, str | None]:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -146,12 +146,11 @@ def _load_certificate(path: str) -> tuple[float, float, float, float, str | None
         nu = float(report["nu"])
         T = float(report["T"])
         C_T = float(report["C_T"])
-        beta = float(report.get("beta", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError("--certificate",
                         "missing or malformed nu/T/C_T fields") from exc
     model_hash = data.get("model_hash") if isinstance(data, dict) else None
-    return nu, T, C_T, beta, model_hash
+    return nu, T, C_T, model_hash
 
 
 def _cmd_validate(args, bundle: ModelBundle) -> int:
@@ -159,7 +158,7 @@ def _cmd_validate(args, bundle: ModelBundle) -> int:
     if args.samples < 2:
         raise SpecError("--samples", "need at least 2 sampled times")
     _require_positive(args.t_max, "--t-max")
-    nu, T, C_T, beta, doc_hash = _load_certificate(args.certificate)
+    nu, T, C_T, doc_hash = _load_certificate(args.certificate)
     if not (np.all(np.isfinite([nu, T, C_T])) and nu > 0 and T > 0 and C_T >= 1.0):
         raise SpecError("--certificate", "need finite nu > 0, T > 0, C_T >= 1")
     if doc_hash is not None and doc_hash != bundle.hash:
@@ -180,7 +179,7 @@ def _cmd_validate(args, bundle: ModelBundle) -> int:
     ok, lhs, s = singular_relaxation_check(an, nu, T)
     # The rate fit needs times on the scale of the true decay, which can be
     # orders of magnitude faster than the certified rate.
-    gap = spectral_gap(an).spectral_gap
+    gap = spectral_gap(an)
     t_fit = min(t_max, 12.0 / gap) if gap > 0 else t_max
     norm_curve = semigroup_norm_curve(an, np.linspace(t_fit / 30.0, t_fit, 30))
     payload = _envelope("validate", bundle, args.seed, {

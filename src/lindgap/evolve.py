@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .certify import StructuralConstants, c_constants, check_assumption
+from .certify import (StructuralConstants, _require_finite_positive, c_constants,
+                      check_assumption)
 from .lindblad import Analysis, real_norm2, sector_blocks
 from .operators import Matrix, QuantumState, as_square_matrix, dag
 
@@ -104,22 +105,23 @@ CERT_SLACK = 1e-6
 
 
 def time_avg_check(an: Analysis, X0, T: float, nu: float, t_samples,
-                   prefactor: float, slack: float = CERT_SLACK) -> TimeAvgReport:
+                   prefactor: float) -> TimeAvgReport:
     """Check a decay certificate (nu, T, C_T) against the exact evolution.
 
     Windowed: avg_{[t,t+T]} ||X_s - <X>||^2  <=  e^{-nu t} * (t=0 window).
     Pointwise: ||X_t - <X>||^2 <= C_T e^{-nu t} ||X_0 - <X>||^2.
-    Both with multiplicative slack; window averages come from the exact
-    window Gramian.  The evolution, the Gramian and both norms are taken per
-    sector and summed.
+    Both with multiplicative slack CERT_SLACK; window averages come from
+    the exact window Gramian.  The evolution, the Gramian and both norms are
+    taken per sector and summed.
     """
-    if T <= 0 or nu <= 0 or prefactor < 1.0:
-        raise ValueError("need T > 0, nu > 0, prefactor >= 1")
+    _require_finite_positive(T=T, nu=nu)
+    if not (math.isfinite(prefactor) and prefactor >= 1.0):
+        raise ValueError(f"prefactor must be finite and >= 1, got {prefactor!r}")
     c0 = an.frame.coords(as_square_matrix(X0, an.state.dim))[1:]
     norm0 = float(np.vdot(c0, c0).real)
     ts = np.asarray(t_samples, dtype=float)
-    if np.any(ts < 0):
-        raise ValueError("sample times must be nonnegative")
+    if not np.all(np.isfinite(ts) & (ts >= 0)):
+        raise ValueError("sample times must be finite and nonnegative")
     if np.any(np.diff(ts) < 0):
         raise ValueError("sample times must be nondecreasing")
     blocks = sector_blocks(an.Mr, an.sectors)
@@ -151,8 +153,8 @@ def time_avg_check(an: Analysis, X0, T: float, nu: float, t_samples,
                 worst_p = max(worst_p, points[i] / denom)
             elif points[i] > 1e-12 * norm0:
                 worst_p = math.inf
-    window_ok = bool(worst_w <= 1.0 + slack)
-    pointwise_ok = bool(worst_p <= 1.0 + slack)
+    window_ok = bool(worst_w <= 1.0 + CERT_SLACK)
+    pointwise_ok = bool(worst_p <= 1.0 + CERT_SLACK)
     return TimeAvgReport(passed=window_ok and pointwise_ok,
                          window_ok=window_ok, pointwise_ok=pointwise_ok,
                          worst_window_ratio=float(worst_w),
@@ -180,8 +182,8 @@ def semigroup_norm_curve(an: Analysis, ts) -> NormCurve:
     largest over the stacks of sector propagators.
     """
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0) or np.any(np.diff(ts) <= 0):
-        raise ValueError("ts must be nonnegative and strictly increasing")
+    if not (np.all(np.isfinite(ts) & (ts >= 0)) and np.all(np.diff(ts) > 0)):
+        raise ValueError("ts must be finite, nonnegative and strictly increasing")
     blocks = sector_blocks(an.Mr, an.sectors)
     flows = [_flow(B, ts, np.broadcast_to(np.eye(B.shape[-1]), B.shape))
              for B in blocks]
@@ -249,8 +251,7 @@ def _random_mean_zero(rng: np.random.Generator, state: QuantumState,
 
 
 def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
-               poly_degree: int = 3, seed: int = 0,
-               slack: float = CERT_SLACK) -> StpReport:
+               poly_degree: int = 3, seed: int = 0) -> StpReport:
     """Sample the space-time variance inequality on random polynomial paths.
 
     For X_t = sum_k t^k A_k with mean-zero Hermitian A_k, checks
@@ -267,10 +268,8 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
     degree 2 * poly_degree in t, so Gauss-Legendre on poly_degree + 1 nodes
     averages them exactly.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive so that (beta - L^D) is invertible")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    # beta > 0 makes (beta - L^D) invertible
+    _require_finite_positive(T=T, beta=beta)
     if n_samples < 1 or poly_degree < 0:
         raise ValueError("need n_samples >= 1 and poly_degree >= 0")
     split = an.split
@@ -331,7 +330,8 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
         dual += np.einsum("srk,sk->r", py * py, 1.0 / (beta + np.clip(w, 0.0, None)))
     rhs = C1 * root_avg(plus) + C2 * root_avg(dual)
     ratio = lhs / np.maximum(rhs, 1e-300)
-    return StpReport(passed=not np.any(ratio > 1.0 + slack),
+    # a NaN ratio fails
+    return StpReport(passed=bool(np.all(ratio <= 1.0 + CERT_SLACK)),
                      worst_ratio=float(ratio.max()),
                      n_samples=n_samples, poly_degree=poly_degree,
                      T=float(T), beta=float(beta), seed=seed,

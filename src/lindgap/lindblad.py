@@ -146,12 +146,10 @@ def generator_matrix(L: Lindbladian, frame: KmsFrame) -> Matrix:
     return frame.superop(L.unit_matrix(frame.state.eigenvectors))
 
 
-def hamiltonian_superop(H, frame: KmsFrame, G: Matrix | None = None) -> Matrix:
-    """Full-space matrix of X -> i[H, X] in the given frame, from its unit
-    matrix G on the frame's units, assembled here unless given."""
-    if G is None:
-        H = require_hermitian(H, what="H")
-        G = Lindbladian(H.shape[0], H, []).unit_matrix(frame.state.eigenvectors)
+def hamiltonian_superop(H, frame: KmsFrame) -> Matrix:
+    """Full-space matrix of X -> i[H, X] in the given frame."""
+    H = require_hermitian(H, what="H")
+    G = Lindbladian(H.shape[0], H, []).unit_matrix(frame.state.eigenvectors)
     return frame.superop(G)
 
 
@@ -342,7 +340,7 @@ class Analysis:
         if self.energies is None:
             GH = Lindbladian(self.L.dim, self.H, []).unit_matrix(U)
             if "M_H" not in self.__dict__:
-                self.M_H = hamiltonian_superop(self.H, self.frame, GH)
+                self.M_H = self.frame.superop(GH)
             G += GH
         else:
             E = self.energies

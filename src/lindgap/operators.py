@@ -86,7 +86,6 @@ class QuantumState:
         self.matrix = sigma
         self.eigenvalues = mu
         self.eigenvectors = U
-        self._powers: dict[float, Matrix] = {}
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "QuantumState":
@@ -121,16 +120,7 @@ class QuantumState:
         (descending) eigenvalues, as its eigenvectors."""
         out = copy.copy(self)
         out.eigenvectors = W
-        out._powers = {}
         return out
-
-    def power(self, p: float) -> Matrix:
-        """sigma^p through the cached eigendecomposition."""
-        key = float(p)
-        if key not in self._powers:
-            U = self.eigenvectors
-            self._powers[key] = (U * self.eigenvalues**key) @ dag(U)
-        return self._powers[key]
 
 
 class KmsFrame:
@@ -238,18 +228,6 @@ class KmsFrame:
             diag = Y.diagonal(axis1=-2, axis2=-1)
         out[..., D] = diag @ self._Q
         return out
-
-    def from_coords(self, c) -> Matrix:
-        c = np.asarray(c, dtype=complex)
-        if c.shape != (self.size,):
-            raise ValueError(f"expected {self.size} coordinates")
-        D, P, I = self._blocks
-        r, cols = self._pairs
-        Y = np.diag(self._Q @ c[D])
-        Y[r, cols] = (c[P] + 1j * c[I]) / SQRT2
-        Y[cols, r] = (c[P] - 1j * c[I]) / SQRT2
-        U = self.state.eigenvectors
-        return U @ (Y / self._scale) @ dag(U)
 
     def superop(self, G: Matrix) -> Matrix:
         """Real frame matrix B^dag S G S^-1 B of the map with vec(map(X)) = G vec(X)

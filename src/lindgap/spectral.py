@@ -6,8 +6,7 @@ blocks on which the matrix splits exactly) and combined.  For a commuting
 Hamiltonian the frame is a joint eigenbasis of sigma and H, so the
 traceless subspace splits into Bohr-frequency blocks read off the frame's
 coordinates with no eigensolve; the minimal dissipation energy per block
-gives the exact strong-coupling limit of the gap, and the blockwise data
-also yields the finite-rank commutator condition (hypocoercivity index).
+gives the exact strong-coupling limit of the gap.
 """
 
 from __future__ import annotations
@@ -20,41 +19,23 @@ from .lindblad import Analysis, require_invariant, sector_blocks, sector_singula
 from .operators import Matrix
 
 BOHR_CLUSTER_FACTOR = 1e-7
-INDEX_POSITIVITY_FACTOR = 1e-9
-GAP_ATTAIN_RTOL = 1e-9
 
 
-@dataclass
-class GapReport:
-    spectral_gap: float
-    attaining: list[complex]
-    singular_gap: float
-    symmetrized_gap: float
-
-
-def gap_from_matrix(M: Matrix, sectors: list[np.ndarray]) -> tuple[float, list[complex]]:
-    """(gap, attaining eigenvalues) of a restricted matrix, solved on its sectors.
+def gap_from_matrix(M: Matrix, sectors: list[np.ndarray]) -> float:
+    """Gap of a restricted matrix, -max Re(eigenvalue), solved on its sectors.
 
     `sectors` groups index sets on which M is block-diagonal, as
     Analysis.sectors does; [np.arange(n)[None]] is the whole n x n matrix.
     """
-    eigs = np.concatenate([np.linalg.eigvals(B).ravel()
-                           for B in sector_blocks(M, sectors)])
-    real_decay = -eigs.real
-    lam = float(real_decay.min())
-    scale = max(np.abs(eigs).max(), 1.0)
-    attaining = [complex(z) for z in eigs[real_decay < lam + GAP_ATTAIN_RTOL * scale]]
-    return lam, attaining
+    return float(-max(np.linalg.eigvals(B).real.max()
+                      for B in sector_blocks(M, sectors)))
 
 
-def spectral_gap(an: Analysis) -> GapReport:
-    """Gap diagnostics of L restricted to the traceless subspace."""
+def spectral_gap(an: Analysis) -> float:
+    """Spectral gap of L restricted to the traceless subspace; the singular
+    gap is an.singular_gap."""
     require_invariant(an.L, an.state)
-    lam, attaining = gap_from_matrix(an.Mr, an.sectors)
-    sym = float(min(np.linalg.eigvalsh(-(B + np.swapaxes(B, -1, -2)) / 2.0).min()
-                    for B in sector_blocks(an.Mr, an.sectors)))
-    return GapReport(spectral_gap=lam, attaining=attaining,
-                     singular_gap=an.singular_gap, symmetrized_gap=sym)
+    return gap_from_matrix(an.Mr, an.sectors)
 
 
 @dataclass
@@ -149,38 +130,11 @@ def gap_curve(an: Analysis, alphas) -> GapCurve:
     gaps, sgaps = [], []
     for a in alphas:
         Ma = a * an.M_Hr + an.M_Dr
-        gaps.append(gap_from_matrix(Ma, an.sectors)[0])
+        gaps.append(gap_from_matrix(Ma, an.sectors))
         sgaps.append(sector_singular_gap(Ma, an.sectors))
     dev = None if limit is None else float(abs(gaps[-1] - limit))
     return GapCurve(alphas=alphas, gaps=gaps, singular_gaps=sgaps,
                     limit=limit, final_deviation=dev)
-
-
-def hypoco_index(an: Analysis, J_max: int = 8) -> int | None:
-    """Smallest J with sum_{j<=J} (iM_H)^j (-M_D) (iM_H)^j positive definite.
-
-    Each term is PSD because iM_H is Hermitian for commuting H, so the sum
-    only grows; returns None if no J <= J_max works.  M_H is real
-    antisymmetric, iM_H = iA with A = (M_H - M_H^T)/2, and each step
-    P term P = -A term A stays real.  -M_D and A are block-diagonal on the
-    sectors, and so is every term: the least eigenvalue is the least over
-    the sector blocks, against the largest |eigenvalue| of them all.
-    """
-    def sym(B):
-        return (B + np.swapaxes(B, -1, -2)) / 2.0
-
-    negD = [-sym(B) for B in sector_blocks(an.M_Dr, an.sectors)]
-    A = [(B - np.swapaxes(B, -1, -2)) / 2.0 for B in sector_blocks(an.M_Hr, an.sectors)]
-    terms = negD
-    totals = [np.zeros_like(B) for B in negD]
-    for J in range(J_max + 1):
-        totals = [t + x for t, x in zip(totals, terms)]
-        w = np.concatenate([np.linalg.eigvalsh(sym(t)).ravel() for t in totals])
-        scale = max(abs(w).max(), 1e-30)
-        if w.min() > INDEX_POSITIVITY_FACTOR * scale:
-            return J
-        terms = [-(a @ x @ a) for a, x in zip(A, terms)]
-    return None
 
 
 def singular_relaxation_check(an: Analysis, nu: float,

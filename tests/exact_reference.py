@@ -1,21 +1,23 @@
 """Independent references for lindgap's closed forms.
 
 These recompute the same quantities as the library by other routes: the
-sigma-weighted inner products tr(sigma^s X^dag sigma^(1-s) Y) by their
-trace formula, against which the KMS frame (s = 1/2) is checked, the
-probed frame matrix of an arbitrary linear map (from the frame's basis
-operators) for every assembled superoperator, the GNS matrix of a generator
-probed on the GNS basis for the GNS defect, the Kronecker form summed one
-jump at a time for the batched unit matrix, polynomial moments for the
-space-time variance check, a Lyapunov solve for the window Gramian, a
-least-squares fit over a Hermitian traceless basis for the standard
-detailed-balance solve, the stacked complex commutators of every
-generator for the commutant, the complex eigensolve of -i M_H in the
-frame on sigma's own eigenvectors for the Bohr blocks, and whole-space
-solves (one SVD, eigh or exponential of the whole matrix) for the
-structure counts, the kernel split and the validate curves that the
-library takes sector by sector.  They are test helpers, not part of the
-package.
+powers sigma^p from sigma's eigendecomposition, the sigma-weighted inner
+products tr(sigma^s X^dag sigma^(1-s) Y) by their trace formula, against
+which the KMS frame (s = 1/2) is checked, the frame inverse (the operator
+with given coordinates, KmsFrame.coords undone), the probed frame matrix
+of an arbitrary linear map (from the frame's basis operators) for every
+assembled superoperator, the GNS matrix of a generator probed on the GNS
+basis for the GNS defect, the Kronecker form summed one jump at a time for
+the batched unit matrix, polynomial moments for the space-time variance
+check, a Lyapunov solve for the window Gramian, a least-squares fit over a
+Hermitian traceless basis for the standard detailed-balance solve, the
+stacked complex commutators of every generator for the commutant, the
+complex eigensolve of -i M_H in the frame on sigma's own eigenvectors for
+the Bohr blocks, and whole-space solves (one SVD, eigh or exponential of
+the whole matrix) for the structure counts, the kernel split and the
+validate curves that the library takes sector by sector, and for the
+symmetrized gap, which the library does not compute.  They are test
+helpers, not part of the package.
 """
 
 import math
@@ -26,11 +28,17 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 from lindgap import KmsFrame, Lindbladian, generator_matrix, hamiltonian_superop
 from lindgap.evolve import _random_mean_zero
 from lindgap.lindblad import COMMUTANT_SV_FACTOR, KERNEL_TOL_FACTOR
-from lindgap.operators import as_square_matrix, dag, vec
+from lindgap.operators import SQRT2, as_square_matrix, dag, vec
 
 LINEARITY_RTOL = 1e-8
 # fixed probe generator: the linearity check must be deterministic
 _PROBE_SEED = 7541
+
+
+def state_power(state, p: float) -> np.ndarray:
+    """sigma^p through the state's eigendecomposition."""
+    U = state.eigenvectors
+    return (U * state.eigenvalues**p) @ dag(U)
 
 
 def weighted_inner(state, s: float, X, Y) -> complex:
@@ -39,17 +47,33 @@ def weighted_inner(state, s: float, X, Y) -> complex:
         raise ValueError(f"s must lie in [0, 1], got {s}")
     X = as_square_matrix(X, state.dim)
     Y = as_square_matrix(Y, state.dim)
-    return complex(np.trace(state.power(s) @ dag(X) @ state.power(1.0 - s) @ Y))
+    return complex(np.trace(state_power(state, s) @ dag(X)
+                            @ state_power(state, 1.0 - s) @ Y))
 
 
 def weighted_norm(state, s: float, X) -> float:
     return float(np.sqrt(max(weighted_inner(state, s, X, X).real, 0.0)))
 
 
+def from_coords(frame, c) -> np.ndarray:
+    """The operator with frame coordinates c (length N^2): KmsFrame.coords
+    undone step by step."""
+    c = np.asarray(c, dtype=complex)
+    if c.shape != (frame.size,):
+        raise ValueError(f"expected {frame.size} coordinates")
+    D, P, I = frame._blocks
+    r, cols = frame._pairs
+    Y = np.diag(frame._Q @ c[D])
+    Y[r, cols] = (c[P] + 1j * c[I]) / SQRT2
+    Y[cols, r] = (c[P] - 1j * c[I]) / SQRT2
+    U = frame.state.eigenvectors
+    return U @ (Y / frame._scale) @ dag(U)
+
+
 def frame_basis(frame) -> list[np.ndarray]:
     """The frame operators E_k as matrices (E_0 = identity)."""
     eye = np.eye(frame.size)
-    return [frame.from_coords(eye[:, k]) for k in range(frame.size)]
+    return [from_coords(frame, eye[:, k]) for k in range(frame.size)]
 
 
 def superop_matrix(map_fn, frame, restrict_traceless: bool = False) -> np.ndarray:
@@ -79,7 +103,7 @@ def gns_matrix(L, state) -> np.ndarray:
     the matrix units (Hilbert-Schmidt orthonormal)."""
     N = state.dim
     units = np.eye(N * N).reshape(N * N, N, N)
-    basis = units @ state.power(-0.5)
+    basis = units @ state_power(state, -0.5)
     images = [L.apply(E) for E in basis]
     return np.array([[np.trace(state.matrix @ dag(Ej) @ LEk) for LEk in images]
                      for Ej in basis])
@@ -134,6 +158,13 @@ def whole_structure(an) -> tuple[int, float, int]:
     cdim = int(np.sum(sv < COMMUTANT_SV_FACTOR * sv[0]))
     kms = float(np.linalg.norm(M - M.T, 2) / sv[0])
     return cdim, kms, kernel_dimension(generator_matrix(an.LD, an.frame))
+
+
+def symmetrized_gap(an) -> float:
+    """Least eigenvalue of -(Mr + Mr^T)/2, the slowest instantaneous decay
+    rate of the frame norm, from one eigvalsh of the whole traceless matrix."""
+    Mr = np.array(an.Mr)
+    return float(np.linalg.eigvalsh(-(Mr + Mr.T) / 2.0)[0])
 
 
 def whole_split(an) -> tuple[np.ndarray, float | None, float]:

@@ -221,6 +221,16 @@ def test_validate_accepts_emitted_certificate(tmp_path, qubit_spec):
     assert norms[0] == "t,opnorm,log_rate"
 
 
+def test_validate_ignores_the_certificate_beta(tmp_path, qubit_spec):
+    # validate reads nu, T and C_T; a beta that is not a number is no error
+    cert = emit_certificate(tmp_path, qubit_spec)
+    doc = read_json(cert)
+    doc["report"]["beta"] = "n/a"
+    cert.write_text(json.dumps(doc))
+    assert main(["validate", "--spec", qubit_spec, "--out", str(tmp_path / "val"),
+                 "--certificate", str(cert)]) == 0
+
+
 def test_validate_passes_on_tfim_with_default_flags(tmp_path):
     spec = write_spec(tmp_path / "tfim.json", TFIM3)
     cert = emit_certificate(tmp_path, spec)

@@ -16,6 +16,7 @@ from lindgap import (
     QuantumState,
     build_gksl,
     c_constants,
+    certify,
     dephasing_jumps,
     generator_matrix,
     graph_lindblad,
@@ -223,6 +224,34 @@ def test_cert_check_validates_inputs():
     # the propagator steps forward along the grid
     with pytest.raises(ValueError, match="nondecreasing"):
         time_avg_check(QUBIT_AN, PAULI_Z, 1.0, 1.0, [0.0, 2.0, 1.0], 1.0)
+
+
+NON_FINITE = {
+    "stp-T-nan": (lambda: stp_verify(QUBIT_AN, math.nan, 1.0), "T"),
+    "stp-T-inf": (lambda: stp_verify(QUBIT_AN, math.inf, 1.0), "T"),
+    "stp-beta-nan": (lambda: stp_verify(QUBIT_AN, 1.0, math.nan), "beta"),
+    "check-time-nan": (lambda: time_avg_check(QUBIT_AN, PAULI_Z, CERT_T, CERT_NU,
+                                              [0.0, math.nan, 2.0], CERT_CT), "sample times"),
+    "check-T-nan": (lambda: time_avg_check(QUBIT_AN, PAULI_Z, math.nan, CERT_NU,
+                                           [0.0, 1.0], CERT_CT), "T"),
+    "check-T-inf": (lambda: time_avg_check(QUBIT_AN, PAULI_Z, math.inf, CERT_NU,
+                                           [0.0, 1.0], CERT_CT), "T"),
+    "check-nu-nan": (lambda: time_avg_check(QUBIT_AN, PAULI_Z, CERT_T, math.nan,
+                                            [0.0, 1.0], CERT_CT), "nu"),
+    "check-prefactor-inf": (lambda: time_avg_check(QUBIT_AN, PAULI_Z, CERT_T, CERT_NU,
+                                                   [0.0, 1.0], math.inf), "prefactor"),
+    "norms-time-nan": (lambda: semigroup_norm_curve(QUBIT_AN, [0.5, math.nan, 2.0]), "ts"),
+    "certify-T-nan": (lambda: certify(QUBIT_AN, T=math.nan), "T"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_inputs_are_refused(case):
+    # NaN fails every comparison, so a check written as "ratio > bound fails"
+    # passes on it, and an infinite window or prefactor makes every bound vacuous
+    call, name = NON_FINITE[case]
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()
 
 
 # ---------------------------------------------------------------------------

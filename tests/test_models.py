@@ -289,7 +289,7 @@ def test_graph_model_is_detailed_balanced():
     assert rep.kms_db
     assert rep.primitive
     gap = spectral_gap(Analysis(m.lind, st))
-    assert gap.spectral_gap == pytest.approx(m.lambda_D, rel=1e-10)
+    assert gap == pytest.approx(m.lambda_D, rel=1e-10)
 
 
 def test_graph_model_rejects_offdiagonal_state():

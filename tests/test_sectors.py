@@ -148,7 +148,7 @@ def test_validate_curves_match_the_whole_exponentials(name):
     L, st = _model(name)
     an = Analysis(L, st)
     X0 = _random_mean_zero(np.random.default_rng(7), an.state)
-    gap = spectral_gap(an).spectral_gap
+    gap = spectral_gap(an)
     T = 0.5 / gap
     ts = np.linspace(0.0, 6.0 / gap, 7)
     rep = time_avg_check(an, X0, T, 1e-3, ts, 1.0)

@@ -1,8 +1,8 @@
-"""Spectral gaps, Bohr blocks, strong-coupling limits, hypocoercivity index."""
+"""Spectral gaps, Bohr blocks, strong-coupling limits."""
 
 import numpy as np
 import pytest
-from exact_reference import bohr_table_by_eigh
+from exact_reference import bohr_table_by_eigh, symmetrized_gap
 
 from lindgap import (
     Analysis,
@@ -18,7 +18,6 @@ from lindgap import (
     graph_lindblad,
     haar_avg_gibbs,
     hypercube_graph,
-    hypoco_index,
     large_alpha_limit,
     single_jump_model,
     singular_relaxation_check,
@@ -52,19 +51,19 @@ def pauli_dissipator(wx: float, wy: float, wz: float):
 
 
 def test_gap_dephasing_alone_is_zero():
-    rep = spectral_gap(Analysis(pauli_dissipator(0, 0, 1.0), MIXED2))
-    assert rep.spectral_gap == pytest.approx(0.0, abs=1e-12)
+    gap = spectral_gap(Analysis(pauli_dissipator(0, 0, 1.0), MIXED2))
+    assert gap == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gap_qubit_model():
-    rep = spectral_gap(Analysis(qubit_model(), MIXED2))
-    assert rep.spectral_gap == pytest.approx(2.0, abs=1e-10)
-    assert rep.singular_gap == pytest.approx(2 * (np.sqrt(2) - 1), abs=1e-10)
+    an = Analysis(qubit_model(), MIXED2)
+    gap = spectral_gap(an)
+    assert gap == pytest.approx(2.0, abs=1e-10)
+    assert an.singular_gap == pytest.approx(2 * (np.sqrt(2) - 1), abs=1e-10)
     # coherent rotation kills the symmetrized gap but not the true one
-    assert rep.symmetrized_gap == pytest.approx(0.0, abs=1e-10)
-    assert rep.symmetrized_gap <= rep.spectral_gap + 1e-12
-    for ev in rep.attaining:
-        assert ev.real == pytest.approx(-2.0, abs=1e-10)
+    sym = symmetrized_gap(an)
+    assert sym == pytest.approx(0.0, abs=1e-10)
+    assert sym <= gap + 1e-12
 
 
 def test_gap_restricted_spectrum_qubit():
@@ -77,9 +76,10 @@ def test_gap_equals_symmetrized_for_db_generator():
     spec = GraphSpec(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     st = QuantumState(np.diag([0.4, 0.3, 0.2, 0.1]))
     m = graph_lindblad(spec, st)
-    rep = spectral_gap(Analysis(m.lind, st))
-    assert rep.spectral_gap > 0
-    assert rep.spectral_gap == pytest.approx(rep.symmetrized_gap, rel=1e-10)
+    an = Analysis(m.lind, st)
+    gap = spectral_gap(an)
+    assert gap > 0
+    assert gap == pytest.approx(symmetrized_gap(an), rel=1e-10)
 
 
 def test_gap_rejects_non_invariant_state():
@@ -106,10 +106,9 @@ def test_spectrum_conjugation_and_dissipativity():
 
 
 def test_singular_gap_below_every_eigenvalue():
-    rep = spectral_gap(Analysis(qubit_model(), MIXED2))
-    M = generator_matrix(qubit_model(), KmsFrame(MIXED2))[1:, 1:]
-    for ev in np.linalg.eigvals(M):
-        assert rep.singular_gap <= abs(ev) + 1e-9
+    an = Analysis(qubit_model(), MIXED2)
+    for ev in np.linalg.eigvals(an.Mr):
+        assert an.singular_gap <= abs(ev) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +187,7 @@ def test_lambda_table_single_block_is_gap():
     st = QuantumState(np.diag([0.5, 0.3, 0.2]))
     m = graph_lindblad(spec, st)
     an = Analysis(m.lind, st)
-    g = spectral_gap(an).spectral_gap
+    g = spectral_gap(an)
     blocks = bohr_decompose(an)
     assert len(blocks) == 1
     assert blocks[0].lambda_nu == pytest.approx(g, rel=1e-10)
@@ -318,7 +317,7 @@ def test_acceleration_never_below_dissipative_gap():
         m = graph_lindblad(spec, st)
         if len(spec.components) != 1:
             continue
-        gap_d = spectral_gap(Analysis(m.lind, st)).spectral_gap
+        gap_d = spectral_gap(Analysis(m.lind, st))
         H = np.diag(rng.standard_normal(n))
         curve = gap_curve(split_form(H, m.lind, st), [0.1, 1.0, 10.0])
         for g in curve.gaps:
@@ -329,30 +328,12 @@ def test_gap_constant_when_h_acts_inside_gap_space():
     # X and Y span the gap eigenspace of the dissipator; H = Z rotates
     # within it, so coherent driving cannot accelerate
     LD = pauli_dissipator(1.0, 1.0, 0.25)
-    gap_d = spectral_gap(Analysis(LD, MIXED2)).spectral_gap
+    gap_d = spectral_gap(Analysis(LD, MIXED2))
     assert gap_d == pytest.approx(2.5, abs=1e-10)
     curve = gap_curve(split_form(PAULI_Z, LD, MIXED2), [0.5, 1.0, 10.0, 100.0])
     for g in curve.gaps:
         assert g == pytest.approx(gap_d, abs=1e-8)
     assert curve.limit == pytest.approx(gap_d, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# hypoco_index
-
-
-def test_index_zero_for_coercive():
-    assert hypoco_index(split_form(np.zeros((2, 2)), pauli_dissipator(1, 1, 1),
-                                   MIXED2)) == 0
-
-
-def test_index_one_for_qubit_model():
-    assert hypoco_index(split_form(PAULI_X, pauli_dissipator(0, 0, 2.0), MIXED2)) == 1
-
-
-def test_index_none_for_non_primitive():
-    assert hypoco_index(split_form(PAULI_Z, pauli_dissipator(0, 0, 1.0), MIXED2),
-                        J_max=4) is None
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +353,7 @@ def test_singular_check_hermitian_gap_pair():
     st = QuantumState(np.diag([0.5, 0.3, 0.2]))
     m = graph_lindblad(spec, st)
     an = Analysis(m.lind, st)
-    lam = spectral_gap(an).spectral_gap
+    lam = spectral_gap(an)
     ok, lhs, s = singular_relaxation_check(an, lam, 0.0)
     assert ok and lhs == pytest.approx(1 / lam)
     assert s <= lam + 1e-9
@@ -505,30 +486,16 @@ def test_driven_qubit_keeps_its_sigma_and_has_no_limit():
     assert curve.limit is None and curve.final_deviation is None
 
 
-def _dense_attaining(M, lam):
-    eigs = np.linalg.eigvals(M)
-    scale = max(np.abs(eigs).max(), 1.0)
-    return eigs[-eigs.real < lam + 1e-9 * scale]
-
-
 @pytest.mark.parametrize("name", SECTORED)
 def test_sector_solves_match_the_dense_solves(name):
     L, st = _sectored(name)
     an = Analysis(L, st)
     Mr = an.Mr
-    rep = spectral_gap(an)
-    eigs = np.linalg.eigvals(Mr)
-    lam = float((-eigs.real).min())
+    lam = float((-np.linalg.eigvals(Mr).real).min())
     close = dict(rel=1e-12, abs=1e-13)
-    assert rep.spectral_gap == pytest.approx(lam, **close)
-    assert rep.singular_gap == pytest.approx(np.linalg.svd(Mr, compute_uv=False)[-1],
-                                             **close)
-    assert rep.symmetrized_gap == pytest.approx(
-        np.linalg.eigvalsh(-(Mr + Mr.T) / 2.0)[0], **close)
-    dense = sorted(_dense_attaining(Mr, lam), key=lambda z: (z.imag, z.real))
-    ours = sorted(rep.attaining, key=lambda z: (z.imag, z.real))
-    assert len(ours) == len(dense)
-    assert np.abs(np.array(ours) - np.array(dense)).max() < 1e-12 * max(abs(lam), 1.0)
+    assert spectral_gap(an) == pytest.approx(lam, **close)
+    assert an.singular_gap == pytest.approx(np.linalg.svd(Mr, compute_uv=False)[-1],
+                                            **close)
     alphas = [0.5, 3.0]
     curve = gap_curve(an, alphas)
     for a, g, sg in zip(alphas, curve.gaps, curve.singular_gaps):
