@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .lindblad import Analysis, dag, max_column_norm, real_norm2, sector_blocks
+from .lindblad import (Analysis, dag, max_column_norm, real_norm2, require_invariant,
+                       sector_blocks)
 
 ASSUMPTION_DEFECT_FACTOR = 1e-9
 INJECTIVITY_TOL = 1e-10
@@ -108,6 +109,16 @@ def _kernel_blocks(an: Analysis):
         for k in np.unique(ks[ks > 0]):
             sel = ks == k
             yield V[sel][:, :, :k], V[sel][:, :, k:], sector_blocks(an.M_Hr, [S[sel]])[0]
+
+
+def _invariant_split(an: Analysis):
+    """an.split, which refuses an L^D that is not KMS-symmetric; such an L^D
+    leaves sigma invariant, so L does exactly when [H, sigma] = 0, and the
+    residual is taken only when the analysis has no energies."""
+    split = an.split
+    if an.energies is None:
+        require_invariant(an.L, an.state)
+    return split
 
 
 def check_assumption(an: Analysis) -> tuple[bool, float]:
@@ -203,10 +214,11 @@ def simplified_rate(sc: StructuralConstants) -> float:
 def certify(an: Analysis, T: float | None = None) -> RateCertificate:
     """Emit a decay certificate (nu, T, C_T) for the generator of `an`.
 
-    Refuses coercive models (use certify_coercive) and models whose
-    Hamiltonian mixes the dissipator kernel into itself.
+    Refuses a sigma that L does not leave invariant, coercive models (use
+    certify_coercive) and models whose Hamiltonian mixes the dissipator
+    kernel into itself.
     """
-    if an.split.dim0 == 0:
+    if _invariant_split(an).dim0 == 0:
         raise ValueError(
             "dissipator kernel is trivial (coercive model): the spectral gap "
             "itself is the rate; use certify_coercive")
@@ -233,8 +245,9 @@ def certify_coercive(an: Analysis) -> CoerciveCertificate:
 
     nu equals the dissipator's gap on the traceless subspace (its smallest
     rate); any window length T works, and T = 1/(2 nu) keeps nu * T = 1/2.
+    Refuses a sigma that L does not leave invariant.
     """
-    split = an.split
+    split = _invariant_split(an)
     if split.dim0 > 0:
         raise ValueError("generator has a nontrivial kernel; it is not coercive")
     gap = float(split.rates[0])
@@ -242,17 +255,13 @@ def certify_coercive(an: Analysis) -> CoerciveCertificate:
     return CoerciveCertificate(nu=gap, T=T, prefactor=float(math.exp(gap * T)))
 
 
-def optimize_T(sc: StructuralConstants, grid=None) -> tuple[float, float]:
-    """Best window length: log-grid scan plus 40 golden-section steps.
+def optimize_T(sc: StructuralConstants) -> tuple[float, float]:
+    """Best window length: a 60-point log-grid scan of [1e-2, 1e2] / s_H
+    plus 40 golden-section steps.
 
     The returned rate is never below the T = 3/s_H value.
     """
-    if grid is None:
-        lo, hi = 1e-2 / sc.s_H, 1e2 / sc.s_H
-        grid = np.logspace(math.log10(lo), math.log10(hi), 60)
-    grid = np.asarray(list(grid), dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty T grid")
+    grid = np.logspace(math.log10(1e-2 / sc.s_H), math.log10(1e2 / sc.s_H), 60)
     vals = np.array([rate_from_constants(sc, T) for T in grid])
     i = int(np.argmax(vals))
     a = grid[max(i - 1, 0)]
@@ -333,16 +342,13 @@ class DmsReport:
     C_dms: float
 
 
-def dms_compare(sc: StructuralConstants, eta: float | None = None) -> DmsReport:
+def dms_compare(sc: StructuralConstants) -> DmsReport:
     """Rate and prefactor of the auxiliary-functional comparison method.
 
     Uses the bounded-modification constant C_M(eta) <= (||L^H Pi_+|| +
-    ||L^D||)/(2 sqrt(eta)); the default eta = s_H^2 balances the two terms.
+    ||L^D||)/(2 sqrt(eta)) at eta = s_H^2, which balances the two terms.
     """
-    if eta is None:
-        eta = sc.s_H**2
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    eta = sc.s_H**2
     C_M = (sc.norm_LH_plus + sc.norm_LD) / (2.0 * math.sqrt(eta))
     eps = 0.5 * min(sc.lambda_D * sc.s_H**2 / ((eta + sc.s_H**2) * (1.0 + C_M) ** 2),
                     1.0)

@@ -5,23 +5,24 @@ matrix exponential there, norms are Euclidean, and the identity component
 is the invariant mean.  The generator is block-diagonal on the analysis's
 sectors, and so are its propagators and window Gramian: each is computed
 per sector, same-size sectors stacked.  The certificate check and the
-operator-norm curve step one propagator along their time grid, with one
-exponential per distinct step length.  Every time average is exact up to
-rounding: the
-window average of ||e^{sM} x||^2 over [0, T] is x^dag G_T x with the window
-Gramian G_T (Van Loan 1978, by doubling), and the space-time integrands are
-polynomials in t, integrated by Gauss-Legendre on enough nodes to be exact.
+operator-norm curve sample the times t_k = k h of one fixed step h, so each
+takes one exponential e^{hM} per stack of sectors.  Every time average is
+exact up to rounding: the window average of ||e^{sM} x||^2 over [0, T] is
+x^dag G_T x with the window Gramian G_T (Van Loan 1978, by doubling), and
+the space-time integrands are polynomials in t, integrated by
+Gauss-Legendre on enough nodes to be exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 
-from .certify import (StructuralConstants, _require_finite_positive, c_constants,
-                      check_assumption)
+from .certify import (StructuralConstants, _invariant_split, _require_finite_positive,
+                      c_constants, check_assumption)
 from .lindblad import Analysis, real_norm2, sector_blocks
 from .operators import Matrix, QuantumState, as_square_matrix, dag
 
@@ -34,24 +35,17 @@ def _expm(A: Matrix) -> Matrix:
     return expm(A)
 
 
-def _flow(M: Matrix, ts, X: Matrix):
-    """Yield e^{t M} X for each t of a nondecreasing grid ts >= 0; M and X may
-    be stacks (..., n, n) and (..., n, k).
+def _flow(M: Matrix, h: float, X: Matrix):
+    """Yield e^{k h M} X for k = 0, 1, 2, ...; M and X may be stacks
+    (..., n, n) and (..., n, k).
 
-    Steps by the increments, e^{t_k M} = e^{(t_k - t_{k-1}) M} e^{t_{k-1} M},
-    with one exponential per distinct increment (keyed by the exact float, so
-    a linspace grid needs a few) instead of one per sample (Moler & Van Loan,
-    SIAM Rev. 2003).
+    One exponential e^{hM}, taken on the first step, advances every sample
+    (Moler & Van Loan, SIAM Rev. 2003).
     """
-    steps = {}
-    prev = 0.0
-    for t in map(float, ts):
-        dt = t - prev
-        if dt:
-            if dt not in steps:
-                steps[dt] = _expm(dt * M)
-            X = steps[dt] @ X
-        prev = t
+    yield X
+    E = _expm(h * M)
+    while True:
+        X = E @ X
         yield X
 
 
@@ -104,9 +98,15 @@ class TimeAvgReport:
 CERT_SLACK = 1e-6
 
 
-def time_avg_check(an: Analysis, X0, T: float, nu: float, t_samples,
+def _require_samples(samples: int, least: int = 1) -> None:
+    if not (isinstance(samples, (int, np.integer)) and samples >= least):
+        raise ValueError(f"samples must be an integer >= {least}, got {samples!r}")
+
+
+def time_avg_check(an: Analysis, X0, T: float, nu: float, h: float, samples: int,
                    prefactor: float) -> TimeAvgReport:
-    """Check a decay certificate (nu, T, C_T) against the exact evolution.
+    """Check a decay certificate (nu, T, C_T) against the exact evolution at
+    the times t_k = k h, k = 0 ... samples - 1.
 
     Windowed: avg_{[t,t+T]} ||X_s - <X>||^2  <=  e^{-nu t} * (t=0 window).
     Pointwise: ||X_t - <X>||^2 <= C_T e^{-nu t} ||X_0 - <X>||^2.
@@ -114,30 +114,24 @@ def time_avg_check(an: Analysis, X0, T: float, nu: float, t_samples,
     the exact window Gramian.  The evolution, the Gramian and both norms are
     taken per sector and summed.
     """
-    _require_finite_positive(T=T, nu=nu)
+    _require_finite_positive(T=T, nu=nu, h=h)
+    _require_samples(samples)
     if not (math.isfinite(prefactor) and prefactor >= 1.0):
         raise ValueError(f"prefactor must be finite and >= 1, got {prefactor!r}")
     c0 = an.frame.coords(as_square_matrix(X0, an.state.dim))[1:]
     norm0 = float(np.vdot(c0, c0).real)
-    ts = np.asarray(t_samples, dtype=float)
-    if not np.all(np.isfinite(ts) & (ts >= 0)):
-        raise ValueError("sample times must be finite and nonnegative")
-    if np.any(np.diff(ts) < 0):
-        raise ValueError("sample times must be nondecreasing")
+    ts = h * np.arange(samples)
     blocks = sector_blocks(an.Mr, an.sectors)
     Gs = [window_gramian(B, T) for B in blocks]
     # per stack of sectors, the coordinates as (count, size, 1) columns
     xs = [c0[S][..., None] for S in an.sectors]
     w0 = sum(float(np.vdot(x, G @ x).real) for x, G in zip(xs, Gs))
-    windows = np.empty(len(ts))
-    points = np.empty(len(ts))
-    worst_w = 0.0
-    worst_p = 0.0
-    flows = zip(*(_flow(B, ts, x) for B, x in zip(blocks, xs)))
+    windows, points = np.empty((2, samples))
+    worst_w = worst_p = 0.0
+    flows = zip(*(_flow(B, h, x) for B, x in zip(blocks, xs)))
     for i, (t, x) in enumerate(zip(ts, flows)):
         points[i] = sum(float(np.vdot(y, y).real) for y in x)
-        w = sum(float(np.vdot(y, G @ y).real) for y, G in zip(x, Gs))
-        windows[i] = w
+        windows[i] = w = sum(float(np.vdot(y, G @ y).real) for y, G in zip(x, Gs))
         # exp(-nu*t) can underflow to 0; the bound is then vacuous unless
         # the measured value stayed positive.
         decay = math.exp(-nu * t)
@@ -169,28 +163,26 @@ class NormCurve:
     times: np.ndarray
     norms: np.ndarray
     empirical_rate: float
-    fit_start: int
     range_warning: str | None = None
 
 
-def semigroup_norm_curve(an: Analysis, ts) -> NormCurve:
-    """Operator norm of e^{tL} on the mean-zero subspace, with a rate fit.
+def semigroup_norm_curve(an: Analysis, h: float, samples: int) -> NormCurve:
+    """Operator norm of e^{tL} on the mean-zero subspace at the times
+    t_k = k h, k = 1 ... samples, with a rate fit.
 
     The empirical rate is minus the least-squares slope of log ||e^{tL}||
     over the last half of the samples, where the leading eigenvalue
     dominates.  e^{tL} is block-diagonal on the sectors, so its norm is the
     largest over the stacks of sector propagators.
     """
-    ts = np.asarray(ts, dtype=float)
-    if not (np.all(np.isfinite(ts) & (ts >= 0)) and np.all(np.diff(ts) > 0)):
-        raise ValueError("ts must be finite, nonnegative and strictly increasing")
+    _require_finite_positive(h=h)
+    _require_samples(samples, 3)  # two points in the fit window
+    start = samples // 2
+    ts = h * np.arange(1, samples + 1)
     blocks = sector_blocks(an.Mr, an.sectors)
-    flows = [_flow(B, ts, np.broadcast_to(np.eye(B.shape[-1]), B.shape))
-             for B in blocks]
+    flows = [islice(_flow(B, h, np.broadcast_to(np.eye(B.shape[-1]), B.shape)),
+                    1, samples + 1) for B in blocks]
     norms = np.array([max(real_norm2(E) for E in Es) for Es in zip(*flows)])
-    start = len(ts) // 2
-    if len(ts) - start < 2:
-        raise ValueError("need at least two points in the fit window")
     # norms that underflowed to 0 carry no rate information
     usable = norms[start:] > 1e-280
     warning = None
@@ -206,8 +198,7 @@ def semigroup_norm_curve(an: Analysis, ts) -> NormCurve:
     else:
         rate = math.nan
         warning = "norms underflowed before the fit window"
-    return NormCurve(times=ts, norms=norms, empirical_rate=rate,
-                     fit_start=start, range_warning=warning)
+    return NormCurve(times=ts, norms=norms, empirical_rate=rate, range_warning=warning)
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +257,13 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
     restricted kernel uses their large-coupling limit.  The products with
     M_H and V run per sector of the split.  The integrands have
     degree 2 * poly_degree in t, so Gauss-Legendre on poly_degree + 1 nodes
-    averages them exactly.
+    averages them exactly.  Refuses a sigma that L does not leave invariant.
     """
     # beta > 0 makes (beta - L^D) invertible
     _require_finite_positive(T=T, beta=beta)
     if n_samples < 1 or poly_degree < 0:
         raise ValueError("need n_samples >= 1 and poly_degree >= 0")
-    split = an.split
+    split = _invariant_split(an)
     if split.dim0 == 0:
         # nothing to couple out of: the coupling is vacuously infinite, and
         # Pi_+ is the identity on the traceless subspace

@@ -12,13 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import models
 from .lindblad import Lindbladian, build_gksl
-from .operators import QuantumState
+from .operators import QuantumState, require_hermitian
 
 SCHEMA = "lindgap-model/1"
 
@@ -32,6 +33,18 @@ class SpecError(ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+@contextmanager
+def _naming(field: str):
+    """Turn a ValueError raised inside into a SpecError naming `field`; a
+    SpecError and a failed eigensolve (LinAlgError) pass through."""
+    try:
+        yield
+    except (SpecError, np.linalg.LinAlgError):
+        raise
+    except ValueError as exc:
+        raise SpecError(field, str(exc)) from exc
 
 
 def load_spec(path: str) -> dict:
@@ -113,12 +126,8 @@ def _parse_sigma(obj, field: str, dim: int, H: np.ndarray | None) -> QuantumStat
         basis = None
         if "basis" in obj:
             basis = parse_matrix(obj["basis"], f"{field}.basis")
-        try:
+        with _naming(field):
             return QuantumState.from_eigenvalues(vals, basis=basis)
-        except np.linalg.LinAlgError:
-            raise
-        except ValueError as exc:
-            raise SpecError(field, str(exc)) from exc
     if kind == "gibbs":
         beta = _number(_require(obj, "beta", f"{field}.beta"), f"{field}.beta")
         if H is None:
@@ -153,6 +162,8 @@ def _build_explicit(spec: dict) -> tuple[str, Lindbladian, QuantumState, object]
         H = parse_matrix(spec["hamiltonian"], "hamiltonian")
         if H.shape != (dim, dim):
             raise SpecError("hamiltonian", f"expected shape {(dim, dim)}")
+        with _naming("hamiltonian"):
+            H = require_hermitian(H, what="H")
     jumps = []
     raw_jumps = spec.get("jumps", [])
     if not isinstance(raw_jumps, list):
@@ -173,11 +184,7 @@ def _build_explicit(spec: dict) -> tuple[str, Lindbladian, QuantumState, object]
     state = _parse_sigma(_require(spec, "sigma"), "sigma", dim, H)
     if H is None:
         H = np.zeros((dim, dim))
-    try:
-        lind = build_gksl(H, jumps, alpha=alpha)
-    except ValueError as exc:
-        raise SpecError("jumps", str(exc)) from exc
-    return "explicit", lind, state, None
+    return "explicit", build_gksl(H, jumps, alpha=alpha), state, None
 
 
 def _graph_from_params(params: dict, prefix: str) -> models.GraphModel:
@@ -208,14 +215,10 @@ def _graph_from_params(params: dict, prefix: str) -> models.GraphModel:
                    for i, v in enumerate(raw_sigma)])
     if np.any(mu <= 0):
         raise SpecError(f"{prefix}.sigma", "stationary weights must be positive")
-    try:
+    with _naming(prefix):
         spec_obj = models.GraphSpec(n_vertices=n, edges=edges, weights=weights)
         state = QuantumState(np.diag(mu / mu.sum()))
         return models.graph_lindblad(spec_obj, state)
-    except np.linalg.LinAlgError:
-        raise
-    except ValueError as exc:
-        raise SpecError(prefix, str(exc)) from exc
 
 
 def _build_named(spec: dict) -> tuple[str, Lindbladian, QuantumState, object]:
@@ -226,7 +229,7 @@ def _build_named(spec: dict) -> tuple[str, Lindbladian, QuantumState, object]:
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise SpecError("params", "expected an object")
-    try:
+    with _naming("params"):
         if name == "single_jump":
             A = parse_matrix(_require(params, "A", "params.A"), "params.A")
             H = parse_matrix(_require(params, "H", "params.H"), "params.H")
@@ -264,7 +267,8 @@ def _build_named(spec: dict) -> tuple[str, Lindbladian, QuantumState, object]:
                     raise SpecError("params.hamiltonian",
                                     f"expected shape {(gm.state.dim,) * 2}")
                 alpha = _number(params.get("alpha", 1.0), "params.alpha")
-                lind = build_gksl(H, gm.lind.jumps, alpha=alpha)
+                with _naming("params.hamiltonian"):
+                    lind = build_gksl(H, gm.lind.jumps, alpha=alpha)
             return name, lind, gm.state, gm
         if name == "birth_death":
             sizes = _require(params, "sizes", "params.sizes")
@@ -292,10 +296,6 @@ def _build_named(spec: dict) -> tuple[str, Lindbladian, QuantumState, object]:
             A = parse_matrix(_require(params, "A", "params.A"), "params.A")
             m = models.lift_model(base, A)
             return name, m.lind, m.state, m
-    except (SpecError, np.linalg.LinAlgError):
-        raise
-    except ValueError as exc:
-        raise SpecError("params", str(exc)) from exc
     raise SpecError("model", f"unhandled model '{name}'")
 
 

@@ -115,7 +115,8 @@ class GapCurve:
 def gap_curve(an: Analysis, alphas) -> GapCurve:
     """Gap of alpha * i[H,.] + L^D per coupling value, with the limit if available.
 
-    H is an.H, so each value multiplies the generator's own alpha."""
+    H is an.H, so each value multiplies the generator's own alpha.  Refuses a
+    sigma that L does not leave invariant."""
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("empty coupling grid")
@@ -127,6 +128,8 @@ def gap_curve(an: Analysis, alphas) -> GapCurve:
         raise
     except ValueError:
         limit = None
+    if limit is None:  # else L^D is KMS-symmetric and [H, sigma] = 0: L keeps sigma
+        require_invariant(an.L, an.state)
     gaps, sgaps = [], []
     for a in alphas:
         Ma = a * an.M_Hr + an.M_Dr

@@ -359,6 +359,18 @@ def test_certify_coercive_rejects_coherent_generator():
         certify_coercive(Analysis(LD, QuantumState.maximally_mixed(3)))
 
 
+
+def test_certificates_refuse_a_non_invariant_state():
+    # a KMS-symmetric L^D leaves the Gibbs state invariant, but an H that
+    # does not commute with it moves it: no certificate, coercive or not
+    hm = haar_avg_gibbs([0.0, 1.0, 2.5], 1.0)
+    H = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    an = split_form(H, hm.lind, hm.state)
+    for issue in (certify_coercive, certify):
+        with pytest.raises(ValueError, match="sigma is not invariant"):
+            issue(an)
+
+
 # ---------------------------------------------------------------------------
 # optimize_T
 
@@ -383,12 +395,6 @@ def test_optimize_window_scales_inversely_with_coupling():
     T2, _ = optimize_T(weak)
     ratio = T2 / T1
     assert 30 <= ratio <= 300
-
-
-def test_optimize_window_rejects_empty_grid():
-    sc = StructuralConstants(1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        optimize_T(sc, grid=[])
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +459,3 @@ def test_dms_epsilon_and_prefactor_bounded():
         rep = dms_compare(sc)
         assert rep.epsilon <= 0.5
         assert rep.C_dms <= math.sqrt(3.0) + 1e-12
-
-
-def test_dms_rejects_bad_eta():
-    with pytest.raises(ValueError):
-        dms_compare(StructuralConstants(1.0, 1.0, 1.0, 1.0), eta=0.0)

@@ -130,12 +130,14 @@ def test_gap_without_limit_leaves_limit_empty(tmp_path):
 
 def test_gap_grid_multiplies_the_spec_alpha(tmp_path):
     # the grid scales alpha * hamiltonian: grid value 1 at alpha 2 is grid
-    # value 2 at alpha 1, and the report lists the grid as given
+    # value 2 at alpha 1, and the report lists the grid as given.  sigma is
+    # uniform, so any H leaves it invariant; the unequal weights make the
+    # gap depend on the coupling
     reports = {}
     for alpha, grid in ((2.0, "1,10"), (1.0, "2,20"), (1.0, "1,10")):
         spec = {"schema": "lindgap-model/1", "model": "graph",
                 "params": {"n_vertices": 3, "edges": [[0, 1], [1, 2]],
-                           "sigma": [0.5, 0.3, 0.2], "alpha": alpha,
+                           "weights": [1.0, 3.0], "sigma": [1, 1, 1], "alpha": alpha,
                            "hamiltonian": [[0, 1, 0], [1, 0, 1], [0, 1, 0]]}}
         path = write_spec(tmp_path / f"graph-{alpha}-{grid}.json", spec)
         out = tmp_path / f"out-{alpha}-{grid}"
@@ -144,8 +146,8 @@ def test_gap_grid_multiplies_the_spec_alpha(tmp_path):
     doubled, ref, plain = reports[2.0, "1,10"], reports[1.0, "2,20"], reports[1.0, "1,10"]
     assert doubled["alphas"] == [1.0, 10.0]
     assert doubled["gaps"] == pytest.approx(ref["gaps"], rel=1e-12)
-    assert doubled["gaps"][0] == pytest.approx(5.078181463183094, rel=1e-12)
-    assert plain["gaps"][0] == pytest.approx(4.8373344408816, rel=1e-12)
+    assert doubled["gaps"][0] == pytest.approx(7.4201881097940126, rel=1e-12)
+    assert plain["gaps"][0] == pytest.approx(5.967016765257956, rel=1e-12)
 
 
 def test_gap_rejects_bad_grid(tmp_path, qubit_spec, capsys):
@@ -188,6 +190,30 @@ def test_certify_refuses_coercive_model(tmp_path, capsys):
     spec = write_spec(tmp_path / "haar.json", HAAR_COERCIVE)
     assert main(["certify", "--spec", spec, "--out", str(tmp_path)]) == 2
     assert "coercive" in capsys.readouterr().err
+
+
+# sigma = diag(0.4, 0.3, 0.2, 0.1) with an H that does not commute with it
+NON_INVARIANT = {
+    "schema": "lindgap-model/1",
+    "model": "graph",
+    "params": {"n_vertices": 4, "edges": [[0, 1], [2, 3]], "sigma": [0.4, 0.3, 0.2, 0.1],
+               "hamiltonian": [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]},
+}
+
+
+@pytest.mark.parametrize("command", ["structure", "gap", "certify", "validate", "stp"])
+def test_every_command_refuses_a_non_invariant_sigma(tmp_path, capsys, command):
+    spec = write_spec(tmp_path / "graph.json", NON_INVARIANT)
+    extra = []
+    if command == "validate":
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({"nu": 1e-3, "T": 1.0, "C_T": 1.0}))
+        extra = ["--certificate", str(bare)]
+    out = tmp_path / "out"
+    assert main([command, "--spec", spec, "--out", str(out)] + extra) == 2
+    assert "sigma is not invariant for this generator (residual 2.449e-01)" \
+        in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -241,31 +267,29 @@ def test_validate_passes_on_tfim_with_default_flags(tmp_path):
 
 
 def test_validate_takes_one_exponential_per_distinct_step(tmp_path, monkeypatch):
-    # e^{(s+t)M} = e^{tM} e^{sM}: the decay and norm curves each step one
-    # propagator along their grid, and the window Gramian takes one more of
+    # e^{(k+1)hM} = e^{hM} e^{khM}: the decay and norm curves each step one
+    # propagator of fixed step h, and the window Gramian takes one more of
     # the doubled Van Loan block; each is one stacked exponential per sector
-    # size, together covering the 63 traceless coordinates exactly once
-    spec = write_spec(tmp_path / "tfim.json", TFIM3)
-    cert = emit_certificate(tmp_path, spec)
-    bundle = build_model(load_spec(spec))
-    sectors = Analysis(bundle.lind, bundle.state).sectors
+    # size, so the 63 traceless coordinates are covered 1 + 1 + 2 times
     evolve = import_module("lindgap.evolve")
     expm = evolve._expm
     calls = []
     monkeypatch.setattr(evolve, "_expm", lambda A: calls.append(A.shape) or expm(A))
-    out = tmp_path / "val"
-    assert main(["validate", "--spec", spec, "--out", str(out),
-                 "--certificate", str(cert)]) == 0
-    steps = 0
-    for name in ("decay.csv", "norms.csv"):
-        rows = (out / name).read_text().splitlines()[1:]
-        ts = np.array([float(row.split(",")[0]) for row in rows])
-        steps += len(set(np.diff(ts, prepend=0.0).tolist()) - {0.0})
-    assert steps + 1 < 20
-    assert all(len(shape) == 3 for shape in calls)
-    assert len(calls) <= (steps + 1) * len(sectors)
-    assert max(side for _, side, _ in calls) <= 2 * max(S.shape[1] for S in sectors)
-    assert sum(k * side for k, side, _ in calls) == 63 * (steps + 2)
+    for draw, (h, gamma) in enumerate(((0.75, 1.25), (1.1, 0.8), (0.9, 1.05))):
+        spec = write_spec(tmp_path / f"tfim-{draw}.json",
+                          dict(TFIM3, params={"n": 3, "h": h, "gamma": gamma}))
+        cert = emit_certificate(tmp_path, spec)
+        bundle = build_model(load_spec(spec))
+        sectors = Analysis(bundle.lind, bundle.state).sectors
+        calls.clear()
+        assert main(["validate", "--spec", spec, "--out", str(tmp_path / "val"),
+                     "--certificate", str(cert)]) == 0
+        expected = Counter()
+        for S in sectors:
+            expected[S.shape[0], S.shape[1]] += 2
+            expected[S.shape[0], 2 * S.shape[1]] += 1
+        assert Counter((k, side) for k, side, _ in calls) == expected
+        assert sum(k * side for k, side, _ in calls) == 63 * 4
 
 
 def test_validate_rejects_inflated_rate(tmp_path, qubit_spec):
@@ -604,6 +628,18 @@ def test_missing_spec_file(tmp_path, capsys):
     assert main(["structure", "--spec", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, field", [
+    (dict(QUBIT_EXPLICIT, hamiltonian=[[0, 1], [0, 0]]), "hamiltonian"),
+    ({"schema": "lindgap-model/1", "model": "graph",
+      "params": {"n_vertices": 2, "edges": [[0, 1]], "sigma": [1, 1],
+                 "hamiltonian": [[0, 1], [0, 0]]}}, "params.hamiltonian"),
+])
+def test_non_hermitian_hamiltonian_names_the_field(tmp_path, capsys, spec, field):
+    path = write_spec(tmp_path / "h.json", spec)
+    assert main(["structure", "--spec", path, "--out", str(tmp_path)]) == 2
+    assert f"input error: {field}: H is not Hermitian" in capsys.readouterr().err
 
 
 def test_explicit_spec_validation(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Exact semigroup evolution and certificate validation against it."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -70,24 +71,26 @@ def tfim3_Mr():
     pytest.param(QUBIT_AN.Mr, id="defective-qubit"),
     pytest.param(tfim3_Mr(), id="tfim3"),
 ])
-@pytest.mark.parametrize("ts", [
-    pytest.param([0.0, 0.1, 0.35, 1.2, 4.0], id="uneven"),
-    pytest.param([0.0, 0.5, 0.5, 1.5, 1.5, 2.5], id="repeated"),
-    pytest.param([0.7, 0.9, 3.0, 3.2], id="above-zero"),
+@pytest.mark.parametrize("h, samples", [
+    pytest.param(0.35, 12, id="short-step"),
+    pytest.param(1.3, 4, id="long-step"),
 ])
-def test_flow_matches_direct_exponentials(M, ts):
+def test_flow_matches_direct_exponentials(M, h, samples):
     X = np.random.default_rng(95).standard_normal((M.shape[0], 3))
-    for t, Y in zip(ts, _flow(M, ts, X), strict=True):
-        ref = expm(t * M) @ X
+    for k, Y in enumerate(islice(_flow(M, h, X), samples)):
+        ref = expm(k * h * M) @ X
         assert np.linalg.norm(Y - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_flow_takes_one_exponential_per_distinct_step(monkeypatch):
+    # the first sample, k = 0, needs none; every later one steps e^{hM}
     seen = []
     monkeypatch.setattr(evolve, "_expm", lambda A: seen.append(A) or expm(A))
-    ts = [0.0, 0.5, 0.5, 1.0, 1.5, 1.75]
-    list(_flow(QUBIT_AN.Mr, ts, np.eye(3)))
-    assert len(seen) == 2
+    list(islice(_flow(QUBIT_AN.Mr, 0.5, np.eye(3)), 1))
+    assert not seen
+    list(islice(_flow(QUBIT_AN.Mr, 0.5, np.eye(3)), 6))
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], 0.5 * QUBIT_AN.Mr)
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +100,7 @@ def test_flow_takes_one_exponential_per_distinct_step(monkeypatch):
 def test_decay_curve_monotone_with_windows():
     rng = np.random.default_rng(85)
     X0 = rand_hermitian(rng, 2)
-    ts = np.linspace(0.0, 5.0, 12)
-    rep = time_avg_check(QUBIT_AN, X0, 1.5, CERT_NU, ts, CERT_CT)
+    rep = time_avg_check(QUBIT_AN, X0, 1.5, CERT_NU, 5.0 / 11, 12, CERT_CT)
     assert np.all(np.diff(rep.pointwise_values) <= 1e-12 * rep.pointwise_values[0])
     assert np.all(np.diff(rep.window_values) <= 1e-12 * rep.window_values[0])
 
@@ -107,8 +109,9 @@ def test_decay_curve_eigenvector_is_pure_exponential():
     m = two_vertex_model()
     kappa = m.kappa[0, 1]
     X0 = matrix_unit(2, 0, 1) + matrix_unit(2, 1, 0)
-    ts = np.linspace(0.0, 2.0, 9)
-    rep = time_avg_check(Analysis(m.lind, m.state), X0, 1.0, 1e-3, ts, 1.0)
+    rep = time_avg_check(Analysis(m.lind, m.state), X0, 1.0, 1e-3, 0.25, 9, 1.0)
+    ts = rep.times
+    assert np.array_equal(ts, 0.25 * np.arange(9))
     expected = rep.pointwise_values[0] * np.exp(2.0 * kappa * ts)
     assert np.abs(rep.pointwise_values - expected).max() \
         < 1e-8 * rep.pointwise_values[0]
@@ -124,8 +127,7 @@ def test_decay_curve_eigenvector_is_pure_exponential():
 def test_cert_check_passes_emitted_certificate():
     rng = np.random.default_rng(87)
     X0 = rand_hermitian(rng, 2)
-    ts = np.linspace(0.0, 30.0, 8)
-    rep = time_avg_check(QUBIT_AN, X0, CERT_T, CERT_NU, ts, CERT_CT)
+    rep = time_avg_check(QUBIT_AN, X0, CERT_T, CERT_NU, 30.0 / 7, 8, CERT_CT)
     assert rep.passed and rep.window_ok and rep.pointwise_ok
     assert rep.worst_window_ratio <= 1.0 + 1e-6
     assert rep.worst_pointwise_ratio <= 1.0 + 1e-6
@@ -133,7 +135,7 @@ def test_cert_check_passes_emitted_certificate():
     fr = KmsFrame(MIXED2)
     Mr = generator_matrix(QUBIT, fr)[1:, 1:]
     G = lyapunov_window_gramian(Mr, CERT_T)
-    xs = [expm(t * Mr) @ fr.coords(X0)[1:] for t in ts]
+    xs = [expm(t * Mr) @ fr.coords(X0)[1:] for t in rep.times]
     exact = np.array([np.vdot(x, G @ x).real for x in xs])
     assert np.abs(rep.window_values - exact).max() < 1e-12 * exact[0]
 
@@ -159,7 +161,7 @@ def test_window_average_closed_form_for_detailed_balance(lind, state):
         nz = np.abs(x) > 1e-300
         f[nz] = -np.expm1(-x[nz]) / x[nz]
         exact = float(np.sum(np.abs(c) ** 2 * f))
-        rep = time_avg_check(Analysis(lind, state), X0, T, 1e-3, [0.0], 1.0)
+        rep = time_avg_check(Analysis(lind, state), X0, T, 1e-3, 1.0, 1, 1.0)
         assert abs(rep.window_values[0] - exact) <= 1e-12 * exact
 
 
@@ -188,15 +190,13 @@ def test_cert_check_rejects_inflated_rate():
     # by a polynomial factor; claiming nu = 4 must fail
     rng = np.random.default_rng(89)
     X0 = rand_hermitian(rng, 2)
-    ts = np.linspace(0.0, 20.0, 9)
-    rep = time_avg_check(QUBIT_AN, X0, CERT_T, 4.0, ts, 1.1)
+    rep = time_avg_check(QUBIT_AN, X0, CERT_T, 4.0, 2.5, 9, 1.1)
     assert not rep.passed
     assert rep.worst_window_ratio > 10.0
 
 
 def test_cert_check_constant_observable_is_trivial():
-    ts = np.linspace(0.0, 10.0, 5)
-    rep = time_avg_check(QUBIT_AN, np.eye(2), CERT_T, CERT_NU, ts, CERT_CT)
+    rep = time_avg_check(QUBIT_AN, np.eye(2), CERT_T, CERT_NU, 2.5, 5, CERT_CT)
     # coords of a constant are rounding noise that evolves like the true
     # dynamics, so the ratios sit at or below 1 instead of at 0
     assert rep.passed
@@ -207,40 +207,42 @@ def test_cert_check_survives_underflowed_decay():
     # e^{-nu t} underflows at nu*t > 745; the bound is then vacuously true
     rng = np.random.default_rng(91)
     X0 = rand_hermitian(rng, 2)
-    rep = time_avg_check(QUBIT_AN, X0, CERT_T, 4.0, [0.0, 500.0], 1.1)
+    rep = time_avg_check(QUBIT_AN, X0, CERT_T, 4.0, 500.0, 2, 1.1)
     assert rep.passed
     assert math.isfinite(rep.worst_window_ratio)
 
 
 def test_cert_check_validates_inputs():
     with pytest.raises(ValueError):
-        time_avg_check(QUBIT_AN, PAULI_Z, 0.0, 1.0, [0.0], 1.0)
+        time_avg_check(QUBIT_AN, PAULI_Z, 0.0, 1.0, 1.0, 1, 1.0)
     with pytest.raises(ValueError):
-        time_avg_check(QUBIT_AN, PAULI_Z, 1.0, -1.0, [0.0], 1.0)
+        time_avg_check(QUBIT_AN, PAULI_Z, 1.0, -1.0, 1.0, 1, 1.0)
     with pytest.raises(ValueError):
-        time_avg_check(QUBIT_AN, PAULI_Z, 1.0, 1.0, [0.0], 0.9)
-    with pytest.raises(ValueError):
-        time_avg_check(QUBIT_AN, PAULI_Z, 1.0, 1.0, [-1.0], 1.0)
-    # the propagator steps forward along the grid
-    with pytest.raises(ValueError, match="nondecreasing"):
-        time_avg_check(QUBIT_AN, PAULI_Z, 1.0, 1.0, [0.0, 2.0, 1.0], 1.0)
+        time_avg_check(QUBIT_AN, PAULI_Z, 1.0, 1.0, 1.0, 1, 0.9)
+    # the propagator steps forward
+    with pytest.raises(ValueError, match="^h must be finite and positive"):
+        time_avg_check(QUBIT_AN, PAULI_Z, 1.0, 1.0, -1.0, 2, 1.0)
+    for samples in (0, 2.0):
+        with pytest.raises(ValueError, match="^samples must be an integer >= 1"):
+            time_avg_check(QUBIT_AN, PAULI_Z, 1.0, 1.0, 1.0, samples, 1.0)
 
 
 NON_FINITE = {
     "stp-T-nan": (lambda: stp_verify(QUBIT_AN, math.nan, 1.0), "T"),
     "stp-T-inf": (lambda: stp_verify(QUBIT_AN, math.inf, 1.0), "T"),
     "stp-beta-nan": (lambda: stp_verify(QUBIT_AN, 1.0, math.nan), "beta"),
+    # the time step
     "check-time-nan": (lambda: time_avg_check(QUBIT_AN, PAULI_Z, CERT_T, CERT_NU,
-                                              [0.0, math.nan, 2.0], CERT_CT), "sample times"),
+                                              math.nan, 3, CERT_CT), "h"),
     "check-T-nan": (lambda: time_avg_check(QUBIT_AN, PAULI_Z, math.nan, CERT_NU,
-                                           [0.0, 1.0], CERT_CT), "T"),
+                                           1.0, 2, CERT_CT), "T"),
     "check-T-inf": (lambda: time_avg_check(QUBIT_AN, PAULI_Z, math.inf, CERT_NU,
-                                           [0.0, 1.0], CERT_CT), "T"),
+                                           1.0, 2, CERT_CT), "T"),
     "check-nu-nan": (lambda: time_avg_check(QUBIT_AN, PAULI_Z, CERT_T, math.nan,
-                                            [0.0, 1.0], CERT_CT), "nu"),
+                                            1.0, 2, CERT_CT), "nu"),
     "check-prefactor-inf": (lambda: time_avg_check(QUBIT_AN, PAULI_Z, CERT_T, CERT_NU,
-                                                   [0.0, 1.0], math.inf), "prefactor"),
-    "norms-time-nan": (lambda: semigroup_norm_curve(QUBIT_AN, [0.5, math.nan, 2.0]), "ts"),
+                                                   1.0, 2, math.inf), "prefactor"),
+    "norms-time-nan": (lambda: semigroup_norm_curve(QUBIT_AN, math.nan, 3), "h"),
     "certify-T-nan": (lambda: certify(QUBIT_AN, T=math.nan), "T"),
 }
 
@@ -259,39 +261,40 @@ def test_non_finite_inputs_are_refused(case):
 
 
 def test_norm_curve_recovers_qubit_gap():
-    ts = np.linspace(0.625, 25.0, 40)
-    nc = semigroup_norm_curve(QUBIT_AN, ts)
+    nc = semigroup_norm_curve(QUBIT_AN, 0.625, 40)
+    assert np.array_equal(nc.times, 0.625 * np.arange(1, 41))
     assert abs(nc.empirical_rate - 2.0) / 2.0 < 0.05
     assert nc.range_warning is None
 
 
 def test_norm_curve_exact_for_self_adjoint_generator():
     m = two_vertex_model()
-    ts = np.linspace(0.1, 3.0, 15)
-    nc = semigroup_norm_curve(Analysis(m.lind, m.state), ts)
-    assert np.abs(nc.norms - np.exp(-m.lambda_D * ts)).max() < 1e-8
+    nc = semigroup_norm_curve(Analysis(m.lind, m.state), 0.2, 15)
+    assert np.abs(nc.norms - np.exp(-m.lambda_D * nc.times)).max() < 1e-8
 
 
 def test_norm_curve_flags_short_time_range():
-    nc = semigroup_norm_curve(QUBIT_AN, np.linspace(0.05, 0.5, 10))
+    nc = semigroup_norm_curve(QUBIT_AN, 0.05, 10)
     assert nc.range_warning is not None
     assert "five decay times" in nc.range_warning
 
 
 def test_norm_curve_flags_underflow():
-    nc = semigroup_norm_curve(QUBIT_AN, np.linspace(1.0, 400.0, 10))
+    nc = semigroup_norm_curve(QUBIT_AN, 40.0, 10)
     assert nc.range_warning == "norms underflowed inside the fit window"
     assert math.isfinite(nc.empirical_rate)
-    late = semigroup_norm_curve(QUBIT_AN, np.linspace(400.0, 800.0, 6))
+    late = semigroup_norm_curve(QUBIT_AN, 80.0, 10)
     assert late.range_warning == "norms underflowed before the fit window"
     assert math.isnan(late.empirical_rate)
 
 
 def test_norm_curve_validates_grid():
-    with pytest.raises(ValueError, match="increasing"):
-        semigroup_norm_curve(QUBIT_AN, [2.0, 1.0, 3.0])
-    with pytest.raises(ValueError, match="two points"):
-        semigroup_norm_curve(QUBIT_AN, [1.0, 2.0])
+    with pytest.raises(ValueError, match="^h must be finite and positive"):
+        semigroup_norm_curve(QUBIT_AN, 0.0, 3)
+    # the fit window, the last half of the samples, needs two points
+    for samples in (2, 3.0):
+        with pytest.raises(ValueError, match="^samples must be an integer >= 3"):
+            semigroup_norm_curve(QUBIT_AN, 1.0, samples)
 
 
 # ---------------------------------------------------------------------------

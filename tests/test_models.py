@@ -418,6 +418,20 @@ def test_haar_gibbs_norm_via_operator_norm():
     assert np.linalg.norm(M, 2) == pytest.approx(hm.model.norm_LD, rel=1e-10)
 
 
+def test_haar_gibbs_gaussian_filter():
+    # a non-constant even filter builds: edge weights q(nu)^2 / (4N), and its
+    # graph gap is the kernel split's smallest rate
+    lam = [0.0, 0.4, 1.1, 1.7]
+    hm = haar_avg_gibbs(lam, 1.0, q=lambda nu: math.exp(-nu**2))
+    for (i, j), w in hm.model.spec.weights.items():
+        assert w == pytest.approx(math.exp(-2.0 * (lam[i] - lam[j]) ** 2) / 16.0,
+                                  rel=1e-14)
+    assert hm.q0_weight == pytest.approx(0.25, rel=1e-15)
+    rate = Analysis(hm.lind, hm.state).split.rates[0]
+    assert hm.model.lambda_D == pytest.approx(rate, rel=1e-12)
+    assert hm.model.lambda_D == pytest.approx(0.1133101908557103, rel=1e-12)
+
+
 def test_haar_gibbs_filter_validation():
     with pytest.raises(ValueError, match="even"):
         haar_avg_gibbs([0.0, 1.0], 0.5, q=lambda nu: 1.0 + nu)

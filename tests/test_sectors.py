@@ -150,10 +150,9 @@ def test_validate_curves_match_the_whole_exponentials(name):
     X0 = _random_mean_zero(np.random.default_rng(7), an.state)
     gap = spectral_gap(an)
     T = 0.5 / gap
-    ts = np.linspace(0.0, 6.0 / gap, 7)
-    rep = time_avg_check(an, X0, T, 1e-3, ts, 1.0)
-    norms = semigroup_norm_curve(an, ts[1:]).norms
-    points, windows, ref_norms = whole_curves(an, X0, T, ts)
+    rep = time_avg_check(an, X0, T, 1e-3, 1.0 / gap, 7, 1.0)
+    norms = semigroup_norm_curve(an, 1.0 / gap, 6).norms
+    points, windows, ref_norms = whole_curves(an, X0, T, rep.times)
     for got, want in ((rep.pointwise_values, points), (rep.window_values, windows),
                       (norms, ref_norms[1:])):
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1e-2 * want[0]))
