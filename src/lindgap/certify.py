@@ -20,8 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .lindblad import (Analysis, dag, max_column_norm, real_norm2, require_invariant,
-                       sector_blocks)
+from .lindblad import Analysis, dag, max_column_norm, real_norm2, sector_blocks
 
 ASSUMPTION_DEFECT_FACTOR = 1e-9
 INJECTIVITY_TOL = 1e-10
@@ -109,16 +108,6 @@ def _kernel_blocks(an: Analysis):
         for k in np.unique(ks[ks > 0]):
             sel = ks == k
             yield V[sel][:, :, :k], V[sel][:, :, k:], sector_blocks(an.M_Hr, [S[sel]])[0]
-
-
-def _invariant_split(an: Analysis):
-    """an.split, which refuses an L^D that is not KMS-symmetric; such an L^D
-    leaves sigma invariant, so L does exactly when [H, sigma] = 0, and the
-    residual is taken only when the analysis has no energies."""
-    split = an.split
-    if an.energies is None:
-        require_invariant(an.L, an.state)
-    return split
 
 
 def check_assumption(an: Analysis) -> tuple[bool, float]:
@@ -218,7 +207,7 @@ def certify(an: Analysis, T: float | None = None) -> RateCertificate:
     certify_coercive) and models whose Hamiltonian mixes the dissipator
     kernel into itself.
     """
-    if _invariant_split(an).dim0 == 0:
+    if an.invariant_split().dim0 == 0:
         raise ValueError(
             "dissipator kernel is trivial (coercive model): the spectral gap "
             "itself is the rate; use certify_coercive")
@@ -247,7 +236,7 @@ def certify_coercive(an: Analysis) -> CoerciveCertificate:
     rate); any window length T works, and T = 1/(2 nu) keeps nu * T = 1/2.
     Refuses a sigma that L does not leave invariant.
     """
-    split = _invariant_split(an)
+    split = an.invariant_split()
     if split.dim0 > 0:
         raise ValueError("generator has a nontrivial kernel; it is not coercive")
     gap = float(split.rates[0])

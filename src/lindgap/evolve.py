@@ -21,8 +21,8 @@ from itertools import islice
 
 import numpy as np
 
-from .certify import (StructuralConstants, _invariant_split, _require_finite_positive,
-                      c_constants, check_assumption)
+from .certify import (StructuralConstants, _require_finite_positive, c_constants,
+                      check_assumption)
 from .lindblad import Analysis, real_norm2, sector_blocks
 from .operators import Matrix, QuantumState, as_square_matrix, dag
 
@@ -99,7 +99,8 @@ CERT_SLACK = 1e-6
 
 
 def _require_samples(samples: int, least: int = 1) -> None:
-    if not (isinstance(samples, (int, np.integer)) and samples >= least):
+    if not (isinstance(samples, (int, np.integer)) and not isinstance(samples, bool)
+            and samples >= least):
         raise ValueError(f"samples must be an integer >= {least}, got {samples!r}")
 
 
@@ -263,7 +264,7 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
     _require_finite_positive(T=T, beta=beta)
     if n_samples < 1 or poly_degree < 0:
         raise ValueError("need n_samples >= 1 and poly_degree >= 0")
-    split = _invariant_split(an)
+    split = an.invariant_split()
     if split.dim0 == 0:
         # nothing to couple out of: the coupling is vacuously infinite, and
         # Pi_+ is the identity on the traceless subspace

@@ -376,6 +376,16 @@ class Analysis:
     def split(self) -> SpaceSplit:
         return kernel_projection(self)
 
+    def invariant_split(self) -> SpaceSplit:
+        """split, after refusing a sigma that L does not leave invariant.  split
+        first refuses an L^D that is not KMS-symmetric, and such an L^D leaves
+        sigma invariant; so L does exactly when [H, sigma] = 0, and the residual,
+        a loop over the jumps, is taken only when E is None."""
+        split = self.split
+        if self.energies is None:
+            require_invariant(self.L, self.state)
+        return split
+
     @cached_property
     def constants(self):
         """certify.structural_constants of this analysis."""

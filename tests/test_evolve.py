@@ -222,7 +222,7 @@ def test_cert_check_validates_inputs():
     # the propagator steps forward
     with pytest.raises(ValueError, match="^h must be finite and positive"):
         time_avg_check(QUBIT_AN, PAULI_Z, 1.0, 1.0, -1.0, 2, 1.0)
-    for samples in (0, 2.0):
+    for samples in (0, 2.0, True):
         with pytest.raises(ValueError, match="^samples must be an integer >= 1"):
             time_avg_check(QUBIT_AN, PAULI_Z, 1.0, 1.0, 1.0, samples, 1.0)
 
