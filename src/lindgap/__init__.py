@@ -13,7 +13,6 @@ from .lindblad import (
     Analysis,
     Lindbladian,
     build_gksl,
-    check_invariance,
     generator_matrix,
     hamiltonian_superop,
     structure_report,

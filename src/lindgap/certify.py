@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .lindblad import Analysis, dag, max_column_norm, real_norm2, sector_blocks
+from .lindblad import (Analysis, dag, max_column_norm, real_norm2, require_invariant,
+                       sector_blocks)
 
 ASSUMPTION_DEFECT_FACTOR = 1e-9
 INJECTIVITY_TOL = 1e-10
@@ -207,7 +208,9 @@ def certify(an: Analysis, T: float | None = None) -> RateCertificate:
     certify_coercive) and models whose Hamiltonian mixes the dissipator
     kernel into itself.
     """
-    if an.invariant_split().dim0 == 0:
+    split = an.split  # first: it refuses an L^D that is not KMS-symmetric
+    require_invariant(an)
+    if split.dim0 == 0:
         raise ValueError(
             "dissipator kernel is trivial (coercive model): the spectral gap "
             "itself is the rate; use certify_coercive")
@@ -236,7 +239,8 @@ def certify_coercive(an: Analysis) -> CoerciveCertificate:
     rate); any window length T works, and T = 1/(2 nu) keeps nu * T = 1/2.
     Refuses a sigma that L does not leave invariant.
     """
-    split = an.invariant_split()
+    split = an.split
+    require_invariant(an)
     if split.dim0 > 0:
         raise ValueError("generator has a nontrivial kernel; it is not coercive")
     gap = float(split.rates[0])

@@ -2,7 +2,7 @@
 
 Outputs are deterministic for fixed (spec, seed, flags): keys are sorted,
 no timestamps are embedded, and files are written atomically.  Exit codes:
-0 success, 1 validation failure, 2 input error, 3 numerical failure.
+0 success, 1 validation failure, 2 input error, 3 numerical failure or no memory.
 """
 
 from __future__ import annotations
@@ -284,6 +284,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise SpecError("--seed", "must be a nonnegative integer")
         spec = load_spec(args.spec)
         bundle = build_model(spec)
         os.makedirs(args.out, exist_ok=True)
@@ -291,9 +293,9 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"lindgap: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, MemoryError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first
-        print(f"lindgap: numerical failure: {exc}", file=sys.stderr)
+        print("lindgap: numerical failure:", str(exc) or type(exc).__name__, file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"lindgap: input error: {exc}", file=sys.stderr)

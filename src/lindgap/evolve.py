@@ -23,7 +23,7 @@ import numpy as np
 
 from .certify import (StructuralConstants, _require_finite_positive, c_constants,
                       check_assumption)
-from .lindblad import Analysis, real_norm2, sector_blocks
+from .lindblad import Analysis, real_norm2, require_invariant, sector_blocks
 from .operators import Matrix, QuantumState, as_square_matrix, dag
 
 
@@ -98,10 +98,10 @@ class TimeAvgReport:
 CERT_SLACK = 1e-6
 
 
-def _require_samples(samples: int, least: int = 1) -> None:
+def _require_samples(samples: int, least: int = 1, name: str = "samples") -> None:
     if not (isinstance(samples, (int, np.integer)) and not isinstance(samples, bool)
             and samples >= least):
-        raise ValueError(f"samples must be an integer >= {least}, got {samples!r}")
+        raise ValueError(f"{name} must be an integer >= {least}, got {samples!r}")
 
 
 def time_avg_check(an: Analysis, X0, T: float, nu: float, h: float, samples: int,
@@ -262,9 +262,10 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
     """
     # beta > 0 makes (beta - L^D) invertible
     _require_finite_positive(T=T, beta=beta)
-    if n_samples < 1 or poly_degree < 0:
-        raise ValueError("need n_samples >= 1 and poly_degree >= 0")
-    split = an.invariant_split()
+    _require_samples(n_samples, name="n_samples")
+    _require_samples(poly_degree, 0, name="poly_degree")
+    split = an.split
+    require_invariant(an)
     if split.dim0 == 0:
         # nothing to couple out of: the coupling is vacuously infinite, and
         # Pi_+ is the identity on the traceless subspace

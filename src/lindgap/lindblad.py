@@ -41,6 +41,7 @@ DB_DEFECT_TOL = 1e-8
 KERNEL_TOL_FACTOR = 1e-9
 COMMUTANT_SV_FACTOR = 1e-9
 INVARIANCE_FLAG_FACTOR = 1e-9
+INVARIANCE_REFUSE_FACTOR = 1e-6
 COMMUTE_TOL = 1e-10
 JOINT_BASIS_TOL = 1e-12
 SECTOR_TOL = 1e-12
@@ -90,28 +91,9 @@ class Lindbladian:
             - np.kron(eye, (coherent + 0.5 * damping).T)
         return G
 
-    def apply_adjoint(self, rho) -> Matrix:
-        """Schrodinger-picture action (trace-pairing adjoint)."""
-        rho = as_square_matrix(rho, self.dim)
-        H = self.hamiltonian
-        out = -1j * self.alpha * (H @ rho - rho @ H)
-        for w, L in self.jumps:
-            Ld = dag(L)
-            LdL = Ld @ L
-            out += w * (L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL))
-        return out
-
     def dissipator(self) -> "Lindbladian":
         """The jump part alone (alpha = 0)."""
         return Lindbladian(self.dim, np.zeros((self.dim, self.dim)), self.jumps, alpha=0.0)
-
-    def magnitude(self) -> float:
-        """Rough generator scale used to normalize residual tolerances."""
-        m = 2.0 * abs(self.alpha) * np.linalg.norm(self.hamiltonian, 2)
-        Ls = np.array([L for _, L in self.jumps]).reshape(-1, self.dim, self.dim)
-        for (w, _), n in zip(self.jumps, np.linalg.norm(Ls, 2, axis=(1, 2))):
-            m += 2.0 * w * n ** 2
-        return float(m)
 
 
 def build_gksl(H, jumps, alpha: float = 1.0) -> Lindbladian:
@@ -127,15 +109,11 @@ def build_gksl(H, jumps, alpha: float = 1.0) -> Lindbladian:
     return Lindbladian(N, H, clean, alpha=float(alpha))
 
 
-def check_invariance(L: Lindbladian, state: QuantumState) -> float:
-    """Frobenius norm of the Schrodinger-picture action on sigma."""
-    return float(np.linalg.norm(L.apply_adjoint(state.matrix)))
-
-
-def require_invariant(L: Lindbladian, state: QuantumState) -> float:
-    """The invariance residual of sigma; raises if sigma is far from invariant."""
-    residual = check_invariance(L, state)
-    if residual > 1e-6 * max(L.magnitude(), 1e-30):
+def require_invariant(an: Analysis) -> float:
+    """an.invariance_residual; raises if it exceeds INVARIANCE_REFUSE_FACTOR
+    times the generator's scale, an.magnitude."""
+    residual = an.invariance_residual
+    if residual > INVARIANCE_REFUSE_FACTOR * an.magnitude:
         raise ValueError(
             f"sigma is not invariant for this generator (residual {residual:.3e})")
     return residual
@@ -273,8 +251,9 @@ class Analysis:
     their traceless blocks [1:, 1:]; the sectors on which those blocks split;
     the symmetric part M_D_sym after the one check that L^D is KMS-symmetric;
     the kernel split, the one eigendecomposition of M_D per sector that every
-    later use of its spectrum reads; the structural constants; and the
-    smallest singular value of Mr.
+    later use of its spectrum reads; the structural constants; the
+    smallest singular value of Mr; and the invariance residual ||L^dag(sigma)||_F
+    with its scale, the magnitude of L.
     """
 
     def __init__(self, L: Lindbladian, state: QuantumState):
@@ -376,15 +355,28 @@ class Analysis:
     def split(self) -> SpaceSplit:
         return kernel_projection(self)
 
-    def invariant_split(self) -> SpaceSplit:
-        """split, after refusing a sigma that L does not leave invariant.  split
-        first refuses an L^D that is not KMS-symmetric, and such an L^D leaves
-        sigma invariant; so L does exactly when [H, sigma] = 0, and the residual,
-        a loop over the jumps, is taken only when E is None."""
-        split = self.split
-        if self.energies is None:
-            require_invariant(self.L, self.state)
-        return split
+    @cached_property
+    def invariance_residual(self) -> float:
+        """||L^dag(sigma)||_F, read off row 0 of M, which is not built for it.  As
+        M^T = L* and E_0 = 1, the row holds the coordinates c of L*(1) =
+        sigma^-1/2 L^dag(sigma) sigma^-1/2; the square is sum_a mu_a (Q c_D)_a^2 +
+        sum_pairs sqrt(mu_r mu_c)(c_s^2 + c_t^2).  M_H's row is 0 in the joint frame."""
+        c = self.M_D[0] if self.energies is not None else self.M_D[0] + self.M_H[0]
+        D, P, I = self.frame._blocks
+        r, k = self.frame._pairs
+        mu = self.state.eigenvalues
+        sq = mu @ (self.frame._Q @ c[D]) ** 2 \
+            + np.sqrt(mu[r] * mu[k]) @ (c[P] ** 2 + c[I] ** 2)
+        return float(np.sqrt(sq))
+
+    @cached_property
+    def magnitude(self) -> float:
+        """Rough scale of L that normalizes the invariance tolerances:
+        2 ||H||_2 + 2 sum_j w_j ||L_j||_2^2, floored at 1e-30."""
+        w = np.array([w for w, _ in self.L.jumps], dtype=float)
+        Ls = np.array([J for _, J in self.L.jumps]).reshape(-1, self.L.dim, self.L.dim)
+        m = np.linalg.norm(self.H, 2) + w @ np.linalg.norm(Ls, 2, axis=(1, 2)) ** 2
+        return max(2.0 * float(m), 1e-30)
 
     @cached_property
     def constants(self):
@@ -498,12 +490,10 @@ def _kernel_counts(an: Analysis) -> tuple[int, float, int]:
 
 def structure_report(an: Analysis) -> StructureReport:
     """Full detailed-balance / primitivity / kernel diagnostic for a generator."""
-    L = an.L
-    residual = require_invariant(L, an.state)
-    invariant_ok = residual <= INVARIANCE_FLAG_FACTOR * max(L.magnitude(), 1e-30)
-
-    # one G for the GNS defect and the fit; its assembly also gives M_D
+    # one G for the GNS defect and the fit; its assembly also gives M_D (and
+    # M_H off the joint frame), whose row 0 the residual reads
     G = an.unit_matrix()
+    residual = require_invariant(an)
     mu = an.state.eigenvalues
     uniform = mu[0] == mu[-1]  # then the GNS and KMS products coincide
     if not uniform:
@@ -529,7 +519,7 @@ def structure_report(an: Analysis) -> StructureReport:
         classification = "hypocoercive"
 
     return StructureReport(
-        invariant_state_ok=invariant_ok,
+        invariant_state_ok=residual <= INVARIANCE_FLAG_FACTOR * an.magnitude,
         invariance_residual=residual,
         kms_db=kms_defect < DB_DEFECT_TOL,
         kms_defect=kms_defect,

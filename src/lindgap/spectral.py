@@ -34,7 +34,7 @@ def gap_from_matrix(M: Matrix, sectors: list[np.ndarray]) -> float:
 def spectral_gap(an: Analysis) -> float:
     """Spectral gap of L restricted to the traceless subspace; the singular
     gap is an.singular_gap."""
-    require_invariant(an.L, an.state)
+    require_invariant(an)
     return gap_from_matrix(an.Mr, an.sectors)
 
 
@@ -128,8 +128,7 @@ def gap_curve(an: Analysis, alphas) -> GapCurve:
         raise
     except ValueError:
         limit = None
-    if limit is None:  # else L^D is KMS-symmetric and [H, sigma] = 0: L keeps sigma
-        require_invariant(an.L, an.state)
+    require_invariant(an)
     gaps, sgaps = [], []
     for a in alphas:
         Ma = a * an.M_Hr + an.M_Dr

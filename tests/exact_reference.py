@@ -8,7 +8,8 @@ with given coordinates, KmsFrame.coords undone), the probed frame matrix
 of an arbitrary linear map (from the frame's basis operators) for every
 assembled superoperator, the GNS matrix of a generator probed on the GNS
 basis for the GNS defect, the Kronecker form summed one jump at a time for
-the batched unit matrix, polynomial moments for the space-time variance
+the batched unit matrix, the Schrodinger-picture action L^dag summed one
+jump at a time for the invariance residual read off the frame matrix, polynomial moments for the space-time variance
 check, a Lyapunov solve for the window Gramian, a least-squares fit over a
 Hermitian traceless basis for the standard detailed-balance solve, the
 stacked complex commutators of every generator for the commutant, the
@@ -107,6 +108,18 @@ def gns_matrix(L, state) -> np.ndarray:
     images = [L.apply(E) for E in basis]
     return np.array([[np.trace(state.matrix @ dag(Ej) @ LEk) for LEk in images]
                      for Ej in basis])
+
+
+def apply_adjoint(L, rho) -> np.ndarray:
+    """Schrodinger-picture action of L (the trace-pairing adjoint), one jump
+    at a time."""
+    rho = as_square_matrix(rho, L.dim)
+    H = L.hamiltonian
+    out = -1j * L.alpha * (H @ rho - rho @ H)
+    for w, J in L.jumps:
+        JdJ = dag(J) @ J
+        out += w * (J @ rho @ dag(J) - 0.5 * (JdJ @ rho + rho @ JdJ))
+    return out
 
 
 def unit_matrix_per_jump(L, basis=None) -> np.ndarray:

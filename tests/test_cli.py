@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import cached_property
 from importlib import import_module
 from pathlib import Path
 
@@ -467,6 +468,25 @@ def test_each_command_builds_one_analysis(tmp_path, monkeypatch, model, command)
     assert (counts["frames"], counts["units"]) == BUILDS[model, command]
 
 
+@pytest.mark.parametrize("model,command", [
+    pytest.param(model, command, id=command if model == "tfim" else f"{model}-{command}")
+    for model, command in BUILDS])
+def test_each_command_takes_one_generator_scale(tmp_path, monkeypatch, model, command):
+    # the scale of the invariance refusal, one SVD per jump, is taken once
+    # per command, validate's two refusals (certify, spectral_gap) included
+    spec = write_spec(tmp_path / "m.json",
+                      TFIM3 if model == "tfim" else HAAR_COERCIVE)
+    argv = [command, "--spec", spec, "--out", str(tmp_path / command)]
+    if command == "validate":
+        argv += ["--certificate", str(emit_certificate(tmp_path, spec))]
+    magnitude, calls = Analysis.magnitude.func, []
+    counted = cached_property(lambda self: calls.append(1) or magnitude(self))
+    counted.__set_name__(Analysis, "magnitude")
+    monkeypatch.setattr(Analysis, "magnitude", counted)
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
 def test_validate_takes_one_svd_of_the_generator_matrix(tmp_path, monkeypatch):
     # the singular gap is solved sector by sector, each sector block once:
     # one stacked SVD per sector size, and together they cover the traceless
@@ -670,6 +690,31 @@ def test_linalg_failure_exits_numerical(tmp_path, monkeypatch, capsys):
             assert main(["gap", "--spec", spec, "--out", str(tmp_path)]) == 3, \
                 (spec, routine)
         assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error,line", [
+    (MemoryError("Unable to allocate 256. GiB for an array"),
+     "Unable to allocate 256. GiB for an array"),
+    (MemoryError(), "MemoryError")])
+def test_out_of_memory_exits_numerical(tmp_path, monkeypatch, capsys, error, line):
+    # an allocation that fails is a numerical failure, reported on one line
+    def fail(_spec):
+        raise error
+
+    monkeypatch.setattr("lindgap.cli.build_model", fail)
+    spec = write_spec(tmp_path / "tfim3.json", TFIM3)
+    assert main(["structure", "--spec", spec, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"lindgap: numerical failure: {line}\n"
+
+
+@pytest.mark.parametrize("command", ["structure", "stp"])
+def test_negative_seed_names_the_flag(tmp_path, capsys, command):
+    spec = write_spec(tmp_path / "tfim3.json", TFIM3)
+    out = tmp_path / "out"
+    assert main([command, "--spec", spec, "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == \
+        "lindgap: input error: --seed: must be a nonnegative integer\n"
+    assert not out.exists()
 
 
 def test_reports_record_the_applied_tolerances(tmp_path, qubit_spec, monkeypatch):

@@ -1,6 +1,7 @@
 """Exact semigroup evolution and certificate validation against it."""
 
 import math
+import re
 from itertools import islice
 
 import numpy as np
@@ -358,6 +359,15 @@ def test_stp_validates_inputs():
         stp_verify(split_form(PAULI_X, LD, MIXED2), T=0.0, beta=1.0)
     with pytest.raises(ValueError):
         stp_verify(split_form(PAULI_X, LD, MIXED2), T=1.0, beta=1.0, n_samples=0)
+    # integers only, as time_avg_check takes its samples: a bool is an int
+    for kwargs, message in (
+            ({"n_samples": 2.5}, "n_samples must be an integer >= 1, got 2.5"),
+            ({"n_samples": True}, "n_samples must be an integer >= 1, got True"),
+            ({"poly_degree": 1.5}, "poly_degree must be an integer >= 0, got 1.5"),
+            ({"poly_degree": True}, "poly_degree must be an integer >= 0, got True"),
+            ({"poly_degree": -1}, "poly_degree must be an integer >= 0, got -1")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            stp_verify(split_form(PAULI_X, LD, MIXED2), T=1.0, beta=1.0, **kwargs)
 
 
 def test_stp_includes_dephasing_walk():

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from exact_reference import (
+    apply_adjoint,
     gns_matrix,
     kernel_dimension,
     lstsq_dbc_solve,
@@ -19,15 +20,19 @@ from lindgap import (
     KmsFrame,
     Lindbladian,
     QuantumState,
+    birth_death_spectrum,
     build_gksl,
-    check_invariance,
+    certify,
+    certify_coercive,
     cycle_graph,
     dephasing_jumps,
     dephasing_walk,
+    gap_curve,
     generator_matrix,
     graph_lindblad,
     haar_avg_gibbs,
     kernel_projection,
+    stp_verify,
     structure_report,
     tfim,
 )
@@ -77,7 +82,7 @@ def test_gksl_unital_and_trace_preserving():
         L = build_gksl(H, jumps)
         assert np.abs(L.apply(np.eye(N))).max() < 1e-12
         rho = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        assert abs(np.trace(L.apply_adjoint(rho))) < 1e-10
+        assert abs(np.trace(apply_adjoint(L, rho))) < 1e-10
 
 
 def test_gksl_rejects_nonpositive_weight():
@@ -96,20 +101,20 @@ def test_gns_qubit_pair_invariance_and_kms_db():
     # 2 e^{+-om/2} is GNS-detailed-balanced
     jumps = [(2.0 * np.exp(om / 2.0), E01), (2.0 * np.exp(-om / 2.0), E10)]
     L = Lindbladian(2, np.zeros((2, 2)), jumps, alpha=0.0)
-    assert check_invariance(L, st) < 1e-10
+    assert Analysis(L, st).invariance_residual < 1e-10
     M = generator_matrix(L, KmsFrame(st))
     assert hermiticity_defect(M) < 1e-10
 
 
 # ---------------------------------------------------------------------------
-# check_invariance
+# invariance_residual
 
 
 def test_invariance_residual_zero_for_balanced_build():
     spec = GraphSpec(3, [(0, 1), (1, 2)])
     st = QuantumState(np.diag([0.5, 0.3, 0.2]))
     m = graph_lindblad(spec, st)
-    assert check_invariance(m.lind, st) < 1e-12
+    assert Analysis(m.lind, st).invariance_residual < 1e-12
 
 
 def test_invariance_residual_positive_for_wrong_state():
@@ -117,7 +122,70 @@ def test_invariance_residual_positive_for_wrong_state():
     st = QuantumState(np.diag([0.5, 0.3, 0.2]))
     m = graph_lindblad(spec, st)
     other = QuantumState(np.diag([0.2, 0.3, 0.5]))
-    assert check_invariance(m.lind, other) > 1e-3
+    assert Analysis(m.lind, other).invariance_residual > 1e-3
+
+
+def _residual_case(case):
+    if case == "graph-noncommuting-H":  # test_cli.py's non-invariant spec
+        m = graph_lindblad(GraphSpec(4, [(0, 1), (2, 3)]),
+                           QuantumState(np.diag([0.4, 0.3, 0.2, 0.1])))
+        H = np.diag([1.0, 1.0, 1.0], 1)
+        return build_gksl(H + H.T, m.lind.jumps), m.state
+    if case == "random-gksl-wrong-state":
+        L, st = _random_gksl_at_steady_state()
+        return L, QuantumState(np.diag([0.5, 0.3, 0.2]))
+    if case == "random-gksl":
+        return _random_gksl_at_steady_state()
+    if case == "driven-qubit":
+        return _driven_qubit()
+    if case == "one-way-jump":
+        return build_gksl(np.zeros((2, 2)), [(1.0, E01)]), QuantumState.maximally_mixed(2)
+    if case.startswith("birth-death"):
+        m = birth_death_spectrum([3, 4], 3.0).model
+        if case.endswith("reversed"):
+            return m.lind, QuantumState(np.diag(m.state.eigenvalues[::-1]))
+        return m.lind, m.state
+    if case == "haar-gibbs-beta10":
+        m = haar_avg_gibbs([0.0, 0.4, 1.1, 1.7], 10.0)
+        return m.lind, m.state
+    m = tfim(3, 0.9, 1.1)
+    return m.lind, m.state
+
+
+@pytest.mark.parametrize("case,invariant", [
+    ("graph-noncommuting-H", False), ("random-gksl-wrong-state", False),
+    ("one-way-jump", False), ("birth-death-beta3-reversed", False),
+    ("random-gksl", True), ("driven-qubit", True), ("birth-death-beta3", True),
+    ("haar-gibbs-beta10", True), ("tfim3", True)])
+def test_invariance_residual_matches_the_schrodinger_action(case, invariant):
+    # the residual read off row 0 of M against ||L^dag(sigma)||_F summed one
+    # jump at a time, with and without a joint frame, on states as wide as
+    # mu_min / mu_max = e^-18
+    L, st = _residual_case(case)
+    an = Analysis(L, st)
+    ref = float(np.linalg.norm(apply_adjoint(L, st.matrix)))
+    if ref > 1e-8:
+        assert abs(an.invariance_residual - ref) <= 1e-12 * ref
+    else:
+        assert abs(an.invariance_residual - ref) <= 1e-14 * an.magnitude
+    assert (ref > 1e-8) != invariant
+    if case in ("graph-noncommuting-H", "random-gksl", "driven-qubit"):
+        assert an.energies is None
+
+
+def test_invariance_residual_builds_no_generator_matrix():
+    # in the joint frame row 0 of M is that of M_D: neither M nor a dense M_H
+    # is built for it, and the certificate, gap and stp paths build no M
+    for m, certificate in ((tfim(3, 0.9, 1.1), certify),
+                           (haar_avg_gibbs([0.0, 0.4, 1.1, 1.7], 1.0), certify_coercive)):
+        an = Analysis(m.lind, m.state)
+        assert an.energies is not None
+        an.invariance_residual
+        assert "M" not in an.__dict__ and "M_H" not in an.__dict__
+        certificate(an)
+        gap_curve(an, [1.0, 10.0])
+        stp_verify(an, T=1.0, beta=1.0, n_samples=2)
+        assert "M" not in an.__dict__
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +252,7 @@ def _steady_state(L):
     # the null vector of the Schrodinger-picture matrix, for a unique steady state
     N = L.dim
     units = np.eye(N * N).reshape(N * N, N, N)
-    schrodinger = np.stack([L.apply_adjoint(E).ravel() for E in units], axis=1)
+    schrodinger = np.stack([apply_adjoint(L, E).ravel() for E in units], axis=1)
     rho = np.linalg.svd(schrodinger)[2][-1].conj().reshape(N, N)
     rho = (rho + rho.conj().T) / 2
     return QuantumState(rho / np.trace(rho).real)

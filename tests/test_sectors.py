@@ -11,7 +11,7 @@ invariance residual ties the identity into a sector.
 
 import numpy as np
 import pytest
-from exact_reference import whole_curves, whole_split, whole_structure
+from exact_reference import apply_adjoint, whole_curves, whole_split, whole_structure
 
 from lindgap import (
     Analysis,
@@ -42,7 +42,7 @@ def _random_gksl_at_steady_state():
              for _ in range(2)]
     L = build_gksl((A + A.conj().T) / 2, jumps, alpha=0.7)
     units = np.eye(N * N).reshape(N * N, N, N)
-    schrodinger = np.stack([L.apply_adjoint(E).ravel() for E in units], axis=1)
+    schrodinger = np.stack([apply_adjoint(L, E).ravel() for E in units], axis=1)
     rho = np.linalg.svd(schrodinger)[2][-1].conj().reshape(N, N)
     rho = (rho + rho.conj().T) / 2
     return L, QuantumState(rho / np.trace(rho).real)
