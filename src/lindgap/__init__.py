@@ -52,7 +52,6 @@ from .models import (
     matrix_unit,
     single_jump_model,
     canonical_path_bound,
-    CanonicalPaths,
     dephasing_jumps,
     cycle_graph,
     hypercube_graph,

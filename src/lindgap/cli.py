@@ -49,6 +49,9 @@ def _sanitize(obj):
 
 
 def _write_text(path: str, text: str) -> None:
+    # the output directory is made with the first report, so a command
+    # refused before it writes makes none
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -190,6 +193,7 @@ def _cmd_validate(args, bundle: ModelBundle) -> int:
                         "nu_given": nu, "C_T_expected": expected["C_T"],
                         "C_T_given": C_T},
         "empirical_rate": norm_curve.empirical_rate,
+        "empirical_rate_warning": norm_curve.range_warning,
         "passed": passed,
     })
     _write_json(os.path.join(args.out, "validate.json"), payload)
@@ -212,6 +216,10 @@ def _default_window(an: Analysis) -> float:
 def _cmd_stp(args, bundle: ModelBundle) -> int:
     _require_positive(args.beta, "--beta")
     _require_positive(args.T, "--T")
+    if args.samples < 1:
+        raise SpecError("--samples", "need at least 1 sampled path")
+    if args.poly_degree < 0:
+        raise SpecError("--poly-degree", "must be a nonnegative integer")
     an = Analysis(bundle.lind, bundle.state)
     T = args.T if args.T is not None else _default_window(an)
     report = stp_verify(an, T, args.beta, n_samples=args.samples,
@@ -288,7 +296,6 @@ def main(argv=None) -> int:
             raise SpecError("--seed", "must be a nonnegative integer")
         spec = load_spec(args.spec)
         bundle = build_model(spec)
-        os.makedirs(args.out, exist_ok=True)
         return args.handler(args, bundle)
     except SpecError as exc:
         print(f"lindgap: input error: {exc}", file=sys.stderr)

@@ -103,8 +103,8 @@ def build_gksl(H, jumps, alpha: float = 1.0) -> Lindbladian:
     clean = []
     for w, L in jumps:
         w = float(w)
-        if w <= 0:
-            raise ValueError(f"jump weights must be positive, got {w}")
+        if not (np.isfinite(w) and w > 0):
+            raise ValueError(f"jump weights must be finite and positive, got {w}")
         clean.append((w, as_square_matrix(L, N)))
     return Lindbladian(N, H, clean, alpha=float(alpha))
 

@@ -125,53 +125,25 @@ def single_jump_model(A, H) -> SingleJumpModel:
 # canonical paths
 
 
-@dataclass
-class CanonicalPaths:
-    """One path of existing edges per ordered vertex pair."""
-
-    paths: dict[tuple[int, int], list[tuple[int, int]]]
-
-    def length(self, i: int, j: int) -> int:
-        return len(self.paths[(i, j)])
-
-
 def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
-
-
-def bfs_paths(adjacency: dict[int, list[int]], n: int) -> CanonicalPaths:
-    """Shortest paths for every ordered pair; neighbors explored in index order."""
-    paths: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i in range(n):
-        parent = _bfs(adjacency, i)
-        for j in range(n):
-            if j == i:
-                continue
-            if j not in parent:
-                raise ValueError(f"vertices {i} and {j} are not connected")
-            verts = [j]
-            while verts[-1] != i:
-                verts.append(parent[verts[-1]])
-            verts.reverse()
-            paths[(i, j)] = [_edge_key(a, b) for a, b in zip(verts, verts[1:])]
-    return CanonicalPaths(paths)
 
 
 @dataclass
 class PathBound:
     bound: float
     K: float
-    paths: CanonicalPaths
 
 
-def canonical_path_bound(Hhat, paths: CanonicalPaths | None = None,
-                         mu_hat=None) -> PathBound:
+def canonical_path_bound(Hhat, mu_hat=None) -> PathBound:
     """Congestion lower bound sqrt(2/K) on the coupling strength s_H.
 
     Hhat must be a generator matrix (nonnegative off-diagonal, zero row
-    sums, connected support).  Without mu_hat, K is the worst edge's
-    congestion sum of path lengths divided by the edge conductance; with
-    mu_hat, paths and edges are weighted by the stationary probabilities.
+    sums, connected support).  Every ordered pair is joined by its
+    breadth-first shortest path, neighbours explored in index order.
+    Without mu_hat, K is the worst edge's congestion sum of path lengths
+    divided by the edge conductance; with mu_hat, paths and edges are
+    weighted by the stationary probabilities.
     """
     Hhat = np.asarray(Hhat, dtype=float)
     m = Hhat.shape[0]
@@ -184,9 +156,8 @@ def canonical_path_bound(Hhat, paths: CanonicalPaths | None = None,
     if np.abs(Hhat.sum(axis=1)).max() > 1e-9 * scale:
         raise ValueError("Hhat rows do not sum to zero")
     sup_tol = 1e-13 * max(off.max(), 1e-30)
-    adjacency = {u: [v for v in range(m) if v != u and off[u, v] > sup_tol]
-                 for u in range(m)}
-    if not _support_connected(off, sup_tol):
+    adjacency = [np.flatnonzero(row > sup_tol) for row in off]
+    if len(_bfs(adjacency, 0)) != m:
         raise ValueError("Hhat support is disconnected")
     if mu_hat is not None:
         mu_hat = np.asarray(mu_hat, dtype=float)
@@ -198,32 +169,25 @@ def canonical_path_bound(Hhat, paths: CanonicalPaths | None = None,
     else:
         if np.abs(off - off.T).max() > 1e-10 * scale:
             raise ValueError("Hhat must be symmetric without weights")
-    if paths is None:
-        paths = bfs_paths(adjacency, m)
     load: dict[tuple[int, int], float] = {}
-    for (i, j), p in paths.paths.items():
-        if not p:
-            raise ValueError(f"empty path for pair {(i, j)}")
-        cur = i
-        for (u, v) in p:
-            if off[u, v] <= sup_tol:
-                raise ValueError(f"path for {(i, j)} uses missing edge {(u, v)}")
-            if cur == u:
-                cur = v
-            elif cur == v:
-                cur = u
-            else:
-                raise ValueError(f"path for {(i, j)} is not contiguous")
-            weight = len(p) if mu_hat is None else mu_hat[i] * mu_hat[j] * len(p)
-            key = _edge_key(u, v)
-            load[key] = load.get(key, 0.0) + weight
-        if cur != j:
-            raise ValueError(f"path for {(i, j)} does not end at {j}")
+    for i in range(m):
+        parent = _bfs(adjacency, i)
+        for j in range(m):
+            if j == i:
+                continue
+            verts = [j]
+            while verts[-1] != i:
+                verts.append(parent[verts[-1]])
+            length = len(verts) - 1
+            weight = length if mu_hat is None else mu_hat[i] * mu_hat[j] * length
+            for u, v in zip(verts, verts[1:]):
+                key = _edge_key(u, v)
+                load[key] = load.get(key, 0.0) + weight
     K = 0.0
     for (u, v), total in load.items():
         conductance = off[u, v] if mu_hat is None else mu_hat[u] * off[u, v]
         K = max(K, total / conductance)
-    return PathBound(bound=math.sqrt(2.0 / K), K=float(K), paths=paths)
+    return PathBound(bound=math.sqrt(2.0 / K), K=float(K))
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +363,6 @@ class GraphModel:
     kernel_dim: int
 
 
-def _check_unit_action(G: Matrix, walk: Matrix, coherence: Matrix,
-                       tol: float, diagonal_msg: str, coherence_msg: str) -> None:
-    """Compare a generator's unit matrix G with a closed form: e_jj maps to
-    diag(walk[:, j]); each e_jk (j != k) is an eigenvector, eigenvalue coherence[j, k].
-    """
-    N = walk.shape[0]
-    expected = np.diag(coherence.reshape(-1)).astype(complex)
-    diag = np.arange(N) * (N + 1)
-    expected[np.ix_(diag, diag)] = walk
-    err = np.abs(G - expected).max(axis=0).reshape(N, N)
-    if np.diag(err).max() > tol:
-        raise ValueError(diagonal_msg)
-    if err.max() > tol:
-        raise ValueError(coherence_msg)
-
-
 def _diagonal_mu(state: QuantumState) -> np.ndarray:
     sig = state.matrix
     off = sig - np.diag(np.diag(sig))
@@ -431,54 +379,50 @@ def _reversible_rates(Q: Matrix, mu: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(-(S + S.T) / 2.0)
 
 
-def graph_lindblad(spec: GraphSpec, state: QuantumState) -> GraphModel:
+def graph_lindblad(spec: GraphSpec, state: QuantumState,
+                   self_decay: float = 0.0) -> GraphModel:
     """Detailed-balanced hopping generator on a weighted graph.
 
     Per edge {r,s} the jumps e_rs and e_sr carry weights 4 w e^{+-beta_rs/2}
     with beta_rs = log(mu_r / mu_s), making sigma invariant.  Diagonal
     observables evolve by a classical reversible walk L_cl; every
     off-diagonal unit e_jk is an eigenvector with eigenvalue
-    kappa_jk = -2 (S_j + S_k) - self_decay.  Both facts are re-verified on
-    the built generator's unit matrix.  self_decay is 0 here; the
-    averaged-unitary builder sets it to add the jump e_ii at that weight on
-    every vertex, which dampens coherences and leaves L_cl alone.
+    kappa_jk = -2 (S_j + S_k) - self_decay.  A positive self_decay adds the
+    jump e_ii at that weight on every vertex, which dampens coherences and
+    leaves L_cl alone; the averaged-unitary builder sets it.
     """
-    return _graph_model(spec, state)[0]
-
-
-def _graph_model(spec: GraphSpec, state: QuantumState,
-                 self_decay: float = 0.0) -> tuple[GraphModel, Matrix]:
-    """graph_lindblad with self-decay, together with the unit matrix it checked."""
     N = spec.n_vertices
     if state.dim != N:
         raise ValueError("state dimension does not match the vertex count")
     mu = _diagonal_mu(state)
     jumps: list[tuple[float, Matrix]] = []
-    S = np.zeros(N)
+    S = [0.0] * N  # Python floats: an overflow to inf is refused below, not warned
     L_cl = np.zeros((N, N))
     for (r, s) in spec.edges:
         w = spec.weights[(r, s)]
         half = math.sqrt(mu[r] / mu[s])
         back = math.sqrt(mu[s] / mu[r])
-        jumps.append((4.0 * w * half, matrix_unit(N, r, s)))
-        jumps.append((4.0 * w / half, matrix_unit(N, s, r)))
+        up, down = 4.0 * w * half, 4.0 * w / half
+        jumps.append((up, matrix_unit(N, r, s)))
+        jumps.append((down, matrix_unit(N, s, r)))
         # edges are sorted, so each S[j] sums its neighbours in ascending order
         S[r] += w * back
         S[s] += w * half
         L_cl[r, s] = 4.0 * w * back
         L_cl[s, r] = 4.0 * w * half
+        if not np.isfinite([up, down, L_cl[r, s], L_cl[s, r]]).all():
+            raise ValueError(f"edge {(r, s)} of weight {w:g} gives a jump weight "
+                             "or walk rate that is not finite")
+    for v in range(N):
+        if not math.isfinite(4.0 * S[v]):
+            raise ValueError(f"the walk rate out of vertex {v} is not finite")
+    S = np.array(S)
+    np.fill_diagonal(L_cl, -4.0 * S)
     if self_decay > 0:
         jumps.extend((float(self_decay), matrix_unit(N, i, i)) for i in range(N))
     lind = Lindbladian(N, np.zeros((N, N)), jumps, alpha=0.0)
-    np.fill_diagonal(L_cl, -4.0 * S)
     kappa = -2.0 * (S[:, None] + S[None, :]) - self_decay
     np.fill_diagonal(kappa, 0.0)
-
-    scale = max(abs(4.0 * S).max(), 1.0)
-    G = lind.unit_matrix()
-    _check_unit_action(G, L_cl, kappa, 1e-12 * scale,
-                       "generator action on diagonals deviates from the walk form",
-                       "off-diagonal units are not eigenvectors as expected")
 
     w_cl = _reversible_rates(L_cl, mu)
     m = len(spec.components)
@@ -490,10 +434,9 @@ def _graph_model(spec: GraphSpec, state: QuantumState,
     neg_kappa = -kappa[off_mask]
     lambda_D = float(min(w_cl[m:].min() if len(w_cl) > m else np.inf, neg_kappa.min()))
     norm_LD = float(max(w_cl[-1], neg_kappa.max()))
-    model = GraphModel(lind=lind, state=state, spec=spec, mu=mu, L_cl=L_cl,
-                       kappa=kappa, lambda_D=lambda_D, norm_LD=norm_LD,
-                       kernel_dim=m)
-    return model, G
+    return GraphModel(lind=lind, state=state, spec=spec, mu=mu, L_cl=L_cl,
+                      kappa=kappa, lambda_D=lambda_D, norm_LD=norm_LD,
+                      kernel_dim=m)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +512,6 @@ class HaarModel:
     model: GraphModel
     spectrum: np.ndarray
     beta: float
-    q0_weight: float
 
     @property
     def lind(self) -> Lindbladian:
@@ -580,60 +522,29 @@ class HaarModel:
         return self.model.state
 
 
-def haar_avg_gibbs(spectrum, beta: float, q=None) -> HaarModel:
-    """Average of a filtered random-jump Gibbs sampler over the unitary group.
+def haar_avg_gibbs(spectrum, beta: float) -> HaarModel:
+    """Average of a random-jump Gibbs sampler over the unitary group.
 
     The second-moment average of A^dag X A over Haar-random A turns the
     filtered jump A_f (entries f(lam_i - lam_j) A_ij with
-    f(nu) = q(nu) e^{-beta nu / 4}) into the jump list
-    [( |f(lam_i - lam_j)|^2 / N, e_ij )] over all ordered pairs, including
-    i = j when q(0) != 0.  The i != j part is exactly a weighted-graph
-    hopping generator with w(i,j) = |q(lam_i - lam_j)|^2 / (4N) and the
-    Gibbs weights of the spectrum; the diagonal jumps only dampen
-    coherences.  The construction is cross-checked against the explicit
-    averaged action on every basis unit.
+    f(nu) = e^{-beta nu / 4}) into the jump list
+    [( |f(lam_i - lam_j)|^2 / N, e_ij )] over all ordered pairs, i = j
+    included.  The i != j part is exactly a hopping generator on the
+    complete graph with w = 1 / (4N) and the Gibbs weights of the spectrum;
+    the diagonal jumps, at weight 1 / N, only dampen coherences.
     """
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim != 1 or len(lam) < 2:
         raise ValueError("spectrum must contain at least two levels")
     N = len(lam)
     beta = float(beta)
-    if q is None:
-        q = lambda nu: 1.0
-    qv = np.zeros((N, N))
-    for i in range(N):
-        for j in range(N):
-            nu = lam[i] - lam[j]
-            qp, qm = float(q(nu)), float(q(-nu))
-            if abs(qp - qm) > 1e-12 * max(abs(qp), abs(qm), 1.0):
-                raise ValueError(f"filter is not even at frequency {nu:g}")
-            qv[i, j] = qp
-    if np.any(qv < 0):
-        # only |q|^2 enters; accept sign-changing filters by squaring
-        qv = np.abs(qv)
     w_gibbs = np.exp(-beta * (lam - lam.min()))
     state = QuantumState(np.diag(w_gibbs / w_gibbs.sum()))
-    edges = [(i, j) for i in range(N) for j in range(i + 1, N) if qv[i, j] ** 2 > 0]
-    weights = {(i, j): qv[i, j] ** 2 / (4.0 * N) for (i, j) in edges}
-    try:
-        spec = GraphSpec(n_vertices=N, edges=edges, weights=weights)
-    except ValueError as exc:
-        raise ValueError(f"filter disconnects part of the spectrum: {exc}") from exc
-    q0_weight = qv[0, 0] ** 2 / N
-    model, G = _graph_model(spec, state, self_decay=q0_weight)
-
-    # cross-check against the directly averaged action: e_ii feeds e_jj at
-    # rate f2[i, j] / N, and e_kl decays at sum_i (f2[i, k] + f2[i, l]) / (2N)
-    f2 = qv**2 * np.exp(-beta * (lam[:, None] - lam[None, :]) / 2.0)
-    scale = max(f2.max() / N, 1e-30)
-    hop = f2.T / N
-    np.fill_diagonal(hop, 0.0)
-    out = f2.sum(axis=0) / N
-    _check_unit_action(G, hop - np.diag(hop.sum(axis=1)),
-                       -0.5 * (out[:, None] + out[None, :]), 1e-12 * scale,
-                       "averaged generator deviates from its closed form on diagonals",
-                       "averaged generator deviates from its closed form on coherences")
-    return HaarModel(model=model, spectrum=lam, beta=beta, q0_weight=q0_weight)
+    edges = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    spec = GraphSpec(n_vertices=N, edges=edges,
+                     weights=dict.fromkeys(edges, 1.0 / (4.0 * N)))
+    model = graph_lindblad(spec, state, self_decay=1.0 / N)
+    return HaarModel(model=model, spectrum=lam, beta=beta)
 
 
 # ---------------------------------------------------------------------------

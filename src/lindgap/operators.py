@@ -48,11 +48,11 @@ def as_square_matrix(X, dim: int | None = None) -> Matrix:
     return A
 
 
-def require_hermitian(X: Matrix, tol: float = HERMITIAN_TOL, what: str = "matrix") -> Matrix:
+def require_hermitian(X: Matrix, what: str = "matrix") -> Matrix:
     X = as_square_matrix(X)
     defect = np.linalg.norm(X - dag(X))
     scale = max(np.linalg.norm(X), 1.0)
-    if defect > tol * scale:
+    if defect > HERMITIAN_TOL * scale:
         raise ValueError(f"{what} is not Hermitian (defect {defect:.3e})")
     return X
 

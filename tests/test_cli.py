@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from functools import cached_property
 from importlib import import_module
@@ -214,7 +215,7 @@ def test_every_command_refuses_a_non_invariant_sigma(tmp_path, capsys, command):
     assert main([command, "--spec", spec, "--out", str(out)] + extra) == 2
     assert "sigma is not invariant for this generator (residual 2.449e-01)" \
         in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +266,23 @@ def test_validate_passes_on_tfim_with_default_flags(tmp_path):
     assert main(["validate", "--spec", spec, "--out", str(out),
                  "--certificate", str(cert)]) == 0
     assert read_json(out / "validate.json")["report"]["passed"] is True
+
+
+TFIM2 = dict(TFIM3, params={"n": 2, "h": 0.75, "gamma": 1.25})
+
+
+@pytest.mark.parametrize("flags,warning", [
+    ([], None),
+    (["--t-max", "0.1"], "time range shorter than five decay times; "
+                         "the empirical rate may not be asymptotic"),
+])
+def test_validate_reports_the_rate_fit_warning(tmp_path, flags, warning):
+    spec = write_spec(tmp_path / "tfim2.json", TFIM2)
+    cert = emit_certificate(tmp_path, spec)
+    out = tmp_path / "val"
+    main(["validate", "--spec", spec, "--out", str(out), "--certificate", str(cert)]
+         + flags)
+    assert read_json(out / "validate.json")["report"]["empirical_rate_warning"] == warning
 
 
 def test_validate_takes_one_exponential_per_distinct_step(tmp_path, monkeypatch):
@@ -390,6 +408,21 @@ def test_stp_rejects_bad_beta(tmp_path, qubit_spec, capsys):
     assert "beta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("stp", ["--samples", "0"]),
+    ("stp", ["--poly-degree", "-1"]),
+    ("stp", ["--beta", "0"]),
+    ("certify", ["--T", "-1"]),
+    ("validate", ["--samples", "1", "--certificate", "unread.json"]),
+])
+def test_flag_refusals_name_the_flag_and_make_no_directory(tmp_path, qubit_spec, capsys,
+                                                         command, flags):
+    out = tmp_path / "out"
+    assert main([command, "--spec", qubit_spec, "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err.startswith(f"lindgap: input error: {flags[0]}: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # cold start
 
@@ -435,12 +468,11 @@ def test_only_validate_loads_scipy_linalg(tmp_path):
 # L^D once, for M_D.  In the joint frame M_H is a formula, with no assembly,
 # and so is the coherent term that structure adds to that unit matrix to get
 # the one of L, from which it reads the KMS and GNS defects and the
-# standard-DBC fit.  The haar_gibbs model builder checks both closed forms
-# against one unit matrix of its own.
+# standard-DBC fit.  The model builders assemble nothing.
 BUILDS = {("tfim", "structure"): (1, 1), ("tfim", "gap"): (1, 1),
           ("tfim", "certify"): (1, 1), ("tfim", "stp"): (1, 1),
-          ("tfim", "validate"): (1, 1), ("haar_gibbs", "structure"): (1, 2),
-          ("haar_gibbs", "gap"): (1, 2), ("haar_gibbs", "stp"): (1, 2)}
+          ("tfim", "validate"): (1, 1), ("haar_gibbs", "structure"): (1, 1),
+          ("haar_gibbs", "gap"): (1, 1), ("haar_gibbs", "stp"): (1, 1)}
 
 
 @pytest.mark.parametrize("model,command", [
@@ -466,6 +498,53 @@ def test_each_command_builds_one_analysis(tmp_path, monkeypatch, model, command)
                         counted("units", Lindbladian.unit_matrix))
     assert main(argv) == 0
     assert (counts["frames"], counts["units"]) == BUILDS[model, command]
+
+
+GRAPH_FAMILY = {
+    "graph": {"model": "graph",
+              "params": {"n_vertices": 3, "edges": [[0, 1], [1, 2]],
+                         "weights": [0.5, 2.0], "sigma": [0.5, 0.3, 0.2]}},
+    "birth_death": {"model": "birth_death", "params": {"sizes": [2, 3], "beta": 0.7}},
+    "lift": {"model": "lift",
+             "params": {"base": {"n_vertices": 2, "edges": [[0, 1]], "sigma": [0.6, 0.4]},
+                        "A": [[1.0, 0.0], [0.0, 2.0]]}},
+    "haar_gibbs": HAAR_COERCIVE,
+}
+
+
+@pytest.mark.parametrize("command", ["structure", "gap", "certify", "stp"])
+@pytest.mark.parametrize("model", GRAPH_FAMILY)
+def test_graph_family_commands_assemble_once(tmp_path, monkeypatch, model, command):
+    # the builders construct their jumps and closed forms and assemble
+    # nothing: one unit matrix per command, as on tfim, whether the command
+    # reports or refuses (certify on every one, and stp on the two whose
+    # kernel no Hamiltonian moves)
+    spec = write_spec(tmp_path / "m.json",
+                      dict(GRAPH_FAMILY[model], schema="lindgap-model/1"))
+    calls = []
+    unit_matrix = Lindbladian.unit_matrix
+    monkeypatch.setattr(Lindbladian, "unit_matrix",
+                        lambda *a, **k: calls.append(1) or unit_matrix(*a, **k))
+    refused = command == "certify" or (command == "stp" and model in ("birth_death", "lift"))
+    assert main([command, "--spec", spec, "--out", str(tmp_path / "out")]) == 2 * refused
+    assert len(calls) == 1
+
+
+def test_non_finite_jump_weight_is_one_input_error(tmp_path, capsys):
+    # 4 w sqrt(mu_r / mu_s) overflows at w = 1e308: refused while the model is
+    # built, on one line and with no numpy warning
+    graph = GRAPH_FAMILY["graph"]
+    spec = write_spec(tmp_path / "m.json", dict(
+        graph, schema="lindgap-model/1", params=dict(graph["params"], weights=[1e308, 1.0])))
+    for command in ("structure", "gap", "stp"):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main([command, "--spec", spec, "--out", str(tmp_path / "out")]) == 2
+        assert not seen
+        assert capsys.readouterr().err == (
+            "lindgap: input error: params: edge (0, 1) of weight 1e+308 gives a "
+            "jump weight or walk rate that is not finite\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("model,command", [

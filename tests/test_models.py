@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from exact_reference import kernel_dimension, superop_matrix
+from exact_reference import kernel_dimension, superop_matrix, unit_matrix_per_jump
 
 from lindgap import (
     Analysis,
@@ -30,7 +30,6 @@ from lindgap import (
     structure_report,
     tfim,
 )
-from lindgap.models import _check_unit_action, bfs_paths
 
 
 def split_form(H, LD, state):
@@ -143,12 +142,7 @@ def test_path_bound_weighted_reversible():
         assert exact - pb.bound >= -1e-9
 
 
-def test_path_bound_explicit_paths_and_validation():
-    Hhat = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
-    paths = bfs_paths({0: [1], 1: [0, 2], 2: [1]}, 3)
-    assert paths.length(0, 2) == 2
-    pb = canonical_path_bound(Hhat, paths=paths)
-    assert pb.bound > 0
+def test_path_bound_validation():
     with pytest.raises(ValueError, match="symmetric"):
         canonical_path_bound(np.array([[-1.0, 1.0], [3.0, -3.0]]))
     with pytest.raises(ValueError, match="disconnected"):
@@ -253,18 +247,70 @@ def test_graph_spec_weight_keys_either_orientation():
                                                     rel=1e-12)
 
 
-@pytest.mark.parametrize("column,message", [(0, "diagonal"), (1, "coherence")])
-def test_unit_action_check_flags_each_column_kind(column, message):
-    # column 0 is e_00 and column 1 the coherence e_01 (or e_10); a deviation of
-    # 10x the tolerance on either must raise that kind's message
-    m = graph_lindblad(GraphSpec(3, [(0, 1), (1, 2)], weights={(1, 2): 2.0}),
-                       QuantumState(np.diag([0.5, 0.3, 0.2])))
-    G = m.lind.unit_matrix()
-    tol = 1e-12 * max(np.abs(np.diag(m.L_cl)).max(), 1.0)
-    _check_unit_action(G, m.L_cl, m.kappa, tol, "diagonal", "coherence")
-    G[column, column] += 10.0 * tol
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        _check_unit_action(G, m.L_cl, m.kappa, tol, "diagonal", "coherence")
+def unit_action(walk, coherence):
+    """Unit matrix of the map sending e_jj to diag(walk[:, j]) and each
+    coherence e_jk (j != k) to coherence[j, k] e_jk."""
+    N = walk.shape[0]
+    G = np.diag(coherence.reshape(-1)).astype(complex)
+    diag = np.arange(N) * (N + 1)
+    G[np.ix_(diag, diag)] = walk
+    return G
+
+
+def haar_averaged_action(lam, beta):
+    """Unit matrix of the Haar average with f2 = |f(lam_i - lam_j)|^2 =
+    e^{-beta (lam_i - lam_j) / 2}: e_ii feeds e_jj at rate f2[i, j] / N, and
+    e_kl decays at sum_i (f2[i, k] + f2[i, l]) / (2N)."""
+    lam = np.asarray(lam)
+    N = len(lam)
+    f2 = np.exp(-beta * (lam[:, None] - lam[None, :]) / 2.0)
+    hop = f2.T / N
+    np.fill_diagonal(hop, 0.0)
+    out = f2.sum(axis=0) / N
+    return unit_action(hop - np.diag(hop.sum(axis=1)), -0.5 * (out[:, None] + out[None, :]))
+
+
+HAAR_LEVELS = [0.0, 0.4, 1.1, 1.7]
+
+CLOSED_FORM_MODELS = {
+    # two components, non-uniform sigma, unequal weights
+    "graph": lambda: graph_lindblad(
+        GraphSpec(5, [(0, 1), (1, 2), (3, 4)], weights={(0, 1): 0.5, (1, 2): 2.0,
+                                                        (3, 4): 1.3}),
+        QuantumState(np.diag([0.3, 0.25, 0.1, 0.2, 0.15]))),
+    "birth_death": lambda: birth_death_spectrum([2, 3], 0.7).model,
+    "haar_gibbs": lambda: haar_avg_gibbs(HAAR_LEVELS, 1.3).model,
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_MODELS)
+def test_graph_builders_match_their_closed_forms(name):
+    # the per-jump reference, not the production assembly, against the walk
+    # on diagonal units and kappa on coherences; for haar_gibbs also against
+    # the directly averaged action, whose coherences carry the self-decay 1/N
+    m = CLOSED_FORM_MODELS[name]()
+    G = unit_matrix_per_jump(m.lind)
+    scale = max(np.abs(np.diag(m.L_cl)).max(), 1.0)
+    assert np.abs(G - unit_action(m.L_cl, m.kappa)).max() <= 1e-12 * scale
+    if name == "haar_gibbs":
+        assert np.abs(G - haar_averaged_action(HAAR_LEVELS, 1.3)).max() <= 1e-12
+
+
+def test_graph_refuses_non_finite_jump_weights():
+    # 4 w sqrt(mu_r / mu_s) overflows; the edge is named
+    spec = GraphSpec(3, [(0, 1), (1, 2)], weights={(0, 1): 1e308})
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\) of weight 1e\+308"):
+        graph_lindblad(spec, QuantumState(np.diag([0.5, 0.3, 0.2])))
+    # every edge of the star is finite, but the rate out of its centre is not
+    star = GraphSpec(6, [(0, k) for k in range(1, 6)],
+                     weights={(0, k): 1e307 for k in range(1, 6)})
+    with pytest.raises(ValueError, match="^the walk rate out of vertex 0 is not finite$"):
+        graph_lindblad(star, QuantumState.maximally_mixed(6))
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\) of weight nan"):
+        graph_lindblad(GraphSpec(2, [(0, 1)], weights={(0, 1): math.nan}),
+                       QuantumState.maximally_mixed(2))
+    with pytest.raises(ValueError, match="finite"):
+        build_gksl(np.zeros((2, 2)), [(math.inf, PAULI_Z)])
 
 
 def test_graph_model_two_disjoint_edges():
@@ -394,7 +440,6 @@ def test_birth_death_rejects_short_chain():
 
 def test_haar_gibbs_pinned_three_level():
     hm = haar_avg_gibbs([0.0, 1.0, 2.5], 1.0)
-    assert hm.q0_weight == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert hm.model.lambda_D == pytest.approx(0.835687213335661, rel=1e-12)
     assert hm.model.norm_LD == pytest.approx(1.9933871037856927, rel=1e-12)
     rep = structure_report(Analysis(hm.lind, hm.state))
@@ -416,28 +461,6 @@ def test_haar_gibbs_norm_via_operator_norm():
     hm = haar_avg_gibbs([0.0, 1.0, 2.5], 1.0)
     M = superop_matrix(hm.lind.apply, KmsFrame(hm.state))
     assert np.linalg.norm(M, 2) == pytest.approx(hm.model.norm_LD, rel=1e-10)
-
-
-def test_haar_gibbs_gaussian_filter():
-    # a non-constant even filter builds: edge weights q(nu)^2 / (4N), and its
-    # graph gap is the kernel split's smallest rate
-    lam = [0.0, 0.4, 1.1, 1.7]
-    hm = haar_avg_gibbs(lam, 1.0, q=lambda nu: math.exp(-nu**2))
-    for (i, j), w in hm.model.spec.weights.items():
-        assert w == pytest.approx(math.exp(-2.0 * (lam[i] - lam[j]) ** 2) / 16.0,
-                                  rel=1e-14)
-    assert hm.q0_weight == pytest.approx(0.25, rel=1e-15)
-    rate = Analysis(hm.lind, hm.state).split.rates[0]
-    assert hm.model.lambda_D == pytest.approx(rate, rel=1e-12)
-    assert hm.model.lambda_D == pytest.approx(0.1133101908557103, rel=1e-12)
-
-
-def test_haar_gibbs_filter_validation():
-    with pytest.raises(ValueError, match="even"):
-        haar_avg_gibbs([0.0, 1.0], 0.5, q=lambda nu: 1.0 + nu)
-    with pytest.raises(ValueError, match="disconnects"):
-        haar_avg_gibbs([0.0, 1.0, 2.0], 0.5,
-                       q=lambda nu: 1.0 if abs(nu) < 0.5 else 0.0)
 
 
 # ---------------------------------------------------------------------------
