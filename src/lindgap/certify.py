@@ -41,6 +41,18 @@ class StructuralConstants:
     norm_LD: float
     norm_LH_plus: float
 
+    @property
+    def default_window(self) -> float:
+        """3/s_H; for a trivial kernel (s_H = inf) 1/(2 lambda_D): nu T = 1/2."""
+        return 1.0 / (2.0 * self.lambda_D) if math.isinf(self.s_H) else 3.0 / self.s_H
+
+
+def _require_nontrivial_kernel(sc: StructuralConstants) -> None:
+    """Refuse a trivial kernel, where the hypocoercive formulas mean nothing."""
+    if math.isinf(sc.s_H):
+        raise ValueError("dissipator kernel is trivial (coercive model): the spectral "
+                         "gap itself is the rate; use certify_coercive")
+
 
 @dataclass
 class RateCertificate:
@@ -133,17 +145,29 @@ def check_assumption(an: Analysis) -> tuple[bool, float]:
 def structural_constants(an: Analysis) -> StructuralConstants:
     """(lambda_D, s_H, ||L^D||, ||L^H Pi_+||) for the certificate formulas.
 
-    Library code reads them once per analysis as `an.constants`.  Each is
-    taken per sector of the kernel split: s_H is the smallest singular value
-    over the blocks of Vp^T M_H V0 (0 from a sector with more kernel than
-    complement, whose block cannot be injective) and ||L^H Pi_+|| the largest
-    block norm of M_H Vp.
+    Read once per analysis as `an.constants`, which owns the certificate's
+    preconditions, in this order: L^D is KMS-symmetric (an.split), sigma is
+    invariant, L^D does not vanish on the traceless subspace and the
+    Hamiltonian does not mix a nontrivial kernel into itself (an.assumption).
+    A trivial kernel gives s_H = inf, lambda_D = rates[0], ||L^H Pi_+|| = ||M_H||.
+    Otherwise s_H is the smallest singular value over the blocks of Vp^T M_H V0
+    (0 from a sector with more kernel than complement, whose block cannot be
+    injective) and ||L^H Pi_+|| the largest block norm of M_H Vp.
     """
-    split = an.split
-    if split.dim0 == 0:
-        raise ValueError("dissipator kernel is trivial; the model is coercive")
+    split = an.split  # first: it refuses an L^D that is not KMS-symmetric
+    require_invariant(an)
     if split.dim_plus == 0:
         raise ValueError("dissipator vanishes on the traceless subspace")
+    norm_LD = float(np.abs(split.rates).max())
+    blocks = sector_blocks(an.M_Hr, split.sectors)
+    if split.dim0 == 0:
+        return StructuralConstants(lambda_D=float(split.rates[0]), s_H=math.inf,
+                                   norm_LD=norm_LD,
+                                   norm_LH_plus=max(real_norm2(B) for B in blocks))
+    ok, defect = an.assumption
+    if not ok:
+        raise ValueError(f"Hamiltonian mixes the dissipator kernel into "
+                         f"itself (defect {defect:.3e})")
     lambda_D = float(split.rates[split.dim0])
     s_H = min(0.0 if V0.shape[-1] > Vp.shape[-1] else
               float(np.linalg.svd(dag(Vp) @ (B @ V0), compute_uv=False)[:, -1].min())
@@ -152,12 +176,10 @@ def structural_constants(an: Analysis) -> StructuralConstants:
         raise ValueError(
             "coherent coupling does not move the dissipator kernel "
             f"(s_H = {s_H:.3e}); the model is not primitive under this split")
-    norm_LD = float(np.abs(split.rates).max())
     # Vp^dag is a co-isometry onto the complement: ||MH Vp|| = ||MH Pi_+||;
     # zeroing the kernel columns of MH V leaves the norm of MH Vp
     norm_LH_plus = max(real_norm2((B @ V) * ~ker[:, None, :]) for B, V, ker in
-                       zip(sector_blocks(an.M_Hr, split.sectors), split.vectors,
-                           split.kernel()))
+                       zip(blocks, split.vectors, split.kernel()))
     return StructuralConstants(lambda_D=lambda_D, s_H=s_H,
                                norm_LD=norm_LD, norm_LH_plus=norm_LH_plus)
 
@@ -195,6 +217,7 @@ def rate_from_constants(sc: StructuralConstants, T: float) -> float:
 
 def simplified_rate(sc: StructuralConstants) -> float:
     """Closed form at T = 3/s_H using the slightly loosened C1 <= 28 + ..."""
+    _require_nontrivial_kernel(sc)
     num = sc.lambda_D * sc.s_H**2
     den = (28.0 * sc.s_H + 5.0 * math.sqrt(2.0) * sc.norm_LH_plus) ** 2 \
         + 72.0 * sc.lambda_D * sc.norm_LD
@@ -204,31 +227,19 @@ def simplified_rate(sc: StructuralConstants) -> float:
 def certify(an: Analysis, T: float | None = None) -> RateCertificate:
     """Emit a decay certificate (nu, T, C_T) for the generator of `an`.
 
-    Refuses a sigma that L does not leave invariant, coercive models (use
-    certify_coercive) and models whose Hamiltonian mixes the dissipator
-    kernel into itself.
+    Refuses what an.constants refuses and coercive models.
     """
-    split = an.split  # first: it refuses an L^D that is not KMS-symmetric
-    require_invariant(an)
-    if split.dim0 == 0:
-        raise ValueError(
-            "dissipator kernel is trivial (coercive model): the spectral gap "
-            "itself is the rate; use certify_coercive")
-    ok, defect = check_assumption(an)
-    if not ok:
-        raise ValueError(
-            f"Hamiltonian mixes the dissipator kernel into itself "
-            f"(defect {defect:.3e}); certificate refused")
     sc = an.constants
-    T = 3.0 / sc.s_H if T is None else float(T)
+    _require_nontrivial_kernel(sc)
+    T = sc.default_window if T is None else float(T)
     C1, C2 = c_constants(sc, T, 0.0)
     nu = sc.lambda_D / (C1**2 + sc.lambda_D * C2**2)
     simplified = None
-    if abs(T - 3.0 / sc.s_H) <= 1e-12 * T:
+    if abs(T - sc.default_window) <= 1e-12 * T:
         simplified = simplified_rate(sc)
     return RateCertificate(T=T, beta=0.0, C1=C1, C2=C2, nu=float(nu),
                            prefactor=float(math.exp(nu * T)), constants=sc,
-                           assumption_ok=True, assumption_defect=defect,
+                           assumption_ok=True, assumption_defect=an.assumption[1],
                            simplified_nu=simplified)
 
 
@@ -236,16 +247,14 @@ def certify_coercive(an: Analysis) -> CoerciveCertificate:
     """Decay certificate for a KMS-symmetric dissipator with trivial kernel.
 
     nu equals the dissipator's gap on the traceless subspace (its smallest
-    rate); any window length T works, and T = 1/(2 nu) keeps nu * T = 1/2.
-    Refuses a sigma that L does not leave invariant.
+    rate); any window length T works, and the default T = 1/(2 nu) keeps
+    nu * T = 1/2.  Refuses what an.constants refuses and a nontrivial kernel.
     """
-    split = an.split
-    require_invariant(an)
-    if split.dim0 > 0:
+    sc = an.constants
+    if not math.isinf(sc.s_H):
         raise ValueError("generator has a nontrivial kernel; it is not coercive")
-    gap = float(split.rates[0])
-    T = 1.0 / (2.0 * gap)
-    return CoerciveCertificate(nu=gap, T=T, prefactor=float(math.exp(gap * T)))
+    T = sc.default_window
+    return CoerciveCertificate(sc.lambda_D, T, float(math.exp(sc.lambda_D * T)))
 
 
 def optimize_T(sc: StructuralConstants) -> tuple[float, float]:
@@ -254,6 +263,7 @@ def optimize_T(sc: StructuralConstants) -> tuple[float, float]:
 
     The returned rate is never below the T = 3/s_H value.
     """
+    _require_nontrivial_kernel(sc)
     grid = np.logspace(math.log10(1e-2 / sc.s_H), math.log10(1e2 / sc.s_H), 60)
     vals = np.array([rate_from_constants(sc, T) for T in grid])
     i = int(np.argmax(vals))
@@ -275,7 +285,7 @@ def optimize_T(sc: StructuralConstants) -> tuple[float, float]:
             f1 = rate_from_constants(sc, x1)
     candidates = [(float(grid[i]), float(vals[i])),
                   (float(x1), float(f1)), (float(x2), float(f2))]
-    t_ref = 3.0 / sc.s_H
+    t_ref = sc.default_window
     candidates.append((t_ref, rate_from_constants(sc, t_ref)))
     T_star, nu_star = max(candidates, key=lambda p: p[1])
     return T_star, nu_star
@@ -302,7 +312,8 @@ def alpha_gamma_scaling(sc: StructuralConstants) -> ScalingReport:
     are tabulated on 20 log-spaced points: alpha from 0.1 to 1e4, gamma over
     two decades either side of gamma*.
     """
-    C1, C2 = c_constants(sc, 3.0 / sc.s_H, 0.0)
+    _require_nontrivial_kernel(sc)
+    C1, C2 = c_constants(sc, sc.default_window, 0.0)
     lam = sc.lambda_D
     gamma_star = C1 / (math.sqrt(lam) * C2)
 
@@ -341,6 +352,7 @@ def dms_compare(sc: StructuralConstants) -> DmsReport:
     Uses the bounded-modification constant C_M(eta) <= (||L^H Pi_+|| +
     ||L^D||)/(2 sqrt(eta)) at eta = s_H^2, which balances the two terms.
     """
+    _require_nontrivial_kernel(sc)
     eta = sc.s_H**2
     C_M = (sc.norm_LH_plus + sc.norm_LD) / (2.0 * math.sqrt(eta))
     eps = 0.5 * min(sc.lambda_D * sc.s_H**2 / ((eta + sc.s_H**2) * (1.0 + C_M) ** 2),

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .certify import certify, certify_coercive
+from .certify import certify
 from .evolve import CERT_SLACK, _random_mean_zero, semigroup_norm_curve, \
     stp_verify, time_avg_check
 from .lindblad import DB_DEFECT_TOL, Analysis, structure_report
@@ -207,12 +207,6 @@ def _cmd_validate(args, bundle: ModelBundle) -> int:
     return EXIT_OK if passed else EXIT_VALIDATION
 
 
-def _default_window(an: Analysis) -> float:
-    if an.split.dim0 == 0:
-        return certify_coercive(an).T
-    return 3.0 / an.constants.s_H
-
-
 def _cmd_stp(args, bundle: ModelBundle) -> int:
     _require_positive(args.beta, "--beta")
     _require_positive(args.T, "--T")
@@ -221,7 +215,7 @@ def _cmd_stp(args, bundle: ModelBundle) -> int:
     if args.poly_degree < 0:
         raise SpecError("--poly-degree", "must be a nonnegative integer")
     an = Analysis(bundle.lind, bundle.state)
-    T = args.T if args.T is not None else _default_window(an)
+    T = args.T if args.T is not None else an.constants.default_window
     report = stp_verify(an, T, args.beta, n_samples=args.samples,
                         poly_degree=args.poly_degree, seed=args.seed)
     payload = _envelope("stp", bundle, args.seed, report.as_dict())
@@ -279,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample the space-time variance inequality")
     common(p)
     p.add_argument("--T", type=float, default=None,
-                   help="window length (default 3/s_H)")
+                   help="window length (default 3/s_H; 1/(2 gap) if coercive)")
     p.add_argument("--beta", type=float, default=1.0,
                    help="regularization shift (must be positive)")
     p.add_argument("--samples", type=int, default=100)

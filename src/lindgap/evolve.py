@@ -21,9 +21,8 @@ from itertools import islice
 
 import numpy as np
 
-from .certify import (StructuralConstants, _require_finite_positive, c_constants,
-                      check_assumption)
-from .lindblad import Analysis, real_norm2, require_invariant, sector_blocks
+from .certify import _require_finite_positive, c_constants
+from .lindblad import Analysis, real_norm2, sector_blocks
 from .operators import Matrix, QuantumState, as_square_matrix, dag
 
 
@@ -254,35 +253,19 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
     where Pi0 projects onto the full dissipator kernel (constants included)
     and all norms average the weighted norm over [0, T]; the right side is
     read in the kernel split's eigenbasis V = [V0, Vp] with rates r_k.  The
-    constants are the certificate constants at (T, beta); a trivial
-    restricted kernel uses their large-coupling limit.  The products with
-    M_H and V run per sector of the split.  The integrands have
+    constants are the certificate constants of an.constants at (T, beta); a
+    trivial restricted kernel uses their large-coupling limit.  The products
+    with M_H and V run per sector of the split.  The integrands have
     degree 2 * poly_degree in t, so Gauss-Legendre on poly_degree + 1 nodes
-    averages them exactly.  Refuses a sigma that L does not leave invariant.
+    averages them exactly.  Refuses what an.constants refuses.
     """
     # beta > 0 makes (beta - L^D) invertible
     _require_finite_positive(T=T, beta=beta)
     _require_samples(n_samples, name="n_samples")
     _require_samples(poly_degree, 0, name="poly_degree")
+    sc = an.constants
+    C1, C2 = c_constants(sc, T, beta)
     split = an.split
-    require_invariant(an)
-    if split.dim0 == 0:
-        # nothing to couple out of: the coupling is vacuously infinite, and
-        # Pi_+ is the identity on the traceless subspace
-        norm_LH = max(real_norm2(B) for B in sector_blocks(an.M_Hr, an.sectors))
-        sc = StructuralConstants(lambda_D=float(split.rates[0]), s_H=math.inf,
-                                 norm_LD=float(np.abs(split.rates).max()),
-                                 norm_LH_plus=norm_LH)
-        C1, C2 = c_constants(sc, T, beta)
-        trivial = True
-    else:
-        ok, defect = check_assumption(an)
-        if not ok:
-            raise ValueError(f"Hamiltonian mixes the dissipator kernel into "
-                             f"itself (defect {defect:.3e})")
-        C1, C2 = c_constants(an.constants, T, beta)
-        trivial = False
-
     x, wts = np.polynomial.legendre.leggauss(poly_degree + 1)
     nodes = T * (x + 1.0) / 2.0
     wts = wts / 2.0  # average over [0, T]: the weights sum to 1
@@ -328,4 +311,4 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
                      worst_ratio=float(ratio.max()),
                      n_samples=n_samples, poly_degree=poly_degree,
                      T=float(T), beta=float(beta), seed=seed,
-                     C1=float(C1), C2=float(C2), trivial_kernel=trivial)
+                     C1=float(C1), C2=float(C2), trivial_kernel=math.isinf(sc.s_H))

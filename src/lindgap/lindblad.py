@@ -251,9 +251,9 @@ class Analysis:
     their traceless blocks [1:, 1:]; the sectors on which those blocks split;
     the symmetric part M_D_sym after the one check that L^D is KMS-symmetric;
     the kernel split, the one eigendecomposition of M_D per sector that every
-    later use of its spectrum reads; the structural constants; the
-    smallest singular value of Mr; and the invariance residual ||L^dag(sigma)||_F
-    with its scale, the magnitude of L.
+    later use of its spectrum reads; the kernel-mixing check; the structural
+    constants; the smallest singular value of Mr; and the invariance residual
+    ||L^dag(sigma)||_F with its scale, the magnitude of L.
     """
 
     def __init__(self, L: Lindbladian, state: QuantumState):
@@ -379,9 +379,15 @@ class Analysis:
         return max(2.0 * float(m), 1e-30)
 
     @cached_property
+    def assumption(self) -> tuple[bool, float]:
+        """certify.check_assumption of this analysis."""
+        from .certify import check_assumption  # certify imports this module
+        return check_assumption(self)
+
+    @cached_property
     def constants(self):
         """certify.structural_constants of this analysis."""
-        from .certify import structural_constants  # certify imports this module
+        from .certify import structural_constants
         return structural_constants(self)
 
     @cached_property

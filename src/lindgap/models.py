@@ -248,12 +248,13 @@ def dephasing_walk(n: int, gamma: float, adjacency) -> WalkModel:
     Delta = float(lap[1])
     lind = build_gksl(A.astype(complex), dephasing_jumps(n, gamma))
     state = QuantumState.maximally_mixed(N)
-    nu = 2.0 * Delta * gamma / ((28.0 * math.sqrt(Delta) + 5.0 * d) ** 2
+    # ||i[H, .]|| <= 2 ||H|| = 2d
+    nu = 2.0 * Delta * gamma / ((28.0 * math.sqrt(Delta) + 10.0 * d) ** 2
                                 + 144.0 * gamma**2 * n)
     return WalkModel(lind=lind, state=state, n=n, gamma=float(gamma), degree=d,
                      laplacian_gap=Delta, lambda_D=2.0 * gamma,
                      norm_LD=2.0 * gamma * n, s_H=math.sqrt(2.0 * Delta),
-                     norm_LH_bound=float(d), nu_closed=float(nu))
+                     norm_LH_bound=2.0 * d, nu_closed=float(nu))
 
 
 @dataclass
@@ -288,7 +289,7 @@ def tfim(n: int, h: float, gamma: float) -> TfimModel:
         H += h * op_on_qubit(PAULI_X, i, n)
     lind = build_gksl(H, dephasing_jumps(n, gamma))
     state = QuantumState.maximally_mixed(N)
-    bound = (n - 1) + h * n
+    bound = 2.0 * ((n - 1) + h * n)  # ||i[H, .]|| <= 2 ||H||
     nu = 8.0 * gamma * h**2 / ((56.0 * h + 5.0 * math.sqrt(2.0) * bound) ** 2
                                + 288.0 * gamma**2 * n)
     return TfimModel(lind=lind, state=state, n=n, h=float(h), gamma=float(gamma),
@@ -429,7 +430,10 @@ def graph_lindblad(spec: GraphSpec, state: QuantumState,
     cl_scale = max(np.abs(w_cl).max(), 1e-30)
     if np.abs(w_cl[:m]).max() > 1e-9 * cl_scale or (len(w_cl) > m
                                                     and w_cl[m] <= 1e-9 * cl_scale):
-        raise ValueError("classical walk kernel does not match the component count")
+        ws = spec.weights.values()
+        raise ValueError("classical walk kernel does not match the component count: "
+                         "walk rates below 1e-9 of the largest count as zero, and the "
+                         f"edge weights span a factor {max(ws) / min(ws):.1e}")
     off_mask = ~np.eye(N, dtype=bool)
     neg_kappa = -kappa[off_mask]
     lambda_D = float(min(w_cl[m:].min() if len(w_cl) > m else np.inf, neg_kappa.min()))

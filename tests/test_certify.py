@@ -160,11 +160,28 @@ def test_constants_tfim_coupling():
     assert sc.s_H == pytest.approx(2.0, abs=1e-9)
 
 
-def test_constants_reject_coercive():
+def test_constants_of_a_trivial_kernel():
+    # nothing to couple out of: s_H = inf, lambda_D is the dissipator's gap and
+    # Pi_+ is the identity on the traceless subspace
     LD = build_gksl(np.zeros((2, 2)),
                     [(1.0, PAULI_X), (1.0, PAULI_Y), (1.0, PAULI_Z)])
+    an = split_form(PAULI_X, LD, MIXED2)
+    sc = an.constants
+    assert sc.s_H == math.inf
+    assert sc.lambda_D == pytest.approx(spectral_gap(Analysis(LD, MIXED2)), rel=1e-12)
+    assert sc.norm_LH_plus == pytest.approx(np.linalg.norm(an.M_Hr, 2), rel=1e-12)
+    assert sc.default_window == 1.0 / (2.0 * sc.lambda_D)
+    assert certify_coercive(an).T == sc.default_window
     with pytest.raises(ValueError, match="coercive"):
-        structural_constants(split_form(PAULI_X, LD, MIXED2))
+        certify(an)
+
+
+@pytest.mark.parametrize("use", [optimize_T, alpha_gamma_scaling, simplified_rate,
+                                 dms_compare], ids=lambda f: f.__name__)
+def test_trivial_kernel_constants_are_refused_by_the_hypocoercive_formulas(use):
+    sc = StructuralConstants(lambda_D=2.0, s_H=math.inf, norm_LD=3.0, norm_LH_plus=1.0)
+    with pytest.raises(ValueError, match="dissipator kernel is trivial"):
+        use(sc)
 
 
 def test_constants_reject_unmoved_kernel():

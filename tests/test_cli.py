@@ -218,6 +218,47 @@ def test_every_command_refuses_a_non_invariant_sigma(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# sigma is not invariant under H = sigma_x on vertices 0 and 1, and H moves
+# no kernel vector (s_H ~ 1e-16): every command names the first failed
+# precondition in the one order, invariance before the coupling
+UNMOVED_AND_NON_INVARIANT = {
+    "schema": "lindgap-model/1",
+    "model": "graph",
+    "params": {"n_vertices": 4, "edges": [[0, 1], [2, 3]], "sigma": [0.4, 0.3, 0.2, 0.1],
+               "hamiltonian": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]},
+}
+
+
+@pytest.mark.parametrize("argv", [["stp"], ["stp", "--T", "1"], ["certify"]],
+                         ids=" ".join)
+def test_refusals_follow_one_precondition_order(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path / "graph.json", UNMOVED_AND_NON_INVARIANT)
+    assert main(argv + ["--spec", spec, "--out", str(tmp_path / "out")]) == 2
+    assert "sigma is not invariant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model,command,calls", [
+    pytest.param(TFIM3, "certify", 1, id="tfim-certify"),
+    pytest.param(TFIM3, "stp", 1, id="tfim-stp"),
+    pytest.param(TFIM3, "validate", 1, id="tfim-validate"),
+    pytest.param(HAAR_COERCIVE, "stp", 0, id="haar_gibbs-stp"),
+])
+def test_certificate_preconditions_are_decided_once(tmp_path, monkeypatch, model,
+                                                    command, calls):
+    # check_assumption only for a nontrivial kernel
+    spec = write_spec(tmp_path / "m.json", model)
+    argv = [command, "--spec", spec, "--out", str(tmp_path / command)]
+    if command == "validate":
+        argv += ["--certificate", str(emit_certificate(tmp_path, spec))]
+    certify_module, counts = import_module("lindgap.certify"), Counter()
+    for name in ("check_assumption", "structural_constants"):
+        fn = getattr(certify_module, name)
+        monkeypatch.setattr(certify_module, name,
+                            lambda an, _fn=fn, _name=name: counts.update([_name]) or _fn(an))
+    assert main(argv) == 0
+    assert (counts["check_assumption"], counts["structural_constants"]) == (calls, 1)
+
+
 # ---------------------------------------------------------------------------
 # validate
 

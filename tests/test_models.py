@@ -24,6 +24,7 @@ from lindgap import (
     hypercube_graph,
     lift_model,
     matrix_unit,
+    simplified_rate,
     single_jump_model,
     spectral_gap,
     structural_constants,
@@ -206,6 +207,25 @@ def test_tfim_coupling_strength():
     assert m.s_H == pytest.approx(2.0)
 
 
+CLOSED_RATE_MODELS = {
+    **{f"tfim-n{n}-h{h}": (lambda n=n, h=h: tfim(n, h, 0.8))
+       for n in (2, 3, 4) for h in (0.4, 1.0, 2.5)},
+    **{f"walk-{name}-n{n}": (lambda n=n, graph=graph: dephasing_walk(n, 0.6, graph(n)))
+       for n in (1, 2, 3) for name, graph in
+       (("cycle", lambda n: cycle_graph(2**n)), ("hypercube", hypercube_graph))},
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_RATE_MODELS)
+def test_closed_form_rate_never_exceeds_the_certificate(name):
+    # norm_LH_bound bounds ||i[H, .]|| <= 2 ||H||, not ||H||: the measured
+    # ||L^H Pi_+|| reaches 2d on the walks
+    m = CLOSED_RATE_MODELS[name]()
+    sc = Analysis(m.lind, m.state).constants
+    assert sc.norm_LH_plus <= m.norm_LH_bound * (1 + 1e-12)
+    assert m.nu_closed <= simplified_rate(sc) * (1 + 1e-12)
+
+
 def test_tfim_validation():
     with pytest.raises(ValueError, match="two qubits"):
         tfim(1, 1.0, 1.0)
@@ -336,6 +356,19 @@ def test_graph_model_is_detailed_balanced():
     assert rep.primitive
     gap = spectral_gap(Analysis(m.lind, st))
     assert gap == pytest.approx(m.lambda_D, rel=1e-10)
+
+
+@pytest.mark.parametrize("weight", [1e8, 1e9])
+def test_graph_refusal_names_the_weight_spread(weight):
+    # at 1e9 the walk gap falls below the 1e-9 kernel cutoff: the refusal
+    # names the spread of the edge weights, not only the kernel count
+    spec = GraphSpec(3, [(0, 1), (1, 2)], weights={(0, 1): weight, (1, 2): 1.0})
+    st = QuantumState(np.diag([0.5, 0.3, 0.2]))
+    if weight < 1e9:
+        assert graph_lindblad(spec, st).kernel_dim == 1
+        return
+    with pytest.raises(ValueError, match=r"below 1e-9 .* span a factor 1\.0e\+09"):
+        graph_lindblad(spec, st)
 
 
 def test_graph_model_rejects_offdiagonal_state():
