@@ -76,19 +76,31 @@ class Lindbladian:
         H = self.hamiltonian
         w = np.array([w for w, _ in self.jumps], dtype=float)
         Ls = np.array([L for _, L in self.jumps], dtype=complex).reshape(-1, N, N)
+        m = len(Ls)
         if basis is not None:
             H = dag(basis) @ H @ basis
-            Ls = dag(basis) @ Ls @ basis
-        Lc = Ls.conj()
-        # the jump sum as one product over the jump axis: entry [(i, k), (j, l)]
-        # is sum_m w_m conj(L_m[j, i]) L_m[l, k]
-        G = np.tensordot(w[:, None, None] * Lc, Ls, axes=(0, 0)) \
-            .transpose(1, 3, 0, 2).reshape(N * N, N * N)
-        damping = np.einsum("m,mji,mjk->ik", w, Lc, Ls)
-        eye = np.eye(N)
+            # (B^dag L_m) B: one stacked product, then one over the stacked rows
+            Ls = ((dag(basis) @ Ls).reshape(m * N, N) @ basis).reshape(m, N, N)
+        Lw = w[:, None, None] * Ls.conj()  # [m, j, i] = w_m conj(L_m[j, i])
+        # sum_m w_m L_m^dag L_m, one product over the stacked rows (m, j)
+        damping = Lw.reshape(m * N, N).T @ Ls.reshape(m * N, N)
+        # the jump sum, entry [(i, k), (j, l)] = sum_m w_m conj(L_m[j, i]) L_m[l, k]:
+        # per i, one product over the jump axis with rows j and columns (k, l),
+        # so that no N^2 x N^2 temporary is held beside G
+        G = np.empty((N * N, N * N), dtype=complex)
+        G4 = G.reshape(N, N, N, N)
+        rows = Lw.transpose(2, 1, 0)  # [i, j, m]
+        cols = Ls.transpose(0, 2, 1).reshape(m, N * N)  # [m, (k, l)] = L_m[l, k]
+        for i in range(N):
+            G4[i].transpose(1, 0, 2)[...] = (rows[i] @ cols).reshape(N, N, N)
         coherent = 1j * self.alpha * H
-        G += np.kron(coherent - 0.5 * damping, eye) \
-            - np.kron(eye, (coherent + 0.5 * damping).T)
+        left = coherent - 0.5 * damping
+        right = (coherent + 0.5 * damping).T
+        # the two Kronecker terms in place: kron(A, 1) puts A on G4[:, k, :, k]
+        # and kron(1, B) puts B on G4[k, :, k, :], for every k
+        for k in range(N):
+            G4[:, k, :, k] += left
+            G4[k, :, k, :] -= right
         return G
 
     def dissipator(self) -> "Lindbladian":
@@ -429,12 +441,14 @@ def standard_dbc_solve(G: Matrix, frame: KmsFrame) -> tuple[Matrix, float]:
     # tr b = tr Y - tr Y = 0, so Kb already meets the traceless constraint;
     # w is exactly symmetric, so w + w^T = 2w
     Kb = (b + dag(b)) / (8 * N * w)
-    eye = np.eye(N)
-    # in place: one N^2 x N^2 temporary besides the fit
-    fit = np.kron(a * Kb, eye)
-    fit -= np.kron(eye, (a.T * Kb).T)
-    fit *= 2j
-    fit -= Y
+    # the fit S C S^-1 - Y in the place of Y, no Kronecker product: -Y plus
+    # 2i a o K' on the blocks [:, k, :, k], minus 2i (a^T o K')^T on [k, :, k, :]
+    fit = np.negative(Y4, out=Y4)
+    left = 2j * (a * Kb)
+    right = 2j * (a.T * Kb).T
+    for k in range(N):
+        fit[:, k, :, k] += left
+        fit[k, :, k, :] -= right
     defect = float(np.linalg.norm(fit) / ynorm)
     return U @ Kb @ dag(U), defect
 
@@ -494,6 +508,26 @@ def _kernel_counts(an: Analysis) -> tuple[int, float, int]:
     return cdim, kms_defect, kdim
 
 
+def _gns_defect(G: Matrix, mu: np.ndarray) -> float:
+    """hermiticity_defect of the GNS frame matrix, solved per sector.
+
+    That matrix is a unitary change of Mg = S G S^-1 on the units, S =
+    diag(vec(outer(1, sqrt(mu)))), and the defect is unitarily invariant;
+    Mg and Mg - Mg^dag split on the sectors of Mg, so both norms are the
+    largest over its blocks.
+    """
+    g = vec(np.outer(np.ones_like(mu), np.sqrt(mu)))
+    Mg = G * (g[:, None] / g[None, :])
+    blocks = sector_blocks(Mg, sector_partition([Mg]))
+    scale = max(np.linalg.svd(B, compute_uv=False)[:, 0].max() for B in blocks)
+    if scale < 1e-30:
+        return 0.0
+    # each B - B^dag is exactly anti-Hermitian in floating point, so i(B - B^dag)
+    # is Hermitian and its largest |eigenvalue| is the norm
+    return float(max(np.abs(np.linalg.eigvalsh(1j * (B - dag(B)))).max()
+                     for B in blocks) / scale)
+
+
 def structure_report(an: Analysis) -> StructureReport:
     """Full detailed-balance / primitivity / kernel diagnostic for a generator."""
     # one G for the GNS defect and the fit; its assembly also gives M_D (and
@@ -503,13 +537,7 @@ def structure_report(an: Analysis) -> StructureReport:
     mu = an.state.eigenvalues
     uniform = mu[0] == mu[-1]  # then the GNS and KMS products coincide
     if not uniform:
-        # the GNS frame matrix is a unitary change of S G S^-1 on the units,
-        # S = diag(vec(outer(1, sqrt(mu)))), and the defect is unitarily
-        # invariant; in the frame's unit order (diagonal units first) its SVD
-        # takes half the time on haar_gibbs
-        u = an.frame._units
-        g = vec(np.outer(np.ones_like(mu), np.sqrt(mu)))[u]
-        gns_defect = hermiticity_defect(G[np.ix_(u, u)] * (g[:, None] / g[None, :]))
+        gns_defect = _gns_defect(G, mu)
     K, dbc_defect = standard_dbc_solve(G, an.frame)
     del G  # before the kernel counts build M, so the two are never held together
     cdim, kms_defect, kdim = _kernel_counts(an)

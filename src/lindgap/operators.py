@@ -129,8 +129,8 @@ class KmsFrame:
     E_0 is the identity; E_1 .. E_{N^2-1} span the traceless subspace
     {X : tr(sigma X) = 0}.  The basis is derived from the matrix units e_rc in
     sigma's eigenbasis, after the similarity: positions 0 .. N-1 hold the
-    diagonal units, Gram-Schmidt corrected against the identity (exactly one
-    dependent candidate is dropped); then, for each pair r < c in row-major
+    identity and N - 1 combinations of the diagonal units orthogonal to it
+    (the columns of _Q, a Helmert basis); then, for each pair r < c in row-major
     order, position N + p holds (e_rc + e_cr)/sqrt2 and position
     N + N(N-1)/2 + p holds i(e_rc - e_cr)/sqrt2.
 
@@ -145,42 +145,29 @@ class KmsFrame:
         self.state = state
         N = state.dim
         mu = state.eigenvalues
-        # Gram-Schmidt on the diagonal entries alone builds _Q; its column 0
-        # is sqrt(mu), the identity.
+        # _Q is the Helmert basis of the diagonal entries: the Gram-Schmidt of
+        # sqrt(mu), e_0, .., e_{N-2} in closed form (e_{N-1} is dependent).
+        # With s_r = sum_{i >= r} mu_i, column r + 1 is sqrt(s_{r+1} / s_r) at
+        # row r and -sqrt(mu_r mu_i / (s_r s_{r+1})) at rows i > r.  Each entry is
+        # one square root of a quotient, so the maximally mixed qubit gets
+        # exactly (fl(sqrt(1/2)), -fl(sqrt(1/2))), 0x1.6a09e667f3bcdp-1, one ulp
+        # above fl(1/fl(sqrt2)): at an exceptional point one ulp would split a
+        # double eigenvalue by sqrt(eps)
+        s = np.cumsum(mu[::-1])[::-1]
         Q = np.zeros((N, N))
         Q[:, 0] = np.sqrt(mu)
-        j = 1
-        dropped = None
-        for r in range(N):
-            v = np.zeros(N)
-            v[r] = 1.0
-            for _ in range(2):  # reorthogonalize for stability
-                for k in range(j):
-                    v -= Q[:, k] * (Q[:, k] @ v)
-            nrm = np.linalg.norm(v)
-            if nrm < 1e-12:
-                if dropped is not None:
-                    raise ValueError("degenerate sigma factorization: "
-                                     "two dependent diagonal candidates")
-                dropped = r
-                continue
-            v /= nrm
-            # a second division takes out the rounding of the first norm, so that
-            # the maximally mixed qubit gets exactly (fl(sqrt(1/2)), -fl(sqrt(1/2))),
-            # 0x1.6a09e667f3bcdp-1, one ulp above fl(1/fl(sqrt2)): at an
-            # exceptional point one ulp would split a double eigenvalue by sqrt(eps)
-            Q[:, j] = v / np.linalg.norm(v)
-            j += 1
-        if j != N or dropped is None:
-            raise ValueError("frame construction failed to span the operator space")
+        k = np.arange(N - 1)
+        Q[k, k + 1] = np.sqrt(s[1:] / s[:-1])
+        i, r = np.tril_indices(N, -1)
+        Q[i, r + 1] = -np.sqrt(mu[r] * mu[i] / (s[r] * s[r + 1]))
         self._Q = Q
         rows, cols = np.triu_indices(N, 1)
         self._pairs = (rows, cols)
         m = len(rows)
         # positions of the diagonal, the (e_rc + e_cr) and the i(e_rc - e_cr) parts
         self._blocks = (slice(0, N), slice(N, N + m), slice(N + m, N + 2 * m))
-        # the unit r*N + c behind each position of the basis, before the
-        # Gram-Schmidt and pair rotations mix them
+        # the unit r*N + c behind each position of the basis, before _Q and
+        # the pair rotations mix them
         self._units = np.concatenate([np.arange(N) * (N + 1), rows * N + cols,
                                       cols * N + rows])
         self._scale = np.outer(mu**0.25, mu**0.25)

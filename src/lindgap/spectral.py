@@ -80,22 +80,31 @@ def bohr_decompose(an: Analysis) -> list[BohrBlock]:
     tol = max(BOHR_CLUSTER_FACTOR * np.ptp(E), 1e-12 * np.abs(E).max(), 1e-14)
     cuts = np.flatnonzero(np.diff(freqs[order]) > tol) + 1
     A = -an.M_D_sym[1:, 1:]
-    blocks: list[BohrBlock] = []
-    for idx in np.split(order, cuts):
-        freq = float(freqs[idx].mean())
-        if abs(freq) < tol:
-            freq = 0.0
-            C = A[np.ix_(idx, idx)]
-        else:
-            s = N - 1 + (idx - (N - 1)) % m
-            t = s + m
-            g = np.where(idx < N - 1 + m, 1.0, -1.0)
-            C = 0.5 * (A[np.ix_(s, s)] + np.outer(g, g) * A[np.ix_(t, t)]
-                       + 1j * (g[:, None] * A[np.ix_(t, s)]
-                               - g[None, :] * A[np.ix_(s, t)]))
-        blocks.append(BohrBlock(frequency=freq, dim=len(idx),
-                                lambda_nu=float(np.linalg.eigvalsh(C)[0])))
-    return blocks
+    idxs = np.split(order, cuts)
+    means = np.array([freqs[idx].mean() for idx in idxs])
+    zero = np.abs(means) < tol
+    sizes = np.array([len(idx) for idx in idxs])
+    lam = np.empty(len(idxs))
+
+    def sub(rows, cols):  # A[rows[k]][:, cols[k]] for each k of a stack
+        return A[rows[:, :, None], cols[:, None, :]]
+
+    # one stacked eigvalsh per kind of block (zero frequency or not) and size
+    for at_zero in (True, False):
+        for size in np.unique(sizes[zero == at_zero]):
+            which = np.flatnonzero((zero == at_zero) & (sizes == size))
+            idx = np.array([idxs[k] for k in which])
+            if at_zero:
+                C = sub(idx, idx)
+            else:
+                s = N - 1 + (idx - (N - 1)) % m
+                t = s + m
+                g = np.where(idx < N - 1 + m, 1.0, -1.0)
+                C = 0.5 * (sub(s, s) + g[:, :, None] * g[:, None, :] * sub(t, t)
+                           + 1j * (g[:, :, None] * sub(t, s) - g[:, None, :] * sub(s, t)))
+            lam[which] = np.linalg.eigvalsh(C)[:, 0]
+    return [BohrBlock(frequency=0.0 if z else float(f), dim=int(d), lambda_nu=float(v))
+            for f, z, d, v in zip(means, zero, sizes, lam)]
 
 
 def large_alpha_limit(an: Analysis) -> float:

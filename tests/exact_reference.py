@@ -3,7 +3,8 @@
 These recompute the same quantities as the library by other routes: the
 powers sigma^p from sigma's eigendecomposition, the sigma-weighted inner
 products tr(sigma^s X^dag sigma^(1-s) Y) by their trace formula, against
-which the KMS frame (s = 1/2) is checked, the frame inverse (the operator
+which the KMS frame (s = 1/2) is checked, Gram-Schmidt for the frame's
+closed-form diagonal basis, the frame inverse (the operator
 with given coordinates, KmsFrame.coords undone), the probed frame matrix
 of an arbitrary linear map (from the frame's basis operators) for every
 assembled superoperator, the GNS matrix of a generator probed on the GNS
@@ -54,6 +55,31 @@ def weighted_inner(state, s: float, X, Y) -> complex:
 
 def weighted_norm(state, s: float, X) -> float:
     return float(np.sqrt(max(weighted_inner(state, s, X, X).real, 0.0)))
+
+
+def gram_schmidt_q(mu) -> np.ndarray:
+    """KmsFrame._Q by Gram-Schmidt: sqrt(mu), then each unit vector e_r
+    orthogonalized twice against the columns so far, the one dependent
+    candidate dropped."""
+    mu = np.asarray(mu, dtype=float)
+    N = len(mu)
+    Q = np.zeros((N, N))
+    Q[:, 0] = np.sqrt(mu)
+    j = 1
+    for r in range(N):
+        v = np.zeros(N)
+        v[r] = 1.0
+        for _ in range(2):
+            for k in range(j):
+                v -= Q[:, k] * (Q[:, k] @ v)
+        nrm = np.linalg.norm(v)
+        if nrm < 1e-12:
+            continue
+        v /= nrm
+        Q[:, j] = v / np.linalg.norm(v)
+        j += 1
+    assert j == N, "expected exactly one dependent candidate"
+    return Q
 
 
 def from_coords(frame, c) -> np.ndarray:

@@ -138,10 +138,36 @@ def test_explicit_family_has_rotated_eigenbasis():
     assert np.abs(U - np.diag(np.diag(U))).max() > 0.1
 
 
+def _rotated_state(N):
+    U = unitary_group.rvs(N, random_state=np.random.default_rng(5))
+    return QuantumState.from_eigenvalues(np.linspace(1.0, 0.2, N), U)
+
+
+def _no_jumps():
+    # the hamiltonian_superop path: the jump sums are empty
+    H = np.array([[0.4, 0.2 - 0.3j, 0.0], [0.2 + 0.3j, -0.1, 0.5], [0.0, 0.5, 0.7]])
+    return Lindbladian(3, H, [], alpha=1.7), _rotated_state(3)
+
+
+def _one_jump():
+    J = np.array([[0.1, 0.9j, 0.0], [0.3, -0.2, 0.6], [0.0, 0.4 - 0.1j, 0.5]])
+    return Lindbladian(3, np.diag([0.2, -0.5, 1.0]).astype(complex), [(0.8, J)]), \
+        _rotated_state(3)
+
+
+def _haar12():
+    m = haar_avg_gibbs(list(np.linspace(0.0, 2.0, 12)), 1.0)
+    assert len(m.lind.jumps) == 144
+    return m.lind, m.state
+
+
+UNIT_CASES = {**FAMILIES, "no_jumps": _no_jumps, "one_jump": _one_jump, "haar12": _haar12}
+
+
 @pytest.mark.parametrize("rotated", [False, True])
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family", sorted(UNIT_CASES))
 def test_unit_matrix_matches_per_jump_sum(family, rotated):
-    L, state = FAMILIES[family]()
+    L, state = UNIT_CASES[family]()
     basis = state.eigenvectors if rotated else None
     ref = unit_matrix_per_jump(L, basis)
     # one product over the jump axis sums in another order

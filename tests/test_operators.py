@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
-from exact_reference import (frame_basis, from_coords, superop_matrix, weighted_inner,
-                             weighted_norm)
+from exact_reference import (frame_basis, from_coords, gram_schmidt_q, superop_matrix,
+                             weighted_inner, weighted_norm)
 from scipy.optimize import linear_sum_assignment
 
 from lindgap import KmsFrame, QuantumState
@@ -92,6 +92,26 @@ def test_frame_maximally_mixed_qubit_is_exactly_sqrt_half():
         "gap tests at the exceptional point depend on it: "
         "test_cli.py::test_gap_json_and_csv, test_spectral.py::test_gap_qubit_model "
         "and test_spectral.py::test_gap_restricted_spectrum_qubit")
+
+
+def _spectra():
+    rng = np.random.default_rng(17)
+    for N in range(2, 17):
+        yield pytest.param(rng.uniform(0.05, 1.0, N), id=f"random-{N}")
+    yield pytest.param([3.0, 3.0, 2.0, 2.0, 2.0, 1.0, 1.0], id="degenerate")
+    yield pytest.param([1.0] * 5 + [0.5], id="one-level-apart")
+    yield pytest.param(np.logspace(0.0, -9.0, 10), id="span-1e-9")
+
+
+@pytest.mark.parametrize("weights", list(_spectra()))
+def test_frame_diagonal_basis_is_gram_schmidt(weights):
+    # the closed form of _Q against the Gram-Schmidt it replaces
+    st = QuantumState.from_eigenvalues(weights)
+    Q = KmsFrame(st)._Q
+    N = st.dim
+    assert np.abs(Q - gram_schmidt_q(st.eigenvalues)).max() <= 1e-15
+    assert np.abs(Q.T @ Q - np.eye(N)).max() <= 1e-15
+    assert np.array_equal(Q[:, 0], np.sqrt(st.eigenvalues))
 
 
 def test_frame_identity_first_and_traceless_rest():
