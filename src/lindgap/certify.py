@@ -20,8 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .lindblad import (Analysis, dag, max_column_norm, real_norm2, require_invariant,
-                       sector_blocks)
+from .lindblad import Analysis, dag, max_column_norm, real_norm2, require_invariant
 
 ASSUMPTION_DEFECT_FACTOR = 1e-9
 INJECTIVITY_TOL = 1e-10
@@ -107,38 +106,23 @@ class CoerciveCertificate:
         }
 
 
-def _kernel_blocks(an: Analysis):
-    """(V0, Vp, B) for each stack of sectors with k >= 1 kernel vectors: the
-    kernel split's eigenvectors on those sectors, kernel (count, size, k) and
-    complement (count, size, size - k), and the blocks of M_H there.
-
-    M_H is block-diagonal on the sectors, so V0^T M_H V0 and Vp^T M_H V0 on
-    the whole space are block-diagonal with the blocks of these stacks.
-    """
-    split = an.split
-    for S, V, ker in zip(split.sectors, split.vectors, split.kernel()):
-        ks = ker.sum(axis=1)
-        for k in np.unique(ks[ks > 0]):
-            sel = ks == k
-            yield V[sel][:, :, :k], V[sel][:, :, k:], sector_blocks(an.M_Hr, [S[sel]])[0]
-
-
 def check_assumption(an: Analysis) -> tuple[bool, float]:
     """Nontrivial kernel and no coherent mixing inside it.
 
-    defect = ||Pi0 M_H Pi0||, the largest over the sectors; ok iff dim h0 >= 1
-    and the defect is below 1e-9 * ||M_H||.  The largest column norm of M_H
-    is at most ||M_H||, so a defect below 1e-9 times it passes without the
-    spectral norm.
+    defect = ||Pi0 M_H Pi0||, the largest over the sectors of the kernel
+    split; ok iff dim h0 >= 1 and the defect is below 1e-9 * ||M_H||.  The
+    largest column norm of M_H is at most ||M_H||, so a defect below 1e-9
+    times it passes without the spectral norm.
     """
-    MH = an.M_Hr
-    if an.split.dim0 == 0:
+    split = an.split
+    if split.dim0 == 0:
         return False, 0.0
-    defect = max(float(np.linalg.norm(dag(V0) @ B @ V0, 2, axis=(1, 2)).max())
-                 for V0, _, B in _kernel_blocks(an))
-    if defect < ASSUMPTION_DEFECT_FACTOR * max_column_norm(MH):
+    defect = max(float(np.linalg.norm(dag(V[..., :k]) @ B @ V[..., :k], 2,
+                                      axis=(1, 2)).max())
+                 for V, k, B in zip(split.vectors, split.dims, split.hamiltonian) if k)
+    if defect < ASSUMPTION_DEFECT_FACTOR * max_column_norm(*split.hamiltonian):
         return True, defect
-    scale = max(max(real_norm2(B) for B in sector_blocks(MH, an.sectors)), 1e-30)
+    scale = max(max(real_norm2(B) for B in split.hamiltonian), 1e-30)
     return defect < ASSUMPTION_DEFECT_FACTOR * scale, defect
 
 
@@ -150,7 +134,8 @@ def structural_constants(an: Analysis) -> StructuralConstants:
     invariant, L^D does not vanish on the traceless subspace and the
     Hamiltonian does not mix a nontrivial kernel into itself (an.assumption).
     A trivial kernel gives s_H = inf, lambda_D = rates[0], ||L^H Pi_+|| = ||M_H||.
-    Otherwise s_H is the smallest singular value over the blocks of Vp^T M_H V0
+    Otherwise, with V0 = V[..., :k] and Vp = V[..., k:] per group of the
+    split, s_H is the smallest singular value over the blocks of Vp^T M_H V0
     (0 from a sector with more kernel than complement, whose block cannot be
     injective) and ||L^H Pi_+|| the largest block norm of M_H Vp.
     """
@@ -159,27 +144,26 @@ def structural_constants(an: Analysis) -> StructuralConstants:
     if split.dim_plus == 0:
         raise ValueError("dissipator vanishes on the traceless subspace")
     norm_LD = float(np.abs(split.rates).max())
-    blocks = sector_blocks(an.M_Hr, split.sectors)
+    groups = list(zip(split.vectors, split.dims, split.hamiltonian))
     if split.dim0 == 0:
         return StructuralConstants(lambda_D=float(split.rates[0]), s_H=math.inf,
                                    norm_LD=norm_LD,
-                                   norm_LH_plus=max(real_norm2(B) for B in blocks))
+                                   norm_LH_plus=max(real_norm2(B) for _, _, B in groups))
     ok, defect = an.assumption
     if not ok:
         raise ValueError(f"Hamiltonian mixes the dissipator kernel into "
                          f"itself (defect {defect:.3e})")
     lambda_D = float(split.rates[split.dim0])
-    s_H = min(0.0 if V0.shape[-1] > Vp.shape[-1] else
-              float(np.linalg.svd(dag(Vp) @ (B @ V0), compute_uv=False)[:, -1].min())
-              for V0, Vp, B in _kernel_blocks(an))
+    s_H = min(0.0 if 2 * k > V.shape[-1] else
+              float(np.linalg.svd(dag(V[..., k:]) @ (B @ V[..., :k]),
+                                  compute_uv=False)[:, -1].min())
+              for V, k, B in groups if k)
     if s_H < INJECTIVITY_TOL:
         raise ValueError(
             "coherent coupling does not move the dissipator kernel "
             f"(s_H = {s_H:.3e}); the model is not primitive under this split")
-    # Vp^dag is a co-isometry onto the complement: ||MH Vp|| = ||MH Pi_+||;
-    # zeroing the kernel columns of MH V leaves the norm of MH Vp
-    norm_LH_plus = max(real_norm2((B @ V) * ~ker[:, None, :]) for B, V, ker in
-                       zip(blocks, split.vectors, split.kernel()))
+    # Vp^dag is a co-isometry onto the complement: ||MH Vp|| = ||MH Pi_+||
+    norm_LH_plus = max(real_norm2(B @ V[..., k:]) for V, k, B in groups)
     return StructuralConstants(lambda_D=lambda_D, s_H=s_H,
                                norm_LD=norm_LD, norm_LH_plus=norm_LH_plus)
 

@@ -22,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from .certify import _require_finite_positive, c_constants
-from .lindblad import Analysis, real_norm2, sector_blocks
+from .lindblad import Analysis, real_norm2
 from .operators import Matrix, QuantumState, as_square_matrix, dag
 
 
@@ -121,7 +121,7 @@ def time_avg_check(an: Analysis, X0, T: float, nu: float, h: float, samples: int
     c0 = an.frame.coords(as_square_matrix(X0, an.state.dim))[1:]
     norm0 = float(np.vdot(c0, c0).real)
     ts = h * np.arange(samples)
-    blocks = sector_blocks(an.Mr, an.sectors)
+    blocks = an.blocks()
     Gs = [window_gramian(B, T) for B in blocks]
     # per stack of sectors, the coordinates as (count, size, 1) columns
     xs = [c0[S][..., None] for S in an.sectors]
@@ -179,7 +179,7 @@ def semigroup_norm_curve(an: Analysis, h: float, samples: int) -> NormCurve:
     _require_samples(samples, 3)  # two points in the fit window
     start = samples // 2
     ts = h * np.arange(1, samples + 1)
-    blocks = sector_blocks(an.Mr, an.sectors)
+    blocks = an.blocks()
     flows = [islice(_flow(B, h, np.broadcast_to(np.eye(B.shape[-1]), B.shape)),
                     1, samples + 1) for B in blocks]
     norms = np.array([max(real_norm2(E) for E in Es) for Es in zip(*flows)])
@@ -255,7 +255,7 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
     read in the kernel split's eigenbasis V = [V0, Vp] with rates r_k.  The
     constants are the certificate constants of an.constants at (T, beta); a
     trivial restricted kernel uses their large-coupling limit.  The products
-    with M_H and V run per sector of the split.  The integrands have
+    with M_H and V run per group of the split.  The integrands have
     degree 2 * poly_degree in t, so Gauss-Legendre on poly_degree + 1 nodes
     averages them exactly.  Refuses what an.constants refuses.
     """
@@ -296,13 +296,13 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
     y0 = X @ an.M_H[0] - Xdot[:, 0]
     plus = np.zeros(len(X))
     dual = y0 * y0 / beta
-    for S, V, w, ker, B in zip(split.sectors, split.vectors, split.values,
-                               split.kernel(), sector_blocks(an.M_Hr, split.sectors)):
+    for S, V, w, k, B in zip(split.sectors, split.vectors, split.values,
+                             split.dims, split.hamiltonian):
         # axes (sector, sample x node, coordinate)
         xs = X[:, 1 + S].transpose(1, 0, 2)
         ys = xs @ np.swapaxes(B, -1, -2) - Xdot[:, 1 + S].transpose(1, 0, 2)
-        px, py = xs @ V, ys @ V
-        plus += np.einsum("srk,sk->r", px * px, (~ker).astype(float))
+        px, py = xs @ V[..., k:], ys @ V
+        plus += np.einsum("srk,srk->r", px, px)
         dual += np.einsum("srk,sk->r", py * py, 1.0 / (beta + np.clip(w, 0.0, None)))
     rhs = C1 * root_avg(plus) + C2 * root_avg(dual)
     ratio = lhs / np.maximum(rhs, 1e-300)

@@ -159,23 +159,29 @@ def real_norm2(A: Matrix) -> float:
     return float(np.ldexp(np.sqrt(max(w, 0.0)), e))
 
 
-def max_column_norm(A: Matrix) -> float:
-    """Largest Euclidean column norm of a real matrix: a lower bound on ||A||_2."""
-    return float(np.sqrt(np.einsum("ij,ij->j", A, A).max()))
+def max_column_norm(*blocks: Matrix) -> float:
+    """Largest Euclidean column norm of a real matrix, or of the block-diagonal
+    one with the sector stacks `blocks` (..., m, n): a lower bound on ||.||_2."""
+    return float(np.sqrt(max(np.einsum("...ij,...ij->...j", A, A).max()
+                             for A in blocks)))
 
 
-def hermiticity_defect(M: Matrix) -> float:
-    """Relative deviation of M from its conjugate transpose, in spectral norm."""
-    if np.isrealobj(M):
-        scale = real_norm2(M)
-        return real_norm2(M - M.T) / scale if scale >= 1e-30 else 0.0
-    scale = np.linalg.norm(M, 2)
+def hermiticity_defect(*blocks: Matrix) -> float:
+    """Relative deviation from its conjugate transpose, in spectral norm, of one
+    matrix or of the block-diagonal matrix with the sector stacks `blocks`
+    (..., n, n): the scale and the numerator are each the largest over them."""
+    if all(np.isrealobj(B) for B in blocks):
+        scale = max(real_norm2(B) for B in blocks)
+        if scale < 1e-30:
+            return 0.0
+        return max(real_norm2(B - np.swapaxes(B, -1, -2)) for B in blocks) / scale
+    scale = max(np.linalg.svd(B, compute_uv=False)[..., 0].max() for B in blocks)
     if scale < 1e-30:
         return 0.0
-    # D is exactly anti-Hermitian in floating point, so iD is Hermitian and its
-    # largest |eigenvalue| is the norm
-    D = M - dag(M)
-    return float(np.abs(np.linalg.eigvalsh(1j * D)).max() / scale)
+    # each B - B^dag is exactly anti-Hermitian in floating point, so i(B - B^dag)
+    # is Hermitian and its largest |eigenvalue| is the norm
+    return float(max(np.abs(np.linalg.eigvalsh(1j * (B - dag(B)))).max()
+                     for B in blocks) / scale)
 
 
 def joint_eigenbasis(state: QuantumState, H: Matrix) -> tuple[QuantumState,
@@ -244,10 +250,10 @@ def sector_blocks(M: Matrix, sectors: list[np.ndarray]) -> list[Matrix]:
     return [M[S[:, :, None], S[:, None, :]] for S in sectors]
 
 
-def sector_singular_gap(M: Matrix, sectors: list[np.ndarray]) -> float:
-    """Smallest singular value of M, block-diagonal on `sectors`."""
-    return float(min(np.linalg.svd(B, compute_uv=False).min()
-                     for B in sector_blocks(M, sectors)))
+def sector_singular_gap(blocks: list[Matrix]) -> float:
+    """Smallest singular value of the block-diagonal matrix with the sector
+    stacks `blocks`, as Analysis.blocks gives them."""
+    return float(min(np.linalg.svd(B, compute_uv=False).min() for B in blocks))
 
 
 class Analysis:
@@ -260,8 +266,9 @@ class Analysis:
     is built on first use and kept: the full-space real matrices M_D, M_H of
     L^D, i[H, .] and M = M_D + M_H of L (when E is set, M_H by formula and M
     as M_D plus its entries, with no dense M_H); the views Mr, M_Dr, M_Hr of
-    their traceless blocks [1:, 1:]; the sectors on which those blocks split;
-    the symmetric part M_D_sym after the one check that L^D is KMS-symmetric;
+    their traceless blocks [1:, 1:]; the sectors on which those blocks split,
+    with their blocks, which every solve of a M_Hr + M_Dr reads; the
+    symmetric part M_D_sym after the one check that L^D is KMS-symmetric;
     the kernel split, the one eigendecomposition of M_D per sector that every
     later use of its spectrum reads; the kernel-mixing check; the structural
     constants; the smallest singular value of Mr; and the invariance residual
@@ -347,6 +354,18 @@ class Analysis:
                                 else [self.M_Dr])
 
     @cached_property
+    def stacks(self) -> list[tuple[Matrix, Matrix]]:
+        """(D, H) per group of sectors: the stacks of M_Dr's and M_Hr's
+        blocks, gathered once."""
+        return list(zip(sector_blocks(self.M_Dr, self.sectors),
+                        sector_blocks(self.M_Hr, self.sectors)))
+
+    def blocks(self, a: float = 1.0) -> list[Matrix]:
+        """The blocks of a M_Hr + M_Dr, one stack per group of sectors; at
+        a = 1 those of Mr."""
+        return [a * H + D for D, H in self.stacks]
+
+    @cached_property
     def M_D_sym(self) -> Matrix:
         """(M_D + M_D^T) / 2; raises unless M_D is symmetric (L^D KMS-symmetric).
 
@@ -405,7 +424,7 @@ class Analysis:
     @cached_property
     def singular_gap(self) -> float:
         """Smallest singular value of Mr, taken sector by sector."""
-        return sector_singular_gap(self.Mr, self.sectors)
+        return sector_singular_gap(self.blocks())
 
 
 def standard_dbc_solve(G: Matrix, frame: KmsFrame) -> tuple[Matrix, float]:
@@ -513,19 +532,11 @@ def _gns_defect(G: Matrix, mu: np.ndarray) -> float:
 
     That matrix is a unitary change of Mg = S G S^-1 on the units, S =
     diag(vec(outer(1, sqrt(mu)))), and the defect is unitarily invariant;
-    Mg and Mg - Mg^dag split on the sectors of Mg, so both norms are the
-    largest over its blocks.
+    Mg and Mg - Mg^dag split on the sectors of Mg.
     """
     g = vec(np.outer(np.ones_like(mu), np.sqrt(mu)))
     Mg = G * (g[:, None] / g[None, :])
-    blocks = sector_blocks(Mg, sector_partition([Mg]))
-    scale = max(np.linalg.svd(B, compute_uv=False)[:, 0].max() for B in blocks)
-    if scale < 1e-30:
-        return 0.0
-    # each B - B^dag is exactly anti-Hermitian in floating point, so i(B - B^dag)
-    # is Hermitian and its largest |eigenvalue| is the norm
-    return float(max(np.abs(np.linalg.eigvalsh(1j * (B - dag(B)))).max()
-                     for B in blocks) / scale)
+    return hermiticity_defect(*sector_blocks(Mg, sector_partition([Mg])))
 
 
 def structure_report(an: Analysis) -> StructureReport:
@@ -574,18 +585,22 @@ class SpaceSplit:
     """Eigendecomposition of -L^D on the traceless subspace, one per sector,
     split at its kernel.
 
-    For each group of sectors (`sectors`, as Analysis.sectors), values[g]
-    (count, size) holds the ascending eigenvalues of the KMS-symmetric -M_D
-    on each sector and vectors[g] (count, size, size) their unit
-    eigenvectors in the sector's coordinates.  Eigenvalues below `cutoff` in
-    absolute value span ker(L^D) and lead their sector; the rest span its
-    KMS-orthogonal complement.  `rates` holds every eigenvalue, ascending.
+    Analysis.sectors regrouped by (size, kernel dimension k = dims[g]): per
+    group g of sectors[g] (count, size), values[g] holds the ascending
+    eigenvalues of the KMS-symmetric -M_D on each sector, vectors[g] their
+    unit eigenvectors in the sector's coordinates and hamiltonian[g] the
+    blocks of M_Hr.  The first k eigenvalues, below `cutoff` in absolute
+    value, span ker(L^D): vectors[g][..., :k] is the kernel and
+    vectors[g][..., k:] its KMS-orthogonal complement.  `rates` holds every
+    eigenvalue, ascending.
     """
 
     rates: np.ndarray
     sectors: list[np.ndarray]
     values: list[np.ndarray]
     vectors: list[np.ndarray]
+    dims: list[int]
+    hamiltonian: list[np.ndarray]
     cutoff: float
 
     @property
@@ -596,20 +611,20 @@ class SpaceSplit:
     def dim_plus(self) -> int:
         return len(self.rates) - self.dim0
 
-    def kernel(self) -> list[np.ndarray]:
-        """Per group, the (count, size) mask of the kernel eigenvalues."""
-        return [np.abs(w) < self.cutoff for w in self.values]
-
 
 def kernel_projection(an: Analysis) -> SpaceSplit:
     """Split of the traceless subspace by the zero eigenspace of a KMS-DB dissipator."""
-    values, vectors = [], []
-    for B in sector_blocks(an.M_D_sym[1:, 1:], an.sectors):
-        w, V = np.linalg.eigh(-B)
-        values.append(w)
-        vectors.append(V)
-    rates = np.sort(np.concatenate([w.ravel() for w in values]))
+    eighs = [np.linalg.eigh(-B) for B in sector_blocks(an.M_D_sym[1:, 1:], an.sectors)]
+    rates = np.sort(np.concatenate([w.ravel() for w, _ in eighs]))
     # w >= 0 up to rounding, so each sector's kernel leads its ascending w
     cutoff = KERNEL_TOL_FACTOR * max(np.abs(rates).max(), 1e-30)
-    return SpaceSplit(rates=rates, sectors=an.sectors, values=values,
-                      vectors=vectors, cutoff=cutoff)
+    groups = []
+    for S, (w, V) in zip(an.sectors, eighs):
+        ks = np.sum(np.abs(w) < cutoff, axis=1)
+        for k in np.unique(ks):
+            # a view, not a copy, of a stack whose sectors share one k
+            sel = slice(None) if np.all(ks == k) else ks == k
+            groups.append((S[sel], w[sel], V[sel], int(k)))
+    sectors, values, vectors, dims = (list(x) for x in zip(*groups))
+    return SpaceSplit(rates, sectors, values, vectors, dims,
+                      sector_blocks(an.M_Hr, sectors), cutoff)

@@ -11,31 +11,29 @@ gives the exact strong-coupling limit of the gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import Analysis, require_invariant, sector_blocks, sector_singular_gap
+from .certify import _require_finite_positive
+from .lindblad import Analysis, require_invariant, sector_singular_gap
 from .operators import Matrix
 
 BOHR_CLUSTER_FACTOR = 1e-7
 
 
-def gap_from_matrix(M: Matrix, sectors: list[np.ndarray]) -> float:
-    """Gap of a restricted matrix, -max Re(eigenvalue), solved on its sectors.
-
-    `sectors` groups index sets on which M is block-diagonal, as
-    Analysis.sectors does; [np.arange(n)[None]] is the whole n x n matrix.
-    """
-    return float(-max(np.linalg.eigvals(B).real.max()
-                      for B in sector_blocks(M, sectors)))
+def gap_from_matrix(blocks: list[Matrix]) -> float:
+    """Gap of a block-diagonal restricted matrix, -max Re(eigenvalue), from
+    its sector stacks, as Analysis.blocks gives them ([M[None]]: all of M)."""
+    return float(-max(np.linalg.eigvals(B).real.max() for B in blocks))
 
 
 def spectral_gap(an: Analysis) -> float:
     """Spectral gap of L restricted to the traceless subspace; the singular
     gap is an.singular_gap."""
     require_invariant(an)
-    return gap_from_matrix(an.Mr, an.sectors)
+    return gap_from_matrix(an.blocks())
 
 
 @dataclass
@@ -59,7 +57,8 @@ def bohr_decompose(an: Analysis) -> list[BohrBlock]:
     Frequencies merge within 1e-7 (E.max() - E.min()), and within
     1e-12 max|E|, the rounding of a difference of energies.
 
-    lambda_nu compresses A = -M_D_sym[1:, 1:].  The frequencies and the cuts
+    lambda_nu compresses A = -M_D_sym[1:, 1:], gathered from the view and
+    negated per block.  The frequencies and the cuts
     are mirrored about 0, so only the zero block holds both units of a pair:
     it compresses to A on its diagonal, s and t coordinates.  A block at
     w != 0 holds one unit (s - i g t)/sqrt2 per pair, g = +-1, and
@@ -79,7 +78,7 @@ def bohr_decompose(an: Analysis) -> list[BohrBlock]:
     order = np.argsort(freqs, kind="stable")
     tol = max(BOHR_CLUSTER_FACTOR * np.ptp(E), 1e-12 * np.abs(E).max(), 1e-14)
     cuts = np.flatnonzero(np.diff(freqs[order]) > tol) + 1
-    A = -an.M_D_sym[1:, 1:]
+    A = an.M_D_sym[1:, 1:]
     idxs = np.split(order, cuts)
     means = np.array([freqs[idx].mean() for idx in idxs])
     zero = np.abs(means) < tol
@@ -87,7 +86,7 @@ def bohr_decompose(an: Analysis) -> list[BohrBlock]:
     lam = np.empty(len(idxs))
 
     def sub(rows, cols):  # A[rows[k]][:, cols[k]] for each k of a stack
-        return A[rows[:, :, None], cols[:, None, :]]
+        return -A[rows[:, :, None], cols[:, None, :]]
 
     # one stacked eigvalsh per kind of block (zero frequency or not) and size
     for at_zero in (True, False):
@@ -124,8 +123,9 @@ class GapCurve:
 def gap_curve(an: Analysis, alphas) -> GapCurve:
     """Gap of alpha * i[H,.] + L^D per coupling value, with the limit if available.
 
-    H is an.H, so each value multiplies the generator's own alpha.  Refuses a
-    sigma that L does not leave invariant."""
+    H is an.H, so each value multiplies the generator's own alpha; each
+    value's solves read the sector stacks an.blocks(alpha).  Refuses a sigma
+    that L does not leave invariant."""
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("empty coupling grid")
@@ -140,9 +140,9 @@ def gap_curve(an: Analysis, alphas) -> GapCurve:
     require_invariant(an)
     gaps, sgaps = [], []
     for a in alphas:
-        Ma = a * an.M_Hr + an.M_Dr
-        gaps.append(gap_from_matrix(Ma, an.sectors))
-        sgaps.append(sector_singular_gap(Ma, an.sectors))
+        blocks = an.blocks(a)
+        gaps.append(gap_from_matrix(blocks))
+        sgaps.append(sector_singular_gap(blocks))
     dev = None if limit is None else float(abs(gaps[-1] - limit))
     return GapCurve(alphas=alphas, gaps=gaps, singular_gaps=sgaps,
                     limit=limit, final_deviation=dev)
@@ -152,12 +152,12 @@ def singular_relaxation_check(an: Analysis, nu: float,
                               T: float) -> tuple[bool, float, float]:
     """Check 1/nu + T >= 1/s - 1e-9 for a certified average-decay pair.
 
-    Returns (ok, lhs, singular_gap).
+    Returns (ok, lhs, singular_gap).  nu must be finite and positive and T
+    finite and nonnegative; a singular gap s = 0 fails, as 1/s is infinite.
     """
+    _require_finite_positive(nu=nu)
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be finite and nonnegative, got {T!r}")
     s = an.singular_gap
-    if nu <= 0:
-        return True, float("inf"), s
     lhs = 1.0 / nu + T
-    if s <= 0:
-        return True, lhs, s
-    return bool(lhs >= 1.0 / s - 1e-9), lhs, s
+    return bool(s > 0 and lhs >= 1.0 / s - 1e-9), lhs, s

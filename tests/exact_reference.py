@@ -180,12 +180,12 @@ def split_bases(split) -> tuple[np.ndarray, np.ndarray]:
     on the traceless coordinates, kernel and complement, sector by sector."""
     n = len(split.rates)
     cols0, cols_plus = [], []
-    for S, V, ker in zip(split.sectors, split.vectors, split.kernel()):
-        for s, v, k in zip(S, V, ker):
+    for S, V, k in zip(split.sectors, split.vectors, split.dims):
+        for s, v in zip(S, V):
             D = np.zeros((n, len(s)))
             D[s] = v
-            cols0.append(D[:, k])
-            cols_plus.append(D[:, ~k])
+            cols0.append(D[:, :k])
+            cols_plus.append(D[:, k:])
     return np.hstack(cols0), np.hstack(cols_plus)
 
 

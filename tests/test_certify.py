@@ -102,10 +102,9 @@ def _assumption_case(delta, monkeypatch):
     rates[0] = 0.0
     sectors = [np.arange(n)[None]]
     an = split_form(PAULI_X, QUBIT_LD, MIXED2)
-    an.__dict__["M_Hr"] = MH
-    an.__dict__["sectors"] = sectors
     an.__dict__["split"] = SpaceSplit(rates=rates, sectors=sectors, values=[rates[None]],
-                                      vectors=[V[None]], cutoff=1e-9)
+                                      vectors=[V[None]], dims=[1], hamiltonian=[MH[None]],
+                                      cutoff=1e-9)
     calls = []
     monkeypatch.setattr(import_module("lindgap.certify"), "real_norm2",
                         lambda A: calls.append(A.shape) or real_norm2(A))

@@ -40,6 +40,7 @@ from lindgap import lindblad
 from lindgap.lindblad import (
     DB_DEFECT_TOL,
     hermiticity_defect,
+    max_column_norm,
     standard_dbc_solve,
 )
 from lindgap.models import PAULI_X, PAULI_Y, PAULI_Z
@@ -651,6 +652,38 @@ def test_hermiticity_defect_is_relative_spectral_norm():
         assert abs(hermiticity_defect(M) - ref) <= 1e-13 * ref
         assert hermiticity_defect(M + M.conj().T) == 0.0
     assert hermiticity_defect(np.zeros((3, 3))) == 0.0
+
+
+def _block_diagonal(stacks):
+    blocks = [B for S in stacks for B in S]
+    n = sum(B.shape[0] for B in blocks)
+    M = np.zeros((n, n), dtype=np.result_type(*blocks))
+    i = 0
+    for B in blocks:
+        M[i:i + len(B), i:i + len(B)] = B
+        i += len(B)
+    return M
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stacked_norms_are_those_of_the_block_diagonal_matrix(dtype):
+    # sector stacks of two sizes: the defect, its scale and the column norms
+    # of the block-diagonal matrix are the largest over the blocks
+    rng = np.random.default_rng(42)
+
+    def draw(shape):
+        B = rng.standard_normal(shape)
+        return B + 1j * rng.standard_normal(shape) if dtype is complex else B
+
+    stacks = [draw((3, 2, 2)), 4.0 * draw((2, 5, 5))]
+    M = _block_diagonal(stacks)
+    ref = np.linalg.norm(M - M.conj().T, 2) / np.linalg.norm(M, 2)
+    assert abs(hermiticity_defect(*stacks) - ref) <= 1e-13 * ref
+    assert abs(hermiticity_defect(M) - ref) <= 1e-13 * ref
+    if dtype is float:
+        col = np.sqrt((M * M).sum(axis=0)).max()
+        assert abs(max_column_norm(*stacks) - col) <= 1e-14 * col
+        assert abs(max_column_norm(M) - col) <= 1e-14 * col
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from lindgap import (
     tfim,
 )
 from lindgap.evolve import _random_mean_zero
-from lindgap.lindblad import SECTOR_TOL, sector_partition
+from lindgap.lindblad import SECTOR_TOL, sector_blocks, sector_partition
 from lindgap.models import PAULI_X, PAULI_Z, op_on_qubit
 
 
@@ -132,8 +132,7 @@ def test_a_sector_with_more_kernel_than_complement_gives_s_H_zero():
     X0 = op_on_qubit(PAULI_X, 0, 2)
     an = Analysis(build_gksl(X0, [(1.0, X0), (1.0, op_on_qubit(PAULI_Z, 1, 2))]), st)
     split = an.split
-    ks = [(k, S.shape[1] - k) for S, ker in zip(split.sectors, split.kernel())
-          for k in ker.sum(axis=1)]
+    ks = [(k, S.shape[1] - k) for S, k in zip(split.sectors, split.dims)]
     assert any(k > p for k, p in ks)
     assert split.dim0 <= split.dim_plus
     assert check_assumption(an)[0]
@@ -141,6 +140,26 @@ def test_a_sector_with_more_kernel_than_complement_gives_s_H_zero():
     assert s_H < 1e-14
     with pytest.raises(ValueError, match=r"s_H = 0\.000e\+00"):
         an.constants
+
+
+def test_split_groups_sectors_by_kernel_dimension():
+    # the X0/Z1 model above: seven singleton sectors, three of them kernel
+    st = QuantumState.maximally_mixed(4)
+    X0 = op_on_qubit(PAULI_X, 0, 2)
+    an = Analysis(build_gksl(X0, [(1.0, X0), (1.0, op_on_qubit(PAULI_Z, 1, 2))]), st)
+    split = an.split
+    singles = [(k, S) for S, k in zip(split.sectors, split.dims) if S.shape[1] == 1]
+    assert sorted(k for k, S in singles for _ in S) == [0, 0, 0, 0, 1, 1, 1]
+    assert len(split.dims) == len({(S.shape[1], k) for S, k in zip(split.sectors, split.dims)})
+    for S, w, V, k, B in zip(split.sectors, split.values, split.vectors, split.dims,
+                             split.hamiltonian):
+        assert w.shape == S.shape and V.shape == B.shape == S.shape + S.shape[1:]
+        assert np.all(np.abs(w[:, :k]) < split.cutoff)
+        assert np.all(split.cutoff <= np.abs(w[:, k:]))
+        assert np.array_equal(B, sector_blocks(an.M_Hr, [S])[0])
+    assert sum(len(S) * k for S, k in zip(split.sectors, split.dims)) == split.dim0
+    assert sorted(np.concatenate([S.ravel() for S in split.sectors]).tolist()) == \
+        list(range(len(split.rates)))
 
 
 @pytest.mark.parametrize("name", ["tfim2", "tfim3", "tfim4", "haar_gibbs"] + NON_COMMUTING)

@@ -1,5 +1,7 @@
 """Spectral gaps, Bohr blocks, strong-coupling limits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from exact_reference import bohr_table_by_eigh, symmetrized_gap
@@ -25,7 +27,7 @@ from lindgap import (
     structure_report,
     tfim,
 )
-from lindgap.lindblad import SECTOR_TOL, generator_matrix
+from lindgap.lindblad import SECTOR_TOL, generator_matrix, sector_blocks
 from lindgap.models import PAULI_X, PAULI_Y, PAULI_Z
 
 MIXED2 = QuantumState.maximally_mixed(2)
@@ -364,6 +366,24 @@ def test_singular_check_tiny_rate_trivially_true():
     assert ok
 
 
+def test_singular_check_fails_at_a_zero_singular_gap():
+    # pure dephasing keeps Z: s = 0, and 1/nu + T >= 1/s holds for no pair
+    an = Analysis(pauli_dissipator(0, 0, 1.0), MIXED2)
+    ok, lhs, s = singular_relaxation_check(an, 0.1, 1.0)
+    assert s == 0.0 and lhs == pytest.approx(11.0)
+    assert not ok
+
+
+@pytest.mark.parametrize("nu, T, name", [(-1.0, 1.0, "nu"), (0.0, 1.0, "nu"),
+                                         (np.nan, 1.0, "nu"), (np.inf, 1.0, "nu"),
+                                         (0.1, -1.0, "T"), (0.1, np.nan, "T"),
+                                         (0.1, np.inf, "T")])
+def test_singular_check_refuses_a_bad_rate_or_window(nu, T, name):
+    an = Analysis(pauli_dissipator(0, 0, 1.0), MIXED2)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        singular_relaxation_check(an, nu, T)
+
+
 # ---------------------------------------------------------------------------
 # joint eigenbasis of sigma and H, Bohr blocks by formula, sectors
 
@@ -421,6 +441,46 @@ def _commuting_family(name):
 COMMUTING = ["tfim2", "tfim3", "tfim4", "walk-cycle", "walk-hypercube", "birth_death",
              "haar_gibbs", "graph+H-uniform", "graph+H-nonuniform",
              "graph+H-degenerate", "ladder+complex-jumps"]
+
+
+def _blocks_model(name):
+    if name == "haar_gibbs6":
+        m = haar_avg_gibbs([0.0, 0.3, 0.7, 1.2, 1.6, 2.0], 1.0)
+        return m.lind, m.state
+    if name == "graph+H-noncommuting":
+        return _graph_with_h([0.4, 0.3, 0.2, 0.1], _random_hermitian(4, 3))
+    return _commuting_family(name)
+
+
+@pytest.mark.parametrize("name", ["tfim3", "haar_gibbs6", "graph+H-noncommuting"])
+def test_blocks_are_the_sector_blocks_of_each_coupling(name):
+    an = Analysis(*_blocks_model(name))
+    assert (an.energies is None) == (name == "graph+H-noncommuting")
+    for a in (1.0, 10.0, 100.0, 1000.0):
+        want = sector_blocks(a * an.M_Hr + an.M_Dr, an.sectors)
+        got = an.blocks(a)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # at a = 1, the blocks of Mr itself
+    assert all(np.array_equal(g, w) for g, w in
+               zip(an.blocks(), sector_blocks(an.Mr, an.sectors)))
+
+
+def test_gap_curve_holds_no_whole_traceless_matrix():
+    # after a warm-up call has built the stacks, a coupling value costs
+    # per-sector temporaries only: no a * M_Hr + M_Dr, no negated copy of
+    # M_D_sym for the Bohr blocks
+    m = tfim(4, 0.9, 1.1)
+    an = Analysis(m.lind, m.state)
+    alphas = [1.0, 10.0, 100.0, 1000.0]
+    gap_curve(an, alphas)
+    tracemalloc.start()
+    try:
+        gap_curve(an, alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < an.Mr.nbytes
 
 
 @pytest.mark.parametrize("name", COMMUTING)
