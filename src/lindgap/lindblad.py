@@ -131,6 +131,25 @@ def require_invariant(an: Analysis) -> float:
     return residual
 
 
+def require_kms_symmetric(an: Analysis) -> None:
+    """Raises unless an.M_D is symmetric to DB_DEFECT_TOL (L^D KMS-symmetric).
+
+    ||D||_F >= ||D||_2 for D = M_D - M_D^T and the largest column norm of M_D
+    is at most ||M_D||_2, so their ratio bounds the defect from above; the
+    spectral norms are taken only when that bound does not decide.  ||D||_F
+    is summed over N rows at a time, with no whole temporary.
+    """
+    MD = an.M_D
+    N = an.frame.dim
+    sq = sum(np.linalg.norm(MD[i:i + N] - MD[:, i:i + N].T) ** 2
+             for i in range(0, len(MD), N))
+    if np.sqrt(sq) > DB_DEFECT_TOL * max_column_norm(MD):
+        defect = hermiticity_defect(MD)
+        if defect > DB_DEFECT_TOL:
+            raise ValueError("dissipator is not KMS-symmetric: its matrix is not "
+                             f"Hermitian in the KMS frame (defect {defect:.3e})")
+
+
 def generator_matrix(L: Lindbladian, frame: KmsFrame) -> Matrix:
     """Full-space matrix of the generator in the given frame."""
     return frame.superop(L.unit_matrix(frame.state.eigenvectors))
@@ -195,7 +214,7 @@ def joint_eigenbasis(state: QuantumState, H: Matrix) -> tuple[QuantumState,
     it diagonalizes H to rounding.
     """
     sigma = state.matrix
-    hnorm = max(np.linalg.norm(H, 2), 1.0)
+    hnorm = np.linalg.norm(H, 2)
     if np.linalg.norm(H @ sigma - sigma @ H) > COMMUTE_TOL * hnorm:
         return state, None
     U = state.eigenvectors
@@ -263,16 +282,15 @@ class Analysis:
     dissipator LD = L^D and the energies E.  When [H, sigma] = 0 the frame is
     laid on a joint eigenbasis of sigma and H (see joint_eigenbasis) and E
     holds the eigenvalues of H in it; otherwise E is None.  Everything else
-    is built on first use and kept: the full-space real matrices M_D, M_H of
-    L^D, i[H, .] and M = M_D + M_H of L (when E is set, M_H by formula and M
-    as M_D plus its entries, with no dense M_H); the views Mr, M_Dr, M_Hr of
-    their traceless blocks [1:, 1:]; the sectors on which those blocks split,
-    with their blocks, which every solve of a M_Hr + M_Dr reads; the
-    symmetric part M_D_sym after the one check that L^D is KMS-symmetric;
-    the kernel split, the one eigendecomposition of M_D per sector that every
+    is built on first use and kept: the two whole real matrices M_D and M_H
+    of L^D and i[H, .] (when E is set, M_H by formula), the frame matrix of L
+    being M_D + M_H; the views M_Dr, M_Hr of their traceless blocks [1:, 1:];
+    the sectors on which those blocks split, with their blocks, which every
+    solve of a M_Hr + M_Dr reads; the kernel split, the one
+    eigendecomposition of the symmetric part of M_D per sector that every
     later use of its spectrum reads; the kernel-mixing check; the structural
-    constants; the smallest singular value of Mr; and the invariance residual
-    ||L^dag(sigma)||_F with its scale, the magnitude of L.
+    constants; the smallest singular value of M_Dr + M_Hr; and the invariance
+    residual ||L^dag(sigma)||_F with its scale, the magnitude of L.
     """
 
     def __init__(self, L: Lindbladian, state: QuantumState):
@@ -283,39 +301,25 @@ class Analysis:
         self.LD = L.dissipator()
 
     @cached_property
-    def M(self) -> Matrix:
-        if not self.H.any():  # no coherent part: L is L^D
-            return self.M_D
-        if self.energies is None:
-            return self.M_D + self.M_H
-        return self._add_rotation(self.M_D.copy())  # no dense M_H
-
-    @cached_property
     def M_D(self) -> Matrix:
         return generator_matrix(self.LD, self.frame)
 
     @cached_property
     def M_H(self) -> Matrix:
-        """Frame matrix of i[H, .], by formula in the joint frame."""
+        """Frame matrix of i[H, .], by formula in the joint frame: there i[H,
+        (e_ab + e_ba)/sqrt2] = w i(e_ab - e_ba)/sqrt2 and i[H, i(e_ab -
+        e_ba)/sqrt2] = -w (e_ab + e_ba)/sqrt2 with w = E_a - E_b, so on each
+        pair's coordinates (s, t) M_H is the rotation [[0, -w], [w, 0]], else
+        zero."""
         if self.energies is None:
             return hamiltonian_superop(self.H, self.frame)
-        return self._add_rotation(np.zeros((self.frame.size, self.frame.size)))
-
-    def _add_rotation(self, M: Matrix) -> Matrix:
-        """Adds M_H to M in place, E set.  In the joint frame i[H, (e_ab +
-        e_ba)/sqrt2] = w i(e_ab - e_ba)/sqrt2 and i[H, i(e_ab - e_ba)/sqrt2] =
-        -w (e_ab + e_ba)/sqrt2 with w = E_a - E_b, so on each pair's
-        coordinates (s, t) M_H is the rotation [[0, -w], [w, 0]], else zero."""
+        M = np.zeros((self.frame.size, self.frame.size))
         r, c = self.frame._pairs
         s = self.frame.dim + np.arange(len(r))
         om = self.energies[r] - self.energies[c]
         M[s + len(r), s] += om
         M[s, s + len(r)] -= om
         return M
-
-    @cached_property
-    def Mr(self) -> Matrix:
-        return self.M[1:, 1:]
 
     @cached_property
     def M_Dr(self) -> Matrix:
@@ -362,25 +366,8 @@ class Analysis:
 
     def blocks(self, a: float = 1.0) -> list[Matrix]:
         """The blocks of a M_Hr + M_Dr, one stack per group of sectors; at
-        a = 1 those of Mr."""
+        a = 1 those of L's traceless frame matrix."""
         return [a * H + D for D, H in self.stacks]
-
-    @cached_property
-    def M_D_sym(self) -> Matrix:
-        """(M_D + M_D^T) / 2; raises unless M_D is symmetric (L^D KMS-symmetric).
-
-        ||D||_F >= ||D||_2 and the largest column norm of M_D is at most
-        ||M_D||_2, so their ratio bounds the defect from above; the spectral
-        norms are taken only when that bound does not decide.
-        """
-        MD = self.M_D
-        D = MD - MD.T
-        if np.linalg.norm(D) > DB_DEFECT_TOL * max_column_norm(MD):
-            defect = hermiticity_defect(MD)
-            if defect > DB_DEFECT_TOL:
-                raise ValueError("dissipator is not KMS-symmetric: its matrix is not "
-                                 f"Hermitian in the KMS frame (defect {defect:.3e})")
-        return (MD + MD.T) / 2.0
 
     @cached_property
     def split(self) -> SpaceSplit:
@@ -388,10 +375,11 @@ class Analysis:
 
     @cached_property
     def invariance_residual(self) -> float:
-        """||L^dag(sigma)||_F, read off row 0 of M, which is not built for it.  As
-        M^T = L* and E_0 = 1, the row holds the coordinates c of L*(1) =
+        """||L^dag(sigma)||_F, read off row 0 of L's frame matrix M = M_D + M_H.
+        As M^T = L* and E_0 = 1, the row holds the coordinates c of L*(1) =
         sigma^-1/2 L^dag(sigma) sigma^-1/2; the square is sum_a mu_a (Q c_D)_a^2 +
-        sum_pairs sqrt(mu_r mu_c)(c_s^2 + c_t^2).  M_H's row is 0 in the joint frame."""
+        sum_pairs sqrt(mu_r mu_c)(c_s^2 + c_t^2).  M_H's row is 0 in the joint
+        frame, where M_H is not built for it."""
         c = self.M_D[0] if self.energies is not None else self.M_D[0] + self.M_H[0]
         D, P, I = self.frame._blocks
         r, k = self.frame._pairs
@@ -423,7 +411,7 @@ class Analysis:
 
     @cached_property
     def singular_gap(self) -> float:
-        """Smallest singular value of Mr, taken sector by sector."""
+        """Smallest singular value of M_Dr + M_Hr, taken sector by sector."""
         return sector_singular_gap(self.blocks())
 
 
@@ -449,7 +437,7 @@ def standard_dbc_solve(G: Matrix, frame: KmsFrame) -> tuple[Matrix, float]:
     sgs_norm = np.linalg.norm(Y)
     Y -= dag(Y)
     ynorm = np.linalg.norm(Y)
-    if ynorm <= 1e-12 * max(sgs_norm, 1.0):
+    if ynorm <= 1e-12 * sgs_norm:
         return np.zeros((N, N), dtype=complex), 0.0
     # _scale = outer(x, x): a[i, j] = x_i / x_j
     x = frame._scale[:, 0]
@@ -502,27 +490,30 @@ class StructureReport:
 
 
 def _kernel_counts(an: Analysis) -> tuple[int, float, int]:
-    """(dim ker L, KMS defect, dim ker L^D) from the full-space M and M_D,
+    """(dim ker L, KMS defect, dim ker L^D) from the full-space M_D and M_H,
     solved per sector of the two (sector_partition, index 0 included): the
     identity is a sector of its own unless sigma's invariance residual puts
-    its row above SECTOR_TOL."""
-    M = an.M
-    sectors = sector_partition([M, an.M_D])
-    blocks = sector_blocks(M, sectors)
+    its row above SECTOR_TOL.  The frame matrix of L is M_D + M_H, and so is
+    each of its blocks."""
+    coherent = bool(an.H.any())
+    sectors = sector_partition([an.M_D, an.M_H] if coherent else [an.M_D])
+    dblocks = sector_blocks(an.M_D, sectors)
+    blocks = ([D + H for D, H in zip(dblocks, sector_blocks(an.M_H, sectors))]
+              if coherent else dblocks)
     # sigma is faithful and invariant, so ker L is the commutant of
     # {H, L_j, L_j^dag} (Frigerio 1978); singular values, not eigvalsh(M^T M),
     # whose zeros sit near sqrt(eps) * sigma_max, above the cutoff
     sv = np.concatenate([np.linalg.svd(B, compute_uv=False).ravel() for B in blocks])
     top = sv.max()
     if top < 1e-30:
-        kms_defect, cdim = 0.0, M.shape[0]
+        kms_defect, cdim = 0.0, an.frame.size
     else:
-        # hermiticity_defect(M) with ||M||_2 = top; M - M^T splits as M does
+        # hermiticity_defect of L's frame matrix with ||.||_2 = top, per block
         kms_defect = max(real_norm2(B - np.swapaxes(B, -1, -2)) for B in blocks) / top
         cdim = int(np.sum(sv < COMMUTANT_SV_FACTOR * top))
     # zero eigenvalues of the Hermitian part of M_D
     w = np.concatenate([np.linalg.eigvalsh((B + np.swapaxes(B, -1, -2)) / 2.0).ravel()
-                        for B in sector_blocks(an.M_D, sectors)])
+                        for B in dblocks])
     kdim = int(np.sum(np.abs(w) < KERNEL_TOL_FACTOR * max(np.abs(w).max(), 1e-30)))
     return cdim, kms_defect, kdim
 
@@ -550,7 +541,7 @@ def structure_report(an: Analysis) -> StructureReport:
     if not uniform:
         gns_defect = _gns_defect(G, mu)
     K, dbc_defect = standard_dbc_solve(G, an.frame)
-    del G  # before the kernel counts build M, so the two are never held together
+    del G  # before the kernel counts build M_H, so the two are never held together
     cdim, kms_defect, kdim = _kernel_counts(an)
     primitive = cdim == 1
     if uniform:
@@ -589,10 +580,10 @@ class SpaceSplit:
     group g of sectors[g] (count, size), values[g] holds the ascending
     eigenvalues of the KMS-symmetric -M_D on each sector, vectors[g] their
     unit eigenvectors in the sector's coordinates and hamiltonian[g] the
-    blocks of M_Hr.  The first k eigenvalues, below `cutoff` in absolute
-    value, span ker(L^D): vectors[g][..., :k] is the kernel and
-    vectors[g][..., k:] its KMS-orthogonal complement.  `rates` holds every
-    eigenvalue, ascending.
+    blocks of M_Hr, sliced from Analysis.stacks.  The first k eigenvalues,
+    below `cutoff` in absolute value, span ker(L^D): vectors[g][..., :k] is
+    the kernel and vectors[g][..., k:] its KMS-orthogonal complement.
+    `rates` holds every eigenvalue, ascending.
     """
 
     rates: np.ndarray
@@ -613,18 +604,19 @@ class SpaceSplit:
 
 
 def kernel_projection(an: Analysis) -> SpaceSplit:
-    """Split of the traceless subspace by the zero eigenspace of a KMS-DB dissipator."""
-    eighs = [np.linalg.eigh(-B) for B in sector_blocks(an.M_D_sym[1:, 1:], an.sectors)]
+    """Split of the traceless subspace by the zero eigenspace of a KMS-DB
+    dissipator: one eigh of -(D + D^T)/2 per stack D of M_Dr's blocks."""
+    require_kms_symmetric(an)
+    eighs = [np.linalg.eigh(-(D + np.swapaxes(D, -1, -2)) / 2.0) for D, _ in an.stacks]
     rates = np.sort(np.concatenate([w.ravel() for w, _ in eighs]))
     # w >= 0 up to rounding, so each sector's kernel leads its ascending w
     cutoff = KERNEL_TOL_FACTOR * max(np.abs(rates).max(), 1e-30)
     groups = []
-    for S, (w, V) in zip(an.sectors, eighs):
+    for S, (w, V), (_, H) in zip(an.sectors, eighs, an.stacks):
         ks = np.sum(np.abs(w) < cutoff, axis=1)
         for k in np.unique(ks):
             # a view, not a copy, of a stack whose sectors share one k
             sel = slice(None) if np.all(ks == k) else ks == k
-            groups.append((S[sel], w[sel], V[sel], int(k)))
-    sectors, values, vectors, dims = (list(x) for x in zip(*groups))
-    return SpaceSplit(rates, sectors, values, vectors, dims,
-                      sector_blocks(an.M_Hr, sectors), cutoff)
+            groups.append((S[sel], w[sel], V[sel], int(k), H[sel]))
+    sectors, values, vectors, dims, hamiltonian = (list(x) for x in zip(*groups))
+    return SpaceSplit(rates, sectors, values, vectors, dims, hamiltonian, cutoff)

@@ -132,7 +132,8 @@ def _parse_sigma(obj, field: str, dim: int, H: np.ndarray | None) -> QuantumStat
         beta = _number(_require(obj, "beta", f"{field}.beta"), f"{field}.beta")
         if H is None:
             raise SpecError(field, "gibbs state needs a hamiltonian in the spec")
-        return QuantumState.gibbs(H, beta)
+        with _naming(field):
+            return QuantumState.gibbs(H, beta)
     raise SpecError(f"{field}.type",
                     "expected one of maximally_mixed/eigenvalues/gibbs")
 

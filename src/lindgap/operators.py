@@ -51,7 +51,7 @@ def as_square_matrix(X, dim: int | None = None) -> Matrix:
 def require_hermitian(X: Matrix, what: str = "matrix") -> Matrix:
     X = as_square_matrix(X)
     defect = np.linalg.norm(X - dag(X))
-    scale = max(np.linalg.norm(X), 1.0)
+    scale = np.linalg.norm(X)
     if defect > HERMITIAN_TOL * scale:
         raise ValueError(f"{what} is not Hermitian (defect {defect:.3e})")
     return X

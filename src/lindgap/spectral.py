@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import _require_finite_positive
-from .lindblad import Analysis, require_invariant, sector_singular_gap
+from .lindblad import (Analysis, require_invariant, require_kms_symmetric,
+                       sector_singular_gap)
 from .operators import Matrix
 
 BOHR_CLUSTER_FACTOR = 1e-7
@@ -57,9 +58,10 @@ def bohr_decompose(an: Analysis) -> list[BohrBlock]:
     Frequencies merge within 1e-7 (E.max() - E.min()), and within
     1e-12 max|E|, the rounding of a difference of energies.
 
-    lambda_nu compresses A = -M_D_sym[1:, 1:], gathered from the view and
-    negated per block.  The frequencies and the cuts
-    are mirrored about 0, so only the zero block holds both units of a pair:
+    lambda_nu compresses A, the negated symmetric part of M_Dr, taken per
+    block from the view M_Dr: A[r, c] = -(M_Dr[r, c] + M_Dr[c, r]^T) / 2.
+    L^D must be KMS-symmetric.  The frequencies and the cuts are mirrored
+    about 0, so only the zero block holds both units of a pair:
     it compresses to A on its diagonal, s and t coordinates.  A block at
     w != 0 holds one unit (s - i g t)/sqrt2 per pair, g = +-1, and
     compresses to (A_ss + g g^T o A_tt + i (g o A_ts - g^T o A_st)) / 2.
@@ -78,7 +80,8 @@ def bohr_decompose(an: Analysis) -> list[BohrBlock]:
     order = np.argsort(freqs, kind="stable")
     tol = max(BOHR_CLUSTER_FACTOR * np.ptp(E), 1e-12 * np.abs(E).max(), 1e-14)
     cuts = np.flatnonzero(np.diff(freqs[order]) > tol) + 1
-    A = an.M_D_sym[1:, 1:]
+    require_kms_symmetric(an)
+    D = an.M_Dr
     idxs = np.split(order, cuts)
     means = np.array([freqs[idx].mean() for idx in idxs])
     zero = np.abs(means) < tol
@@ -86,7 +89,8 @@ def bohr_decompose(an: Analysis) -> list[BohrBlock]:
     lam = np.empty(len(idxs))
 
     def sub(rows, cols):  # A[rows[k]][:, cols[k]] for each k of a stack
-        return -A[rows[:, :, None], cols[:, None, :]]
+        return -(D[rows[:, :, None], cols[:, None, :]]
+                 + D[cols[:, None, :], rows[:, :, None]]) / 2.0
 
     # one stacked eigvalsh per kind of block (zero frequency or not) and size
     for at_zero in (True, False):

@@ -202,7 +202,7 @@ def whole_structure(an) -> tuple[int, float, int]:
 def symmetrized_gap(an) -> float:
     """Least eigenvalue of -(Mr + Mr^T)/2, the slowest instantaneous decay
     rate of the frame norm, from one eigvalsh of the whole traceless matrix."""
-    Mr = np.array(an.Mr)
+    Mr = an.M_Dr + an.M_Hr
     return float(np.linalg.eigvalsh(-(Mr + Mr.T) / 2.0)[0])
 
 
@@ -210,7 +210,8 @@ def whole_split(an) -> tuple[np.ndarray, float | None, float]:
     """(rates, s_H, ||L^H Pi_+||) from one eigh of the whole traceless -M_D;
     s_H is None for a trivial kernel and 0 when the kernel outnumbers its
     complement."""
-    w, V = np.linalg.eigh(-an.M_D_sym[1:, 1:])
+    MD = (an.M_D + an.M_D.T) / 2.0
+    w, V = np.linalg.eigh(-MD[1:, 1:])
     zero = np.abs(w) < KERNEL_TOL_FACTOR * max(np.abs(w).max(), 1e-30)
     V0, Vp = V[:, zero], V[:, ~zero]
     MH = np.array(an.M_Hr)
@@ -225,7 +226,7 @@ def whole_curves(an, X0, T: float, ts) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """(||x_t||^2, x_t^dag G_T x_t, ||e^{t Mr}||_2) for x_t = e^{t Mr} x_0 at
     each t, from one exponential of the whole traceless matrix per time and
     the Lyapunov window Gramian."""
-    Mr = np.array(an.Mr)
+    Mr = an.M_Dr + an.M_Hr
     x0 = an.frame.coords(X0)[1:]
     G = lyapunov_window_gramian(Mr, T)
     Es = [expm(t * Mr) for t in ts]

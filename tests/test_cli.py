@@ -788,6 +788,18 @@ def test_non_hermitian_hamiltonian_names_the_field(tmp_path, capsys, spec, field
     assert f"input error: {field}: H is not Hermitian" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", [
+    {"type": "eigenvalues", "values": [1.0, 0.0]},
+    # H = X: e^{-1000} underflows beside e^{1000}
+    {"type": "gibbs", "beta": 1000},
+], ids=["eigenvalues", "gibbs"])
+def test_refused_sigma_names_the_field(tmp_path, capsys, sigma):
+    path = write_spec(tmp_path / "s.json", dict(QUBIT_EXPLICIT, sigma=sigma))
+    assert main(["structure", "--spec", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        "lindgap: input error: sigma: all eigenvalues must be positive\n"
+
+
 def test_explicit_spec_validation(tmp_path, capsys):
     spec = dict(QUBIT_EXPLICIT)
     spec["dim"] = 2

@@ -38,6 +38,7 @@ from lindgap.evolve import _flow
 MIXED2 = QuantumState.maximally_mixed(2)
 QUBIT = build_gksl(PAULI_X, [(2.0, PAULI_Z)])
 QUBIT_AN = Analysis(QUBIT, MIXED2)
+QUBIT_MR = QUBIT_AN.M_Dr + QUBIT_AN.M_Hr
 
 CERT_NU = 0.002757570502323634
 CERT_T = 1.5
@@ -64,12 +65,13 @@ def two_vertex_model():
 
 def tfim3_Mr():
     m = tfim(3, 0.75, 1.25)
-    return Analysis(m.lind, m.state).Mr
+    an = Analysis(m.lind, m.state)
+    return an.M_Dr + an.M_Hr
 
 
 @pytest.mark.parametrize("M", [
     # a 2x2 Jordan block: the qubit's slowest mode is defective
-    pytest.param(QUBIT_AN.Mr, id="defective-qubit"),
+    pytest.param(QUBIT_MR, id="defective-qubit"),
     pytest.param(tfim3_Mr(), id="tfim3"),
 ])
 @pytest.mark.parametrize("h, samples", [
@@ -87,11 +89,11 @@ def test_flow_takes_one_exponential_per_distinct_step(monkeypatch):
     # the first sample, k = 0, needs none; every later one steps e^{hM}
     seen = []
     monkeypatch.setattr(evolve, "_expm", lambda A: seen.append(A) or expm(A))
-    list(islice(_flow(QUBIT_AN.Mr, 0.5, np.eye(3)), 1))
+    list(islice(_flow(QUBIT_MR, 0.5, np.eye(3)), 1))
     assert not seen
-    list(islice(_flow(QUBIT_AN.Mr, 0.5, np.eye(3)), 6))
+    list(islice(_flow(QUBIT_MR, 0.5, np.eye(3)), 6))
     assert len(seen) == 1
-    assert np.array_equal(seen[0], 0.5 * QUBIT_AN.Mr)
+    assert np.array_equal(seen[0], 0.5 * QUBIT_MR)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from lindgap import (
     graph_lindblad,
     haar_avg_gibbs,
     kernel_projection,
+    spectral_gap,
     stp_verify,
     structure_report,
     tfim,
@@ -41,6 +42,7 @@ from lindgap.lindblad import (
     DB_DEFECT_TOL,
     hermiticity_defect,
     max_column_norm,
+    require_kms_symmetric,
     standard_dbc_solve,
 )
 from lindgap.models import PAULI_X, PAULI_Y, PAULI_Z
@@ -174,19 +176,52 @@ def test_invariance_residual_matches_the_schrodinger_action(case, invariant):
         assert an.energies is None
 
 
+def _assert_two_whole_matrices(an):
+    """The census of an.__dict__: every array there with at least
+    (frame.size - 1)^2 entries is M_D or M_H or shares its memory."""
+    n = an.frame.size
+    held = [an.__dict__[k] for k in ("M_D", "M_H") if k in an.__dict__]
+    for name, v in an.__dict__.items():
+        if isinstance(v, np.ndarray) and v.size >= (n - 1) ** 2:
+            assert any(np.shares_memory(v, w) for w in held), name
+
+
 def test_invariance_residual_builds_no_generator_matrix():
-    # in the joint frame row 0 of M is that of M_D: neither M nor a dense M_H
-    # is built for it, and the certificate, gap and stp paths build no M
+    # in the joint frame row 0 of L's frame matrix is that of M_D: no dense
+    # M_H is built for it, and the certificate, gap and stp paths hold no
+    # whole matrix besides M_D and M_H
     for m, certificate in ((tfim(3, 0.9, 1.1), certify),
                            (haar_avg_gibbs([0.0, 0.4, 1.1, 1.7], 1.0), certify_coercive)):
         an = Analysis(m.lind, m.state)
         assert an.energies is not None
         an.invariance_residual
-        assert "M" not in an.__dict__ and "M_H" not in an.__dict__
+        assert "M_H" not in an.__dict__
         certificate(an)
         gap_curve(an, [1.0, 10.0])
         stp_verify(an, T=1.0, beta=1.0, n_samples=2)
-        assert "M" not in an.__dict__
+        _assert_two_whole_matrices(an)
+
+
+@pytest.mark.parametrize("case", ["tfim3", "graph-noncommuting-H"])
+def test_analysis_holds_two_whole_matrices(case):
+    # after every analysis command the only whole frame.size^2 matrices that
+    # an Analysis keeps are M_D and M_H; views of their traceless blocks are
+    # allowed.  The graph model's H does not commute with its sigma, which is
+    # then not invariant: each command refuses it after its own assembly
+    L, st = _residual_case(case)
+    an = Analysis(L, st)
+    assert (an.energies is None) == (case == "graph-noncommuting-H")
+    for run in (structure_report, certify, lambda a: gap_curve(a, [1.0, 10.0]),
+                lambda a: stp_verify(a, T=1.0, beta=1.0, n_samples=2)):
+        if case == "tfim3":
+            run(an)
+        else:
+            with pytest.raises(ValueError, match="not invariant"):
+                run(an)
+        _assert_two_whole_matrices(an)
+    assert "M_D" in an.__dict__ and "M_H" in an.__dict__
+    if case == "graph-noncommuting-H":
+        assert "split" in an.__dict__  # the KMS gate and the split ran
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +382,8 @@ def test_structure_takes_one_frame_change_per_part(monkeypatch, model, builds):
         L, st = m.lind, m.state
     else:
         L, st = _driven_qubit()
+    # a warm-up call, so that the memory traced below is the analysis's
+    structure_report(Analysis(L, st))
     superop, unit_matrix = KmsFrame.superop, Lindbladian.unit_matrix
     frames, units = [], []
     monkeypatch.setattr(KmsFrame, "superop",
@@ -354,14 +391,22 @@ def test_structure_takes_one_frame_change_per_part(monkeypatch, model, builds):
     monkeypatch.setattr(Lindbladian, "unit_matrix",
                         lambda self, *a: units.append((len(self.jumps), self.dim ** 2))
                         or unit_matrix(self, *a))
-    an = Analysis(L, st)
-    rep = structure_report(an)
+    tracemalloc.start()
+    try:
+        an = Analysis(L, st)
+        rep = structure_report(an)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     assert units == builds
     assert frames == [size for _, size in builds]
     assert rep.primitive
-    # in the joint frame M takes the rotation entries on a copy of M_D, and
-    # structure builds no dense M_H
-    assert ("M_H" in an.__dict__) == (an.energies is None)
+    # structure holds two whole matrices, M_D and M_H (in the joint frame
+    # by formula), and nothing else of their size
+    _assert_two_whole_matrices(an)
+    if model == "tfim3":
+        # 2.31 whole matrices of traced memory: a third would bring 3.3
+        assert held < 2.75 * an.M_D.nbytes
 
 
 def test_structure_coercive_classification():
@@ -372,6 +417,43 @@ def test_structure_coercive_classification():
     rep = structure_report(Analysis(L, st))
     assert rep.classification == "coercive"
     assert rep.primitive
+
+
+def _scaled(name, eps):
+    """eps L for a 3-level model with no standard detailed balance and for
+    the driven amplitude-damped qubit, whose H does not commute with its
+    stationary state, with that state."""
+    if name == "permutation":
+        P = np.roll(np.eye(3), 1, axis=0)
+        return (build_gksl(np.zeros((3, 3)),
+                           [(eps, P), (eps, np.diag([1.0, -1.0, 0.5]))]),
+                QuantumState.maximally_mixed(3))
+
+    def driven(e):
+        return build_gksl(0.7 * e * PAULI_X, [(e, E01), (0.4 * e, E10)])
+    # eps scales L^dag, not its kernel
+    return driven(eps), _steady_state(driven(1.0))
+
+
+@pytest.mark.parametrize("name", ["permutation", "driven-qubit"])
+def test_decisions_do_not_depend_on_the_units(name):
+    # every tolerance is relative to the model's own scale: eps L at eps =
+    # 1e-13 gets the decisions, the frame and the rates of L
+    reps, frames, gaps = [], [], []
+    for eps in (1.0, 1e-13):
+        an = Analysis(*_scaled(name, eps))
+        reps.append(structure_report(an))
+        frames.append(an.energies is None)
+        gaps.append(spectral_gap(an) / eps)
+    for field in ("invariant_state_ok", "kms_db", "gns_db", "standard_dbc",
+                  "primitive", "commutant_dim", "kernel_dim_LD", "classification"):
+        assert getattr(reps[0], field) == getattr(reps[1], field), field
+    assert not reps[0].standard_dbc
+    assert frames[0] == frames[1] == (name == "driven-qubit")
+    assert gaps[1] == pytest.approx(gaps[0], rel=1e-12)
+    # a Hermiticity check at that scale is relative too
+    with pytest.raises(ValueError, match="not Hermitian"):
+        build_gksl(1e-12 * E01, [])
 
 
 def test_structure_rejects_non_invariant_state():
@@ -687,7 +769,7 @@ def test_stacked_norms_are_those_of_the_block_diagonal_matrix(dtype):
 
 
 # ---------------------------------------------------------------------------
-# the KMS-symmetry gate of M_D_sym
+# the KMS-symmetry gate, require_kms_symmetric
 
 
 def _with_dissipator_matrix(M, monkeypatch):
@@ -719,7 +801,7 @@ def test_db_gate_decides_by_the_norm_bound(monkeypatch):
     calls = []
     monkeypatch.setattr(lindblad, "hermiticity_defect",
                         lambda A: calls.append(A.shape) or hermiticity_defect(A))
-    assert np.array_equal(an.M_D_sym, (an.M_D + an.M_D.T) / 2.0)
+    assert require_kms_symmetric(an) is None
     assert calls == []
 
 
@@ -728,7 +810,7 @@ def test_db_gate_inconclusive_bound_then_passes(monkeypatch):
     M = an.M_D
     assert np.linalg.norm(M - M.T) > DB_DEFECT_TOL * np.sqrt((M * M).sum(0)).max()
     assert hermiticity_defect(M) < DB_DEFECT_TOL
-    assert np.array_equal(an.M_D_sym, (M + M.T) / 2.0)
+    assert require_kms_symmetric(an) is None
     assert calls == [M.shape]
 
 
@@ -737,5 +819,5 @@ def test_db_gate_fails_with_the_spectral_defect(monkeypatch):
     defect = hermiticity_defect(an.M_D)
     assert defect > DB_DEFECT_TOL
     with pytest.raises(ValueError, match=re.escape(f"(defect {defect:.3e})")):
-        an.M_D_sym
+        require_kms_symmetric(an)
     assert calls == [an.M_D.shape]

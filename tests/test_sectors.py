@@ -16,6 +16,7 @@ from exact_reference import apply_adjoint, whole_curves, whole_split, whole_stru
 from lindgap import (
     Analysis,
     QuantumState,
+    bohr_decompose,
     build_gksl,
     check_assumption,
     haar_avg_gibbs,
@@ -96,15 +97,41 @@ def test_structure_matches_the_whole_solves(name):
 
 def test_identity_joins_a_sector_off_invariance():
     an = Analysis(*_model("perturbed-sigma"))
-    M = np.array(an.M)
+    M = an.M_D + an.M_H
     row = np.abs(M[0, 1:]).max() / np.abs(M).max()
     assert 1e2 * SECTOR_TOL < row < 1e-6
-    sizes = {S.shape[1] for S in sector_partition([an.M, an.M_D]) if 0 in S}
+    sizes = {S.shape[1] for S in sector_partition([an.M_D, an.M_H]) if 0 in S}
     assert len(sizes) == 1 and sizes.pop() > 1
     # with the exact state the identity is a sector of its own
     m = tfim(2, 0.9, 1.1)
     exact = Analysis(m.lind, m.state)
-    assert [[0]] in [S.tolist() for S in sector_partition([exact.M, exact.M_D])]
+    assert [[0]] in [S.tolist() for S in sector_partition([exact.M_D, exact.M_H])]
+
+
+@pytest.mark.parametrize("name", ["tfim3", "haar_gibbs6"])
+def test_symmetric_part_per_block_is_the_whole_gather(name):
+    # the split and the Bohr blocks take the symmetric part of M_D per block,
+    # entry by entry the float operations of gathering (M_D + M_D^T)/2
+    m = (tfim(3, 0.9, 1.1) if name == "tfim3"
+         else haar_avg_gibbs([0.0, 0.3, 0.7, 1.2, 1.6, 2.0], 1.0))
+    an = Analysis(m.lind, m.state)
+    sym = (an.M_D + an.M_D.T) / 2.0
+    # one eigh per stack of the whole symmetric part's blocks, keyed by sector
+    ref = {}
+    for S, B in zip(an.sectors, sector_blocks(-sym[1:, 1:], an.sectors)):
+        w, V = np.linalg.eigh(B)
+        ref.update((s[0], (ws, Vs)) for s, ws, Vs in zip(S, w, V))
+    split = an.split
+    for S, w, V, B in zip(split.sectors, split.values, split.vectors,
+                          split.hamiltonian):
+        assert np.array_equal(w, [ref[s[0]][0] for s in S])
+        assert np.array_equal(V, [ref[s[0]][1] for s in S])
+        assert np.array_equal(B, sector_blocks(an.M_Hr, [S])[0])
+    # an analysis whose M_D is the whole symmetric part gathers it unchanged
+    whole = Analysis(m.lind, m.state)
+    whole.__dict__["M_D"] = sym
+    assert np.array_equal([b.lambda_nu for b in bohr_decompose(an)],
+                          [b.lambda_nu for b in bohr_decompose(whole)])
 
 
 @pytest.mark.parametrize("name", KMS)

@@ -109,7 +109,7 @@ def test_spectrum_conjugation_and_dissipativity():
 
 def test_singular_gap_below_every_eigenvalue():
     an = Analysis(qubit_model(), MIXED2)
-    for ev in np.linalg.eigvals(an.Mr):
+    for ev in np.linalg.eigvals(an.M_Dr + an.M_Hr):
         assert an.singular_gap <= abs(ev) + 1e-9
 
 
@@ -461,15 +461,15 @@ def test_blocks_are_the_sector_blocks_of_each_coupling(name):
         got = an.blocks(a)
         assert len(got) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    # at a = 1, the blocks of Mr itself
+    # at a = 1, the blocks of M_Dr + M_Hr itself
     assert all(np.array_equal(g, w) for g, w in
-               zip(an.blocks(), sector_blocks(an.Mr, an.sectors)))
+               zip(an.blocks(), sector_blocks(an.M_Dr + an.M_Hr, an.sectors)))
 
 
 def test_gap_curve_holds_no_whole_traceless_matrix():
     # after a warm-up call has built the stacks, a coupling value costs
-    # per-sector temporaries only: no a * M_Hr + M_Dr, no negated copy of
-    # M_D_sym for the Bohr blocks
+    # per-sector temporaries only: no a * M_Hr + M_Dr, no symmetric part of
+    # M_Dr for the Bohr blocks
     m = tfim(4, 0.9, 1.1)
     an = Analysis(m.lind, m.state)
     alphas = [1.0, 10.0, 100.0, 1000.0]
@@ -480,7 +480,7 @@ def test_gap_curve_holds_no_whole_traceless_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < an.Mr.nbytes
+    assert peak < an.M_Dr.nbytes
 
 
 @pytest.mark.parametrize("name", COMMUTING)
@@ -522,7 +522,7 @@ def test_diagonal_h_keeps_the_frame_of_sigma(name):
     L, st = _commuting_family(name)
     an = Analysis(L, st)
     assert an.state is st
-    assert np.array_equal(an.M, generator_matrix(L, KmsFrame(st)))
+    assert np.array_equal(an.M_D + an.M_H, generator_matrix(L, KmsFrame(st)))
 
 
 SECTORED = COMMUTING + ["driven-qubit"]
@@ -550,7 +550,7 @@ def test_driven_qubit_keeps_its_sigma_and_has_no_limit():
 def test_sector_solves_match_the_dense_solves(name):
     L, st = _sectored(name)
     an = Analysis(L, st)
-    Mr = an.Mr
+    Mr = an.M_Dr + an.M_Hr
     lam = float((-np.linalg.eigvals(Mr).real).min())
     close = dict(rel=1e-12, abs=1e-13)
     assert spectral_gap(an) == pytest.approx(lam, **close)
@@ -594,10 +594,9 @@ def test_sectors_follow_one_way_couplings():
     an.__dict__["M_Dr"] = np.array([[-1.0, 0.0, 0.0],
                                     [0.0, -2.0, 5.0],
                                     [0.0, 0.0, -3.0]])
-    an.__dict__["Mr"] = an.M_Dr
     assert [S.tolist() for S in an.sectors] == [[[0]], [[1, 2]]]
     assert an.singular_gap == pytest.approx(
-        np.linalg.svd(an.Mr, compute_uv=False)[-1], rel=1e-14)
+        np.linalg.svd(an.M_Dr + an.M_Hr, compute_uv=False)[-1], rel=1e-14)
 
 
 def test_tfim4_splits_into_small_sectors():
