@@ -71,28 +71,64 @@ class Lindbladian:
 
         G = i alpha (H x 1 - 1 x H^T) + sum_j w_j (L_j^dag x L_j^T - 1/2 L_j^dag L_j x 1
                                                    - 1/2 1 x (L_j^dag L_j)^T),  x = kron.
+
+        Each jump, once rotated, takes one of two branches.  A jump with at
+        most N nonzero entries (as many as a permutation matrix has), such as
+        a matrix unit e_ab, adds w conj(v_e) v_f for each pair (e, f) of its
+        nonzeros, at most N^2 entries; every other jump joins one dense
+        product over the jump axis.  The cost of a list of matrix units thus
+        grows with its nonzeros, not with N^4 per jump.
         """
         N = self.dim
         H = self.hamiltonian
         w = np.array([w for w, _ in self.jumps], dtype=float)
         Ls = np.array([L for _, L in self.jumps], dtype=complex).reshape(-1, N, N)
         m = len(Ls)
-        if basis is not None:
+        # the frame of a diagonal sigma sorted descending has B = 1, which would
+        # return every jump as it is, up to the sign of its zeros
+        if basis is not None and not np.array_equal(basis, np.eye(N)):
             H = dag(basis) @ H @ basis
-            # (B^dag L_m) B: one stacked product, then one over the stacked rows
-            Ls = ((dag(basis) @ Ls).reshape(m * N, N) @ basis).reshape(m, N, N)
-        Lw = w[:, None, None] * Ls.conj()  # [m, j, i] = w_m conj(L_m[j, i])
+            # B^dag [L_1 .. L_m], one product over the stacked columns, then
+            # (B^dag L_m) B, one over the stacked rows
+            left = dag(basis) @ Ls.transpose(1, 0, 2).reshape(N, m * N)
+            Ls = (left.reshape(N, m, N).transpose(1, 0, 2).reshape(m * N, N)
+                  @ basis).reshape(m, N, N)
+        sparse = np.count_nonzero(Ls, axis=(1, 2)) <= N
+        dense = ~sparse
+        wd, Ld = (w, Ls) if dense.all() else (w[dense], Ls[dense])
+        Lw = wd[:, None, None] * Ld.conj()  # [m, j, i] = w_m conj(L_m[j, i])
         # sum_m w_m L_m^dag L_m, one product over the stacked rows (m, j)
-        damping = Lw.reshape(m * N, N).T @ Ls.reshape(m * N, N)
-        # the jump sum, entry [(i, k), (j, l)] = sum_m w_m conj(L_m[j, i]) L_m[l, k]:
-        # per i, one product over the jump axis with rows j and columns (k, l),
-        # so that no N^2 x N^2 temporary is held beside G
-        G = np.empty((N * N, N * N), dtype=complex)
-        G4 = G.reshape(N, N, N, N)
-        rows = Lw.transpose(2, 1, 0)  # [i, j, m]
-        cols = Ls.transpose(0, 2, 1).reshape(m, N * N)  # [m, (k, l)] = L_m[l, k]
-        for i in range(N):
-            G4[i].transpose(1, 0, 2)[...] = (rows[i] @ cols).reshape(N, N, N)
+        damping = Lw.reshape(-1, N).T @ Ld.reshape(-1, N)
+        if len(Ld):
+            # the jump sum, entry [(i, k), (j, l)] = sum_m w_m conj(L_m[j, i]) L_m[l, k]:
+            # per i, one product over the jump axis with rows j and columns (k, l),
+            # so that no N^2 x N^2 temporary is held beside G
+            G = np.empty((N * N, N * N), dtype=complex)
+            G4 = G.reshape(N, N, N, N)
+            rows = Lw.transpose(2, 1, 0)  # [i, j, m]
+            cols = Ld.transpose(0, 2, 1).reshape(-1, N * N)  # [m, (k, l)] = L_m[l, k]
+            for i in range(N):
+                G4[i].transpose(1, 0, 2)[...] = (rows[i] @ cols).reshape(N, N, N)
+        else:
+            G = np.zeros((N * N, N * N), dtype=complex)
+            G4 = G.reshape(N, N, N, N)
+        if sparse.any():
+            # nonzero e = (r_e, c_e) of jump j_e, in jump order; every pair
+            # (e, f) of one jump adds w conj(v_e) v_f at [(c_e, c_f), (r_e, r_f)]
+            # to the jump sum, and to the damping at [c_e, c_f] when r_e = r_f
+            if not sparse.all():
+                w, Ls = w[sparse], Ls[sparse]
+            j, r, c = np.unravel_index(np.flatnonzero(Ls), Ls.shape)
+            v = Ls[j, r, c]
+            count = np.bincount(j, minlength=len(Ls))
+            n = count[j]  # the nonzeros of e's jump
+            e = np.repeat(np.arange(len(j)), n)
+            f = (np.cumsum(count) - count)[j[e]] \
+                + np.arange(len(e)) - np.repeat(np.cumsum(n) - n, n)
+            val = w[j[e]] * v[e].conj() * v[f]
+            np.add.at(G4, (c[e], c[f], r[e], r[f]), val)
+            same = r[e] == r[f]
+            np.add.at(damping, (c[e][same], c[f][same]), val[same])
         coherent = 1j * self.alpha * H
         left = coherent - 0.5 * damping
         right = (coherent + 0.5 * damping).T
@@ -391,10 +427,19 @@ class Analysis:
     @cached_property
     def magnitude(self) -> float:
         """Rough scale of L that normalizes the invariance tolerances:
-        2 ||H||_2 + 2 sum_j w_j ||L_j||_2^2, floored at 1e-30."""
+        2 ||H||_2 + 2 sum_j w_j ||L_j||_2^2, floored at 1e-30.
+
+        A monomial jump, with at most one nonzero per row and per column (a
+        matrix unit, a weighted permutation), has ||L_j||_2 = max |(L_j)_ab|
+        exactly; every other jump takes one stacked SVD."""
         w = np.array([w for w, _ in self.L.jumps], dtype=float)
         Ls = np.array([J for _, J in self.L.jumps]).reshape(-1, self.L.dim, self.L.dim)
-        m = np.linalg.norm(self.H, 2) + w @ np.linalg.norm(Ls, 2, axis=(1, 2)) ** 2
+        nz = Ls != 0
+        mono = (nz.sum(axis=1) <= 1).all(axis=1) & (nz.sum(axis=2) <= 1).all(axis=1)
+        norms = np.abs(Ls).max(axis=(1, 2), initial=0.0)
+        if not mono.all():
+            norms[~mono] = np.linalg.norm(Ls[~mono], 2, axis=(1, 2))
+        m = np.linalg.norm(self.H, 2) + w @ norms ** 2
         return max(2.0 * float(m), 1e-30)
 
     @cached_property

@@ -396,32 +396,42 @@ def graph_lindblad(spec: GraphSpec, state: QuantumState,
     if state.dim != N:
         raise ValueError("state dimension does not match the vertex count")
     mu = _diagonal_mu(state)
-    jumps: list[tuple[float, Matrix]] = []
-    S = [0.0] * N  # Python floats: an overflow to inf is refused below, not warned
+    r, s = np.array(spec.edges, dtype=int).reshape(-1, 2).T
+    w = np.array([spec.weights[e] for e in spec.edges], dtype=float)
+    # the two ends of each edge in edge order, r_0, s_0, r_1, s_1, ..
+    ends, far = np.stack([r, s], axis=1).ravel(), np.stack([s, r], axis=1).ravel()
     L_cl = np.zeros((N, N))
-    for (r, s) in spec.edges:
-        w = spec.weights[(r, s)]
-        half = math.sqrt(mu[r] / mu[s])
-        back = math.sqrt(mu[s] / mu[r])
+    # an overflow to inf is refused below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.sqrt(mu[r] / mu[s])
+        back = np.sqrt(mu[s] / mu[r])
         up, down = 4.0 * w * half, 4.0 * w / half
-        jumps.append((up, matrix_unit(N, r, s)))
-        jumps.append((down, matrix_unit(N, s, r)))
-        # edges are sorted, so each S[j] sums its neighbours in ascending order
-        S[r] += w * back
-        S[s] += w * half
         L_cl[r, s] = 4.0 * w * back
         L_cl[s, r] = 4.0 * w * half
-        if not np.isfinite([up, down, L_cl[r, s], L_cl[s, r]]).all():
-            raise ValueError(f"edge {(r, s)} of weight {w:g} gives a jump weight "
-                             "or walk rate that is not finite")
-    for v in range(N):
-        if not math.isfinite(4.0 * S[v]):
-            raise ValueError(f"the walk rate out of vertex {v} is not finite")
-    S = np.array(S)
-    np.fill_diagonal(L_cl, -4.0 * S)
-    if self_decay > 0:
-        jumps.extend((float(self_decay), matrix_unit(N, i, i)) for i in range(N))
-    lind = Lindbladian(N, np.zeros((N, N)), jumps, alpha=0.0)
+        # one add per edge end, in edge order: the edges are sorted, so each
+        # S[j] sums its neighbours in ascending order
+        S = np.zeros(N)
+        np.add.at(S, ends, np.stack([w * back, w * half], axis=1).ravel())
+        rate = 4.0 * S
+    bad = ~np.isfinite(np.stack([up, down, L_cl[r, s], L_cl[s, r]])).all(axis=0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"edge {spec.edges[k]} of weight {w[k]:g} gives a jump "
+                         "weight or walk rate that is not finite")
+    if not np.isfinite(rate).all():
+        v = int(np.argmax(~np.isfinite(rate)))
+        raise ValueError(f"the walk rate out of vertex {v} is not finite")
+    np.fill_diagonal(L_cl, -rate)
+    # e_rs and e_sr per edge, then e_ii per vertex when self_decay > 0: the
+    # jumps are views of one stack of matrix units
+    loops = np.arange(N if self_decay > 0 else 0)
+    units = np.zeros((len(ends) + len(loops), N, N), dtype=complex)
+    units[np.arange(len(units)), np.concatenate([ends, loops]),
+          np.concatenate([far, loops])] = 1.0
+    weights = np.concatenate([np.stack([up, down], axis=1).ravel(),
+                              np.full(len(loops), float(self_decay))])
+    lind = Lindbladian(N, np.zeros((N, N)), list(zip(weights.tolist(), units)),
+                       alpha=0.0)
     kappa = -2.0 * (S[:, None] + S[None, :]) - self_decay
     np.fill_diagonal(kappa, 0.0)
 

@@ -56,7 +56,8 @@ def bohr_decompose(an: Analysis) -> list[BohrBlock]:
     and frame pair (a, b), a < b, with coordinates s and t gives the unit
     (s - i t)/sqrt2 = |a><b| at E_a - E_b and (s + i t)/sqrt2 at E_b - E_a.
     Frequencies merge within 1e-7 (E.max() - E.min()), and within
-    1e-12 max|E|, the rounding of a difference of energies.
+    1e-12 max|E|, the rounding of a difference of energies; with no
+    absolute floor, so a model in small units keeps its blocks.
 
     lambda_nu compresses A, the negated symmetric part of M_Dr, taken per
     block from the view M_Dr: A[r, c] = -(M_Dr[r, c] + M_Dr[c, r]^T) / 2.
@@ -78,13 +79,13 @@ def bohr_decompose(an: Analysis) -> list[BohrBlock]:
     om = E[r] - E[c]
     freqs = np.concatenate([np.zeros(N - 1), om, -om])
     order = np.argsort(freqs, kind="stable")
-    tol = max(BOHR_CLUSTER_FACTOR * np.ptp(E), 1e-12 * np.abs(E).max(), 1e-14)
+    tol = max(BOHR_CLUSTER_FACTOR * np.ptp(E), 1e-12 * np.abs(E).max())
     cuts = np.flatnonzero(np.diff(freqs[order]) > tol) + 1
     require_kms_symmetric(an)
     D = an.M_Dr
     idxs = np.split(order, cuts)
     means = np.array([freqs[idx].mean() for idx in idxs])
-    zero = np.abs(means) < tol
+    zero = np.abs(means) <= tol  # tol = 0 when H = 0: all of it one block at 0
     sizes = np.array([len(idx) for idx in idxs])
     lam = np.empty(len(idxs))
 

@@ -211,3 +211,99 @@ def test_analysis_matrices_are_real(case):
     dist = np.abs(np.linalg.eigvals(got)[:, None] - ref[None, :])
     rows, cols = linear_sum_assignment(dist)
     assert dist[rows, cols].max() <= 1e-12 * np.linalg.norm(got, 2)
+
+
+def _units(N, entries):
+    """Jumps with the given {(row, col): value} entries, one dict per jump."""
+    jumps = []
+    for w, ents in entries:
+        J = np.zeros((N, N), dtype=complex)
+        for (r, c), v in ents.items():
+            J[r, c] = v
+        jumps.append((w, J))
+    return jumps
+
+
+def _haar12_permuted():
+    L, _ = _haar12()
+    P = np.eye(12, dtype=complex)[np.random.default_rng(7).permutation(12)]
+    return L, P, 144
+
+
+def _haar12_unitary():
+    L, _ = _haar12()
+    return L, unitary_group.rvs(12, random_state=np.random.default_rng(8)), 0
+
+
+def _lift_units():
+    L, state = _lift()
+    return L, state.eigenvectors, len(L.jumps)
+
+
+def _mixed():
+    rng = np.random.default_rng(9)
+    dense = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    jumps = _units(4, [(0.7, {(0, 1): 1.0}), (1.3, {(2, 3): 1.0}),
+                       (0.4, {(3, 3): 1.0})]) + [(0.9, dense)]
+    H = np.diag([0.3, -0.2, 0.5, 1.1]).astype(complex)
+    return Lindbladian(4, H, jumps, alpha=0.8), None, 3
+
+
+def _n_and_n_plus_one():
+    # 4 nonzeros (as many as N) take the nonzero branch, 5 the dense one
+    four = {(0, 0): 0.5, (0, 2): -1.0j, (1, 2): 0.3, (3, 1): 2.0}
+    five = {**four, (2, 3): 0.7 - 0.2j}
+    return Lindbladian(4, np.zeros((4, 4)), _units(4, [(1.1, four), (0.6, five)]),
+                       alpha=0.0), None, 1
+
+
+def _complex_entries():
+    # two nonzeros in one row and two in one column, complex phases
+    jumps = _units(3, [(0.8, {(0, 1): 0.6 + 0.8j, (0, 2): -0.3j, (2, 1): 1.5 - 0.5j}),
+                       (1.7, {(1, 0): np.exp(0.4j), (2, 2): -0.9 + 0.1j})])
+    H = np.array([[0.2, 0.1j, 0.0], [-0.1j, -0.4, 0.3], [0.0, 0.3, 0.6]])
+    return Lindbladian(3, H, jumps, alpha=1.2), None, 2
+
+
+def _same_unit():
+    jumps = _units(3, [(0.5, {(1, 2): 1.0}), (2.5, {(1, 2): 1.0}), (0.7, {(2, 1): 1.0})])
+    return Lindbladian(3, np.zeros((3, 3)), jumps, alpha=0.0), None, 3
+
+
+SPARSE_CASES = {"haar12_permuted": _haar12_permuted, "haar12_unitary": _haar12_unitary,
+                "lift": _lift_units, "mixed": _mixed,
+                "n_and_n_plus_one": _n_and_n_plus_one,
+                "complex_entries": _complex_entries, "same_unit": _same_unit}
+
+
+@pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+def test_unit_matrix_nonzero_branch_matches_per_jump_sum(case):
+    L, basis, n_sparse = SPARSE_CASES[case]()
+    # the jumps with at most N nonzeros once rotated take the nonzero branch;
+    # each case pins how many do
+    B = np.eye(L.dim) if basis is None else basis
+    nnz = [np.count_nonzero(B.conj().T @ J @ B) for _, J in L.jumps]
+    assert sum(k <= L.dim for k in nnz) == n_sparse
+    ref = unit_matrix_per_jump(L, basis)
+    assert np.abs(L.unit_matrix(basis) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _magnitude_by_svd(L):
+    m = np.linalg.norm(L.alpha * L.hamiltonian, 2) \
+        + sum(w * np.linalg.norm(J, 2) ** 2 for w, J in L.jumps)
+    return max(2.0 * m, 1e-30)
+
+
+@pytest.mark.parametrize("family", sorted(UNIT_CASES))
+def test_magnitude_matches_its_svd_definition(family):
+    L, state = UNIT_CASES[family]()
+    ref = _magnitude_by_svd(L)
+    assert abs(Analysis(L, state).magnitude - ref) <= 1e-15 * ref
+
+
+def test_magnitude_of_a_jump_that_is_not_monomial():
+    # two nonzeros in one row: ||J||_2 = sqrt2, not its largest entry 1
+    J = np.array([[1.0, 1.0], [0.0, 0.0]])
+    an = Analysis(build_gksl(np.zeros((2, 2)), [(1.0, J)]), QuantumState.maximally_mixed(2))
+    assert abs(an.magnitude - 4.0) <= 1e-15 * 4.0
+    assert abs(an.magnitude - _magnitude_by_svd(an.L)) <= 1e-15 * 4.0

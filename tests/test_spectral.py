@@ -145,6 +145,21 @@ def _assert_matches_reference(an, L, st):
     return blocks
 
 
+def test_bohr_blocks_keep_a_model_in_small_units():
+    # the merge tolerance is relative only: tfim n=3 scaled by 1e-15 keeps its
+    # 27 Bohr blocks, and its limit scales with it
+    m = tfim(3, 0.9, 1.1)
+    an = Analysis(m.lind, m.state)
+    eps = 1e-15
+    small = Analysis(build_gksl(eps * m.lind.hamiltonian,
+                                [(eps * w, J) for w, J in m.lind.jumps]), m.state)
+    blocks = bohr_decompose(small)
+    assert len(blocks) == 27
+    assert [b.dim for b in blocks] == [b.dim for b in bohr_decompose(an)]
+    assert large_alpha_limit(small) / eps == pytest.approx(large_alpha_limit(an),
+                                                           rel=1e-12)
+
+
 def test_bohr_qubit_x_zero_block_is_span_x():
     # sigma is uniform, so the frame turns to the eigenbasis of X: its zero
     # block is the span of X alone, its +-2 blocks those of the other units
