@@ -43,8 +43,6 @@ def _sanitize(obj):
         return int(obj)
     if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     return obj
 
 

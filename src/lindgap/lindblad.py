@@ -94,41 +94,36 @@ class Lindbladian:
             Ls = (left.reshape(N, m, N).transpose(1, 0, 2).reshape(m * N, N)
                   @ basis).reshape(m, N, N)
         sparse = np.count_nonzero(Ls, axis=(1, 2)) <= N
-        dense = ~sparse
-        wd, Ld = (w, Ls) if dense.all() else (w[dense], Ls[dense])
+        wd, Ld = w[~sparse], Ls[~sparse]
         Lw = wd[:, None, None] * Ld.conj()  # [m, j, i] = w_m conj(L_m[j, i])
         # sum_m w_m L_m^dag L_m, one product over the stacked rows (m, j)
         damping = Lw.reshape(-1, N).T @ Ld.reshape(-1, N)
+        # the dense product writes every entry of G; with no dense jump, G starts at 0
+        G = (np.empty if len(Ld) else np.zeros)((N * N, N * N), dtype=complex)
+        G4 = G.reshape(N, N, N, N)
         if len(Ld):
             # the jump sum, entry [(i, k), (j, l)] = sum_m w_m conj(L_m[j, i]) L_m[l, k]:
             # per i, one product over the jump axis with rows j and columns (k, l),
             # so that no N^2 x N^2 temporary is held beside G
-            G = np.empty((N * N, N * N), dtype=complex)
-            G4 = G.reshape(N, N, N, N)
             rows = Lw.transpose(2, 1, 0)  # [i, j, m]
             cols = Ld.transpose(0, 2, 1).reshape(-1, N * N)  # [m, (k, l)] = L_m[l, k]
             for i in range(N):
                 G4[i].transpose(1, 0, 2)[...] = (rows[i] @ cols).reshape(N, N, N)
-        else:
-            G = np.zeros((N * N, N * N), dtype=complex)
-            G4 = G.reshape(N, N, N, N)
-        if sparse.any():
-            # nonzero e = (r_e, c_e) of jump j_e, in jump order; every pair
-            # (e, f) of one jump adds w conj(v_e) v_f at [(c_e, c_f), (r_e, r_f)]
-            # to the jump sum, and to the damping at [c_e, c_f] when r_e = r_f
-            if not sparse.all():
-                w, Ls = w[sparse], Ls[sparse]
-            j, r, c = np.unravel_index(np.flatnonzero(Ls), Ls.shape)
-            v = Ls[j, r, c]
-            count = np.bincount(j, minlength=len(Ls))
-            n = count[j]  # the nonzeros of e's jump
-            e = np.repeat(np.arange(len(j)), n)
-            f = (np.cumsum(count) - count)[j[e]] \
-                + np.arange(len(e)) - np.repeat(np.cumsum(n) - n, n)
-            val = w[j[e]] * v[e].conj() * v[f]
-            np.add.at(G4, (c[e], c[f], r[e], r[f]), val)
-            same = r[e] == r[f]
-            np.add.at(damping, (c[e][same], c[f][same]), val[same])
+        # nonzero e = (r_e, c_e) of sparse jump j_e, in jump order; every pair
+        # (e, f) of one jump adds w conj(v_e) v_f at [(c_e, c_f), (r_e, r_f)]
+        # to the jump sum, and to the damping at [c_e, c_f] when r_e = r_f
+        w, Ls = w[sparse], Ls[sparse]
+        j, r, c = np.unravel_index(np.flatnonzero(Ls), Ls.shape)
+        v = Ls[j, r, c]
+        count = np.bincount(j, minlength=len(Ls))
+        n = count[j]  # the nonzeros of e's jump
+        e = np.repeat(np.arange(len(j)), n)
+        f = (np.cumsum(count) - count)[j[e]] \
+            + np.arange(len(e)) - np.repeat(np.cumsum(n) - n, n)
+        val = w[j[e]] * v[e].conj() * v[f]
+        np.add.at(G4, (c[e], c[f], r[e], r[f]), val)
+        same = r[e] == r[f]
+        np.add.at(damping, (c[e][same], c[f][same]), val[same])
         coherent = 1j * self.alpha * H
         left = coherent - 0.5 * damping
         right = (coherent + 0.5 * damping).T
@@ -227,11 +222,11 @@ def hermiticity_defect(*blocks: Matrix) -> float:
     (..., n, n): the scale and the numerator are each the largest over them."""
     if all(np.isrealobj(B) for B in blocks):
         scale = max(real_norm2(B) for B in blocks)
-        if scale < 1e-30:
+        if scale == 0.0:
             return 0.0
         return max(real_norm2(B - np.swapaxes(B, -1, -2)) for B in blocks) / scale
     scale = max(np.linalg.svd(B, compute_uv=False)[..., 0].max() for B in blocks)
-    if scale < 1e-30:
+    if scale == 0.0:
         return 0.0
     # each B - B^dag is exactly anti-Hermitian in floating point, so i(B - B^dag)
     # is Hermitian and its largest |eigenvalue| is the norm
@@ -272,32 +267,44 @@ def joint_eigenbasis(state: QuantumState, H: Matrix) -> tuple[QuantumState,
     return state.in_basis(W), E
 
 
-def sector_partition(mats: list[Matrix]) -> list[np.ndarray]:
-    """Index sets on which every matrix of `mats` (same square shape) splits.
+def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Connected components of the graph on range(n) with the edges (rows[e],
+    cols[e]), each taken in either direction: every index is labelled by the
+    least index of its component.
 
-    A sector is a connected component of the union of their supports, each
-    matrix's entries above SECTOR_TOL times its largest; the sectors are
-    grouped by size, one (count, size) array per size, ascending.
+    Label propagation: every index takes the least label among its
+    neighbours, then jumps to its label's label, until nothing moves.
     """
-    A = np.zeros(mats[0].shape, dtype=bool)
-    for M in mats:
-        B = np.abs(M)
-        A |= B > SECTOR_TOL * B.max()
-    rows, cols = np.nonzero(A | A.T)
-    # label propagation over the edges: every index takes the smallest label
-    # among its neighbours, then jumps to its label's label, until nothing moves
-    labels = np.arange(A.shape[0])
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    labels = np.arange(n)
     while True:
         new = labels.copy()
         np.minimum.at(new, rows, labels[cols])
         new = new[new]
         if np.array_equal(new, labels):
-            break
+            return labels
         labels = new
-    counts = np.unique(labels, return_counts=True)[1]
-    comps = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
-    return [np.array([c for c in comps if len(c) == size])
-            for size in np.unique(counts)]
+
+
+def sector_partition(mats: list[Matrix]) -> list[np.ndarray]:
+    """Index sets on which every matrix of `mats` (same square shape) splits.
+
+    A sector is a connected component of the union of their supports, each
+    matrix's entries above SECTOR_TOL times its largest.  The sectors are
+    grouped by size, one (count, size) array per size, sizes ascending; in
+    each, the sectors are ordered by their least index and hold their
+    indices ascending.
+    """
+    A = np.zeros(mats[0].shape, dtype=bool)
+    for M in mats:
+        B = np.abs(M)
+        A |= B > SECTOR_TOL * B.max()
+    labels = _components(*np.nonzero(A), len(A))
+    size = np.bincount(labels)[labels]
+    # by size, then by component, then by index
+    order = np.lexsort((labels, size))
+    sizes, first, counts = np.unique(size[order], return_index=True, return_counts=True)
+    return [order[i:i + k].reshape(-1, n) for n, i, k in zip(sizes, first, counts)]
 
 
 def sector_blocks(M: Matrix, sectors: list[np.ndarray]) -> list[Matrix]:
@@ -367,18 +374,16 @@ class Analysis:
 
     def unit_matrix(self) -> Matrix:
         """L.unit_matrix on the frame's units, from one assembly: that of L^D,
-        whose frame matrix is kept as M_D, plus the coherent term, which is
-        diagonal in the joint frame (i(E_a - E_b) on |a><b|)."""
+        whose frame matrix it keeps as M_D, plus the coherent term, which is
+        diagonal in the joint frame (i(E_a - E_b) on |a><b|) and is otherwise
+        assembled once more, its frame matrix kept as M_H.  Meant for a fresh
+        analysis: M_D and M_H are set, not read."""
         U = self.state.eigenvectors
         G = self.LD.unit_matrix(U)
-        if "M_D" not in self.__dict__:
-            self.M_D = self.frame.superop(G)
-        if not self.H.any():
-            return G
+        self.M_D = self.frame.superop(G)
         if self.energies is None:
             GH = Lindbladian(self.L.dim, self.H, []).unit_matrix(U)
-            if "M_H" not in self.__dict__:
-                self.M_H = self.frame.superop(GH)
+            self.M_H = self.frame.superop(GH)
             G += GH
         else:
             E = self.energies
@@ -427,7 +432,7 @@ class Analysis:
     @cached_property
     def magnitude(self) -> float:
         """Rough scale of L that normalizes the invariance tolerances:
-        2 ||H||_2 + 2 sum_j w_j ||L_j||_2^2, floored at 1e-30.
+        2 ||H||_2 + 2 sum_j w_j ||L_j||_2^2, 0 only for L = 0.
 
         A monomial jump, with at most one nonzero per row and per column (a
         matrix unit, a weighted permutation), has ||L_j||_2 = max |(L_j)_ab|
@@ -437,10 +442,8 @@ class Analysis:
         nz = Ls != 0
         mono = (nz.sum(axis=1) <= 1).all(axis=1) & (nz.sum(axis=2) <= 1).all(axis=1)
         norms = np.abs(Ls).max(axis=(1, 2), initial=0.0)
-        if not mono.all():
-            norms[~mono] = np.linalg.norm(Ls[~mono], 2, axis=(1, 2))
-        m = np.linalg.norm(self.H, 2) + w @ norms ** 2
-        return max(2.0 * float(m), 1e-30)
+        norms[~mono] = np.linalg.norm(Ls[~mono], 2, axis=(1, 2))
+        return 2.0 * float(np.linalg.norm(self.H, 2) + w @ norms ** 2)
 
     @cached_property
     def assumption(self) -> tuple[bool, float]:
@@ -549,17 +552,16 @@ def _kernel_counts(an: Analysis) -> tuple[int, float, int]:
     # {H, L_j, L_j^dag} (Frigerio 1978); singular values, not eigvalsh(M^T M),
     # whose zeros sit near sqrt(eps) * sigma_max, above the cutoff
     sv = np.concatenate([np.linalg.svd(B, compute_uv=False).ravel() for B in blocks])
+    # a zero L (top = 0) is all kernel
     top = sv.max()
-    if top < 1e-30:
-        kms_defect, cdim = 0.0, an.frame.size
-    else:
-        # hermiticity_defect of L's frame matrix with ||.||_2 = top, per block
-        kms_defect = max(real_norm2(B - np.swapaxes(B, -1, -2)) for B in blocks) / top
-        cdim = int(np.sum(sv < COMMUTANT_SV_FACTOR * top))
+    cdim = int(np.sum(sv <= COMMUTANT_SV_FACTOR * top))
+    # hermiticity_defect of L's frame matrix with ||.||_2 = top, per block
+    kms_defect = (max(real_norm2(B - np.swapaxes(B, -1, -2)) for B in blocks) / top
+                  if top else 0.0)
     # zero eigenvalues of the Hermitian part of M_D
-    w = np.concatenate([np.linalg.eigvalsh((B + np.swapaxes(B, -1, -2)) / 2.0).ravel()
-                        for B in dblocks])
-    kdim = int(np.sum(np.abs(w) < KERNEL_TOL_FACTOR * max(np.abs(w).max(), 1e-30)))
+    w = np.abs(np.concatenate([np.linalg.eigvalsh((B + np.swapaxes(B, -1, -2)) / 2.0)
+                               .ravel() for B in dblocks]))
+    kdim = int(np.sum(w <= KERNEL_TOL_FACTOR * w.max()))
     return cdim, kms_defect, kdim
 
 
@@ -626,7 +628,7 @@ class SpaceSplit:
     eigenvalues of the KMS-symmetric -M_D on each sector, vectors[g] their
     unit eigenvectors in the sector's coordinates and hamiltonian[g] the
     blocks of M_Hr, sliced from Analysis.stacks.  The first k eigenvalues,
-    below `cutoff` in absolute value, span ker(L^D): vectors[g][..., :k] is
+    at most `cutoff` in absolute value, span ker(L^D): vectors[g][..., :k] is
     the kernel and vectors[g][..., k:] its KMS-orthogonal complement.
     `rates` holds every eigenvalue, ascending.
     """
@@ -641,7 +643,7 @@ class SpaceSplit:
 
     @property
     def dim0(self) -> int:
-        return int(np.sum(np.abs(self.rates) < self.cutoff))
+        return int(np.sum(np.abs(self.rates) <= self.cutoff))
 
     @property
     def dim_plus(self) -> int:
@@ -655,10 +657,10 @@ def kernel_projection(an: Analysis) -> SpaceSplit:
     eighs = [np.linalg.eigh(-(D + np.swapaxes(D, -1, -2)) / 2.0) for D, _ in an.stacks]
     rates = np.sort(np.concatenate([w.ravel() for w, _ in eighs]))
     # w >= 0 up to rounding, so each sector's kernel leads its ascending w
-    cutoff = KERNEL_TOL_FACTOR * max(np.abs(rates).max(), 1e-30)
+    cutoff = KERNEL_TOL_FACTOR * np.abs(rates).max()
     groups = []
     for S, (w, V), (_, H) in zip(an.sectors, eighs, an.stacks):
-        ks = np.sum(np.abs(w) < cutoff, axis=1)
+        ks = np.sum(np.abs(w) <= cutoff, axis=1)
         for k in np.unique(ks):
             # a view, not a copy, of a stack whose sectors share one k
             sel = slice(None) if np.all(ks == k) else ks == k

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lindblad import Lindbladian, build_gksl
+from .lindblad import Lindbladian, _components, build_gksl
 from .operators import Matrix, QuantumState, as_square_matrix, dag, require_hermitian
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -74,8 +74,8 @@ def _bfs(neighbors, root: int) -> dict[int, int | None]:
 
 
 def _support_connected(W: Matrix, tol: float) -> bool:
-    support = np.abs(W) > tol
-    return len(_bfs([np.flatnonzero(row) for row in support], 0)) == W.shape[0]
+    """Whether the entries of W above tol join every index, in one component."""
+    return not _components(*np.nonzero(np.abs(W) > tol), W.shape[0]).any()
 
 
 def single_jump_model(A, H) -> SingleJumpModel:
@@ -336,19 +336,13 @@ class GraphSpec:
                 raise ValueError(f"weight of edge {key} must be positive")
             weights[key] = w
         self.weights = weights
-        adj = [[] for _ in range(n)]
-        for (u, v) in norm_edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        missing = [u for u in range(n) if not adj[u]]
-        if missing:
-            raise ValueError(f"isolated vertices: {missing}")
-        self.components = []
-        unseen = set(range(n))
-        while unseen:
-            comp = sorted(_bfs(adj, min(unseen)))
-            self.components.append(comp)
-            unseen.difference_update(comp)
+        u, v = np.array(norm_edges, dtype=int).reshape(-1, 2).T
+        missing = np.flatnonzero(np.bincount(np.concatenate([u, v]), minlength=n) == 0)
+        if len(missing):
+            raise ValueError(f"isolated vertices: {missing.tolist()}")
+        # ordered by least vertex, each sorted
+        labels = _components(u, v, n)
+        self.components = [np.flatnonzero(labels == r).tolist() for r in np.unique(labels)]
 
 
 @dataclass

@@ -155,7 +155,7 @@ def gap_curve(an: Analysis, alphas) -> GapCurve:
 
 def singular_relaxation_check(an: Analysis, nu: float,
                               T: float) -> tuple[bool, float, float]:
-    """Check 1/nu + T >= 1/s - 1e-9 for a certified average-decay pair.
+    """Check 1/nu + T >= (1 - 1e-9)/s for a certified average-decay pair.
 
     Returns (ok, lhs, singular_gap).  nu must be finite and positive and T
     finite and nonnegative; a singular gap s = 0 fails, as 1/s is infinite.
@@ -165,4 +165,4 @@ def singular_relaxation_check(an: Analysis, nu: float,
         raise ValueError(f"T must be finite and nonnegative, got {T!r}")
     s = an.singular_gap
     lhs = 1.0 / nu + T
-    return bool(s > 0 and lhs >= 1.0 / s - 1e-9), lhs, s
+    return bool(s > 0 and lhs >= (1.0 - 1e-9) / s), lhs, s

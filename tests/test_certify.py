@@ -184,8 +184,10 @@ def test_trivial_kernel_constants_are_refused_by_the_hypocoercive_formulas(use):
 
 
 def test_constants_reject_unmoved_kernel():
-    with pytest.raises(ValueError, match="primitive"):
-        structural_constants(split_form(PAULI_Z, QUBIT_LD, MIXED2))
+    # H = 0 too: its M_H = 0 passes the assumption, and s_H = 0 is refused
+    for H in (PAULI_Z, np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="not primitive"):
+            structural_constants(split_form(H, QUBIT_LD, MIXED2))
 
 
 def _tfim3():
@@ -332,6 +334,23 @@ def test_certify_never_exceeds_gap():
     assert cert.nu <= lam + 1e-9
 
 
+def _scaled_tfim2(eps):
+    """eps L for tfim n=2 (h = 0.9, gamma = 1.1), with its state."""
+    m = tfim(2, 0.9, 1.1)
+    return Analysis(build_gksl(eps * m.lind.alpha * m.lind.hamiltonian,
+                               [(eps * w, J) for w, J in m.lind.jumps]), m.state)
+
+
+@pytest.mark.parametrize("eps", [1e-13, 1e-25])
+def test_certify_a_model_in_small_units(eps):
+    # the injectivity floor is relative to the generator's scale, so eps L
+    # certifies with eps times the rate of L and s_H = eps 2h
+    ref, small = certify(_scaled_tfim2(1.0)), certify(_scaled_tfim2(eps))
+    assert small.constants.s_H == pytest.approx(1.8 * eps, rel=1e-12)
+    assert small.nu / eps == pytest.approx(ref.nu, rel=1e-12)
+    assert small.T * eps == pytest.approx(ref.T, rel=1e-12)
+
+
 def test_certify_rejects_coercive():
     LD = build_gksl(np.zeros((2, 2)),
                     [(1.0, PAULI_X), (1.0, PAULI_Y), (1.0, PAULI_Z)])
@@ -411,6 +430,23 @@ def test_optimize_window_scales_inversely_with_coupling():
     T2, _ = optimize_T(weak)
     ratio = T2 / T1
     assert 30 <= ratio <= 300
+
+
+def test_optimize_window_reaches_the_grid_maximum():
+    # nu* is within 1e-7 of the best of 20001 log-spaced windows over the
+    # search range, and never below the rate at the default window
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        lam, norm_LH = 10 ** rng.uniform(-3, 2, size=2)
+        sc = StructuralConstants(lambda_D=lam, s_H=10 ** rng.uniform(-3, 2),
+                                 norm_LD=lam * 10 ** rng.uniform(0, 2),
+                                 norm_LH_plus=norm_LH)
+        T_star, nu_star = optimize_T(sc)
+        assert nu_star == rate_from_constants(sc, T_star)
+        assert nu_star >= rate_from_constants(sc, sc.default_window)
+        grid = np.logspace(math.log10(1e-2 / sc.s_H), math.log10(1e2 / sc.s_H), 20001)
+        best = max(rate_from_constants(sc, T) for T in grid)
+        assert nu_star >= (1.0 - 1e-7) * best
 
 
 # ---------------------------------------------------------------------------

@@ -456,6 +456,51 @@ def test_decisions_do_not_depend_on_the_units(name):
         build_gksl(1e-12 * E01, [])
 
 
+DECISIONS = ("invariant_state_ok", "kms_db", "gns_db", "standard_dbc", "primitive",
+             "commutant_dim", "kernel_dim_LD", "classification")
+
+
+@pytest.mark.parametrize("name", ["tfim2", "haar5"])
+def test_decisions_hold_in_tiny_units(name):
+    # every zero test is a test for an exact zero, not a floor at 1e-30:
+    # eps L at eps = 1e-31 and 1e-40 gets the decisions and the rates of L
+    m = (tfim(2, 0.9, 1.1) if name == "tfim2"
+         else haar_avg_gibbs([0.0, 0.3, 0.7, 1.2, 2.0], 1.0))
+    seen = []
+    for eps in (1.0, 1e-31, 1e-40):
+        an = Analysis(build_gksl(eps * m.lind.alpha * m.lind.hamiltonian,
+                                 [(eps * w, J) for w, J in m.lind.jumps]), m.state)
+        rep = structure_report(an)
+        seen.append(({f: getattr(rep, f) for f in DECISIONS}, spectral_gap(an) / eps,
+                     certify(an).nu / eps if name == "tfim2" else None))
+    want, gap, nu = seen[0]
+    assert want["classification"] == ("hypocoercive" if name == "tfim2" else "coercive")
+    for got, g, n in seen[1:]:
+        assert got == want
+        assert g == pytest.approx(gap, rel=1e-12)
+        if nu is not None:
+            assert n == pytest.approx(nu, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", ["tfim2", "driven-qubit", "haar4"])
+def test_a_warm_analysis_reports_as_a_cold_one(model):
+    # Analysis.unit_matrix sets M_D (and M_H off the joint frame) whatever
+    # was read before: the reports and G agree bit for bit
+    if model == "driven-qubit":
+        L, st = _scaled("driven-qubit", 1.0)
+    else:
+        m = tfim(2, 0.9, 1.1) if model == "tfim2" else haar_avg_gibbs([0.0, 0.4, 1.1, 1.7], 1.0)
+        L, st = m.lind, m.state
+    warm = Analysis(L, st)
+    warm.M_D, warm.M_H, warm.sectors
+    assert np.array_equal(warm.unit_matrix(), Analysis(L, st).unit_matrix())
+    warm = Analysis(L, st)
+    warm.M_D, warm.M_H, warm.sectors
+    got, want = structure_report(warm), structure_report(Analysis(L, st))
+    assert got.as_dict() == want.as_dict()
+    assert np.array_equal(got.standard_dbc_K, want.standard_dbc_K)
+
+
 def test_structure_rejects_non_invariant_state():
     L = build_gksl(np.zeros((2, 2)), [(1.0, E01)])
     with pytest.raises(ValueError, match="invariant"):

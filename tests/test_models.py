@@ -31,6 +31,7 @@ from lindgap import (
     structure_report,
     tfim,
 )
+from lindgap.models import _support_connected
 
 
 def split_form(H, LD, state):
@@ -252,6 +253,20 @@ def test_graph_spec_validation():
 
 def test_graph_spec_components_are_ordered_by_least_vertex():
     assert GraphSpec(6, [(3, 0), (5, 1), (2, 4)]).components == [[0, 3], [1, 5], [2, 4]]
+    # whichever direction each edge is given in
+    edges = [(0, 3), (4, 1), (5, 2), (2, 4), (6, 7)]
+    for given in (edges, [(v, u) for u, v in edges]):
+        assert GraphSpec(8, given).components == [[0, 3], [1, 2, 4, 5], [6, 7]]
+
+
+def test_support_connectivity_takes_edges_either_way():
+    path = np.diag(np.ones(3), 1)  # 0 -> 1 -> 2 -> 3, one direction only
+    assert _support_connected(path, 0.5)
+    assert _support_connected(path.T, 0.5)
+    split = path.copy()
+    split[1, 2] = 0.25  # below the tolerance: {0, 1} and {2, 3}
+    assert not _support_connected(split, 0.5)
+    assert not _support_connected(split + split.T, 0.5)
 
 
 def test_graph_spec_weight_keys_either_orientation():

@@ -95,6 +95,18 @@ def test_structure_matches_the_whole_solves(name):
         assert sum(len(S) for S in an.sectors) > 1
 
 
+def test_sector_partition_orders_interleaved_components():
+    # components {0, 4}, {1, 6}, {2}, {3, 5, 7} and {8}, each edge given in one
+    # direction only: sizes ascending, then least index, then indices ascending
+    A = np.zeros((9, 9))
+    for r, c in ((4, 0), (1, 6), (7, 3), (5, 7)):
+        A[r, c] = 1.0
+    A[np.arange(9), np.arange(9)] = 2.0
+    got = [S.tolist() for S in sector_partition([A])]
+    assert got == [[[2], [8]], [[0, 4], [1, 6]], [[3, 5, 7]]]
+    assert got == [S.tolist() for S in sector_partition([A.T])]
+
+
 def test_identity_joins_a_sector_off_invariance():
     an = Analysis(*_model("perturbed-sigma"))
     M = an.M_D + an.M_H

@@ -389,6 +389,19 @@ def test_singular_check_fails_at_a_zero_singular_gap():
     assert not ok
 
 
+@pytest.mark.parametrize("eps", [1.0, 1e12])
+def test_singular_check_slack_is_relative(eps):
+    # nu = 1e8 s with T = 0 breaks 1/nu + T >= 1/s at every scale; a slack in
+    # time units would let it pass once 1/s is below that slack
+    m = tfim(2, 0.9, 1.1)
+    an = Analysis(build_gksl(eps * m.lind.alpha * m.lind.hamiltonian,
+                             [(eps * w, J) for w, J in m.lind.jumps]), m.state)
+    s = an.singular_gap
+    ok, lhs, _ = singular_relaxation_check(an, 1e8 * s, 0.0)
+    assert not ok
+    assert lhs == pytest.approx(1e-8 / s)
+
+
 @pytest.mark.parametrize("nu, T, name", [(-1.0, 1.0, "nu"), (0.0, 1.0, "nu"),
                                          (np.nan, 1.0, "nu"), (np.inf, 1.0, "nu"),
                                          (0.1, -1.0, "T"), (0.1, np.nan, "T"),
