@@ -13,8 +13,6 @@ from .lindblad import (
     Analysis,
     Lindbladian,
     build_gksl,
-    generator_matrix,
-    hamiltonian_superop,
     structure_report,
     StructureReport,
     kernel_projection,

@@ -246,14 +246,21 @@ def certify_coercive(an: Analysis) -> CoerciveCertificate:
 
 def optimize_T(sc: StructuralConstants) -> tuple[float, float]:
     """Best window length (T*, nu*): scipy's bounded scalar search over
-    x = log(s_H T) in [log 1e-2, log 1e2].  The default window is a candidate
+    x = log(s_H T) in [log 1e-2, x_max], x_max grown from log 1e2 by log 1e2
+    while the rate still rises there.  The default window is a candidate
     too, so nu* is never below the T = 3/s_H rate.
     """
     from scipy.optimize import minimize_scalar  # only library callers reach this
 
     _require_nontrivial_kernel(sc)
-    res = minimize_scalar(lambda x: -rate_from_constants(sc, math.exp(x) / sc.s_H),
-                          bounds=(math.log(1e-2), math.log(1e2)), method="bounded",
+
+    def nu(x: float) -> float:
+        return rate_from_constants(sc, math.exp(x) / sc.s_H)
+    step = math.log(1e2)
+    hi = step
+    while nu(hi) > nu(hi - 1e-3):
+        hi += step
+    res = minimize_scalar(lambda x: -nu(x), bounds=(-step, hi), method="bounded",
                           options={"xatol": 1e-10})
     t_ref = sc.default_window
     return max((math.exp(res.x) / sc.s_H, -float(res.fun)),

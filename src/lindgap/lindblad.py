@@ -2,7 +2,7 @@
 
 Generators are kept in Heisenberg form
 
-    L(X) = i alpha [H, X] + sum_j w_j (L_j^dag X L_j - 1/2 {L_j^dag L_j, X})
+    L(X) = i [H, X] + sum_j w_j (L_j^dag X L_j - 1/2 {L_j^dag L_j, X})
 
 and analyzed through their real matrices in the KMS frame: KMS detailed
 balance with respect to sigma is symmetry of that matrix, kernels are zero
@@ -49,17 +49,16 @@ SECTOR_TOL = 1e-12
 
 @dataclass
 class Lindbladian:
-    """Heisenberg-picture generator with a tunable coherent coupling alpha."""
+    """Heisenberg-picture generator; build_gksl folds alpha into `hamiltonian`."""
 
     dim: int
     hamiltonian: Matrix
     jumps: list[tuple[float, Matrix]]
-    alpha: float = 1.0
 
     def apply(self, X) -> Matrix:
         X = as_square_matrix(X, self.dim)
         H = self.hamiltonian
-        out = 1j * self.alpha * (H @ X - X @ H)
+        out = 1j * (H @ X - X @ H)
         for w, L in self.jumps:
             Ld = dag(L)
             LdL = Ld @ L
@@ -69,15 +68,14 @@ class Lindbladian:
     def unit_matrix(self, basis: Matrix | None = None) -> Matrix:
         """Row-major G with vec(L(X)) = G vec(X) on the units of `basis` (default: standard):
 
-        G = i alpha (H x 1 - 1 x H^T) + sum_j w_j (L_j^dag x L_j^T - 1/2 L_j^dag L_j x 1
-                                                   - 1/2 1 x (L_j^dag L_j)^T),  x = kron.
+        G = i (H x 1 - 1 x H^T) + sum_j w_j (L_j^dag x L_j^T - 1/2 L_j^dag L_j x 1
+                                             - 1/2 1 x (L_j^dag L_j)^T),  x = kron.
 
-        Each jump, once rotated, takes one of two branches.  A jump with at
-        most N nonzero entries (as many as a permutation matrix has), such as
-        a matrix unit e_ab, adds w conj(v_e) v_f for each pair (e, f) of its
-        nonzeros, at most N^2 entries; every other jump joins one dense
-        product over the jump axis.  The cost of a list of matrix units thus
-        grows with its nonzeros, not with N^4 per jump.
+        Each jump, once rotated, takes one of two branches.  A jump with one
+        nonzero entry v at (r, c), a multiple of the matrix unit e_rc, adds
+        w |v|^2 at one entry of G and one of the damping; every other jump
+        joins one dense product over the jump axis.  The cost of a list of
+        matrix units thus grows with its length, not with N^4 per jump.
         """
         N = self.dim
         H = self.hamiltonian
@@ -93,8 +91,10 @@ class Lindbladian:
             left = dag(basis) @ Ls.transpose(1, 0, 2).reshape(N, m * N)
             Ls = (left.reshape(N, m, N).transpose(1, 0, 2).reshape(m * N, N)
                   @ basis).reshape(m, N, N)
-        sparse = np.count_nonzero(Ls, axis=(1, 2)) <= N
-        wd, Ld = w[~sparse], Ls[~sparse]
+        # nonzero (r_e, c_e) of jump j_e, in jump order: the one pass over the stack
+        j, r, c = np.nonzero(Ls)
+        one = np.bincount(j, minlength=m) == 1
+        wd, Ld = w[~one], Ls[~one]
         Lw = wd[:, None, None] * Ld.conj()  # [m, j, i] = w_m conj(L_m[j, i])
         # sum_m w_m L_m^dag L_m, one product over the stacked rows (m, j)
         damping = Lw.reshape(-1, N).T @ Ld.reshape(-1, N)
@@ -109,24 +109,16 @@ class Lindbladian:
             cols = Ld.transpose(0, 2, 1).reshape(-1, N * N)  # [m, (k, l)] = L_m[l, k]
             for i in range(N):
                 G4[i].transpose(1, 0, 2)[...] = (rows[i] @ cols).reshape(N, N, N)
-        # nonzero e = (r_e, c_e) of sparse jump j_e, in jump order; every pair
-        # (e, f) of one jump adds w conj(v_e) v_f at [(c_e, c_f), (r_e, r_f)]
-        # to the jump sum, and to the damping at [c_e, c_f] when r_e = r_f
-        w, Ls = w[sparse], Ls[sparse]
-        j, r, c = np.unravel_index(np.flatnonzero(Ls), Ls.shape)
+        # a jump whose one nonzero v sits at (r, c) adds w conj(v) v to the jump
+        # sum at [(c, c), (r, r)] and to the damping at [c, c]
+        keep = one[j]
+        j, r, c = j[keep], r[keep], c[keep]
         v = Ls[j, r, c]
-        count = np.bincount(j, minlength=len(Ls))
-        n = count[j]  # the nonzeros of e's jump
-        e = np.repeat(np.arange(len(j)), n)
-        f = (np.cumsum(count) - count)[j[e]] \
-            + np.arange(len(e)) - np.repeat(np.cumsum(n) - n, n)
-        val = w[j[e]] * v[e].conj() * v[f]
-        np.add.at(G4, (c[e], c[f], r[e], r[f]), val)
-        same = r[e] == r[f]
-        np.add.at(damping, (c[e][same], c[f][same]), val[same])
-        coherent = 1j * self.alpha * H
-        left = coherent - 0.5 * damping
-        right = (coherent + 0.5 * damping).T
+        val = w[j] * v.conj() * v
+        np.add.at(G4, (c, c, r, r), val)
+        np.add.at(damping, (c, c), val)
+        left = 1j * H - 0.5 * damping
+        right = (1j * H + 0.5 * damping).T
         # the two Kronecker terms in place: kron(A, 1) puts A on G4[:, k, :, k]
         # and kron(1, B) puts B on G4[k, :, k, :], for every k
         for k in range(N):
@@ -135,12 +127,12 @@ class Lindbladian:
         return G
 
     def dissipator(self) -> "Lindbladian":
-        """The jump part alone (alpha = 0)."""
-        return Lindbladian(self.dim, np.zeros((self.dim, self.dim)), self.jumps, alpha=0.0)
+        """The jump part alone (H = 0)."""
+        return Lindbladian(self.dim, np.zeros((self.dim, self.dim)), self.jumps)
 
 
 def build_gksl(H, jumps, alpha: float = 1.0) -> Lindbladian:
-    """Generator from a Hamiltonian and a list of (weight, jump) pairs."""
+    """Generator from H and (weight, jump) pairs; alpha is stored folded in, as alpha H."""
     H = require_hermitian(H, what="H")
     N = H.shape[0]
     clean = []
@@ -149,7 +141,7 @@ def build_gksl(H, jumps, alpha: float = 1.0) -> Lindbladian:
         if not (np.isfinite(w) and w > 0):
             raise ValueError(f"jump weights must be finite and positive, got {w}")
         clean.append((w, as_square_matrix(L, N)))
-    return Lindbladian(N, H, clean, alpha=float(alpha))
+    return Lindbladian(N, float(alpha) * H, clean)
 
 
 def require_invariant(an: Analysis) -> float:
@@ -179,18 +171,6 @@ def require_kms_symmetric(an: Analysis) -> None:
         if defect > DB_DEFECT_TOL:
             raise ValueError("dissipator is not KMS-symmetric: its matrix is not "
                              f"Hermitian in the KMS frame (defect {defect:.3e})")
-
-
-def generator_matrix(L: Lindbladian, frame: KmsFrame) -> Matrix:
-    """Full-space matrix of the generator in the given frame."""
-    return frame.superop(L.unit_matrix(frame.state.eigenvectors))
-
-
-def hamiltonian_superop(H, frame: KmsFrame) -> Matrix:
-    """Full-space matrix of X -> i[H, X] in the given frame."""
-    H = require_hermitian(H, what="H")
-    G = Lindbladian(H.shape[0], H, []).unit_matrix(frame.state.eigenvectors)
-    return frame.superop(G)
 
 
 def real_norm2(A: Matrix) -> float:
@@ -321,7 +301,7 @@ def sector_singular_gap(blocks: list[Matrix]) -> float:
 class Analysis:
     """One generator at one state in the KMS frame: what every analysis takes.
 
-    Holds the frame, the effective Hamiltonian H = alpha * hamiltonian, the
+    Holds the frame, the Hamiltonian H = L.hamiltonian (alpha folded in), the
     dissipator LD = L^D and the energies E.  When [H, sigma] = 0 the frame is
     laid on a joint eigenbasis of sigma and H (see joint_eigenbasis) and E
     holds the eigenvalues of H in it; otherwise E is None.  Everything else
@@ -338,14 +318,14 @@ class Analysis:
 
     def __init__(self, L: Lindbladian, state: QuantumState):
         self.L = L
-        self.H = L.alpha * L.hamiltonian
+        self.H = L.hamiltonian
         self.state, self.energies = joint_eigenbasis(state, self.H)
         self.frame = KmsFrame(self.state)
         self.LD = L.dissipator()
 
     @cached_property
     def M_D(self) -> Matrix:
-        return generator_matrix(self.LD, self.frame)
+        return self.frame.superop(self.LD.unit_matrix(self.state.eigenvectors))
 
     @cached_property
     def M_H(self) -> Matrix:
@@ -355,7 +335,8 @@ class Analysis:
         pair's coordinates (s, t) M_H is the rotation [[0, -w], [w, 0]], else
         zero."""
         if self.energies is None:
-            return hamiltonian_superop(self.H, self.frame)
+            LH = Lindbladian(self.L.dim, self.H, [])
+            return self.frame.superop(LH.unit_matrix(self.state.eigenvectors))
         M = np.zeros((self.frame.size, self.frame.size))
         r, c = self.frame._pairs
         s = self.frame.dim + np.arange(len(r))
@@ -514,7 +495,8 @@ class StructureReport:
 
     commutant_dim is dim ker L, counted from the singular values of its frame
     matrix; with a faithful invariant state, which structure_report requires,
-    it is the dimension of the commutant of {H, L_j, L_j^dag}.
+    it is the dimension of the commutant of {H, L_j, L_j^dag}; kernel_dim_LD,
+    dim ker L^D, is counted the same way from M_D.
     """
 
     invariant_state_ok: bool
@@ -537,32 +519,44 @@ class StructureReport:
                 if f.name != "standard_dbc_K"}
 
 
-def _kernel_counts(an: Analysis) -> tuple[int, float, int]:
-    """(dim ker L, KMS defect, dim ker L^D) from the full-space M_D and M_H,
-    solved per sector of the two (sector_partition, index 0 included): the
-    identity is a sector of its own unless sigma's invariance residual puts
-    its row above SECTOR_TOL.  The frame matrix of L is M_D + M_H, and so is
-    each of its blocks."""
+def _kernel_dim(blocks: list[Matrix]) -> tuple[int, float]:
+    """(kernel dimension, ||.||_2) of the block-diagonal matrix with the sector
+    stacks `blocks`: the singular values at most COMMUTANT_SV_FACTOR times the
+    largest, not eigvalsh(M^T M), whose zeros sit near sqrt(eps) * sigma_max,
+    above that cutoff.  A zero matrix (norm 0) is all kernel."""
+    sv = np.concatenate([np.linalg.svd(B, compute_uv=False).ravel() for B in blocks])
+    top = float(sv.max())
+    return int(np.sum(sv <= COMMUTANT_SV_FACTOR * top)), top
+
+
+def _kernel_counts(an: Analysis) -> tuple[int, float, int, bool]:
+    """(dim ker L, KMS defect, dim ker L^D, L^D KMS-symmetric) from the
+    full-space M_D and M_H, solved per sector of the two (sector_partition,
+    index 0 included): the identity is a sector of its own unless sigma's
+    invariance residual puts its row above SECTOR_TOL.  The frame matrix of L
+    is M_D + M_H, and so is each of its blocks."""
     coherent = bool(an.H.any())
     sectors = sector_partition([an.M_D, an.M_H] if coherent else [an.M_D])
     dblocks = sector_blocks(an.M_D, sectors)
     blocks = ([D + H for D, H in zip(dblocks, sector_blocks(an.M_H, sectors))]
               if coherent else dblocks)
     # sigma is faithful and invariant, so ker L is the commutant of
-    # {H, L_j, L_j^dag} (Frigerio 1978); singular values, not eigvalsh(M^T M),
-    # whose zeros sit near sqrt(eps) * sigma_max, above the cutoff
-    sv = np.concatenate([np.linalg.svd(B, compute_uv=False).ravel() for B in blocks])
-    # a zero L (top = 0) is all kernel
-    top = sv.max()
-    cdim = int(np.sum(sv <= COMMUTANT_SV_FACTOR * top))
+    # {H, L_j, L_j^dag} (Frigerio 1978)
+    cdim, top = _kernel_dim(blocks)
     # hermiticity_defect of L's frame matrix with ||.||_2 = top, per block
     kms_defect = (max(real_norm2(B - np.swapaxes(B, -1, -2)) for B in blocks) / top
                   if top else 0.0)
-    # zero eigenvalues of the Hermitian part of M_D
-    w = np.abs(np.concatenate([np.linalg.eigvalsh((B + np.swapaxes(B, -1, -2)) / 2.0)
-                               .ravel() for B in dblocks]))
-    kdim = int(np.sum(w <= KERNEL_TOL_FACTOR * w.max()))
-    return cdim, kms_defect, kdim
+    if not coherent:
+        return cdim, kms_defect, cdim, kms_defect <= DB_DEFECT_TOL
+    kdim, dtop = _kernel_dim(dblocks)
+    # L^D is KMS-symmetric if hermiticity_defect(M_D) <= DB_DEFECT_TOL.  As
+    # ||D||_F >= ||D||_2 for D = M_D - M_D^T, D's Frobenius norm decides unless
+    # the defect is near the tolerance (on tfim n = 4, 0.03 ms against 0.5 ms
+    # for the spectral norms of D's blocks)
+    diffs = [D - np.swapaxes(D, -1, -2) for D in dblocks]
+    symmetric = (np.sqrt(sum(np.linalg.norm(D) ** 2 for D in diffs)) <= DB_DEFECT_TOL * dtop
+                 or max(real_norm2(D) for D in diffs) <= DB_DEFECT_TOL * dtop)
+    return cdim, kms_defect, kdim, symmetric
 
 
 def _gns_defect(G: Matrix, mu: np.ndarray) -> float:
@@ -589,13 +583,15 @@ def structure_report(an: Analysis) -> StructureReport:
         gns_defect = _gns_defect(G, mu)
     K, dbc_defect = standard_dbc_solve(G, an.frame)
     del G  # before the kernel counts build M_H, so the two are never held together
-    cdim, kms_defect, kdim = _kernel_counts(an)
+    cdim, kms_defect, kdim, ld_symmetric = _kernel_counts(an)
     primitive = cdim == 1
     if uniform:
         gns_defect = kms_defect
 
     if not primitive:
         classification = "non-primitive"
+    elif not ld_symmetric:  # kernel_projection's split needs a KMS-symmetric L^D
+        classification = "dissipator-not-kms-symmetric"
     elif kdim == 1:
         classification = "coercive"
     else:

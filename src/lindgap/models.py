@@ -424,8 +424,7 @@ def graph_lindblad(spec: GraphSpec, state: QuantumState,
           np.concatenate([far, loops])] = 1.0
     weights = np.concatenate([np.stack([up, down], axis=1).ravel(),
                               np.full(len(loops), float(self_decay))])
-    lind = Lindbladian(N, np.zeros((N, N)), list(zip(weights.tolist(), units)),
-                       alpha=0.0)
+    lind = Lindbladian(N, np.zeros((N, N)), list(zip(weights.tolist(), units)))
     kappa = -2.0 * (S[:, None] + S[None, :]) - self_decay
     np.fill_diagonal(kappa, 0.0)
 
@@ -591,5 +590,5 @@ def lift_model(base: GraphModel, A) -> LiftModel:
     state = QuantumState(sigma_tilde)
     jumps = [(w, np.kron(L, np.diag([a, b]).astype(complex)))
              for w, L in base.lind.jumps]
-    lind = Lindbladian(2 * N, np.zeros((2 * N, 2 * N)), jumps, alpha=0.0)
+    lind = Lindbladian(2 * N, np.zeros((2 * N, 2 * N)), jumps)
     return LiftModel(lind=lind, state=state, kernel_dim=2)

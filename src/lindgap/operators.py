@@ -139,8 +139,6 @@ class KmsFrame:
     map that preserves Hermiticity has a real matrix.
     """
 
-    s = 0.5  # the weight exponent of <., .>_{sigma,s}; perfbench keys frames by it
-
     def __init__(self, state: QuantumState):
         self.state = state
         N = state.dim

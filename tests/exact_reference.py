@@ -27,7 +27,7 @@ import math
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
-from lindgap import KmsFrame, Lindbladian, generator_matrix, hamiltonian_superop
+from lindgap import KmsFrame, Lindbladian
 from lindgap.evolve import _random_mean_zero
 from lindgap.lindblad import COMMUTANT_SV_FACTOR, KERNEL_TOL_FACTOR
 from lindgap.operators import SQRT2, as_square_matrix, dag, vec
@@ -141,7 +141,7 @@ def apply_adjoint(L, rho) -> np.ndarray:
     at a time."""
     rho = as_square_matrix(rho, L.dim)
     H = L.hamiltonian
-    out = -1j * L.alpha * (H @ rho - rho @ H)
+    out = -1j * (H @ rho - rho @ H)
     for w, J in L.jumps:
         JdJ = dag(J) @ J
         out += w * (J @ rho @ dag(J) - 0.5 * (JdJ @ rho + rho @ JdJ))
@@ -155,7 +155,7 @@ def unit_matrix_per_jump(L, basis=None) -> np.ndarray:
 
     eye = np.eye(L.dim)
     H = rot(L.hamiltonian)
-    G = 1j * L.alpha * (np.kron(H, eye) - np.kron(eye, H.T))
+    G = 1j * (np.kron(H, eye) - np.kron(eye, H.T))
     damping = np.zeros((L.dim, L.dim), dtype=complex)
     for w, J in L.jumps:
         J = rot(J)
@@ -166,13 +166,12 @@ def unit_matrix_per_jump(L, basis=None) -> np.ndarray:
 
 
 def kernel_dimension(M_full: np.ndarray) -> int:
-    """Zero eigenvalues of the Hermitian part of a generator matrix, from one
-    eigvalsh of the whole full-space matrix: structure_report counts them per
-    sector."""
-    Hm = (M_full + dag(M_full)) / 2.0
-    w = np.linalg.eigvalsh(Hm)
-    scale = max(np.abs(w).max(), 1e-30)
-    return int(np.sum(np.abs(w) < KERNEL_TOL_FACTOR * scale))
+    """dim ker of a generator matrix: its singular values at most
+    COMMUTANT_SV_FACTOR times the largest, from one SVD of the whole
+    full-space matrix (structure_report counts them per sector); a zero
+    matrix is all kernel."""
+    sv = np.linalg.svd(M_full, compute_uv=False)
+    return int(np.sum(sv <= COMMUTANT_SV_FACTOR * sv[0]))
 
 
 def split_bases(split) -> tuple[np.ndarray, np.ndarray]:
@@ -192,11 +191,11 @@ def split_bases(split) -> tuple[np.ndarray, np.ndarray]:
 def whole_structure(an) -> tuple[int, float, int]:
     """(commutant_dim, kms_defect, kernel_dim_LD) of structure_report, from
     whole-space solves of the full frame matrices of L and L^D."""
-    M = generator_matrix(an.L, an.frame)
+    M = an.frame.superop(an.L.unit_matrix(an.state.eigenvectors))
     sv = np.linalg.svd(M, compute_uv=False)
     cdim = int(np.sum(sv < COMMUTANT_SV_FACTOR * sv[0]))
     kms = float(np.linalg.norm(M - M.T, 2) / sv[0])
-    return cdim, kms, kernel_dimension(generator_matrix(an.LD, an.frame))
+    return cdim, kms, kernel_dimension(an.M_D)
 
 
 def symmetrized_gap(an) -> float:
@@ -248,9 +247,10 @@ def stp_worst_ratio(H, LD, state, rep) -> float:
     """stp_verify's worst ratio for report `rep`, from the exact moments
     (1/T) int_0^T t^n dt = T^n / (n + 1) and the same seeded draws."""
     frame = KmsFrame(state)
-    MD = generator_matrix(LD, frame)
+    U = state.eigenvectors
+    MD = frame.superop(LD.unit_matrix(U))
     MD = (MD + MD.conj().T) / 2.0
-    MH = hamiltonian_superop(H, frame)
+    MH = frame.superop(Lindbladian(state.dim, H, []).unit_matrix(U))
     w, V = np.linalg.eigh(-MD)
     zero = np.abs(w) < 1e-9 * max(w[-1], 1e-30)
     P0 = V[:, zero] @ V[:, zero].conj().T
@@ -308,7 +308,7 @@ def lstsq_dbc_solve(L, frame):
     """standard_dbc_solve by brute force: the frame matrices of the N^2 - 1
     commutators 2i[G_k, .] as columns of a real least squares against
     M - M^dag.  O(N^8) time and O(N^6) memory; returns (K, defect)."""
-    M = generator_matrix(L, frame)
+    M = frame.superop(L.unit_matrix(frame.state.eigenvectors))
     D = M - dag(M)
     dnorm = np.linalg.norm(D)
     scale = max(np.linalg.norm(M), 1.0)
@@ -335,7 +335,7 @@ def stacked_commutant_sv(L):
     A (2 #jumps + 1) N^2 x N^2 complex SVD."""
     N = L.dim
     gens = []
-    if L.alpha != 0.0 and np.linalg.norm(L.hamiltonian) > 0:
+    if np.linalg.norm(L.hamiltonian) > 0:
         gens.append(L.hamiltonian)
     for _, Lj in L.jumps:
         gens.append(Lj)
@@ -347,7 +347,7 @@ def stacked_commutant_sv(L):
 
 
 def bohr_table_by_eigh(L, state) -> list[tuple[float, int, float]]:
-    """(frequency, dimension, lambda_nu) per Bohr block of L = alpha i[H, .] + L^D,
+    """(frequency, dimension, lambda_nu) per Bohr block of L = i[H, .] + L^D,
     from the complex eigensolve of the Hermitian -i M_H on the traceless block
     of the KMS frame on sigma's own eigenvectors.
 
@@ -356,10 +356,11 @@ def bohr_table_by_eigh(L, state) -> list[tuple[float, int, float]]:
     into one block; lambda_nu is the smallest eigenvalue of -M_D compressed
     to the block's eigenvectors.
     """
-    H = L.alpha * L.hamiltonian
+    H = L.hamiltonian
     frame = KmsFrame(state)
-    MH = hamiltonian_superop(H, frame)[1:, 1:]
-    MD = generator_matrix(L.dissipator(), frame)[1:, 1:]
+    U = state.eigenvectors
+    MH = frame.superop(Lindbladian(L.dim, H, []).unit_matrix(U))[1:, 1:]
+    MD = frame.superop(L.dissipator().unit_matrix(U))[1:, 1:]
     S = -1j * MH
     w, V = np.linalg.eigh((S + dag(S)) / 2.0)
     negMD = -(MD + MD.T) / 2.0

@@ -16,10 +16,8 @@ from lindgap import (
     build_gksl,
     build_model,
     dephasing_walk,
-    generator_matrix,
     graph_lindblad,
     haar_avg_gibbs,
-    hamiltonian_superop,
     hypercube_graph,
     lift_model,
     single_jump_model,
@@ -77,7 +75,7 @@ def _gns_pair():
     # the GNS-detailed-balanced pair: weights 2 e^{+-om/2} on e01 and e10
     e01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     jumps = [(2.0 * np.exp(om / 2.0), e01), (2.0 * np.exp(-om / 2.0), e01.T)]
-    return Lindbladian(2, np.zeros((2, 2)), jumps, alpha=0.0), state
+    return Lindbladian(2, np.zeros((2, 2)), jumps), state
 
 
 def _explicit_gibbs():
@@ -116,18 +114,18 @@ def _rel_close(got, ref, rtol=1e-12):
 
 
 @pytest.mark.parametrize("restricted", [True, False])
-@pytest.mark.parametrize("s", [0.5])  # the KMS weight exponent, the only frame
+@pytest.mark.parametrize("s", [0.5])  # names the frame, KMS (s = 1/2), in the test ids
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_kronecker_assembly_matches_probed_path(family, s, restricted):
     L, state = FAMILIES[family]()
     fr = KmsFrame(state)
-    assert fr.s == s
+    U = state.eigenvectors
     # the library's matrices are full-space; the traceless block is [1:, 1:]
     b = slice(1 if restricted else 0, None)
-    _rel_close(generator_matrix(L, fr)[b, b],
+    _rel_close(fr.superop(L.unit_matrix(U))[b, b],
                superop_matrix(L.apply, fr, restrict_traceless=restricted))
     H = L.hamiltonian
-    _rel_close(hamiltonian_superop(H, fr)[b, b],
+    _rel_close(fr.superop(Lindbladian(L.dim, H, []).unit_matrix(U))[b, b],
                superop_matrix(lambda X: 1j * (H @ X - X @ H), fr,
                               restrict_traceless=restricted))
 
@@ -144,9 +142,9 @@ def _rotated_state(N):
 
 
 def _no_jumps():
-    # the hamiltonian_superop path: the jump sums are empty
+    # the frame matrix of i[H, .] alone: the jump sums are empty
     H = np.array([[0.4, 0.2 - 0.3j, 0.0], [0.2 + 0.3j, -0.1, 0.5], [0.0, 0.5, 0.7]])
-    return Lindbladian(3, H, [], alpha=1.7), _rotated_state(3)
+    return Lindbladian(3, 1.7 * H, []), _rotated_state(3)
 
 
 def _one_jump():
@@ -203,7 +201,7 @@ def test_analysis_matrices_are_real(case):
         split = an.split
         assert all(A.dtype == np.float64 for A in split.values + split.vectors)
     # M_D + M_H is the generator's own frame matrix
-    M = generator_matrix(L, an.frame)
+    M = an.frame.superop(L.unit_matrix(an.state.eigenvectors))
     got = an.M_D + an.M_H
     assert np.abs(got - M).max() <= 1e-14 * np.abs(M).max()
     # the frame change is a similarity: same spectrum as the unit matrix
@@ -236,25 +234,27 @@ def _haar12_unitary():
 
 
 def _lift_units():
+    # each jump, a matrix unit kron diag(a, b), has two nonzeros: the dense product
     L, state = _lift()
-    return L, state.eigenvectors, len(L.jumps)
+    return L, state.eigenvectors, 0
 
 
 def _mixed():
     rng = np.random.default_rng(9)
     dense = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    jumps = _units(4, [(0.7, {(0, 1): 1.0}), (1.3, {(2, 3): 1.0}),
+    # one matrix unit with a complex entry: the branch adds w conj(v) v, not w v^2
+    jumps = _units(4, [(0.7, {(0, 1): 1.0}), (1.3, {(2, 3): 0.6 + 0.8j}),
                        (0.4, {(3, 3): 1.0})]) + [(0.9, dense)]
     H = np.diag([0.3, -0.2, 0.5, 1.1]).astype(complex)
-    return Lindbladian(4, H, jumps, alpha=0.8), None, 3
+    return Lindbladian(4, 0.8 * H, jumps), None, 3
 
 
 def _n_and_n_plus_one():
-    # 4 nonzeros (as many as N) take the nonzero branch, 5 the dense one
+    # 4 nonzeros (as many as N) and 5 both take the dense product
     four = {(0, 0): 0.5, (0, 2): -1.0j, (1, 2): 0.3, (3, 1): 2.0}
     five = {**four, (2, 3): 0.7 - 0.2j}
-    return Lindbladian(4, np.zeros((4, 4)), _units(4, [(1.1, four), (0.6, five)]),
-                       alpha=0.0), None, 1
+    return Lindbladian(4, np.zeros((4, 4)), _units(4, [(1.1, four), (0.6, five)])), \
+        None, 0
 
 
 def _complex_entries():
@@ -262,12 +262,12 @@ def _complex_entries():
     jumps = _units(3, [(0.8, {(0, 1): 0.6 + 0.8j, (0, 2): -0.3j, (2, 1): 1.5 - 0.5j}),
                        (1.7, {(1, 0): np.exp(0.4j), (2, 2): -0.9 + 0.1j})])
     H = np.array([[0.2, 0.1j, 0.0], [-0.1j, -0.4, 0.3], [0.0, 0.3, 0.6]])
-    return Lindbladian(3, H, jumps, alpha=1.2), None, 2
+    return Lindbladian(3, 1.2 * H, jumps), None, 0
 
 
 def _same_unit():
     jumps = _units(3, [(0.5, {(1, 2): 1.0}), (2.5, {(1, 2): 1.0}), (0.7, {(2, 1): 1.0})])
-    return Lindbladian(3, np.zeros((3, 3)), jumps, alpha=0.0), None, 3
+    return Lindbladian(3, np.zeros((3, 3)), jumps), None, 3
 
 
 SPARSE_CASES = {"haar12_permuted": _haar12_permuted, "haar12_unitary": _haar12_unitary,
@@ -279,17 +279,17 @@ SPARSE_CASES = {"haar12_permuted": _haar12_permuted, "haar12_unitary": _haar12_u
 @pytest.mark.parametrize("case", sorted(SPARSE_CASES))
 def test_unit_matrix_nonzero_branch_matches_per_jump_sum(case):
     L, basis, n_sparse = SPARSE_CASES[case]()
-    # the jumps with at most N nonzeros once rotated take the nonzero branch;
-    # each case pins how many do
+    # the jumps with one nonzero once rotated take the nonzero branch; each
+    # case pins how many do
     B = np.eye(L.dim) if basis is None else basis
     nnz = [np.count_nonzero(B.conj().T @ J @ B) for _, J in L.jumps]
-    assert sum(k <= L.dim for k in nnz) == n_sparse
+    assert sum(k == 1 for k in nnz) == n_sparse
     ref = unit_matrix_per_jump(L, basis)
     assert np.abs(L.unit_matrix(basis) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def _magnitude_by_svd(L):
-    m = np.linalg.norm(L.alpha * L.hamiltonian, 2) \
+    m = np.linalg.norm(L.hamiltonian, 2) \
         + sum(w * np.linalg.norm(J, 2) ** 2 for w, J in L.jumps)
     return max(2.0 * m, 1e-30)
 

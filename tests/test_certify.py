@@ -337,7 +337,7 @@ def test_certify_never_exceeds_gap():
 def _scaled_tfim2(eps):
     """eps L for tfim n=2 (h = 0.9, gamma = 1.1), with its state."""
     m = tfim(2, 0.9, 1.1)
-    return Analysis(build_gksl(eps * m.lind.alpha * m.lind.hamiltonian,
+    return Analysis(build_gksl(eps * m.lind.hamiltonian,
                                [(eps * w, J) for w, J in m.lind.jumps]), m.state)
 
 
@@ -432,9 +432,16 @@ def test_optimize_window_scales_inversely_with_coupling():
     assert 30 <= ratio <= 300
 
 
+def _grid_best(sc: StructuralConstants) -> float:
+    """The best rate over 40001 log-spaced windows in [1e-2, 1e6]/s_H."""
+    grid = np.logspace(math.log10(1e-2 / sc.s_H), math.log10(1e6 / sc.s_H), 40001)
+    return max(rate_from_constants(sc, T) for T in grid)
+
+
 def test_optimize_window_reaches_the_grid_maximum():
-    # nu* is within 1e-7 of the best of 20001 log-spaced windows over the
-    # search range, and never below the rate at the default window
+    # nu* is within 1e-7 of the best of the grid, which reaches four decades
+    # past the first bracket [1e-2, 1e2]/s_H, and never below the rate at the
+    # default window
     rng = np.random.default_rng(5)
     for _ in range(12):
         lam, norm_LH = 10 ** rng.uniform(-3, 2, size=2)
@@ -444,9 +451,17 @@ def test_optimize_window_reaches_the_grid_maximum():
         T_star, nu_star = optimize_T(sc)
         assert nu_star == rate_from_constants(sc, T_star)
         assert nu_star >= rate_from_constants(sc, sc.default_window)
-        grid = np.logspace(math.log10(1e-2 / sc.s_H), math.log10(1e2 / sc.s_H), 20001)
-        best = max(rate_from_constants(sc, T) for T in grid)
-        assert nu_star >= (1.0 - 1e-7) * best
+        assert nu_star >= (1.0 - 1e-7) * _grid_best(sc)
+
+
+def test_optimize_window_past_the_first_bracket():
+    # these constants put the best window at s_H T = 728, beyond 1e2, with a
+    # rate 2.6 % above the rate at s_H T = 1e2
+    sc = StructuralConstants(lambda_D=0.0062, s_H=57.6, norm_LD=0.065, norm_LH_plus=0.0059)
+    T_star, nu_star = optimize_T(sc)
+    assert 7e2 < T_star * sc.s_H < 7.6e2
+    assert nu_star >= 1.025 * rate_from_constants(sc, 1e2 / sc.s_H)
+    assert nu_star >= (1.0 - 1e-7) * _grid_best(sc)
 
 
 # ---------------------------------------------------------------------------

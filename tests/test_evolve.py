@@ -20,7 +20,6 @@ from lindgap import (
     c_constants,
     certify,
     dephasing_jumps,
-    generator_matrix,
     graph_lindblad,
     haar_avg_gibbs,
     matrix_unit,
@@ -136,7 +135,7 @@ def test_cert_check_passes_emitted_certificate():
     assert rep.worst_pointwise_ratio <= 1.0 + 1e-6
     # the window values are the exact averages
     fr = KmsFrame(MIXED2)
-    Mr = generator_matrix(QUBIT, fr)[1:, 1:]
+    Mr = fr.superop(QUBIT.unit_matrix(MIXED2.eigenvectors))[1:, 1:]
     G = lyapunov_window_gramian(Mr, CERT_T)
     xs = [expm(t * Mr) @ fr.coords(X0)[1:] for t in rep.times]
     exact = np.array([np.vdot(x, G @ x).real for x in xs])
@@ -153,7 +152,7 @@ def test_window_average_closed_form_for_detailed_balance(lind, state):
     # KMS detailed balance makes M Hermitian, so each eigenmode's window
     # average is (1 - e^{-2 lam T}) / (2 lam T), and 1 when lam = 0
     fr = KmsFrame(state)
-    Mr = generator_matrix(lind, fr)[1:, 1:]
+    Mr = fr.superop(lind.unit_matrix(state.eigenvectors))[1:, 1:]
     assert np.abs(Mr - Mr.conj().T).max() < 1e-12
     lam, V = np.linalg.eigh(-Mr)
     X0 = rand_hermitian(np.random.default_rng(93), state.dim)
@@ -171,7 +170,7 @@ def test_window_average_closed_form_for_detailed_balance(lind, state):
 @pytest.mark.parametrize("T", [0.5, 2.0, 20.0])
 def test_window_gramian_matches_lyapunov_solve(T):
     m = tfim(3, 0.75, 1.25)
-    Mr = generator_matrix(m.lind, KmsFrame(m.state))[1:, 1:]
+    Mr = KmsFrame(m.state).superop(m.lind.unit_matrix(m.state.eigenvectors))[1:, 1:]
     G = window_gramian(Mr, T)
     ref = lyapunov_window_gramian(Mr, T)
     assert np.abs(G - ref).max() < 1e-12 * np.abs(ref).max()
@@ -181,7 +180,7 @@ def test_window_gramian_matches_lyapunov_solve(T):
 def test_window_gramian_survives_long_windows():
     # lam_max * T far beyond the range of a single Van Loan block exponential
     m = tfim(2, 1.0, 1.0)
-    Mr = generator_matrix(m.lind, KmsFrame(m.state))[1:, 1:]
+    Mr = KmsFrame(m.state).superop(m.lind.unit_matrix(m.state.eigenvectors))[1:, 1:]
     G = window_gramian(Mr, 2000.0)
     assert np.all(np.isfinite(G))
     assert np.abs(G - lyapunov_window_gramian(Mr, 2000.0)).max() \

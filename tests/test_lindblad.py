@@ -28,7 +28,6 @@ from lindgap import (
     dephasing_jumps,
     dephasing_walk,
     gap_curve,
-    generator_matrix,
     graph_lindblad,
     haar_avg_gibbs,
     kernel_projection,
@@ -71,6 +70,8 @@ def test_gksl_alpha_scales_coherent_part_only():
     X = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     comm = 1j * (PAULI_X @ X - X @ PAULI_X)
     assert np.abs(L2.apply(X) - L1.apply(X) - 1.5 * comm).max() < 1e-12
+    # alpha is folded into the stored Hamiltonian
+    assert np.array_equal(L2.hamiltonian, 2.5 * PAULI_X)
 
 
 def test_gksl_unital_and_trace_preserving():
@@ -103,10 +104,10 @@ def test_gns_qubit_pair_invariance_and_kms_db():
     # sigma e01 sigma^{-1} = e^{om} e01: the pair (e01, e10) with weights
     # 2 e^{+-om/2} is GNS-detailed-balanced
     jumps = [(2.0 * np.exp(om / 2.0), E01), (2.0 * np.exp(-om / 2.0), E10)]
-    L = Lindbladian(2, np.zeros((2, 2)), jumps, alpha=0.0)
-    assert Analysis(L, st).invariance_residual < 1e-10
-    M = generator_matrix(L, KmsFrame(st))
-    assert hermiticity_defect(M) < 1e-10
+    L = Lindbladian(2, np.zeros((2, 2)), jumps)
+    an = Analysis(L, st)
+    assert an.invariance_residual < 1e-10
+    assert hermiticity_defect(an.M_D) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +317,7 @@ def test_structure_defects_are_those_of_the_frame_matrices(case):
     if case != "qubit":
         assert np.ptp(st.eigenvalues) > 0.05
     rep = structure_report(Analysis(L, st))
-    kms = hermiticity_defect(generator_matrix(L, KmsFrame(st)))
+    kms = hermiticity_defect(KmsFrame(st).superop(L.unit_matrix(st.eigenvectors)))
     gns = hermiticity_defect(gns_matrix(L, st))
     assert abs(rep.kms_defect - kms) <= 1e-12
     assert abs(rep.gns_defect - gns) <= 1e-12
@@ -330,10 +331,11 @@ def test_structure_defects_are_those_of_the_frame_matrices(case):
 
 
 def test_structure_takes_one_norm_of_the_generator(monkeypatch):
-    # the SVDs of the kernel count give ||M||_2, the scale of the KMS defect;
-    # its numerator is one stacked norm per sector size, and the norms, the
-    # SVDs and the eigensolves of the kernel of L^D each cover the 64
-    # full-space coordinates exactly once, with no whole-space solve
+    # the SVDs of the kernel counts give ||M||_2 and ||M_D||_2, the scales of
+    # the KMS defects; the numerator of L's is one stacked norm per sector
+    # size, L^D's is decided by a Frobenius bound, and the norms and the SVDs
+    # of L's blocks and of M_D's each cover the 64 full-space coordinates
+    # exactly once, with no whole-space solve
     m = tfim(3, 0.75, 1.25)
     real_norm2 = lindblad.real_norm2
     calls = []
@@ -354,11 +356,11 @@ def test_structure_takes_one_norm_of_the_generator(monkeypatch):
     assert sum(sizes) == 64 and len(sizes) > 1
     assert all(len(shape) == 3 for shape in calls)
     assert len({shape[1] for shape in calls}) == len(calls)
-    assert covered(solves["svd"]) == sizes
-    # real_norm2's Gram eigensolves (none for an exactly zero block), then
-    # the kernel count of M_D
-    kernel = solves["eigvalsh"][-len(calls):]
-    assert covered(kernel) == sizes and len(kernel) == len(calls)
+    # the kernel count of L, then that of L^D
+    svd = solves["svd"]
+    assert covered(svd[:len(svd) // 2]) == sizes and covered(svd[len(svd) // 2:]) == sizes
+    # real_norm2's Gram eigensolves (none for an exactly zero block) alone
+    assert len(solves["eigvalsh"]) <= len(calls)
     assert max(shape[-1] for shapes in solves.values() for shape in shapes) < 63
 
 
@@ -419,6 +421,18 @@ def test_structure_coercive_classification():
     assert rep.primitive
 
 
+def test_structure_counts_the_kernel_of_a_dissipator_that_is_not_kms_symmetric():
+    # L^D(1) = 0 gives dim ker L^D >= 1 whether or not L^D is KMS-symmetric:
+    # the singular values of the driven qubit's M_D are 1.385, 0.525, 0.5 and
+    # rounding; with no KMS-symmetric L^D, neither coercive nor hypocoercive
+    L, st = _driven_qubit()
+    an = Analysis(L, st)
+    rep = structure_report(an)
+    assert rep.primitive
+    assert rep.kernel_dim_LD == 1 == kernel_dimension(an.M_D)
+    assert rep.classification == "dissipator-not-kms-symmetric"
+
+
 def _scaled(name, eps):
     """eps L for a 3-level model with no standard detailed balance and for
     the driven amplitude-damped qubit, whose H does not commute with its
@@ -468,7 +482,7 @@ def test_decisions_hold_in_tiny_units(name):
          else haar_avg_gibbs([0.0, 0.3, 0.7, 1.2, 2.0], 1.0))
     seen = []
     for eps in (1.0, 1e-31, 1e-40):
-        an = Analysis(build_gksl(eps * m.lind.alpha * m.lind.hamiltonian,
+        an = Analysis(build_gksl(eps * m.lind.hamiltonian,
                                  [(eps * w, J) for w, J in m.lind.jumps]), m.state)
         rep = structure_report(an)
         seen.append(({f: getattr(rep, f) for f in DECISIONS}, spectral_gap(an) / eps,
@@ -517,7 +531,7 @@ def _random_unitary(rng, N):
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
-@pytest.mark.parametrize("s", [0.5])  # the KMS weight exponent, the only frame
+@pytest.mark.parametrize("s", [0.5])  # names the frame, KMS (s = 1/2), in the test ids
 @pytest.mark.parametrize("N", [2, 3, 6])
 def test_dbc_closed_form_matches_least_squares(N, s):
     # a random GKSL generator is far from standard detailed balance, so both
@@ -532,7 +546,6 @@ def test_dbc_closed_form_matches_least_squares(N, s):
         st = QuantumState.from_eigenvalues(rng.uniform(0.1, 1.0, size=N),
                                            _random_unitary(rng, N))
         frame = KmsFrame(st)
-        assert frame.s == s
         K, defect = standard_dbc_solve(L.unit_matrix(st.eigenvectors), frame)
         K_ref, defect_ref = lstsq_dbc_solve(L, frame)
         assert np.linalg.norm(K - K_ref) <= 1e-10 * np.linalg.norm(K_ref)
@@ -542,7 +555,7 @@ def test_dbc_closed_form_matches_least_squares(N, s):
         assert abs(np.trace(K)) < 1e-12 * np.linalg.norm(K)
 
 
-@pytest.mark.parametrize("s", [0.5])  # the KMS weight exponent, the only frame
+@pytest.mark.parametrize("s", [0.5])  # names the frame, KMS (s = 1/2), in the test ids
 def test_dbc_recovers_commuting_hamiltonian_for_gibbs_state(s):
     # a detailed-balanced hopping dissipator for a Gibbs state plus alpha H
     # with [H, sigma] = 0, all in a random basis: L - L* = 2i alpha [H, .]
@@ -556,7 +569,6 @@ def test_dbc_recovers_commuting_hamiltonian_for_gibbs_state(s):
     jumps = [(w, V @ Lj @ V.conj().T) for w, Lj in base.lind.jumps]
     L = build_gksl(H, jumps, alpha=alpha)
     frame = KmsFrame(st)
-    assert frame.s == s
     K, defect = standard_dbc_solve(L.unit_matrix(st.eigenvectors), frame)
     K_true = alpha * (H - np.trace(H) / len(lam) * np.eye(len(lam)))
     assert defect < 1e-12
@@ -654,7 +666,7 @@ def test_commutant_matches_full_kernel_on_graph_models():
         mu = rng.uniform(0.5, 2.0, size=spec.n_vertices)
         st = QuantumState(np.diag(mu / mu.sum()))
         m = graph_lindblad(spec, st)
-        M = generator_matrix(m.lind, KmsFrame(st))
+        M = KmsFrame(st).superop(m.lind.unit_matrix(st.eigenvectors))
         assert kernel_dimension(M) == len(spec.components)
         rep = structure_report(Analysis(m.lind, st))
         assert rep.commutant_dim == len(spec.components)

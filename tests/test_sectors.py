@@ -15,12 +15,12 @@ from exact_reference import apply_adjoint, whole_curves, whole_split, whole_stru
 
 from lindgap import (
     Analysis,
+    Lindbladian,
     QuantumState,
     bohr_decompose,
     build_gksl,
     check_assumption,
     haar_avg_gibbs,
-    hamiltonian_superop,
     semigroup_norm_curve,
     spectral_gap,
     structure_report,
@@ -221,5 +221,5 @@ def test_hamiltonian_matrix_by_formula(name):
     # in the joint frame M_H is a rotation on each pair, with no assembly
     an = Analysis(*_model(name))
     assert an.energies is not None
-    ref = hamiltonian_superop(an.H, an.frame)
+    ref = an.frame.superop(Lindbladian(an.L.dim, an.H, []).unit_matrix(an.state.eigenvectors))
     assert np.abs(an.M_H - ref).max() <= 1e-14 * max(np.abs(ref).max(), 1.0)
