@@ -10,7 +10,11 @@ takes one exponential e^{hM} per stack of sectors.  Every time average is
 exact up to rounding: the window average of ||e^{sM} x||^2 over [0, T] is
 x^dag G_T x with the window Gramian G_T (Van Loan 1978, by doubling), and
 the space-time integrands are polynomials in t, integrated by
-Gauss-Legendre on enough nodes to be exact.
+Gauss-Legendre on enough nodes to be exact.  The space-time check draws and
+reduces its random paths STP_CHUNK = 16 samples at a time, so its memory is
+O(16 (p+1) N^2) for paths of degree p, whatever the number of samples; the
+chunks read one seeded stream in order, so the draws, and the report, are
+those of one draw of every sample at once.
 """
 
 from __future__ import annotations
@@ -241,6 +245,12 @@ def _random_mean_zero(rng: np.random.Generator, state: QuantumState,
     return A
 
 
+# samples per chunk of stp_verify's paths, not bytes: every chunk reads each
+# group's eigenvectors V once, so a chunk must hold enough samples to amortize
+# that read at N = 64, where a byte budget would leave one sample per chunk
+STP_CHUNK = 16
+
+
 def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
                poly_degree: int = 3, seed: int = 0) -> StpReport:
     """Sample the space-time variance inequality on random polynomial paths.
@@ -254,10 +264,11 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
     and all norms average the weighted norm over [0, T]; the right side is
     read in the kernel split's eigenbasis V = [V0, Vp] with rates r_k.  The
     constants are the certificate constants of an.constants at (T, beta); a
-    trivial restricted kernel uses their large-coupling limit.  The products
-    with M_H and V run per group of the split.  The integrands have
-    degree 2 * poly_degree in t, so Gauss-Legendre on poly_degree + 1 nodes
-    averages them exactly.  Refuses what an.constants refuses.
+    trivial restricted kernel uses their large-coupling limit.  The paths are
+    drawn and reduced STP_CHUNK at a time, and the products with M_H and V
+    run per group of the split.  The integrands have degree 2 * poly_degree
+    in t, so Gauss-Legendre on poly_degree + 1 nodes averages them exactly.
+    Refuses what an.constants refuses.
     """
     # beta > 0 makes (beta - L^D) invertible
     _require_finite_positive(T=T, beta=beta)
@@ -276,37 +287,47 @@ def stp_verify(an: Analysis, T: float, beta: float, n_samples: int = 100,
 
     def root_avg(sq):
         """Per sample: sqrt of the node average of the squared norms `sq`."""
-        return np.sqrt(np.maximum(sq.reshape(n_samples, len(wts)) @ wts, 0.0))
+        return np.sqrt(np.maximum(sq.reshape(-1, len(wts)) @ wts, 0.0))
 
-    # all samples at once: the draws are Hermitian, so their coordinates are
-    # real; axes (sample, node, coordinate)
-    rng = np.random.default_rng(seed)
-    coeffs = an.frame.coords(
-        _random_mean_zero(rng, an.state, (n_samples, poly_degree + 1)))
-    X = powers @ coeffs
-    Xdot = dpowers @ coeffs
-    Xc = X.copy()
-    Xc[:, :, 0] -= (X[:, :, 0] @ wts)[:, None]
-    X = X.reshape(-1, X.shape[-1])
-    Xdot = Xdot.reshape(X.shape)
-    lhs = root_avg(np.einsum("sqi,sqi->sq", Xc, Xc))
     # the constants lie in ker(L^D): ||(1 - Pi0) x|| = ||Vp^T x[1:]|| and
     # ||(beta - L^D)^{-1/2} y||^2 = y_0^2 / beta + sum_k (V^T y[1:])_k^2 / (beta + r_k)
-    # for y = L^H x - dx/dt; the traceless sums run sector by sector
-    y0 = X @ an.M_H[0] - Xdot[:, 0]
-    plus = np.zeros(len(X))
-    dual = y0 * y0 / beta
-    for S, V, w, k, B in zip(split.sectors, split.vectors, split.values,
-                             split.dims, split.hamiltonian):
-        # axes (sector, sample x node, coordinate)
-        xs = X[:, 1 + S].transpose(1, 0, 2)
-        ys = xs @ np.swapaxes(B, -1, -2) - Xdot[:, 1 + S].transpose(1, 0, 2)
-        px, py = xs @ V[..., k:], ys @ V
-        plus += np.einsum("srk,srk->r", px, px)
-        dual += np.einsum("srk,sk->r", py * py, 1.0 / (beta + np.clip(w, 0.0, None)))
-    rhs = C1 * root_avg(plus) + C2 * root_avg(dual)
-    ratio = lhs / np.maximum(rhs, 1e-300)
-    # a NaN ratio fails
+    # for y = L^H x - dx/dt; the traceless sums run sector by sector.  A
+    # product with a 1x1 sector's matrix is one multiplication, taken
+    # elementwise: matmul calls its kernel once per sector of the stack, and
+    # once per chunk that made stp on haar_gibbs N = 12 (132 such sectors)
+    # slower than one pass over all samples
+    groups = [(1 + S, np.swapaxes(B, -1, -2), V, V[..., k:],
+               1.0 / (beta + np.clip(w, 0.0, None)),
+               np.multiply if S.shape[1] == 1 else np.matmul)
+              for S, V, w, k, B in zip(split.sectors, split.vectors, split.values,
+                                       split.dims, split.hamiltonian)]
+    rng = np.random.default_rng(seed)
+    ratio = np.empty(n_samples)
+    for start in range(0, n_samples, STP_CHUNK):
+        # the draws are Hermitian, so their coordinates are real; axes
+        # (sample, node, coordinate)
+        coeffs = an.frame.coords(_random_mean_zero(
+            rng, an.state, (min(STP_CHUNK, n_samples - start), poly_degree + 1)))
+        X = powers @ coeffs
+        Xdot = dpowers @ coeffs
+        Xc = X.copy()
+        Xc[:, :, 0] -= (X[:, :, 0] @ wts)[:, None]
+        X = X.reshape(-1, X.shape[-1])
+        Xdot = Xdot.reshape(X.shape)
+        lhs = root_avg(np.einsum("sqi,sqi->sq", Xc, Xc))
+        y0 = X @ an.M_H[0] - Xdot[:, 0]
+        plus = np.zeros(len(X))
+        dual = y0 * y0 / beta
+        for S, Bt, V, Vp, scale, prod in groups:
+            # axes (sector, sample x node, coordinate)
+            xs = X[:, S].transpose(1, 0, 2)
+            ys = prod(xs, Bt) - Xdot[:, S].transpose(1, 0, 2)
+            px, py = prod(xs, Vp), prod(ys, V)
+            plus += np.einsum("srk,srk->r", px, px)
+            dual += np.einsum("srk,sk->r", py * py, scale)
+        rhs = C1 * root_avg(plus) + C2 * root_avg(dual)
+        ratio[start:start + len(lhs)] = lhs / np.maximum(rhs, 1e-300)
+    # one reduction over all samples: a NaN ratio fails and reads as the worst
     return StpReport(passed=bool(np.all(ratio <= 1.0 + CERT_SLACK)),
                      worst_ratio=float(ratio.max()),
                      n_samples=n_samples, poly_degree=poly_degree,

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -318,11 +319,53 @@ def test_stp_qubit_random_paths():
     assert rep.C2 == pytest.approx(C2, rel=1e-12)
 
 
-def test_stp_is_deterministic_per_seed():
-    LD = build_gksl(np.zeros((2, 2)), [(2.0, PAULI_Z)])
-    a = stp_verify(split_form(PAULI_X, LD, MIXED2), T=1.0, beta=1.0, n_samples=5, seed=7)
-    b = stp_verify(split_form(PAULI_X, LD, MIXED2), T=1.0, beta=1.0, n_samples=5, seed=7)
-    assert a.worst_ratio == b.worst_ratio
+def _stp_model(name):
+    """(H, L^D, state) of a model for the seeded-stream tests."""
+    if name == "qubit":
+        return PAULI_X, build_gksl(np.zeros((2, 2)), [(2.0, PAULI_Z)]), MIXED2
+    if name == "tfim3":
+        m = tfim(3, 0.75, 1.25)
+        return m.lind.hamiltonian, m.lind.dissipator(), m.state
+    hm = haar_avg_gibbs([k / 6.0 for k in range(12)], 1.0)
+    return np.zeros((12, 12)), hm.lind, hm.state
+
+
+@pytest.mark.parametrize("name", ["qubit", "tfim3", "haar12"])
+def test_stp_is_deterministic_per_seed(name):
+    # the paths are drawn evolve.STP_CHUNK at a time from one seeded stream:
+    # a run's draws are a prefix of a longer run's, so the worst ratio never
+    # falls as n_samples grows, and each run matches the exact moments of
+    # draws taken one operator at a time, on both sides of chunk boundaries
+    H, LD, state = _stp_model(name)
+    an = split_form(H, LD, state)
+    chunk = evolve.STP_CHUNK
+    worst = 0.0
+    for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 100):
+        rep = stp_verify(an, T=1.0, beta=1.0, n_samples=n, seed=7)
+        again = stp_verify(split_form(H, LD, state), T=1.0, beta=1.0, n_samples=n, seed=7)
+        assert rep.worst_ratio == again.worst_ratio
+        assert rep.worst_ratio >= worst
+        assert rep.worst_ratio == pytest.approx(stp_worst_ratio(H, LD, state, rep),
+                                                rel=1e-10)
+        worst = rep.worst_ratio
+
+
+def test_stp_memory_is_flat_in_the_number_of_samples():
+    # one chunk of paths at a time: on tfim n=4, 2000 samples keep the traced
+    # peak near that of one chunk; holding every path at once took 106 MB
+    import numpy.random  # noqa: F401  (loads lazily; not the call's memory)
+
+    m = tfim(4, 0.75, 1.25)
+    an = Analysis(m.lind, m.state)
+    T = an.constants.default_window
+    stp_verify(an, T, 1.0, n_samples=1)  # builds the split and M_H, which an keeps
+    tracemalloc.start()
+    try:
+        stp_verify(an, T, 1.0, n_samples=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_stp_trivial_kernel_route():
