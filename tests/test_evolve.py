@@ -330,24 +330,25 @@ def _stp_model(name):
     return np.zeros((12, 12)), hm.lind, hm.state
 
 
-@pytest.mark.parametrize("name", ["qubit", "tfim3", "haar12"])
-def test_stp_is_deterministic_per_seed(name):
+def test_stp_is_deterministic_per_seed():
     # the paths are drawn evolve.STP_CHUNK at a time from one seeded stream:
     # a run's draws are a prefix of a longer run's, so the worst ratio never
     # falls as n_samples grows, and each run matches the exact moments of
     # draws taken one operator at a time, on both sides of chunk boundaries
-    H, LD, state = _stp_model(name)
-    an = split_form(H, LD, state)
     chunk = evolve.STP_CHUNK
-    worst = 0.0
-    for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 100):
-        rep = stp_verify(an, T=1.0, beta=1.0, n_samples=n, seed=7)
-        again = stp_verify(split_form(H, LD, state), T=1.0, beta=1.0, n_samples=n, seed=7)
-        assert rep.worst_ratio == again.worst_ratio
-        assert rep.worst_ratio >= worst
-        assert rep.worst_ratio == pytest.approx(stp_worst_ratio(H, LD, state, rep),
-                                                rel=1e-10)
-        worst = rep.worst_ratio
+    for name in ("qubit", "tfim3", "haar12"):
+        H, LD, state = _stp_model(name)
+        an = split_form(H, LD, state)
+        worst = 0.0
+        for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 100):
+            rep = stp_verify(an, T=1.0, beta=1.0, n_samples=n, seed=7)
+            again = stp_verify(split_form(H, LD, state), T=1.0, beta=1.0,
+                               n_samples=n, seed=7)
+            assert rep.worst_ratio == again.worst_ratio, (name, n)
+            assert rep.worst_ratio >= worst, (name, n)
+            assert rep.worst_ratio == pytest.approx(
+                stp_worst_ratio(H, LD, state, rep), rel=1e-10), (name, n)
+            worst = rep.worst_ratio
 
 
 def test_stp_memory_is_flat_in_the_number_of_samples():
